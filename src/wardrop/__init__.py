@@ -15,7 +15,6 @@ from .costs import (
     StepGeometric,
     cost_from_spec,
     cost_to_spec,
-    marginal,
     marginal_bounds,
 )
 from .errors import (
@@ -89,6 +88,8 @@ from .asymptotics import (
     exp_game_poa_near_breakpoint,
 )
 from .instances import (
+    InstanceKind,
+    classify,
     designated_limit_instances,
     exp_game,
     named_instance,

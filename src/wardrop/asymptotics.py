@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import AlphaSequence, CostFunction
-from .errors import ConvergenceError, DomainError, GameError
-from .instances import exp_game, pwl_game
+from .errors import ConvergenceError, DomainError, GameError, RangeOverflowError
+from .instances import classify, exp_game, pwl_game
 from .logdomain import LogValue
 from .network import Network, build_parallel
 from .equilibrium import (
@@ -27,19 +27,7 @@ from .equilibrium import (
     wardrop_parallel,
     wardrop_parallel_log,
 )
-from .optimum import (
-    OptimumSolution,
-    _period_index,
-    exp_instance_alphas,
-    opt_bruteforce,
-    opt_general_marginal,
-    opt_parallel_exp_log,
-    opt_parallel_marginal,
-    opt_parallel_pwl_square,
-    opt_parallel_step,
-    pwl_instance_param,
-    step_instance_param,
-)
+from .optimum import OptimumSolution, _period_index, social_optimum
 from .rv import numeric_inverse
 
 POA_FLOOR_SLACK = 1e-9
@@ -93,52 +81,43 @@ class ExtremesReport:
     accepted: bool
 
 
-def poa(net: Network, M: float, opt_method: str | None = None) -> PoaResult:
-    """WEq/Opt with solver routing recorded in the result."""
-    if M <= 0:
-        raise DomainError(f"price of anarchy needs M > 0, got {M!r}")
+def poa(net: Network, M: float) -> PoaResult:
+    """WEq/Opt with solver routing recorded in the result.
 
-    alphas = exp_instance_alphas(net)
-    if alphas is not None and opt_method in (None, "exp"):
-        weq = wardrop_parallel_log(net, M)
-        opt = opt_parallel_exp_log(alphas, M)
-        ratio = (weq.cost / opt.cost).to_float()
-        return _checked(PoaResult(M, weq, opt, ratio, "log-bisection/exp-candidates", opt.flag))
-
-    a = step_instance_param(net)
-    if a is not None and opt_method in (None, "step"):
-        weq = wardrop_parallel(net, M)
-        opt = opt_parallel_step(a, M)
-        return _checked(
-            PoaResult(M, weq, opt, weq.cost / opt.cost, "bisection/step-interval", opt.flag)
-        )
-
-    a = pwl_instance_param(net)
-    if a is not None and opt_method in (None, "pwl"):
-        weq = wardrop_parallel(net, M)
-        opt = opt_parallel_pwl_square(a, M)
-        return _checked(
-            PoaResult(M, weq, opt, weq.cost / opt.cost, "bisection/pwl-candidates", opt.flag)
-        )
-
-    if net.is_parallel():
-        weq = wardrop_parallel(net, M)
-        if opt_method == "brute" or not all(c.supports_marginal() for c in net.costs):
-            opt = opt_bruteforce(net, M)
+    Float overflow and division by zero inside the solvers come out as
+    RangeOverflowError and DomainError naming M.
+    """
+    if not 0 < M < math.inf:
+        raise DomainError(f"price of anarchy needs a finite M > 0, got {M!r}")
+    kind = classify(net)
+    try:
+        if kind.name == "exp":
+            solver, weq = "log-bisection", wardrop_parallel_log(net, M)
+        elif kind.name == "general":
+            solver, weq = "frank-wolfe", wardrop_general(net, M)
         else:
-            opt = opt_parallel_marginal(net, M)
-        return _checked(
-            PoaResult(M, weq, opt, weq.cost / opt.cost, f"bisection/{opt.method}", opt.flag)
-        )
-
-    weq = wardrop_general(net, M)
-    opt = opt_general_marginal(net, M)
-    return _checked(
-        PoaResult(M, weq, opt, weq.cost / opt.cost, "frank-wolfe/marginal-general", opt.flag)
-    )
+            solver, weq = "bisection", wardrop_parallel(net, M)
+        opt = social_optimum(net, M)
+        ratio = float(weq.cost / opt.cost)
+    except GameError:  # typed already; RangeOverflowError is also an OverflowError
+        raise
+    except OverflowError as exc:
+        raise RangeOverflowError(
+            f"float overflow at M={float(M)!r}: the demand is above the range native floats resolve"
+        ) from exc
+    except ZeroDivisionError as exc:
+        raise DomainError(
+            f"division by zero at M={float(M)!r}: the demand is below the range native floats resolve"
+        ) from exc
+    return _checked(PoaResult(M, weq, opt, ratio, f"{solver}/{opt.method}", opt.flag))
 
 
 def _checked(result: PoaResult) -> PoaResult:
+    if not math.isfinite(result.poa):
+        raise RangeOverflowError(
+            f"price of anarchy is {result.poa!r} at M={float(result.M)!r}: "
+            "a cost left the native float range"
+        )
     if result.poa < 1.0 - POA_FLOOR_SLACK:
         raise ConvergenceError(
             f"equilibrium cost fell below the optimum at M={result.M!r}",
@@ -380,12 +359,9 @@ def exp_game_poa_near_breakpoint(
     a_k, a_k1 = alphas.alpha(k), alphas.alpha(k + 1)
     closed = (a_k + a_k1) / (1.0 + a_k + math.log(a_k1))
 
-    M = (a_k + a_k1) * (1.0 + offset)
-    weq = wardrop_parallel_log(exp_game(alphas), M)
-    opt = opt_parallel_exp_log(alphas, M)
-    numeric = (weq.cost / opt.cost).to_float()
-    gap = abs(numeric - closed) / closed
-    return ExpBreakpointReport(k, closed, numeric, gap, opt.flag)
+    r = poa(exp_game(alphas), (a_k + a_k1) * (1.0 + offset))
+    gap = abs(r.poa - closed) / closed
+    return ExpBreakpointReport(k, closed, r.poa, gap, r.flag)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: solve, opt, poa, sweep, extremes, repro, rv.  Networks are
+Subcommands: solve, opt, poa, sweep, extremes, repro.  Networks are
 given either as JSON files or as built-in names (pigou, step:A, pwl:A,
 exp:factorial).  Outputs are byte-deterministic for identical invocations:
 JSON is emitted with sorted keys and CSV numbers carry 17 significant
@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from . import asymptotics as asy
 from .costs import AlphaSequence
 from .errors import DomainError, GameError
-from .instances import named_instance, step_breakpoints
+from .instances import classify, named_instance, step_breakpoints
 from .logdomain import LogValue
 from .network import Network, load_network
 from .equilibrium import wardrop_general, wardrop_parallel, wardrop_parallel_log
-from .optimum import _period_index, exp_instance_alphas, pwl_instance_param, social_optimum, step_instance_param
+from .optimum import _period_index, social_optimum
 from .rv import rv_suite
 
 USAGE_ERROR, INPUT_ERROR, NUMERIC_ERROR = 1, 2, 3
@@ -42,7 +42,6 @@ class RunConfig:
     samples_per_decade: int = asy.DEFAULT_SAMPLES_PER_DECADE
     method: str = "auto"
     out: str | None = None
-    out_format: str = "csv"
     log_domain: bool = False
     seed: int = 0
     jobs: int | None = None
@@ -108,13 +107,14 @@ def _cost_value(v: float | LogValue) -> dict:
 
 def auto_breakpoints(net: Network, M_lo: float, M_hi: float) -> list[float]:
     """Demand values where this instance's equilibrium cost may jump."""
-    a = step_instance_param(net) or pwl_instance_param(net)
+    kind = classify(net)
+    a = kind.period_base
     if a is not None:
         k_lo = _period_index(a, M_lo) - 1
         k_hi = _period_index(a, M_hi) + 2
         return [b for b in step_breakpoints(a, k_lo, k_hi) if M_lo <= b <= M_hi]
-    alphas = exp_instance_alphas(net)
-    if alphas is not None:
+    if kind.name == "exp":
+        alphas = kind.param
         out = []
         for k in range(1, alphas.max_index()):
             try:
@@ -192,7 +192,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     hints = [] if cfg.no_breakpoint_hints else auto_breakpoints(net, cfg.demand_lo, cfg.demand_hi)
     period_base = cfg.period_base
     if period_base is None:
-        period_base = step_instance_param(net) or pwl_instance_param(net)
+        period_base = classify(net).period_base
     curve = asy.poa_sweep(
         net,
         cfg.demand_lo,
@@ -254,11 +254,6 @@ def _cmd_extremes(cfg: RunConfig) -> int:
         },
         cfg.out,
     )
-    return 0
-
-
-def _cmd_rv(cfg: RunConfig) -> int:
-    _emit(rv_suite(), cfg.out)
     return 0
 
 
@@ -489,9 +484,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--per-decade", dest="samples_per_decade", type=int, default=256)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out")
-
-    sp = sub.add_parser("rv", help="regular-variation check suite (JSON)")
-    sp.add_argument("--out")
     return p
 
 
@@ -502,7 +494,6 @@ _HANDLERS = {
     "sweep": _cmd_sweep,
     "extremes": _cmd_extremes,
     "repro": _cmd_repro,
-    "rv": _cmd_rv,
 }
 
 

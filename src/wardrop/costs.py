@@ -38,12 +38,38 @@ def _check_nonneg(x: float, what: str = "x") -> float:
 
 
 def _num(value) -> float:
-    """Parse a numeric JSON parameter; decimal strings are accepted."""
-    if isinstance(value, str):
-        return float(value)
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise DomainError(f"expected a number or decimal string, got {value!r}")
+    """Parse a finite numeric JSON parameter; decimal strings are accepted."""
+    try:
+        x = float(value) if isinstance(value, (str, int, float)) else math.nan
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise DomainError(f"expected a finite number or decimal string, got {value!r}")
+    return x
+
+
+def bisect(goes_high, lo: float, hi: float, rel_tol: float, max_iter: int) -> tuple[float, float]:
+    """Halve [lo, hi] toward the point where ``goes_high`` turns true.
+
+    Each step moves hi to the midpoint if ``goes_high(mid)``, else lo; it
+    stops after ``max_iter`` steps, once hi - lo <= rel_tol * max(1, |hi|),
+    or once the midpoint rounds onto an end, after which every further step
+    would repeat the last one.  Callers choose the comparison (and so the
+    side NaN falls on) and which end of the returned bracket to use.
+    """
+    for _ in range(max_iter):
+        if hi - lo <= rel_tol * max(1.0, abs(hi)):
+            break
+        mid = 0.5 * (lo + hi)
+        if goes_high(mid):
+            if hi == mid:
+                break
+            hi = mid
+        elif lo == mid:
+            break
+        else:
+            lo = mid
+    return lo, hi
 
 
 class CostFunction:
@@ -53,10 +79,6 @@ class CostFunction:
 
     # --- structural flags used by solver routing ---
     def is_continuous(self) -> bool:
-        return True
-
-    def is_smooth(self) -> bool:
-        """Differentiable except possibly at isolated kinks with finite slopes."""
         return True
 
     def is_strictly_increasing(self) -> bool:
@@ -139,8 +161,8 @@ class Affine(CostFunction):
     family = "affine"
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise DomainError(f"affine parameters must be nonnegative: {self}")
+        if not (0 <= self.a < math.inf and 0 <= self.b < math.inf):
+            raise DomainError(f"affine parameters must be finite and nonnegative: {self}")
 
     def is_strictly_increasing(self) -> bool:
         return self.b > 0
@@ -187,8 +209,8 @@ class Constant(CostFunction):
     family = "constant"
 
     def __post_init__(self):
-        if self.value < 0:
-            raise DomainError(f"constant cost must be nonnegative: {self.value!r}")
+        if not 0 <= self.value < math.inf:
+            raise DomainError(f"constant cost must be finite and nonnegative: {self.value!r}")
 
     def is_strictly_increasing(self) -> bool:
         return False
@@ -233,8 +255,8 @@ class Monomial(CostFunction):
     family = "monomial"
 
     def __post_init__(self):
-        if self.coef <= 0 or self.degree <= 0:
-            raise DomainError(f"monomial needs coef > 0 and degree > 0: {self}")
+        if not (0 < self.coef < math.inf and 0 < self.degree < math.inf):
+            raise DomainError(f"monomial needs finite coef > 0 and degree > 0: {self}")
 
     def eval(self, x: float) -> float:
         return self.coef * _check_nonneg(x) ** self.degree
@@ -280,8 +302,8 @@ class Polynomial(CostFunction):
 
     def __post_init__(self):
         coefs = tuple(float(c) for c in self.coefficients)
-        if not coefs or any(c < 0 for c in coefs):
-            raise DomainError("polynomial needs nonnegative coefficients")
+        if not coefs or not all(0 <= c < math.inf for c in coefs):
+            raise DomainError("polynomial needs finite nonnegative coefficients")
         object.__setattr__(self, "coefficients", coefs)
 
     def is_strictly_increasing(self) -> bool:
@@ -325,15 +347,17 @@ class Polynomial(CostFunction):
             hi *= 2.0
             if hi > 1e300:
                 raise RangeOverflowError("polynomial inverse bracket overflow")
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.eval(mid) < level:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * max(1.0, hi):
-                break
+        coefs = self.coefficients[::-1]
+
+        # not self.eval(t) < level, with eval's Horner loop inlined: the call
+        # and domain check per step cost a quarter of poa on polynomial links
+        def goes_high(t: float) -> bool:
+            acc = 0.0
+            for c in coefs:
+                acc = acc * t + c
+            return not acc < level
+
+        lo, hi = bisect(goes_high, 0.0, hi, 1e-15, 200)
         x = 0.5 * (lo + hi)
         return (x, x)
 
@@ -427,13 +451,10 @@ class StepGeometric(CostFunction):
     family = "step_geometric"
 
     def __post_init__(self):
-        if self.a < 2:
-            raise DomainError(f"step family requires a >= 2, got {self.a!r}")
+        if not 2 <= self.a < math.inf:
+            raise DomainError(f"step family requires finite a >= 2, got {self.a!r}")
 
     def is_continuous(self) -> bool:
-        return False
-
-    def is_smooth(self) -> bool:
         return False
 
     def is_strictly_increasing(self) -> bool:
@@ -521,11 +542,8 @@ class PwlSquare(CostFunction):
     family = "pwl_square"
 
     def __post_init__(self):
-        if self.a < 2:
-            raise DomainError(f"pwl-square family requires a >= 2, got {self.a!r}")
-
-    def is_smooth(self) -> bool:
-        return False
+        if not 2 <= self.a < math.inf:
+            raise DomainError(f"pwl-square family requires finite a >= 2, got {self.a!r}")
 
     def _piece(self, y: float) -> int:
         """Index k of the piece [a^{k-1}, a^k] containing y > 0."""
@@ -599,9 +617,6 @@ class ExpOverX(CostFunction):
     """c(x) = e for x < 1 and e^x / x for x >= 1 (continuous at 1)."""
 
     family = "exp_over_x"
-
-    def is_smooth(self) -> bool:
-        return False  # flat-to-growing kink at x = 1
 
     def is_strictly_increasing(self) -> bool:
         return False  # flat on [0, 1)
@@ -716,13 +731,13 @@ class AlphaSequence:
             raise DomainError(f"unknown alpha sequence kind {self.kind!r}")
         if self.kind == "explicit":
             vals = tuple(float(v) for v in self.values)
-            if not vals or any(v <= 0 for v in vals):
-                raise DomainError("explicit alpha sequence must be positive")
+            if not vals or not all(0 < v < math.inf for v in vals):
+                raise DomainError("explicit alpha sequence must be finite and positive")
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise DomainError("explicit alpha sequence must be strictly increasing")
             object.__setattr__(self, "values", vals)
-        if self.kind == "supergeometric" and self.base <= 1:
-            raise DomainError("supergeometric alpha sequence needs base > 1")
+        if self.kind == "supergeometric" and not 1 < self.base < math.inf:
+            raise DomainError("supergeometric alpha sequence needs finite base > 1")
 
     def alpha(self, k: int) -> float:
         if k < 0:
@@ -763,6 +778,28 @@ class AlphaSequence:
                 )
         return j
 
+    def bracket_index(self, M: float) -> int:
+        """k with 2 alpha_k < M <= 2 alpha_{k+1}: the exponential game's
+        demand bracket holding M."""
+        if self.kind == "explicit" and len(self.values) < 2:
+            raise DemandBracketError(
+                "alpha sequence needs at least two terms to define the bracket lattice"
+            )
+        if M <= 2.0 * self.alpha(1):
+            raise DemandBracketError(
+                f"demand {M!r} at or below 2*alpha_1; the bracket lattice starts above it",
+                needed_index=0,
+            )
+        k = 1
+        while 2.0 * self.alpha(k + 1) < M:
+            k += 1
+            if k + 1 > self.max_index():
+                raise DemandBracketError(
+                    f"demand {M!r} beyond the generated alpha sequence",
+                    needed_index=k + 1,
+                )
+        return k
+
     def to_spec(self) -> dict:
         if self.kind == "explicit":
             return {"values": list(self.values)}
@@ -795,9 +832,6 @@ class StepExp(CostFunction):
     family = "step_exp"
 
     def is_continuous(self) -> bool:
-        return False
-
-    def is_smooth(self) -> bool:
         return False
 
     def is_strictly_increasing(self) -> bool:
@@ -928,14 +962,11 @@ class Shifted(CostFunction):
     family = "shifted"
 
     def __post_init__(self):
-        if self.shift < 0:
-            raise DomainError(f"shift must be nonnegative, got {self.shift!r}")
+        if not 0 <= self.shift < math.inf:
+            raise DomainError(f"shift must be finite and nonnegative, got {self.shift!r}")
 
     def is_continuous(self) -> bool:
         return self.base_cost.is_continuous()
-
-    def is_smooth(self) -> bool:
-        return self.base_cost.is_smooth()
 
     def is_strictly_increasing(self) -> bool:
         return self.base_cost.is_strictly_increasing()
@@ -1019,17 +1050,10 @@ class _SaturatingLinearMarginal:
         level = _check_nonneg(level, "level")
         if level == 0:
             return (0.0, 0.0)
-        lo, hi = 0.0, 1.0
+        hi = 1.0
         while self.eval(hi) < level:
             hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.eval(mid) < level:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-16 * max(1.0, hi):
-                break
+        lo, hi = bisect(lambda t: not self.eval(t) < level, 0.0, hi, 1e-16, 200)
         x = 0.5 * (lo + hi)
         return (x, x)
 
@@ -1110,14 +1134,6 @@ def marginal_bounds(cost: CostFunction, x: float) -> tuple[float, float]:
     c = cost.eval(x)
     d_lo, d_hi = cost.derivative_bounds(x)
     return (c + x * d_lo, c + x * d_hi)
-
-
-def marginal(cost: CostFunction, x: float):
-    """c(x) + x c'(x); a (lo, hi) pair at kinks."""
-    lo, hi = marginal_bounds(cost, x)
-    if lo == hi:
-        return lo
-    return (lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import ExpOverX, StepExp
-from .errors import (
-    ConvergenceError,
-    DemandBracketError,
-    DomainError,
-    UnsupportedCostError,
-)
+from .costs import bisect
+from .errors import ConvergenceError, DomainError, UnsupportedCostError
+from .instances import classify
 from .logdomain import LogValue
 from .network import (
     FlowProfile,
@@ -74,13 +70,7 @@ def _aggregate_inverse(funcs, lam: float):
     return los, his
 
 
-def level_allocation(
-    funcs,
-    M: float,
-    *,
-    hi_seed: float = 1.0,
-    rel_tol: float = 1e-15,
-) -> tuple[float, list[float]]:
+def level_allocation(funcs, M: float, *, hi_seed: float = 1.0) -> tuple[float, list[float]]:
     """Solve sum_i f_i(x_i) balanced at a common level with sum x_i = M.
 
     ``funcs`` are weakly increasing level functions exposing ``eval`` and
@@ -105,16 +95,7 @@ def level_allocation(
                 raise ConvergenceError(
                     "no finite level can route the demand (cost level unbounded)"
                 )
-        lo, hi = lam_lo, lam_hi
-        for _ in range(300):
-            if hi - lo <= rel_tol * max(1.0, abs(hi)):
-                break
-            mid = 0.5 * (lo + hi)
-            if g_plus(mid) >= M:
-                hi = mid
-            else:
-                lo = mid
-        lam_star = hi
+        _, lam_star = bisect(lambda lam: g_plus(lam) >= M, lam_lo, lam_hi, 1e-15, 300)
 
     slack = 1e-9 * max(1.0, M)
     los, his = _aggregate_inverse(funcs, lam_star)
@@ -300,13 +281,7 @@ def wardrop_general(
         if dphi(1.0) <= 0.0:
             t_star = 1.0
         else:
-            lo_t, hi_t = 0.0, 1.0
-            for _ in range(80):
-                mid = 0.5 * (lo_t + hi_t)
-                if dphi(mid) <= 0.0:
-                    lo_t = mid
-                else:
-                    hi_t = mid
+            lo_t, hi_t = bisect(lambda t: not dphi(t) <= 0.0, 0.0, 1.0, 0.0, 80)
             t_star = 0.5 * (lo_t + hi_t)
         x_paths = (1.0 - t_star) * x_paths + t_star * d_paths
 
@@ -324,32 +299,13 @@ def wardrop_parallel_log(net: Network, M: float) -> EquilibriumSolution:
     """
     if M <= 0:
         raise DomainError(f"demand must be positive, got {M!r}")
-    if (
-        net.n_edges != 2
-        or not isinstance(net.costs[0], ExpOverX)
-        or not isinstance(net.costs[1], StepExp)
-    ):
+    kind = classify(net)
+    if kind.name != "exp":
         raise UnsupportedCostError(
             "log-domain solver expects links (exp_over_x, step_exp)"
         )
-    alphas = net.costs[1].alphas
-    if alphas.kind == "explicit" and len(alphas.values) < 2:
-        raise DemandBracketError(
-            "alpha sequence needs at least two terms to define the bracket lattice"
-        )
-    if M <= 2.0 * alphas.alpha(1):
-        raise DemandBracketError(
-            f"demand {M!r} at or below 2*alpha_1; the bracket lattice starts above it",
-            needed_index=0,
-        )
-    k = 1
-    while 2.0 * alphas.alpha(k + 1) < M:
-        k += 1
-        if k + 1 > alphas.max_index():
-            raise DemandBracketError(
-                f"demand {M!r} beyond the generated alpha sequence",
-                needed_index=k + 1,
-            )
+    alphas = kind.param
+    k = alphas.bracket_index(M)
     a_k, a_k1 = alphas.alpha(k), alphas.alpha(k + 1)
     if M <= a_k + a_k1:
         x, y = M - a_k, a_k

@@ -1,13 +1,16 @@
-"""Built-in game instances: benchmarks and counterexample families."""
+"""Built-in game instances, and the classifier that routes a network to
+its solvers."""
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .costs import (
     Affine,
     AlphaSequence,
     Constant,
+    CostFunction,
     ExpOverX,
     Monomial,
     Polynomial,
@@ -19,6 +22,44 @@ from .costs import (
 )
 from .errors import DomainError
 from .network import Network, build_parallel
+
+
+class InstanceKind(NamedTuple):
+    """How a network is solved.
+
+    ``name`` is one of exp | step | pwl (the paper's two-link
+    counterexamples, each with an exact optimum), parallel or general.
+    ``param`` is a for step and pwl and the alpha sequence for exp;
+    ``period_base`` is a for step and pwl, whose PoA repeats on the
+    windows (2a^k, 2a^{k+1}].
+    """
+
+    name: str
+    param: float | AlphaSequence | None = None
+    period_base: float | None = None
+
+
+def _is_power(c: CostFunction, degree: float) -> bool:
+    """c(x) = x**degree exactly; the identity may also be the affine x."""
+    if isinstance(c, Monomial):
+        return c.coef == 1.0 and c.degree == degree
+    return degree == 1.0 and isinstance(c, Affine) and c.a == 0.0 and c.b == 1.0
+
+
+def classify(net: Network) -> InstanceKind:
+    """The single place where instances are recognised (by isinstance, so
+    subclasses of the cost families and of Network classify as their base)."""
+    if not net.is_parallel():
+        return InstanceKind("general")
+    if net.n_edges == 2:
+        c1, c2 = net.costs
+        if isinstance(c1, ExpOverX) and isinstance(c2, StepExp):
+            return InstanceKind("exp", c2.alphas)
+        if _is_power(c1, 1.0) and isinstance(c2, StepGeometric):
+            return InstanceKind("step", c2.a, c2.a)
+        if _is_power(c1, 2.0) and isinstance(c2, PwlSquare):
+            return InstanceKind("pwl", c2.a, c2.a)
+    return InstanceKind("parallel")
 
 
 def pigou() -> Network:

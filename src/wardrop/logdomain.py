@@ -83,10 +83,6 @@ class LogValue:
             return LogValue.zero()
         return LogValue(self.log_magnitude - other.log_magnitude)
 
-    def ratio_to_float(self, other: "LogValue") -> float:
-        """self/other collapsed to a native float (the usual PoA path)."""
-        return (self / other).to_float()
-
     # Comparisons order by magnitude; exact zero sorts below any positive.
     def _key(self) -> tuple[int, float]:
         return (0, -math.inf) if self.is_zero else (1, self.log_magnitude)

@@ -19,14 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import (
-    Affine,
-    CostFunction,
+    AlphaSequence,
     ExpOverX,
-    Monomial,
     PwlSquare,
     StepExp,
     StepGeometric,
-    AlphaSequence,
     _least_power_at_least,
     marginal_bounds,
 )
@@ -36,6 +33,7 @@ from .errors import (
     DomainError,
     UnsupportedCostError,
 )
+from .instances import classify
 from .logdomain import LogValue, log_sum
 from .network import FlowProfile, Network, social_cost
 from .equilibrium import level_allocation, wardrop_general
@@ -52,46 +50,6 @@ class OptimumSolution:
     certificate: tuple = ()
     resolution_bound: float | None = None
     flag: str | None = None
-
-
-# ---------------------------------------------------------------------------
-# instance detection
-# ---------------------------------------------------------------------------
-
-
-def _is_identity_cost(c: CostFunction) -> bool:
-    return (isinstance(c, Affine) and c.a == 0.0 and c.b == 1.0) or (
-        isinstance(c, Monomial) and c.coef == 1.0 and c.degree == 1.0
-    )
-
-
-def _is_square_cost(c: CostFunction) -> bool:
-    return isinstance(c, Monomial) and c.coef == 1.0 and c.degree == 2.0
-
-
-def step_instance_param(net: Network) -> float | None:
-    """a if the network is the (identity, geometric step) two-link game."""
-    if net.n_edges == 2 and net.is_parallel():
-        c1, c2 = net.costs
-        if _is_identity_cost(c1) and isinstance(c2, StepGeometric):
-            return c2.a
-    return None
-
-
-def pwl_instance_param(net: Network) -> float | None:
-    if net.n_edges == 2 and net.is_parallel():
-        c1, c2 = net.costs
-        if _is_square_cost(c1) and isinstance(c2, PwlSquare):
-            return c2.a
-    return None
-
-
-def exp_instance_alphas(net: Network) -> AlphaSequence | None:
-    if net.n_edges == 2 and net.is_parallel():
-        c1, c2 = net.costs
-        if isinstance(c1, ExpOverX) and isinstance(c2, StepExp):
-            return c2.alphas
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +244,7 @@ def opt_parallel_exp_log(
         raise DomainError(f"demand must be positive, got {M!r}")
     exp_cost = ExpOverX()
     step_cost = StepExp(alphas)
-    if M <= 2.0 * alphas.alpha(1):
-        raise DemandBracketError(
-            f"demand {M!r} at or below 2*alpha_1; bracket lattice undefined",
-            needed_index=0,
-        )
-    k_true = 1
-    while 2.0 * alphas.alpha(k_true + 1) < M:
-        k_true += 1
-        if k_true + 1 > alphas.max_index():
-            raise DemandBracketError(
-                f"demand {M!r} beyond the alpha sequence", needed_index=k_true + 1
-            )
+    k_true = alphas.bracket_index(M)
     if k is not None and k != k_true:
         raise DemandBracketError(
             f"demand {M!r} lies in bracket k={k_true}, not k={k}", needed_index=k_true
@@ -499,44 +446,37 @@ def _brute_three_links(net, M, resolution, zoom_rounds, seed) -> OptimumSolution
 # ---------------------------------------------------------------------------
 
 
+_EXACT_INSTANCES = {
+    "step": "(identity, step)",
+    "pwl": "(square, pwl-square)",
+    "exp": "exponential",
+}
+
+
 def social_optimum(net: Network, M: float, method: str = "auto", **kwargs) -> OptimumSolution:
     """Dispatch to the exact method matching the instance, or brute force."""
+    kind = classify(net)
     if method == "auto":
-        alphas = exp_instance_alphas(net)
-        if alphas is not None:
-            return opt_parallel_exp_log(alphas, M, **kwargs)
-        a = step_instance_param(net)
-        if a is not None:
-            return opt_parallel_step(a, M)
-        a = pwl_instance_param(net)
-        if a is not None:
-            return opt_parallel_pwl_square(a, M)
-        if net.is_parallel() and all(c.supports_marginal() for c in net.costs):
-            return opt_parallel_marginal(net, M)
-        if net.is_parallel() and net.n_edges <= 3:
-            return opt_bruteforce(net, M, **kwargs)
-        if all(c.supports_marginal() for c in net.costs):
-            return opt_general_marginal(net, M)
-        raise UnsupportedCostError(
-            "no optimum method applies: discontinuous costs on a general network"
-        )
+        if kind.name in _EXACT_INSTANCES:
+            method = kind.name
+        elif all(c.supports_marginal() for c in net.costs):
+            method = "marginal"
+        elif kind.name == "parallel":
+            method = "brute"
+        else:
+            raise UnsupportedCostError(
+                "no optimum method applies: discontinuous costs on a general network"
+            )
+    if method in _EXACT_INSTANCES and kind.name != method:
+        raise UnsupportedCostError(f"network is not the {_EXACT_INSTANCES[method]} instance")
+    if method == "exp":
+        return opt_parallel_exp_log(kind.param, M, **kwargs)
+    if method == "step":
+        return opt_parallel_step(kind.param, M)
+    if method == "pwl":
+        return opt_parallel_pwl_square(kind.param, M)
     if method == "marginal":
         return opt_parallel_marginal(net, M) if net.is_parallel() else opt_general_marginal(net, M)
-    if method == "step":
-        a = step_instance_param(net)
-        if a is None:
-            raise UnsupportedCostError("network is not the (identity, step) instance")
-        return opt_parallel_step(a, M)
-    if method == "pwl":
-        a = pwl_instance_param(net)
-        if a is None:
-            raise UnsupportedCostError("network is not the (square, pwl-square) instance")
-        return opt_parallel_pwl_square(a, M)
-    if method == "exp":
-        alphas = exp_instance_alphas(net)
-        if alphas is None:
-            raise UnsupportedCostError("network is not the exponential instance")
-        return opt_parallel_exp_log(alphas, M, **kwargs)
     if method == "brute":
         return opt_bruteforce(net, M, **kwargs)
     raise DomainError(f"unknown optimum method {method!r}")

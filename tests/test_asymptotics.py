@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wardrop.costs import Affine, AlphaSequence, Constant, Monomial
-from wardrop.errors import DomainError
+from wardrop.errors import DomainError, RangeOverflowError
 from wardrop.instances import (
     designated_limit_instances,
     exp_game,
@@ -54,6 +54,29 @@ def test_single_link_poa_is_one():
 def test_poa_needs_positive_demand():
     with pytest.raises(DomainError):
         poa(pigou(), 0.0)
+
+
+@pytest.mark.parametrize("M", [-1.0, math.nan, math.inf, -math.inf])
+def test_poa_needs_finite_demand(M):
+    with pytest.raises(DomainError, match="finite M > 0"):
+        poa(pigou(), M)
+
+
+def test_poa_rejects_non_finite_ratio():
+    # both social costs overflow to inf here, so WEq/Opt is nan
+    net = designated_limit_instances()["polynomial-over-common-rv"]
+    with pytest.raises(RangeOverflowError, match="M=1e[+]150"):
+        poa(net, 1e150)
+
+
+def test_poa_turns_float_overflow_into_range_overflow():
+    with pytest.raises(RangeOverflowError, match="M=1e[+]300"):
+        poa(step_game(2.0), 1e300)
+
+
+def test_poa_turns_zero_division_into_domain_error():
+    with pytest.raises(DomainError, match="M=1e-300"):
+        poa(pigou(), 1e-300)
 
 
 def test_step_jump_just_after_breakpoint():

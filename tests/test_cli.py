@@ -140,6 +140,35 @@ def test_solver_error_exit_code(capsys):
     assert "solver error" in err
 
 
+@pytest.mark.parametrize("demand", ["1e300", "1e-300"])
+def test_out_of_range_poa_is_a_solver_error(demand, capsys):
+    network = "step:2" if demand == "1e300" else "pigou"
+    code, out, err = _run(["poa", "--network", network, "--demand", demand], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("solver error:") and "Traceback" not in err
+    assert f"M={float(demand)!r}" in err
+
+
+def test_sweep_records_overflowing_samples(capsys):
+    code, out, err = _run(
+        ["sweep", "--network", "step:2", "--from", "1e290", "--to", "1e300",
+         "--per-decade", "4", "--jobs", "1"],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "M,weq,opt,poa,method,flag"
+    assert "samples failed:" in err and "Traceback" not in err
+    assert "float overflow at M=" in err
+
+
+def test_rv_subcommand_is_gone():
+    # the suite lives on as `wardrop repro rv`
+    with pytest.raises(SystemExit) as exc:
+        main(["rv"])
+    assert exc.value.code == 1
+
+
 def test_usage_error_exit_code_for_bad_flags():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--demand", "1"])  # --network missing

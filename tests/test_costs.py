@@ -20,7 +20,6 @@ from wardrop.costs import (
     StepGeometric,
     cost_from_spec,
     cost_to_spec,
-    marginal,
     marginal_bounds,
 )
 from wardrop.errors import (
@@ -175,15 +174,15 @@ def test_kink_errors_carry_one_sided_derivatives():
 
 
 def test_marginal_examples():
-    assert marginal(Affine(0.0, 1.0), 2.0) == 4.0  # x + x*1 = 2x
-    assert marginal(Affine(1.0, 1.0), 1.0) == 3.0
+    assert marginal_bounds(Affine(0.0, 1.0), 2.0) == (4.0, 4.0)  # x + x*1 = 2x
+    assert marginal_bounds(Affine(1.0, 1.0), 1.0) == (3.0, 3.0)
 
 
 def test_marginal_pwl_knot_matches_secant_oracle():
     # subdifferential of h(y) = y*c(y) at the knot y = 2 for a = 2; the
     # one-sided secants of h are an independent check of the endpoints
     c = PwlSquare(2.0)
-    lo, hi = marginal(c, 2.0)
+    lo, hi = marginal_bounds(c, 2.0)
 
     def h(y):
         return y * c.eval(y)
@@ -383,3 +382,48 @@ def test_json_decimal_strings_parse_exactly():
 def test_json_unknown_family():
     with pytest.raises(DomainError):
         cost_from_spec({"family": "bpr"})
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", math.nan, math.inf, "abc"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "affine", "a": "BAD", "b": 1},
+        {"family": "affine", "a": 0, "b": "BAD"},
+        {"family": "constant", "value": "BAD"},
+        {"family": "monomial", "coef": "BAD", "degree": 2},
+        {"family": "monomial", "coef": 1, "degree": "BAD"},
+        {"family": "polynomial", "coefficients": [0, "BAD", 1]},
+        {"family": "step_geometric", "a": "BAD"},
+        {"family": "pwl_square", "a": "BAD"},
+        {"family": "step_exp", "alpha": {"values": [1, "BAD"]}},
+        {"family": "step_exp", "alpha": {"preset": "supergeometric", "base": "BAD"}},
+        {"family": "shifted", "shift": "BAD", "base": {"family": "affine", "a": 0, "b": 1}},
+    ],
+    ids=lambda spec: json.dumps(spec),
+)
+def test_json_rejects_non_finite_parameters(spec, bad):
+    text = json.dumps(spec).replace('"BAD"', json.dumps(bad))
+    with pytest.raises(DomainError):
+        cost_from_spec(json.loads(text))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Affine(math.nan, 1.0),
+        lambda: Affine(0.0, math.inf),
+        lambda: Constant(math.nan),
+        lambda: Monomial(1.0, math.nan),
+        lambda: Polynomial((0.0, math.nan)),
+        lambda: StepGeometric(math.nan),
+        lambda: StepGeometric(math.inf),
+        lambda: PwlSquare(math.nan),
+        lambda: Shifted(Affine(0.0, 1.0), math.nan),
+        lambda: AlphaSequence("explicit", values=(1.0, math.nan)),
+        lambda: AlphaSequence("supergeometric", base=math.nan),
+    ],
+)
+def test_constructors_reject_non_finite_parameters(build):
+    with pytest.raises(DomainError):
+        build()

@@ -21,6 +21,8 @@ from wardrop.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BRAESS = str(GOLDEN / "braess.json")
+SMOOTH3 = str(GOLDEN / "smooth3.json")  # polynomial, saturating-linear and x^2 links
+FORK = str(GOLDEN / "fork.json")  # one edge then two: conditional gradient with line search
 
 CASES = {
     "poa-step3": ["poa", "--network", "step:3", "--demand", "17"],
@@ -36,6 +38,10 @@ CASES = {
                   "--per-decade", "12", "--jobs", "1"],
     "repro-thm6": ["repro", "thm6", "--a", "2"],
     "poa-braess": ["poa", "--network", BRAESS, "--demand", "0.7"],
+    "poa-smooth3": ["poa", "--network", SMOOTH3, "--demand", "50"],
+    "solve-smooth3": ["solve", "--network", SMOOTH3, "--demand", "7"],
+    "poa-fork": ["poa", "--network", FORK, "--demand", "3"],
+    "solve-fork": ["solve", "--network", FORK, "--demand", "3"],
 }
 
 
