@@ -154,7 +154,7 @@ def poa_sweep(
         raise DomainError(f"need 0 < M_lo < M_hi, got {M_lo!r}, {M_hi!r}")
     decades = math.log10(M_hi / M_lo)
     n = max(2, int(math.ceil(decades * samples_per_decade)) + 1)
-    grid = list(np.geomspace(M_lo, M_hi, n))
+    grid = [float(M) for M in np.geomspace(M_lo, M_hi, n)]
     for b in breakpoint_hints:
         for off in (b * (1.0 - 1e-9), b * (1.0 + 1e-9)):
             if M_lo <= off <= M_hi:

@@ -72,6 +72,44 @@ def bisect(goes_high, lo: float, hi: float, rel_tol: float, max_iter: int) -> tu
     return lo, hi
 
 
+def false_position(f, lo: float, f_lo: float, hi: float, f_hi: float, max_iter: int) -> float:
+    """Root of a weakly increasing ``f`` on [lo, hi], given f_lo = f(lo) < 0 < f(hi) = f_hi.
+
+    Illinois regula falsi: each step evaluates ``f`` at the secant point of
+    the bracket and replaces the end of the same sign; when the same end is
+    replaced twice in a row the other end's stored value is halved, so both
+    ends close in superlinearly instead of one end sticking.  The step is the
+    midpoint instead when the secant point is not strictly inside the
+    bracket (a NaN value included) or the same end has been replaced three
+    times in a row, so the bracket shrinks at least as fast as bisection's
+    every few steps.  NaN counts as positive, as in ``not f(x) <= 0``.  Stops
+    at an exact zero, after ``max_iter`` evaluations, or once the midpoint
+    rounds onto an end, and returns the last point it tried.
+    """
+    x, moved, run = lo, 0, 0  # the end (-1 lo, +1 hi) replaced last, and how many times in a row
+    for _ in range(max_iter):
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if run >= 3 or not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        fx = f(x)
+        if fx == 0.0:
+            break
+        end = -1 if fx < 0.0 else 1
+        run = run + 1 if end == moved else 1
+        moved = end
+        if end < 0:
+            lo, f_lo = x, fx
+            if run > 1:
+                f_hi *= 0.5
+        else:
+            hi, f_hi = x, fx
+            if run > 1:
+                f_lo *= 0.5
+    return x
+
+
 class CostFunction:
     """Base interface; concrete families are immutable dataclasses."""
 

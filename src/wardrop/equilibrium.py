@@ -21,10 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .costs import bisect
-from .errors import ConvergenceError, DomainError, UnsupportedCostError
+from .costs import bisect, false_position
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    RangeOverflowError,
+    UnsupportedCostError,
+)
 from .instances import classify
 from .logdomain import LogValue
 from .network import (
@@ -37,6 +40,9 @@ from .network import (
 
 RESIDUAL_RTOL = 1e-9
 GENERAL_RTOL = 1e-7
+GENERAL_MAX_ITER = 100_000
+LINE_SEARCH_MAX_ITER = 80
+PATH_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -216,16 +222,22 @@ def verify_equilibrium(
     return ResidualReport(worst, min_entry, own, entry, worst_path)
 
 
-def wardrop_general(
-    net: Network,
-    M: float,
-    *,
-    tol: float = GENERAL_RTOL,
-    max_iter: int = 100_000,
-) -> EquilibriumSolution:
-    """Equilibrium on an arbitrary network by conditional-gradient descent
-    on the separable potential sum_e int_0^{x_e} c_e, with exact line
-    search toward the currently cheapest path (all-or-nothing direction).
+def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
+    """Equilibrium on an arbitrary network by pairwise conditional gradient
+    on the path flows, descending the separable potential
+    sum_e int_0^{x_e} c_e.
+
+    Each iteration moves flow from the costliest used path to the cheapest
+    one, with an exact line search over the edges the two paths do not
+    share, then evaluates the costs of the edges on those two paths again.
+    The move is capped at the source path's flow, so a full step leaves that
+    path at exactly 0.0.  Stops once no used path costs more than
+    GENERAL_RTOL * max(lam, 1) above the cheapest.
+
+    Edge flows, path costs and the line search's sums are correctly rounded
+    (``math.fsum``) and an exact tie on cost goes to the path with more
+    flow, so the iterates, and the work, do not depend on the order in
+    which the network lists its edges or enumerates its paths.
 
     Requires continuous costs; discontinuous parallel instances are routed
     to the bisection solver.
@@ -239,51 +251,72 @@ def wardrop_general(
             "discontinuous costs on a non-parallel network are not supported"
         )
 
-    n_paths = net.n_paths
-    path_matrix = np.zeros((n_paths, net.n_edges))
-    for i, p in enumerate(net.paths):
-        for e in p:
-            path_matrix[i, e] += 1.0
+    costs = net.costs
+    paths = [list(p) for p in net.paths]  # enumerated paths are simple
+    through = [[i for i, p in enumerate(paths) if e in p] for e in range(net.n_edges)]
+    n, floor = len(paths), 1e-12 * M
+    x_paths = [0.0] * n
+    xe = [0.0] * net.n_edges
+    edge_costs = [0.0] * net.n_edges
 
-    zero_edges = np.zeros(net.n_edges)
-    start = min(range(n_paths), key=lambda i: net.path_cost(i, zero_edges))
-    x_paths = np.zeros(n_paths)
-    x_paths[start] = M
+    def update(edges) -> None:
+        """Edge flows and costs of ``edges`` again from the path flows."""
+        for e in edges:
+            xe[e] = math.fsum(map(x_paths.__getitem__, through[e]))
+            edge_costs[e] = costs[e].eval(xe[e])
+            if not math.isfinite(edge_costs[e]):
+                raise RangeOverflowError(
+                    f"an edge cost left the native float range at M={float(M)!r}"
+                )
 
-    residual = math.inf
-    for _ in range(max_iter):
-        xe = path_matrix.T @ x_paths
-        own = [net.path_cost(i, xe) for i in range(n_paths)]
+    def path_costs() -> list[float]:
+        return [math.fsum(map(edge_costs.__getitem__, p)) for p in paths]
+
+    update(range(net.n_edges))
+    own = path_costs()
+    first = min(range(n), key=own.__getitem__)
+    x_paths[first] = M
+    update(paths[first])
+
+    residual, source = math.inf, -1
+    for _ in range(GENERAL_MAX_ITER):
+        own = path_costs()
         lam = min(own)
-        residual = max(
-            (own[i] - lam for i in range(n_paths) if x_paths[i] > 1e-12 * M),
-            default=0.0,
-        )
-        if residual <= tol * max(lam, 1.0):
-            flow = FlowProfile(tuple(x_paths / np.sum(x_paths) * M), M)
-            return EquilibriumSolution(
-                flow, lam, residual, social_cost(net, flow)
-            )
-        target = min(range(n_paths), key=lambda i: own[i])
-        d_paths = np.zeros(n_paths)
-        d_paths[target] = M
-        delta_e = path_matrix.T @ d_paths - xe
+        used = [i for i in range(n) if x_paths[i] > floor]
+        top = max(own[i] for i in used)
+        # an exact tie on cost goes to the path with more flow
+        target = max((i for i in range(n) if own[i] == lam), key=x_paths.__getitem__)
+        worst = max((i for i in used if own[i] == top), key=x_paths.__getitem__)
+        residual = max(top - lam, 0.0)
+        if residual <= GENERAL_RTOL * max(lam, 1.0):
+            total = math.fsum(x_paths)
+            flow = FlowProfile(tuple(x / total * M for x in x_paths), M)
+            return EquilibriumSolution(flow, lam, residual, social_cost(net, flow))
+        # a line search leaves its two paths tied; on a tie the last source
+        # keeps draining rather than the path it has just filled
+        if source < 0 or x_paths[source] <= floor or own[source] < top * (1.0 - PATH_TIE_RTOL):
+            source = worst
+
+        # the edges the two paths do not share, gaining (+1) or losing (-1)
+        # flow per unit of t
+        amount = x_paths[source]
+        gain, loss = set(paths[target]), set(paths[source])
+        unshared = [(1.0, costs[e], xe[e]) for e in gain - loss]
+        unshared += [(-1.0, costs[e], xe[e]) for e in loss - gain]
 
         def dphi(t: float) -> float:
-            return float(
-                sum(
-                    delta_e[e] * net.costs[e].eval(float(xe[e] + t * delta_e[e]))
-                    for e in range(net.n_edges)
-                    if delta_e[e] != 0.0
-                )
-            )
+            return math.fsum([s * c.eval(x + s * t * amount) for s, c, x in unshared])
 
-        if dphi(1.0) <= 0.0:
-            t_star = 1.0
+        f_hi = dphi(1.0)
+        if f_hi <= 0.0:
+            x_paths[target] += amount
+            x_paths[source] = 0.0
         else:
-            lo_t, hi_t = bisect(lambda t: not dphi(t) <= 0.0, 0.0, 1.0, 0.0, 80)
-            t_star = 0.5 * (lo_t + hi_t)
-        x_paths = (1.0 - t_star) * x_paths + t_star * d_paths
+            f_lo = lam - own[source]
+            shift = amount * false_position(dphi, 0.0, f_lo, 1.0, f_hi, LINE_SEARCH_MAX_ITER)
+            x_paths[target] += shift
+            x_paths[source] -= shift
+        update(gain | loss)
 
     raise ConvergenceError(
         "conditional gradient hit the iteration cap", residual=residual

@@ -199,6 +199,10 @@ def network_from_spec(spec: dict) -> Network:
         )
     except KeyError as exc:
         raise DomainError(f"network spec missing field {exc}") from None
+    except GameError:
+        raise
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise DomainError(f"malformed network spec: {exc}") from None
 
 
 def network_to_spec(net: Network) -> dict:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from wardrop.instances import (
     step_breakpoints,
     step_game,
 )
-from wardrop.network import build_parallel
+from wardrop.network import Edge, Network, build_parallel
 from wardrop.asymptotics import (
     TrendInstance,
     bounded_path_experiment,
@@ -77,6 +78,44 @@ def test_poa_turns_float_overflow_into_range_overflow():
 def test_poa_turns_zero_division_into_domain_error():
     with pytest.raises(DomainError, match="M=1e-300"):
         poa(pigou(), 1e-300)
+
+
+def _braess(rising) -> Network:
+    edges = (
+        Edge("sa", "s", "a"), Edge("at", "a", "t"), Edge("sb", "s", "b"),
+        Edge("bt", "b", "t"), Edge("ab", "a", "b"),
+    )
+    costs = (rising, Constant(1.0), Constant(1.0), rising, Constant(0.0))
+    return Network(("s", "a", "b", "t"), edges, costs, "s", "t")
+
+
+def braess_poa(M: float) -> float:
+    """Braess (x, 1, 1, x, 0) for M >= 1/2: WEq = 2M^2 up to M = 1, then 2M
+    up to M = 2; Opt = 2M - 1/2 up to M = 1, then M^2/2 + M; from M = 2 on
+    the zigzag is unused in both."""
+    if M <= 1.0:
+        return 2.0 * M * M / (2.0 * M - 0.5)
+    if M <= 2.0:
+        return 4.0 / (M + 2.0)
+    return 1.0
+
+
+@pytest.mark.parametrize("M", [0.7, 0.9, 1.0, 1.5, 2.0, 3.0])
+def test_braess_poa_matches_closed_form(M):
+    start = time.perf_counter()
+    r = poa(_braess(Affine(0.0, 1.0)), M)
+    assert time.perf_counter() - start < 1.0
+    assert r.poa == pytest.approx(braess_poa(M), rel=1e-6)
+    assert r.method == "frank-wolfe/marginal-general"
+
+
+def test_braess_quartic_poa_at_one():
+    # WEq = 2 on the zigzag; the optimum routes f = 2*5^(-1/4) - 1 on it
+    start = time.perf_counter()
+    r = poa(_braess(Monomial(1.0, 4.0)), 1.0)
+    assert time.perf_counter() - start < 1.0
+    expected = 2.0 / (2.0 * 5.0**-1.25 + 2.0 - 2.0 * 5.0**-0.25)
+    assert r.poa == pytest.approx(expected, rel=1e-6)
 
 
 def test_step_jump_just_after_breakpoint():
@@ -174,6 +213,7 @@ def test_sweep_invariants():
     assert all(s.poa == pytest.approx(s.weq / s.opt, rel=1e-12) for s in curve.samples)
     Ms = [s.M for s in curve.samples]
     assert Ms == sorted(Ms)
+    assert all(type(M) is float for M in Ms)  # not numpy scalars
     assert not curve.failures
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,58 @@ def test_sweep_records_overflowing_samples(capsys):
     assert out.splitlines()[0] == "M,weq,opt,poa,method,flag"
     assert "samples failed:" in err and "Traceback" not in err
     assert "float overflow at M=" in err
+
+
+def test_overflowing_sweep_fails_like_scalar_poa(capsys):
+    # the sweep hands poa Python floats, so numpy scalar overflow neither
+    # warns nor becomes a nan PoA: each sample fails as a scalar poa would
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(
+            ["sweep", "--network", "step:2", "--from", "1e290", "--to", "1e300",
+             "--per-decade", "16", "--jobs", "1"],
+            capsys,
+        )
+    assert code == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    header, *failures = err.splitlines()
+    assert header.endswith("samples failed:") and len(failures) == int(header.split()[0])
+    for line in failures:
+        M = float(line.split(":")[0].strip().removeprefix("M="))
+        assert line.endswith(
+            f"float overflow at M={M!r}: the demand is above the range native floats resolve"
+        )
+
+
+def _run_child(argv):
+    env = dict(os.environ, PYTHONPATH=_child_pythonpath())
+    return subprocess.run(
+        [sys.executable, "-m", "wardrop", *argv], capture_output=True, text=True, cwd="/", env=env
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"vertices": ["s", "t"], "edges": 5, "source": "s", "sink": "t"},
+        [1, 2],
+        {
+            "vertices": ["s", "t"],
+            "edges": [{"id": "e1", "tail": "s", "head": "t", "cost": "x"}],
+            "source": "s",
+            "sink": "t",
+        },
+    ],
+    ids=["edges-not-a-list", "not-an-object", "cost-not-an-object"],
+)
+def test_malformed_network_spec_is_an_input_error(spec, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    run = _run_child(["poa", "--network", str(path), "--demand", "1"])
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.startswith("input error: malformed network spec:")
+    assert "Traceback" not in run.stderr
 
 
 def test_rv_subcommand_is_gone():

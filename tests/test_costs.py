@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,9 @@ from wardrop.costs import (
     StepExp,
     StepGeometric,
     cost_from_spec,
+    bisect,
     cost_to_spec,
+    false_position,
     marginal_bounds,
 )
 from wardrop.errors import (
@@ -427,3 +430,72 @@ def test_json_rejects_non_finite_parameters(spec, bad):
 def test_constructors_reject_non_finite_parameters(build):
     with pytest.raises(DomainError):
         build()
+
+
+# ---------------------------------------------------------------------------
+# false position (the line search's root finder)
+# ---------------------------------------------------------------------------
+
+
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def test_false_position_solves_a_linear_function_in_one_evaluation():
+    f, calls = _counted(lambda t: 4.0 * t - 1.0)
+    assert false_position(f, 0.0, -1.0, 1.0, 3.0, 80) == 0.25
+    assert calls == [0.25]
+
+
+@pytest.mark.parametrize(
+    "f, root",
+    [
+        (lambda t: t**5 + t - 0.5, None),  # convex: plain regula falsi sticks at hi
+        (lambda t: math.exp(40.0 * t) - 2.0, math.log(2.0) / 40.0),
+        (lambda t: math.atan(1e3 * (t - 0.3)), 0.3),
+    ],
+    ids=["quintic", "steep-exp", "atan"],
+)
+def test_false_position_matches_bisection_in_fewer_evaluations(f, root):
+    g, calls = _counted(f)
+    t = false_position(g, 0.0, f(0.0), 1.0, f(1.0), 80)
+    lo, hi = bisect(lambda x: not f(x) <= 0.0, 0.0, 1.0, 0.0, 80)
+    assert lo <= t <= hi or abs(f(t)) <= 4 * sys.float_info.epsilon
+    if root is not None:
+        assert t == pytest.approx(root, rel=1e-14)
+    assert len(calls) < 30
+
+
+def test_false_position_counts_nan_as_positive():
+    # undefined above 0.6: the search falls back to the midpoint and keeps
+    # the NaN side as the upper end of the bracket
+    f = lambda t: t - 0.2 if t <= 0.6 else math.nan  # noqa: E731
+    assert false_position(f, 0.0, -0.2, 1.0, math.nan, 80) == pytest.approx(0.2, abs=1e-15)
+
+
+def test_false_position_stops_at_an_exact_zero_on_a_flat():
+    # weakly increasing with a zero flat on [0.4, 0.6]
+    f = lambda t: min(t - 0.4, 0.0) + max(t - 0.6, 0.0)  # noqa: E731
+    t = false_position(f, 0.0, -0.4, 1.0, 0.4, 80)
+    assert 0.4 <= t <= 0.6 and f(t) == 0.0
+
+
+def test_false_position_ends_at_adjacent_floats_on_a_jump():
+    # no zero exists: the bracket closes onto the jump, where the midpoint
+    # rounds onto an end
+    f = lambda t: -1.0 if t <= 1.0 / 3.0 else 1.0  # noqa: E731
+    t = false_position(f, 0.0, -1.0, 1.0, 1.0, 200)
+    assert abs(t - 1.0 / 3.0) <= math.ulp(1.0 / 3.0)
+
+
+def test_false_position_respects_the_evaluation_cap():
+    f, calls = _counted(lambda t: t**9 - 1e-9)
+    false_position(f, 0.0, -1e-9, 1.0, 1.0 - 1e-9, 3)
+    assert len(calls) == 3
+

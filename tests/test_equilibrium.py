@@ -1,20 +1,33 @@
 import math
+import random
+import time
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from wardrop.costs import (
     Affine,
     AlphaSequence,
     Constant,
     Monomial,
+    Polynomial,
     Shifted,
     StepGeometric,
 )
-from wardrop.errors import DemandBracketError, DomainError, UnsupportedCostError
+from wardrop import equilibrium
+from wardrop.errors import (
+    ConvergenceError,
+    DemandBracketError,
+    DomainError,
+    RangeOverflowError,
+    UnsupportedCostError,
+)
 from wardrop.instances import exp_game, pigou, step_game
 from wardrop.network import Edge, FlowProfile, Network, build_parallel, social_cost
+from wardrop.optimum import opt_general_marginal
 from wardrop.equilibrium import (
+    GENERAL_RTOL,
     verify_equilibrium,
     wardrop_general,
     wardrop_parallel,
@@ -131,6 +144,19 @@ def test_general_agrees_with_parallel():
             assert slow.cost == pytest.approx(fast.cost, rel=1e-6)
 
 
+def test_general_agrees_with_parallel_to_1e_9():
+    for costs in (
+        [Affine(1.0, 1.0), Affine(2.0, 3.0)],
+        [Monomial(1.0, 2.0), Affine(0.0, 1.0)],
+        [Affine(0.0, 1.0), Constant(1.0)],
+    ):
+        net = build_parallel(costs)
+        for M in (0.5, 2.0, 11.0):
+            fast = wardrop_parallel(net, M)
+            slow = wardrop_general(net, M)
+            assert slow.cost == pytest.approx(fast.cost, rel=1e-9)
+
+
 def test_general_two_path_series_graph():
     # s -> v -> t with one middle vertex: paths {e1,e3} and {e2,e3};
     # equivalent to a parallel game in (x, 1) plus a common identity edge
@@ -168,6 +194,154 @@ def test_general_rejects_discontinuous_nonparallel():
 def test_general_routes_discontinuous_parallel_to_bisection():
     sol = wardrop_general(step_game(2.0), 5.0)
     assert sol.cost == pytest.approx(13.0, rel=1e-12)
+
+
+def braess(rising) -> Network:
+    """s->a->t and s->b->t, rising cost on sa and bt, 1 on at and sb, and a
+    free zigzag a->b; paths in order top (sa, at), zigzag (sa, ab, bt), bottom."""
+    edges = (
+        Edge("sa", "s", "a"), Edge("at", "a", "t"), Edge("sb", "s", "b"),
+        Edge("bt", "b", "t"), Edge("ab", "a", "b"),
+    )
+    costs = (rising, Constant(1.0), Constant(1.0), rising, Constant(0.0))
+    return Network(("s", "a", "b", "t"), edges, costs, "s", "t")
+
+
+ZIGZAG = (0, 4, 3)
+
+
+def test_braess_optimum_leaves_the_zigzag_exactly_empty():
+    # at M = 1 the zigzag ties the two outer paths in the marginal game but
+    # carries nothing; a full pairwise step empties it exactly
+    net = braess(Affine(0.0, 1.0))
+    opt = opt_general_marginal(net, 1.0)
+    assert opt.flow.path_flows[net.paths.index(ZIGZAG)] == 0.0
+    assert opt.cost == 1.5
+
+
+def test_braess_equilibrium_routes_everything_on_the_zigzag():
+    net = braess(Affine(0.0, 1.0))
+    sol = wardrop_general(net, 1.0)
+    assert sol.flow.path_flows[net.paths.index(ZIGZAG)] == 1.0
+    assert sol.cost == 2.0 and sol.residual == 0.0
+
+
+def grid(n: int, cost_of, seed: int = 0) -> Network:
+    """n x n grid, edges rightward and downward, corner to corner, with the
+    cost parameters drawn within 10% of 1 and the edge order shuffled."""
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            if j + 1 < n:
+                cells.append((n * i + j, n * i + j + 1))
+            if i + 1 < n:
+                cells.append((n * i + j, n * (i + 1) + j))
+    draw = random.Random(seed)
+    params = [(draw.uniform(0.9, 1.1), draw.uniform(0.9, 1.1)) for _ in cells]
+    order = list(range(len(cells)))
+    draw.shuffle(order)
+    names = tuple(f"v{k}" for k in range(n * n))
+    edges = tuple(Edge(f"e{e}", names[cells[e][0]], names[cells[e][1]]) for e in order)
+    costs = tuple(cost_of(*params[e]) for e in order)
+    return Network(names, edges, costs, names[0], names[-1])
+
+
+def affine(a: float, b: float):
+    return Affine(a, b)
+
+
+def bpr(t0: float, _unused: float):
+    """BPR-style t0 (1 + 0.15 x^4)."""
+    return Polynomial((t0, 0.0, 0.0, 0.0, 0.15 * t0))
+
+
+def beckmann_reference_cost(net: Network, M: float) -> float:
+    """Social cost at scipy's minimum of sum_e int_0^{x_e} c_e over the path simplex."""
+    incidence = np.zeros((net.n_paths, net.n_edges))
+    for i, p in enumerate(net.paths):
+        incidence[i, list(p)] = 1.0
+
+    def edges(y):
+        return [max(float(x), 0.0) for x in y @ incidence]
+
+    def potential(y):
+        return math.fsum(c.primitive(x) for c, x in zip(net.costs, edges(y)))
+
+    def gradient(y):
+        return incidence @ np.array([c.eval(x) for c, x in zip(net.costs, edges(y))])
+
+    res = minimize(
+        potential,
+        np.full(net.n_paths, M / net.n_paths),
+        jac=gradient,
+        method="SLSQP",
+        bounds=[(0.0, None)] * net.n_paths,
+        constraints=[{"type": "eq", "fun": lambda y: y.sum() - M, "jac": lambda y: np.ones_like(y)}],
+        options={"ftol": 1e-15, "maxiter": 1000},
+    )
+    y = np.maximum(res.x, 0.0)
+    return social_cost(net, FlowProfile(tuple(y / y.sum() * M), M))
+
+
+@pytest.mark.parametrize("M", [1.0, 10.0])
+@pytest.mark.parametrize("cost_of", [affine, bpr])
+@pytest.mark.parametrize("n", [3, 4])
+def test_grid_equilibrium_matches_beckmann_minimum(n, cost_of, M):
+    net = grid(n, cost_of)
+    start = time.perf_counter()
+    sol = wardrop_general(net, M)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert sol.residual <= GENERAL_RTOL * max(sol.lam, 1.0)
+    assert verify_equilibrium(net, sol.flow).residual <= GENERAL_RTOL * max(sol.lam, 1.0)
+    assert sol.cost == pytest.approx(beckmann_reference_cost(net, M), rel=1e-6)
+
+
+def test_general_iteration_cap_raises_with_the_residual(monkeypatch):
+    monkeypatch.setattr(equilibrium, "GENERAL_MAX_ITER", 3)
+    with pytest.raises(ConvergenceError) as exc:
+        wardrop_general(grid(4, bpr), 10.0)
+    assert exc.value.residual > GENERAL_RTOL
+
+
+@pytest.mark.parametrize("cost_of", [affine, bpr])
+def test_general_iterates_do_not_depend_on_edge_order(monkeypatch, cost_of):
+    steps = []
+    real = equilibrium.false_position
+
+    def recorded(*args):
+        steps.append(real(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(equilibrium, "false_position", recorded)
+    net = grid(4, cost_of)
+    runs = []
+    for order in (range(24), range(23, -1, -1), [*range(7, 24), *range(7)]):
+        relisted = Network(
+            net.vertices[::-1],
+            tuple(net.edges[e] for e in order),
+            tuple(net.costs[e] for e in order),
+            net.source,
+            net.sink,
+        )
+        steps.clear()
+        sol = wardrop_general(relisted, 10.0)
+        by_path = {
+            frozenset(relisted.edges[e].id for e in p): x
+            for p, x in zip(relisted.paths, sol.flow.path_flows)
+        }
+        runs.append((list(steps), by_path, sol.lam, relisted.paths))
+    assert runs[0][3] != runs[1][3] != runs[2][3]  # the paths come in other orders
+    for line_searches, by_path, lam, _ in runs[1:]:
+        assert line_searches == runs[0][0]
+        assert by_path == runs[0][1]
+        assert lam == runs[0][2]
+
+
+def test_general_edge_cost_overflow_is_a_range_error():
+    # 0.15 x^4 leaves the float range at x = 1e80 without raising
+    with pytest.raises(RangeOverflowError, match="M=1e\\+80"):
+        wardrop_general(grid(3, bpr), 1e80)
 
 
 # ---------------------------------------------------------------------------
