@@ -44,6 +44,7 @@ from .equilibrium import (
     EquilibriumSolution,
     ResidualReport,
     verify_equilibrium,
+    wardrop_equilibrium,
     wardrop_general,
     wardrop_parallel,
     wardrop_parallel_log,

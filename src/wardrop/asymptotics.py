@@ -18,15 +18,10 @@ import numpy as np
 
 from .costs import AlphaSequence, CostFunction
 from .errors import ConvergenceError, DomainError, GameError, RangeOverflowError
-from .instances import classify, exp_game, pwl_game
+from .instances import exp_game, pwl_game
 from .logdomain import LogValue
 from .network import Network, build_parallel
-from .equilibrium import (
-    EquilibriumSolution,
-    wardrop_general,
-    wardrop_parallel,
-    wardrop_parallel_log,
-)
+from .equilibrium import EquilibriumSolution, wardrop_equilibrium, wardrop_parallel
 from .optimum import OptimumSolution, _period_index, social_optimum
 from .rv import numeric_inverse
 
@@ -89,14 +84,8 @@ def poa(net: Network, M: float) -> PoaResult:
     """
     if not 0 < M < math.inf:
         raise DomainError(f"price of anarchy needs a finite M > 0, got {M!r}")
-    kind = classify(net)
     try:
-        if kind.name == "exp":
-            solver, weq = "log-bisection", wardrop_parallel_log(net, M)
-        elif kind.name == "general":
-            solver, weq = "frank-wolfe", wardrop_general(net, M)
-        else:
-            solver, weq = "bisection", wardrop_parallel(net, M)
+        weq = wardrop_equilibrium(net, M)
         opt = social_optimum(net, M)
         ratio = float(weq.cost / opt.cost)
     except GameError:  # typed already; RangeOverflowError is also an OverflowError
@@ -109,7 +98,7 @@ def poa(net: Network, M: float) -> PoaResult:
         raise DomainError(
             f"division by zero at M={float(M)!r}: the demand is below the range native floats resolve"
         ) from exc
-    return _checked(PoaResult(M, weq, opt, ratio, f"{solver}/{opt.method}", opt.flag))
+    return _checked(PoaResult(M, weq, opt, ratio, f"{weq.method}/{opt.method}", opt.flag))
 
 
 def _checked(result: PoaResult) -> PoaResult:

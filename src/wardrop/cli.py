@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import asymptotics as asy
 from .costs import AlphaSequence
@@ -25,35 +24,11 @@ from .errors import DomainError, GameError
 from .instances import classify, named_instance, step_breakpoints
 from .logdomain import LogValue
 from .network import Network, load_network
-from .equilibrium import wardrop_general, wardrop_parallel, wardrop_parallel_log
+from .equilibrium import wardrop_equilibrium
 from .optimum import _period_index, social_optimum
 from .rv import rv_suite
 
 USAGE_ERROR, INPUT_ERROR, NUMERIC_ERROR = 1, 2, 3
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    network: str | None = None
-    demand: float | None = None
-    demand_lo: float | None = None
-    demand_hi: float | None = None
-    samples_per_decade: int = asy.DEFAULT_SAMPLES_PER_DECADE
-    method: str = "auto"
-    out: str | None = None
-    log_domain: bool = False
-    seed: int = 0
-    jobs: int | None = None
-    period_base: float | None = None
-    periods_required: int = 3
-    curve: str | None = None
-    repro_target: str | None = None
-    a_param: float = 2.0
-    alpha_preset: str = "factorial"
-    k_index: int | None = None
-    resolution: int = 4001
-    no_breakpoint_hints: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,33 +108,27 @@ def auto_breakpoints(net: Network, M_lo: float, M_hi: float) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_solve(cfg: RunConfig) -> int:
-    net = _load(cfg.network)
-    if cfg.log_domain:
-        sol = wardrop_parallel_log(net, cfg.demand)
-    elif net.is_parallel():
-        sol = wardrop_parallel(net, cfg.demand)
-    else:
-        sol = wardrop_general(net, cfg.demand)
+def _cmd_solve(args: argparse.Namespace) -> int:
+    sol = wardrop_equilibrium(_load(args.network), args.demand)
     payload = {
-        "demand": cfg.demand,
+        "demand": args.demand,
         "flows": list(sol.flow.path_flows),
         "lambda": _cost_value(sol.lam),
         "weq": _cost_value(sol.cost),
         "residual": sol.residual,
     }
-    _emit(payload, cfg.out)
+    _emit(payload, args.out)
     return 0
 
 
-def _cmd_opt(cfg: RunConfig) -> int:
-    net = _load(cfg.network)
+def _cmd_opt(args: argparse.Namespace) -> int:
+    net = _load(args.network)
     kwargs = {}
-    if cfg.method == "brute":
-        kwargs = {"resolution": cfg.resolution, "seed": cfg.seed}
-    sol = social_optimum(net, cfg.demand, method=cfg.method, **kwargs)
+    if args.method == "brute":
+        kwargs = {"resolution": args.resolution, "seed": args.seed}
+    sol = social_optimum(net, args.demand, method=args.method, **kwargs)
     payload = {
-        "demand": cfg.demand,
+        "demand": args.demand,
         "flow": list(sol.flow.path_flows),
         "cost": _cost_value(sol.cost),
         "method": sol.method,
@@ -168,42 +137,38 @@ def _cmd_opt(cfg: RunConfig) -> int:
     }
     if sol.resolution_bound is not None:
         payload["resolution_bound"] = sol.resolution_bound
-    _emit(payload, cfg.out)
+    _emit(payload, args.out)
     return 0
 
 
-def _cmd_poa(cfg: RunConfig) -> int:
-    net = _load(cfg.network)
-    r = asy.poa(net, cfg.demand)
+def _cmd_poa(args: argparse.Namespace) -> int:
+    net = _load(args.network)
+    r = asy.poa(net, args.demand)
     payload = {
-        "demand": cfg.demand,
+        "demand": args.demand,
         "weq": _cost_value(r.equilibrium.cost),
         "opt": _cost_value(r.optimum.cost),
         "poa": r.poa,
         "method": r.method,
         "flag": r.flag,
     }
-    _emit(payload, cfg.out)
+    _emit(payload, args.out)
     return 0
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    net = _load(cfg.network)
-    hints = [] if cfg.no_breakpoint_hints else auto_breakpoints(net, cfg.demand_lo, cfg.demand_hi)
-    period_base = cfg.period_base
-    if period_base is None:
-        period_base = classify(net).period_base
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    net = _load(args.network)
+    hints = [] if args.no_breakpoint_hints else auto_breakpoints(net, args.demand_lo, args.demand_hi)
     curve = asy.poa_sweep(
         net,
-        cfg.demand_lo,
-        cfg.demand_hi,
-        samples_per_decade=cfg.samples_per_decade,
+        args.demand_lo,
+        args.demand_hi,
+        samples_per_decade=args.samples_per_decade,
         breakpoint_hints=hints,
-        period_base=period_base,
-        jobs=cfg.jobs,
+        jobs=args.jobs,
     )
     log_domain = any(isinstance(s.weq, LogValue) for s in curve.samples)
-    path = _resolve_out(cfg.out) if cfg.out else None
+    path = _resolve_out(args.out) if args.out else None
     fh = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
         writer = csv.writer(fh)
@@ -231,19 +196,19 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_extremes(cfg: RunConfig) -> int:
+def _cmd_extremes(args: argparse.Namespace) -> int:
     samples = []
-    with open(cfg.curve, "r", encoding="utf-8") as fh:
+    with open(args.curve, "r", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             samples.append(
                 asy.PoaSample(float(row["M"]), 0.0, 0.0, float(row["poa"]), row.get("method", ""))
             )
     if not samples:
-        raise DomainError(f"curve file {cfg.curve!r} holds no samples")
+        raise DomainError(f"curve file {args.curve!r} holds no samples")
     Ms = [s.M for s in samples]
-    periods = asy._period_extrema(samples, cfg.period_base, min(Ms), max(Ms))
-    curve = asy.PoaCurve(tuple(samples), cfg.period_base, tuple(periods), ())
-    est = asy.extremes_estimate(curve, cfg.periods_required)
+    periods = asy._period_extrema(samples, args.period_base, min(Ms), max(Ms))
+    curve = asy.PoaCurve(tuple(samples), args.period_base, tuple(periods), ())
+    est = asy.extremes_estimate(curve, args.periods_required)
     _emit(
         {
             "liminf_estimate": est.liminf_est,
@@ -252,7 +217,7 @@ def _cmd_extremes(cfg: RunConfig) -> int:
             "periods_used": est.periods_used,
             "accepted": bool(est.accepted),
         },
-        cfg.out,
+        args.out,
     )
     return 0
 
@@ -405,18 +370,18 @@ def _repro_exp_game(preset: str, k_index: int | None) -> dict:
     }
 
 
-def _cmd_repro(cfg: RunConfig) -> int:
-    if cfg.repro_target == "thm5":
-        payload = _repro_step_game(cfg.a_param, cfg.samples_per_decade, cfg.jobs)
-    elif cfg.repro_target == "thm6":
-        payload = _repro_pwl_game(cfg.a_param)
-    elif cfg.repro_target == "thm7":
-        payload = _repro_exp_game(cfg.alpha_preset, cfg.k_index)
-    elif cfg.repro_target == "rv":
+def _cmd_repro(args: argparse.Namespace) -> int:
+    if args.repro_target == "thm5":
+        payload = _repro_step_game(args.a_param, args.samples_per_decade, args.jobs)
+    elif args.repro_target == "thm6":
+        payload = _repro_pwl_game(args.a_param)
+    elif args.repro_target == "thm7":
+        payload = _repro_exp_game(args.alpha_preset, args.k_index)
+    elif args.repro_target == "rv":
         payload = rv_suite()
     else:
-        raise DomainError(f"unknown reproduction target {cfg.repro_target!r}")
-    _emit(payload, cfg.out)
+        raise DomainError(f"unknown reproduction target {args.repro_target!r}")
+    _emit(payload, args.out)
     return 0
 
 
@@ -436,7 +401,6 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("solve", help="Wardrop equilibrium at one demand")
     add_network(sp)
     sp.add_argument("--demand", type=float, required=True)
-    sp.add_argument("--log-domain", action="store_true")
     sp.add_argument("--out")
 
     sp = sub.add_parser("opt", help="social optimum at one demand")
@@ -459,7 +423,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--to", dest="demand_hi", type=float, required=True)
     sp.add_argument("--per-decade", dest="samples_per_decade", type=int,
                     default=asy.DEFAULT_SAMPLES_PER_DECADE)
-    sp.add_argument("--period-base", type=float)
     sp.add_argument("--no-breakpoint-hints", action="store_true")
     sp.add_argument("--jobs", type=int, default=os.cpu_count())
     sp.add_argument("--out")
@@ -497,15 +460,12 @@ _HANDLERS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    if cfg.subcommand == "sweep" and not (
-        cfg.demand_lo is not None and cfg.demand_hi is not None
-        and 0 < cfg.demand_lo < cfg.demand_hi
-    ):
+def run(args: argparse.Namespace) -> int:
+    if args.subcommand == "sweep" and not 0 < args.demand_lo < args.demand_hi:
         sys.stderr.write("usage error: sweep requires 0 < --from < --to\n")
         return USAGE_ERROR
     try:
-        return _HANDLERS[cfg.subcommand](cfg)
+        return _HANDLERS[args.subcommand](args)
     except json.JSONDecodeError as exc:
         sys.stderr.write(
             f"input error: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}\n"
@@ -520,9 +480,7 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(**{k: v for k, v in vars(args).items()})
-    return run(cfg)
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

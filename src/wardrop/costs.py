@@ -122,9 +122,6 @@ class CostFunction:
     def is_strictly_increasing(self) -> bool:
         return True
 
-    def supports_marginal(self) -> bool:
-        return self.is_continuous()
-
     # --- evaluation ---
     def eval(self, x: float) -> float:
         raise NotImplementedError
@@ -498,9 +495,6 @@ class StepGeometric(CostFunction):
     def is_strictly_increasing(self) -> bool:
         return False
 
-    def supports_marginal(self) -> bool:
-        return False
-
     def eval(self, x: float) -> float:
         x = _check_nonneg(x)
         if x == 0:
@@ -713,14 +707,6 @@ class ExpOverX(CostFunction):
         x = _solve_x_minus_logx(math.log(level))
         return (x, x)
 
-    def generalized_inverse_log(self, level: LogValue) -> tuple[float, float]:
-        if level.is_zero or level.log_magnitude < 1.0:
-            return (0.0, 0.0)
-        if level.log_magnitude == 1.0:
-            return (0.0, 1.0)
-        x = _solve_x_minus_logx(level.log_magnitude)
-        return (x, x)
-
     def asymptotic_value(self) -> float:
         return math.inf
 
@@ -875,9 +861,6 @@ class StepExp(CostFunction):
     def is_strictly_increasing(self) -> bool:
         return False
 
-    def supports_marginal(self) -> bool:
-        return False
-
     def _piece(self, y: float) -> int:
         y = _check_nonneg(y)
         if y == 0:
@@ -1009,9 +992,6 @@ class Shifted(CostFunction):
     def is_strictly_increasing(self) -> bool:
         return self.base_cost.is_strictly_increasing()
 
-    def supports_marginal(self) -> bool:
-        return self.base_cost.supports_marginal()
-
     def eval(self, x: float) -> float:
         return self.shift + self.base_cost.eval(x)
 
@@ -1040,7 +1020,7 @@ class Shifted(CostFunction):
         return self.shift + self.base_cost.asymptotic_value()
 
     def marginal_function(self):
-        return _ShiftedLevel(self.base_cost.marginal_function(), self.shift)
+        return Shifted(self.base_cost.marginal_function(), self.shift)
 
     def breakpoints_within(self, lo, hi):
         return self.base_cost.breakpoints_within(lo, hi)
@@ -1139,21 +1119,6 @@ class _PwlSquareMarginal:
         return (y, y)
 
 
-class _ShiftedLevel:
-    def __init__(self, base, shift: float):
-        self.base = base
-        self.shift = shift
-
-    def eval(self, x: float) -> float:
-        return self.shift + self.base.eval(x)
-
-    def generalized_inverse(self, level: float) -> tuple[float, float]:
-        level = _check_nonneg(level, "level")
-        if level < self.shift:
-            return (0.0, 0.0)
-        return self.base.generalized_inverse(level - self.shift)
-
-
 # ---------------------------------------------------------------------------
 # marginal cost helpers
 # ---------------------------------------------------------------------------
@@ -1161,7 +1126,7 @@ class _ShiftedLevel:
 
 def marginal_bounds(cost: CostFunction, x: float) -> tuple[float, float]:
     """Endpoints of the subdifferential of y -> y*c(y) at x > 0."""
-    if not cost.supports_marginal():
+    if not cost.is_continuous():
         raise UnsupportedCostError(
             f"marginal cost undefined for {type(cost).__name__}; "
             "use interval decomposition instead"

@@ -51,6 +51,7 @@ class EquilibriumSolution:
     lam: float | LogValue  # common cost level (binding level at jumps)
     residual: float
     cost: float | LogValue
+    method: str
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,18 @@ def _smoothest_link(funcs, lam: float, x, diff: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+def wardrop_equilibrium(net: Network, M: float) -> EquilibriumSolution:
+    """Equilibrium by the solver that ``classify`` picks: the log-domain
+    split for the exponential game, conditional gradient on a general
+    network, level bisection on every other parallel network."""
+    kind = classify(net).name
+    if kind == "exp":
+        return wardrop_parallel_log(net, M)
+    if kind == "general":
+        return wardrop_general(net, M)
+    return wardrop_parallel(net, M)
+
+
 def wardrop_parallel(
     net: Network, M: float, *, hi_seed: float = 1.0
 ) -> EquilibriumSolution:
@@ -196,7 +209,7 @@ def wardrop_parallel(
         raise ConvergenceError(
             "parallel equilibrium residual above tolerance", residual=report.residual
         )
-    return EquilibriumSolution(flow, lam, report.residual, social_cost(net, flow))
+    return EquilibriumSolution(flow, lam, report.residual, social_cost(net, flow), "bisection")
 
 
 def verify_equilibrium(
@@ -239,17 +252,12 @@ def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
     flow, so the iterates, and the work, do not depend on the order in
     which the network lists its edges or enumerates its paths.
 
-    Requires continuous costs; discontinuous parallel instances are routed
-    to the bisection solver.
+    Requires continuous costs.
     """
     if M <= 0:
         raise DomainError(f"demand must be positive, got {M!r}")
     if not all(c.is_continuous() for c in net.costs):
-        if net.is_parallel():
-            return wardrop_parallel(net, M)
-        raise UnsupportedCostError(
-            "discontinuous costs on a non-parallel network are not supported"
-        )
+        raise UnsupportedCostError("conditional gradient needs continuous costs")
 
     costs = net.costs
     paths = [list(p) for p in net.paths]  # enumerated paths are simple
@@ -291,7 +299,7 @@ def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
         if residual <= GENERAL_RTOL * max(lam, 1.0):
             total = math.fsum(x_paths)
             flow = FlowProfile(tuple(x / total * M for x in x_paths), M)
-            return EquilibriumSolution(flow, lam, residual, social_cost(net, flow))
+            return EquilibriumSolution(flow, lam, residual, social_cost(net, flow), "frank-wolfe")
         # a line search leaves its two paths tied; on a tie the last source
         # keeps draining rather than the path it has just filled
         if source < 0 or x_paths[source] <= floor or own[source] < top * (1.0 - PATH_TIE_RTOL):
@@ -356,4 +364,4 @@ def wardrop_parallel_log(net: Network, M: float) -> EquilibriumSolution:
             residual = max(residual, math.expm1(gap) if gap > 0 else 0.0)
     lam = max(own)
     cost = social_cost_log(net, flow)
-    return EquilibriumSolution(flow, lam, residual, cost)
+    return EquilibriumSolution(flow, lam, residual, cost, "log-bisection")

@@ -29,7 +29,6 @@ from .costs import (
 )
 from .errors import (
     ConvergenceError,
-    DemandBracketError,
     DomainError,
     UnsupportedCostError,
 )
@@ -81,10 +80,7 @@ def _kkt_residual(costs, margs, x, mu: float) -> float:
     worst = 0.0
     for c, m, xi in zip(costs, margs, x):
         if xi > 0:
-            try:
-                lo, hi = marginal_bounds(c, xi)
-            except UnsupportedCostError:
-                lo = hi = m.eval(xi)
+            lo, hi = marginal_bounds(c, xi)
             gap = max(lo - mu, mu - hi, 0.0)
         else:
             gap = max(mu - m.eval(0.0), 0.0)
@@ -228,9 +224,7 @@ def opt_parallel_pwl_square(a: float, M: float) -> OptimumSolution:
 # ---------------------------------------------------------------------------
 
 
-def opt_parallel_exp_log(
-    alphas: AlphaSequence, M: float, *, k: int | None = None
-) -> OptimumSolution:
+def opt_parallel_exp_log(alphas: AlphaSequence, M: float) -> OptimumSolution:
     """Optimum of the exponential two-link instance as a finite candidate search.
 
     For each feasible piece (alpha_j, alpha_{j+1}] the unconstrained
@@ -244,12 +238,7 @@ def opt_parallel_exp_log(
         raise DomainError(f"demand must be positive, got {M!r}")
     exp_cost = ExpOverX()
     step_cost = StepExp(alphas)
-    k_true = alphas.bracket_index(M)
-    if k is not None and k != k_true:
-        raise DemandBracketError(
-            f"demand {M!r} lies in bracket k={k_true}, not k={k}", needed_index=k_true
-        )
-    k = k_true
+    k = alphas.bracket_index(M)
 
     def objective(y: float) -> LogValue:
         x = M - y
@@ -459,7 +448,7 @@ def social_optimum(net: Network, M: float, method: str = "auto", **kwargs) -> Op
     if method == "auto":
         if kind.name in _EXACT_INSTANCES:
             method = kind.name
-        elif all(c.supports_marginal() for c in net.costs):
+        elif all(c.is_continuous() for c in net.costs):
             method = "marginal"
         elif kind.name == "parallel":
             method = "brute"
@@ -470,7 +459,7 @@ def social_optimum(net: Network, M: float, method: str = "auto", **kwargs) -> Op
     if method in _EXACT_INSTANCES and kind.name != method:
         raise UnsupportedCostError(f"network is not the {_EXACT_INSTANCES[method]} instance")
     if method == "exp":
-        return opt_parallel_exp_log(kind.param, M, **kwargs)
+        return opt_parallel_exp_log(kind.param, M)
     if method == "step":
         return opt_parallel_step(kind.param, M)
     if method == "pwl":

@@ -50,12 +50,37 @@ def test_solve_named_instance(capsys):
 
 
 def test_solve_log_domain(capsys):
-    code, out, _ = _run(
-        ["solve", "--network", "exp:factorial", "--demand", "31", "--log-domain"], capsys
-    )
+    code, out, _ = _run(["solve", "--network", "exp:factorial", "--demand", "31"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["weq"]["log"] == pytest.approx(math.log(31) + 24 - math.log(24))
+
+
+FORK = str(Path(__file__).resolve().parent / "golden" / "fork.json")
+
+
+@pytest.mark.parametrize("network, demand", [
+    ("pigou", "1"), ("step:2", "5"), ("pwl:2", "5"),
+    ("exp:factorial", "31"), ("exp:factorial", "1000"), (FORK, "3"),
+])
+def test_solve_and_poa_print_the_same_equilibrium_cost(network, demand, capsys):
+    code, solved, _ = _run(["solve", "--network", network, "--demand", demand], capsys)
+    assert code == 0
+    code, poa, _ = _run(["poa", "--network", network, "--demand", demand], capsys)
+    assert code == 0
+    assert json.loads(solved)["weq"] == json.loads(poa)["weq"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--network", "exp:factorial", "--demand", "31", "--log-domain"],
+    ["sweep", "--network", "step:2", "--from", "4", "--to", "64", "--period-base", "7"],
+])
+def test_removed_options_are_usage_errors(argv, capsys):
+    # the solver is chosen from the network, and sweep never prints periods
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_opt_methods(capsys):
@@ -134,9 +159,7 @@ def test_missing_file_is_input_error(capsys):
 
 def test_solver_error_exit_code(capsys):
     # demand below the exponential bracket lattice is a numeric-domain error
-    code, _, err = _run(
-        ["solve", "--network", "exp:factorial", "--demand", "1", "--log-domain"], capsys
-    )
+    code, _, err = _run(["solve", "--network", "exp:factorial", "--demand", "1"], capsys)
     assert code == 3
     assert "solver error" in err
 

@@ -29,6 +29,7 @@ from wardrop.optimum import opt_general_marginal
 from wardrop.equilibrium import (
     GENERAL_RTOL,
     verify_equilibrium,
+    wardrop_equilibrium,
     wardrop_general,
     wardrop_parallel,
     wardrop_parallel_log,
@@ -191,9 +192,17 @@ def test_general_rejects_discontinuous_nonparallel():
         wardrop_general(net, 3.0)
 
 
-def test_general_routes_discontinuous_parallel_to_bisection():
-    sol = wardrop_general(step_game(2.0), 5.0)
+def test_router_sends_discontinuous_parallel_to_bisection():
+    sol = wardrop_equilibrium(step_game(2.0), 5.0)
     assert sol.cost == pytest.approx(13.0, rel=1e-12)
+    assert sol.method == "bisection"
+    with pytest.raises(UnsupportedCostError):
+        wardrop_general(step_game(2.0), 5.0)
+
+
+def test_router_records_the_solver_it_picked():
+    assert wardrop_equilibrium(exp_game(), 31.0).method == "log-bisection"
+    assert wardrop_equilibrium(braess(Affine(0.0, 1.0)), 1.0).method == "frank-wolfe"
 
 
 def braess(rising) -> Network:

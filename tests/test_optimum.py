@@ -198,8 +198,6 @@ def test_exp_log_validates_bracket():
     alphas = AlphaSequence("factorial")
     with pytest.raises(DemandBracketError):
         opt_parallel_exp_log(alphas, 1.0)
-    with pytest.raises(DemandBracketError):
-        opt_parallel_exp_log(alphas, 31.0, k=5)  # 31 lies in bracket k = 3
 
 
 def test_exp_log_cost_matches_log_social_cost():
