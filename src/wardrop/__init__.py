@@ -15,7 +15,6 @@ from .costs import (
     StepGeometric,
     cost_from_spec,
     cost_to_spec,
-    marginal_bounds,
 )
 from .errors import (
     ConvergenceError,

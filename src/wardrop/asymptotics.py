@@ -79,25 +79,18 @@ class ExtremesReport:
 def poa(net: Network, M: float) -> PoaResult:
     """WEq/Opt with solver routing recorded in the result.
 
-    Float overflow and division by zero inside the solvers come out as
-    RangeOverflowError and DomainError naming M.
+    Both solvers turn float overflow and division by zero into
+    RangeOverflowError and DomainError naming M; so does a zero optimum.
     """
     if not 0 < M < math.inf:
         raise DomainError(f"price of anarchy needs a finite M > 0, got {M!r}")
-    try:
-        weq = wardrop_equilibrium(net, M)
-        opt = social_optimum(net, M)
-        ratio = float(weq.cost / opt.cost)
-    except GameError:  # typed already; RangeOverflowError is also an OverflowError
-        raise
-    except OverflowError as exc:
-        raise RangeOverflowError(
-            f"float overflow at M={float(M)!r}: the demand is above the range native floats resolve"
-        ) from exc
-    except ZeroDivisionError as exc:
+    weq = wardrop_equilibrium(net, M)
+    opt = social_optimum(net, M)
+    if opt.cost == 0:
         raise DomainError(
             f"division by zero at M={float(M)!r}: the demand is below the range native floats resolve"
-        ) from exc
+        )
+    ratio = float(weq.cost / opt.cost)
     return _checked(PoaResult(M, weq, opt, ratio, f"{weq.method}/{opt.method}", opt.flag))
 
 

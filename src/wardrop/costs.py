@@ -170,7 +170,7 @@ class CostFunction:
         raise NotImplementedError
 
     def marginal_function(self):
-        """Monotone level function for c(x) + x c'(x), when it exists."""
+        """The marginal cost c(x) + x c'(x) as a CostFunction, when it exists."""
         raise UnsupportedCostError(
             f"{type(self).__name__} has no single-valued marginal transform"
         )
@@ -1030,14 +1030,16 @@ class Shifted(CostFunction):
 
 
 # ---------------------------------------------------------------------------
-# marginal-cost level functions (internal: used by the optimum solver)
+# marginal costs (x c(x))' with no public family of their own
 # ---------------------------------------------------------------------------
-# These only need the level-function protocol (eval + generalized_inverse);
-# they are not public cost families.
 
 
-class _ExpOverXMarginal:
+@dataclass(frozen=True)
+class _ExpOverXMarginal(CostFunction):
     """d/dx [x * ExpOverX(x)]: e for x < 1, e^x for x >= 1."""
+
+    def is_strictly_increasing(self) -> bool:
+        return False  # flat on [0, 1)
 
     def eval(self, x: float) -> float:
         x = _check_nonneg(x)
@@ -1057,7 +1059,8 @@ class _ExpOverXMarginal:
         return (x, x)
 
 
-class _SaturatingLinearMarginal:
+@dataclass(frozen=True)
+class _SaturatingLinearMarginal(CostFunction):
     """d/dx [x * SaturatingLinear(x)] = 2x + (x^2+2x)/(1+x)^2."""
 
     def eval(self, x: float) -> float:
@@ -1076,15 +1079,16 @@ class _SaturatingLinearMarginal:
         return (x, x)
 
 
-class _PwlSquareMarginal:
-    """Subdifferential selection of d/dy [y * PwlSquare(y)].
+@dataclass(frozen=True)
+class _PwlSquareMarginal(CostFunction):
+    """d/dy [y * PwlSquare(y)]: piecewise linear with upward jumps at the
+    knots a^k, where ``eval`` and ``eval_right`` are the ends of the knot
+    subdifferential [a^{2(k-1)}(2a^2+a), a^{2k}(2+a)]."""
 
-    Piecewise linear with upward jumps at the knots a^k; the knot
-    subdifferential is [a^{2(k-1)}(2a^2+a), a^{2k}(2+a)].
-    """
+    a: float
 
-    def __init__(self, a: float):
-        self.a = a
+    def is_continuous(self) -> bool:
+        return False
 
     def _knot_interval(self, k: int) -> tuple[float, float]:
         a = self.a
@@ -1096,7 +1100,14 @@ class _PwlSquareMarginal:
             return 0.0
         k = _least_power_at_least(self.a, y)
         p, q = self.a ** (k - 1), self.a**k
-        return 2.0 * (p + q) * y - p * q  # left-continuous selection
+        return 2.0 * (p + q) * y - p * q
+
+    def eval_right(self, y: float) -> float:
+        if y > 0:
+            k = _least_power_at_least(self.a, y)
+            if y == self.a**k:  # at a knot: the next piece is about to start
+                return self._knot_interval(k)[1]
+        return self.eval(y)
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")
@@ -1109,34 +1120,13 @@ class _PwlSquareMarginal:
             k += 1
         while k > -1075 and self._knot_interval(k - 1)[1] >= level:
             k -= 1
-        lo_k, hi_k = self._knot_interval(k)
-        if level >= lo_k:  # inside the knot's subdifferential
+        if level >= self._knot_interval(k)[0]:  # inside the knot's subdifferential
             y = a**k
             return (y, y)
         # otherwise level is an interior slope of piece (a^{k-1}, a^k)
         p, q = a ** (k - 1), a**k
         y = (level + p * q) / (2.0 * (p + q))
         return (y, y)
-
-
-# ---------------------------------------------------------------------------
-# marginal cost helpers
-# ---------------------------------------------------------------------------
-
-
-def marginal_bounds(cost: CostFunction, x: float) -> tuple[float, float]:
-    """Endpoints of the subdifferential of y -> y*c(y) at x > 0."""
-    if not cost.is_continuous():
-        raise UnsupportedCostError(
-            f"marginal cost undefined for {type(cost).__name__}; "
-            "use interval decomposition instead"
-        )
-    x = float(x)
-    if x <= 0:
-        raise DomainError(f"marginal requires x > 0, got {x!r}")
-    c = cost.eval(x)
-    d_lo, d_hi = cost.derivative_bounds(x)
-    return (c + x * d_lo, c + x * d_hi)
 
 
 # ---------------------------------------------------------------------------

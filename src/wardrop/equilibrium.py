@@ -18,6 +18,7 @@ what the counterexample constructions rely on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ from .costs import bisect, false_position
 from .errors import (
     ConvergenceError,
     DomainError,
+    GameError,
     RangeOverflowError,
     UnsupportedCostError,
 )
@@ -64,7 +66,7 @@ class ResidualReport:
 
 
 # ---------------------------------------------------------------------------
-# the level-bisection engine (shared with the marginal-cost optimum)
+# the level-bisection engine (the marginal-cost optimum runs it too)
 # ---------------------------------------------------------------------------
 
 
@@ -77,15 +79,12 @@ def _aggregate_inverse(funcs, lam: float):
     return los, his
 
 
-def level_allocation(funcs, M: float, *, hi_seed: float = 1.0) -> tuple[float, list[float]]:
+def level_allocation(funcs, M: float) -> tuple[float, list[float]]:
     """Solve sum_i f_i(x_i) balanced at a common level with sum x_i = M.
 
-    ``funcs`` are weakly increasing level functions exposing ``eval`` and
-    ``generalized_inverse``.  Returns (level, allocation).
+    ``funcs`` are weakly increasing cost functions and M > 0.  Returns
+    (level, allocation).
     """
-    if M <= 0:
-        raise DomainError(f"demand must be positive, got {M!r}")
-
     def g_plus(lam: float) -> float:
         return sum(f.generalized_inverse(lam)[1] for f in funcs)
 
@@ -93,7 +92,7 @@ def level_allocation(funcs, M: float, *, hi_seed: float = 1.0) -> tuple[float, l
     if g_plus(lam_lo) >= M:
         lam_star = lam_lo
     else:
-        lam_hi = max(1.0, min(f.eval(M) for f in funcs)) * hi_seed
+        lam_hi = max(1.0, min(f.eval(M) for f in funcs))
         doublings = 0
         while g_plus(lam_hi) < M:
             lam_hi *= 2.0
@@ -177,6 +176,35 @@ def _smoothest_link(funcs, lam: float, x, diff: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _typed_failures(solve):
+    """Give the entry point ``solve(net, M, ...)`` the failure contract of the
+    package: a non-finite M, float overflow, division by zero and a
+    non-finite social cost all come out as typed errors naming M."""
+
+    @functools.wraps(solve)
+    def entry(net: Network, M: float, *args, **kwargs):
+        if not math.isfinite(M):
+            raise DomainError(f"demand must be a finite M > 0, got {M!r}")
+        try:
+            sol = solve(net, M, *args, **kwargs)
+            if not isinstance(sol.cost, LogValue) and not math.isfinite(sol.cost):
+                raise OverflowError("the social cost left the native float range")
+        except GameError:  # typed already; RangeOverflowError is also an OverflowError
+            raise
+        except OverflowError as exc:
+            raise RangeOverflowError(
+                f"float overflow at M={float(M)!r}: the demand is above the range native floats resolve"
+            ) from exc
+        except ZeroDivisionError as exc:
+            raise DomainError(
+                f"division by zero at M={float(M)!r}: the demand is below the range native floats resolve"
+            ) from exc
+        return sol
+
+    return entry
+
+
+@_typed_failures
 def wardrop_equilibrium(net: Network, M: float) -> EquilibriumSolution:
     """Equilibrium by the solver that ``classify`` picks: the log-domain
     split for the exponential game, conditional gradient on a general
@@ -189,9 +217,7 @@ def wardrop_equilibrium(net: Network, M: float) -> EquilibriumSolution:
     return wardrop_parallel(net, M)
 
 
-def wardrop_parallel(
-    net: Network, M: float, *, hi_seed: float = 1.0
-) -> EquilibriumSolution:
+def wardrop_parallel(net: Network, M: float) -> EquilibriumSolution:
     """Equilibrium of a parallel network via level bisection.
 
     Jumps are allowed; the allocation puts each link at the lower end of
@@ -201,7 +227,7 @@ def wardrop_parallel(
         raise DomainError("wardrop_parallel requires a parallel network")
     if M <= 0:
         raise DomainError(f"demand must be positive, got {M!r}")
-    lam, x = level_allocation(net.costs, M, hi_seed=hi_seed)
+    lam, x = level_allocation(net.costs, M)
     flow = FlowProfile(tuple(x), M)
     report = verify_equilibrium(net, flow)
     tol = RESIDUAL_RTOL * max(lam, 1.0)

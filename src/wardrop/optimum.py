@@ -1,7 +1,8 @@
 """Social optimum solvers with an independent brute-force oracle.
 
-Smooth instances equalize marginal costs c(x) + x c'(x) through the same
-set-valued level bisection the equilibrium solver uses.  The two-link
+Smooth instances are solved as the Wardrop equilibrium of the game whose
+edge costs are the marginal costs (x c(x))' = c(x) + x c'(x), by the
+equilibrium solvers and their residual check.  The two-link
 counterexample families get exact piecewise procedures: the geometric
 step instance decomposes the problem over the intervals where the step
 cost is constant, the interpolated-square instance enumerates knot and
@@ -25,19 +26,13 @@ from .costs import (
     StepExp,
     StepGeometric,
     _least_power_at_least,
-    marginal_bounds,
 )
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    UnsupportedCostError,
-)
+from .errors import DomainError, UnsupportedCostError
 from .instances import classify
 from .logdomain import LogValue, log_sum
 from .network import FlowProfile, Network, social_cost
-from .equilibrium import level_allocation, wardrop_general
+from .equilibrium import _typed_failures, wardrop_general, wardrop_parallel
 
-KKT_RTOL = 1e-9
 _GRID_CAP_2D = 257  # per-axis cap for two-dimensional brute-force grids
 
 
@@ -52,64 +47,33 @@ class OptimumSolution:
 
 
 # ---------------------------------------------------------------------------
-# smooth instances: marginal-cost equalization
+# smooth instances: equilibrium of the marginal-cost game
 # ---------------------------------------------------------------------------
 
 
 def opt_parallel_marginal(net: Network, M: float) -> OptimumSolution:
-    """Optimum of a parallel network by equalizing marginal costs."""
-    if not net.is_parallel():
-        raise DomainError("opt_parallel_marginal requires a parallel network")
-    if M <= 0:
-        raise DomainError(f"demand must be positive, got {M!r}")
+    """Optimum of a parallel network by level bisection on the marginal costs."""
+    return _marginal_optimum(net, M, wardrop_parallel, "marginal")
+
+
+def opt_general_marginal(net: Network, M: float) -> OptimumSolution:
+    """Optimum on a general network by conditional gradient on continuous marginals."""
+    return _marginal_optimum(net, M, wardrop_general, "marginal-general")
+
+
+def _marginal_optimum(net: Network, M: float, solve, method: str) -> OptimumSolution:
+    """An optimum is an equilibrium of the game whose edge costs are the
+    marginals (x c(x))' (Beckmann, McGuire and Winsten), so ``solve``'s
+    residual check, with [eval, eval_right] at a jump, is the KKT check."""
     try:
-        margs = [c.marginal_function() for c in net.costs]
+        margs = tuple(c.marginal_function() for c in net.costs)
     except UnsupportedCostError:
         raise UnsupportedCostError(
             "non-smooth cost present; use the specialized or brute-force method"
         ) from None
-    mu, x = level_allocation(margs, M)
-    flow = FlowProfile(tuple(x), M)
-    residual = _kkt_residual(net.costs, margs, x, mu)
-    if residual > KKT_RTOL * max(mu, 1.0):
-        raise ConvergenceError("marginal-cost KKT residual too large", residual=residual)
-    return OptimumSolution(flow, social_cost(net, flow), "marginal")
-
-
-def _kkt_residual(costs, margs, x, mu: float) -> float:
-    worst = 0.0
-    for c, m, xi in zip(costs, margs, x):
-        if xi > 0:
-            lo, hi = marginal_bounds(c, xi)
-            gap = max(lo - mu, mu - hi, 0.0)
-        else:
-            gap = max(mu - m.eval(0.0), 0.0)
-        worst = max(worst, gap)
-    return worst
-
-
-def opt_general_marginal(net: Network, M: float) -> OptimumSolution:
-    """Optimum on a general network: equilibrium of the marginal-cost game."""
-    margs = tuple(_LevelAsCost(c.marginal_function()) for c in net.costs)
     mnet = Network(net.vertices, net.edges, margs, net.source, net.sink, paths=net.paths)
-    eq = wardrop_general(mnet, M)
-    return OptimumSolution(eq.flow, social_cost(net, eq.flow), "marginal-general")
-
-
-class _LevelAsCost:
-    """Adapter so a marginal level function can ride through the FW solver."""
-
-    def __init__(self, level):
-        self.level = level
-
-    def eval(self, x: float) -> float:
-        return self.level.eval(x)
-
-    def eval_right(self, x: float) -> float:
-        return self.level.eval(x)
-
-    def is_continuous(self) -> bool:
-        return True
+    eq = solve(mnet, M)
+    return OptimumSolution(eq.flow, social_cost(net, eq.flow), method)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +406,7 @@ _EXACT_INSTANCES = {
 }
 
 
+@_typed_failures
 def social_optimum(net: Network, M: float, method: str = "auto", **kwargs) -> OptimumSolution:
     """Dispatch to the exact method matching the instance, or brute force."""
     kind = classify(net)

@@ -174,6 +174,27 @@ def test_out_of_range_poa_is_a_solver_error(demand, capsys):
     assert f"M={float(demand)!r}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["opt", "--network", "step:2", "--demand", "1e300"],
+    ["solve", "--network", "step:2", "--demand", "1e300"],
+    ["solve", "--network", "pigou", "--demand", "inf"],
+    ["opt", "--network", "pigou", "--demand", "inf"],
+    ["solve", "--network", "pigou", "--demand", "nan"],
+    ["opt", "--network", "pigou", "--demand", "nan"],
+], ids=" ".join)
+def test_out_of_range_demand_is_a_solver_error_everywhere(argv, capsys):
+    code, out, err = _run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("solver error:") and "Traceback" not in err
+    assert "Infinity" not in out + err
+    demand = float(argv[-1])
+    if math.isfinite(demand):
+        assert f"float overflow at M={demand!r}" in err
+    else:
+        assert f"finite M > 0, got {demand!r}" in err
+
+
 def test_sweep_records_overflowing_samples(capsys):
     code, out, err = _run(
         ["sweep", "--network", "step:2", "--from", "1e290", "--to", "1e300",

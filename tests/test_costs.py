@@ -11,6 +11,7 @@ from wardrop.costs import (
     Affine,
     AlphaSequence,
     Constant,
+    CostFunction,
     ExpOverX,
     Monomial,
     Polynomial,
@@ -23,7 +24,6 @@ from wardrop.costs import (
     bisect,
     cost_to_spec,
     false_position,
-    marginal_bounds,
 )
 from wardrop.errors import (
     DemandBracketError,
@@ -176,16 +176,21 @@ def test_kink_errors_carry_one_sided_derivatives():
     assert err.value.left == 0.0 and math.isinf(err.value.right)
 
 
+def _marginal_ends(c, x):
+    m = c.marginal_function()
+    return (m.eval(x), m.eval_right(x))
+
+
 def test_marginal_examples():
-    assert marginal_bounds(Affine(0.0, 1.0), 2.0) == (4.0, 4.0)  # x + x*1 = 2x
-    assert marginal_bounds(Affine(1.0, 1.0), 1.0) == (3.0, 3.0)
+    assert _marginal_ends(Affine(0.0, 1.0), 2.0) == (4.0, 4.0)  # x + x*1 = 2x
+    assert _marginal_ends(Affine(1.0, 1.0), 1.0) == (3.0, 3.0)
 
 
 def test_marginal_pwl_knot_matches_secant_oracle():
     # subdifferential of h(y) = y*c(y) at the knot y = 2 for a = 2; the
     # one-sided secants of h are an independent check of the endpoints
     c = PwlSquare(2.0)
-    lo, hi = marginal_bounds(c, 2.0)
+    lo, hi = _marginal_ends(c, 2.0)
 
     def h(y):
         return y * c.eval(y)
@@ -200,11 +205,16 @@ def test_marginal_pwl_knot_matches_secant_oracle():
 
 def test_marginal_unsupported_for_steps():
     with pytest.raises(UnsupportedCostError):
-        marginal_bounds(StepGeometric(2.0), 3.0)
-    with pytest.raises(UnsupportedCostError):
         StepGeometric(2.0).marginal_function()
     with pytest.raises(UnsupportedCostError):
         StepExp(AlphaSequence("factorial")).marginal_function()
+
+
+@pytest.mark.parametrize("c", SMOOTH_FAMILIES + [ExpOverX(), PwlSquare(2.0)], ids=repr)
+def test_marginal_function_is_a_cost_function(c):
+    m = c.marginal_function()
+    assert isinstance(m, CostFunction)
+    assert m.is_continuous() == (c.family != "pwl_square")
 
 
 def test_marginal_function_closed_forms():

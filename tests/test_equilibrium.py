@@ -102,14 +102,6 @@ def test_feasibility_and_residual_properties():
         assert sol.residual <= 1e-9 * max(sol.lam, 1.0)
 
 
-def test_equilibrium_cost_unique_across_bisection_seeds():
-    net = build_parallel([Affine(1.0, 2.0), StepGeometric(2.0), Constant(40.0)])
-    for M in (3.0, 10.0, 27.5):
-        a = wardrop_parallel(net, M, hi_seed=1.0)
-        b = wardrop_parallel(net, M, hi_seed=7.3)
-        assert a.cost == pytest.approx(b.cost, rel=1e-9)
-
-
 def test_lambda_monotone_in_demand():
     net = step_game(3.0)
     lams = [wardrop_parallel(net, M).lam for M in np.geomspace(0.5, 200.0, 60)]

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from wardrop.costs import (
 )
 from wardrop.errors import DemandBracketError, DomainError, UnsupportedCostError
 from wardrop.instances import exp_game, pigou, pwl_game, step_game
-from wardrop.network import build_parallel, social_cost, social_cost_log
+from wardrop.network import Edge, Network, build_parallel, social_cost, social_cost_log
 from wardrop.equilibrium import wardrop_parallel, wardrop_parallel_log
 from wardrop.optimum import (
     opt_bruteforce,
@@ -57,6 +58,18 @@ def test_affine_pair_closed_form():
 def test_marginal_rejects_step():
     with pytest.raises(UnsupportedCostError):
         opt_parallel_marginal(step_game(2.0), 5.0)
+
+
+def test_general_optimum_rejects_a_jumping_marginal_at_once():
+    # the pwl marginal jumps at its knots and conditional gradient needs
+    # continuous costs, so the marginal game of this fork is refused up front
+    edges = (Edge("sa", "s", "a"), Edge("at1", "a", "t"), Edge("at2", "a", "t"))
+    costs = (Affine(0.0, 1.0), Monomial(1.0, 2.0), PwlSquare(2.0))
+    net = Network(("s", "a", "t"), edges, costs, "s", "t")
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedCostError):
+        social_optimum(net, 3.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cost_field_matches_social_cost():
