@@ -460,7 +460,7 @@ def shift_experiment(
     for M in M_grid:
         base_eq = wardrop_parallel(net, M)
         shift_eq = wardrop_parallel(shifted_net, M)
-        slack = 1e-9 * max(1.0, shift_eq.lam)
+        slack = 1e-9 * shift_eq.lam
         if not (
             shift_eq.lam - a_hi <= base_eq.lam + slack
             and base_eq.lam <= shift_eq.lam - a_lo + slack

@@ -48,28 +48,26 @@ def _num(value) -> float:
     return x
 
 
-def bisect(goes_high, lo: float, hi: float, rel_tol: float, max_iter: int) -> tuple[float, float]:
-    """Halve [lo, hi] toward the point where ``goes_high`` turns true.
+def bisect(goes_high, lo: float, hi: float) -> tuple[float, float]:
+    """Shrink [lo, hi], 0 <= lo < hi, toward the point where ``goes_high``
+    turns true, until the ends are adjacent floats.
 
-    Each step moves hi to the midpoint if ``goes_high(mid)``, else lo; it
-    stops after ``max_iter`` steps, once hi - lo <= rel_tol * max(1, |hi|),
-    or once the midpoint rounds onto an end, after which every further step
-    would repeat the last one.  Callers choose the comparison (and so the
-    side NaN falls on) and which end of the returned bracket to use.
+    A step splits at the geometric midpoint while hi > 2 lo (lo read as at
+    least ``sys.float_info.min``), else at the arithmetic one, and moves hi
+    there if ``goes_high`` holds, else lo.  So the ratio of the ends halves,
+    then the count of floats between them: any bracket closes in at most 64
+    steps, at every scale.  Callers choose the comparison (and so the side
+    NaN falls on) and which end of the returned bracket to use.
     """
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * max(1.0, abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
+    while True:
+        base = max(lo, sys.float_info.min)
+        mid = math.sqrt(base) * math.sqrt(hi) if hi > 2.0 * base else lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return lo, hi
         if goes_high(mid):
-            if hi == mid:
-                break
             hi = mid
-        elif lo == mid:
-            break
         else:
             lo = mid
-    return lo, hi
 
 
 def false_position(f, lo: float, f_lo: float, hi: float, f_hi: float, max_iter: int) -> float:
@@ -377,9 +375,9 @@ class Polynomial(CostFunction):
             return Constant(c0).generalized_inverse(level)
         if level == c0:
             return (0.0, 0.0)
-        hi = 1.0
+        lo, hi = 0.0, 1.0
         while self.eval(hi) < level:
-            hi *= 2.0
+            lo, hi = hi, 2.0 * hi
             if hi > 1e300:
                 raise RangeOverflowError("polynomial inverse bracket overflow")
         coefs = self.coefficients[::-1]
@@ -392,7 +390,7 @@ class Polynomial(CostFunction):
                 acc = acc * t + c
             return not acc < level
 
-        lo, hi = bisect(goes_high, 0.0, hi, 1e-15, 200)
+        lo, hi = bisect(goes_high, lo, hi)
         x = 0.5 * (lo + hi)
         return (x, x)
 
@@ -435,9 +433,10 @@ class SaturatingLinear(CostFunction):
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")
-        # x + x/(1+x) = L  <=>  x^2 + (2-L)x - L = 0
-        x = 0.5 * ((level - 2.0) + math.sqrt(level * level + 4.0))
-        x = max(x, 0.0)
+        # x + x/(1+x) = L  <=>  x^2 + (2-L)x - L = 0; below L = 2 the
+        # conjugate form avoids the cancellation in (L-2) + sqrt(L^2+4)
+        root = math.sqrt(level * level + 4.0)
+        x = 2.0 * level / ((2.0 - level) + root) if level < 2.0 else 0.5 * ((level - 2.0) + root)
         return (x, x)
 
     def asymptotic_value(self) -> float:
@@ -728,7 +727,7 @@ def _solve_x_minus_logx(target: float) -> float:
         x_new = x - step
         if x_new < 1.0:
             x_new = 0.5 * (x + 1.0)
-        if abs(x_new - x) <= 1e-15 * max(1.0, abs(x_new)):
+        if abs(x_new - x) <= 1e-15 * x_new:
             return x_new
         x = x_new
     return x
@@ -1071,10 +1070,10 @@ class _SaturatingLinearMarginal(CostFunction):
         level = _check_nonneg(level, "level")
         if level == 0:
             return (0.0, 0.0)
-        hi = 1.0
+        lo, hi = 0.0, 1.0
         while self.eval(hi) < level:
-            hi *= 2.0
-        lo, hi = bisect(lambda t: not self.eval(t) < level, 0.0, hi, 1e-16, 200)
+            lo, hi = hi, 2.0 * hi
+        lo, hi = bisect(lambda t: not self.eval(t) < level, lo, hi)
         x = 0.5 * (lo + hi)
         return (x, x)
 

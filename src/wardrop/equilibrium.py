@@ -7,7 +7,8 @@ correct level is the smallest lambda whose aggregate inverse interval
 costs) and flats (constant costs) uniformly; any allocation inside the
 per-link intervals is an equilibrium and the surplus M - sum x-_i is
 distributed proportionally to interval widths, which is deterministic and
-scale-covariant.
+scale-covariant.  The bisection runs until its ends are adjacent floats,
+so it has no tolerance and gives the same answer at every scale.
 
 Equilibrium verification compares each used path's cost against the
 cheapest *entry* cost (right limits of the edge costs): for continuous
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .costs import bisect, false_position
@@ -70,67 +72,42 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def _aggregate_inverse(funcs, lam: float):
-    los, his = [], []
-    for f in funcs:
-        lo, hi = f.generalized_inverse(lam)
-        los.append(lo)
-        his.append(hi)
-    return los, his
-
-
 def level_allocation(funcs, M: float) -> tuple[float, list[float]]:
     """Solve sum_i f_i(x_i) balanced at a common level with sum x_i = M.
 
     ``funcs`` are weakly increasing cost functions and M > 0.  Returns
-    (level, allocation).
+    (level, allocation).  The level is the least float lam with
+    sum_i x+_i(lam) >= M on the exact sum.  It lies in [min_i f_i(M/n),
+    min_i f_i(M)]: some link carries at least M/n, and any link can carry M.
     """
-    def g_plus(lam: float) -> float:
-        return sum(f.generalized_inverse(lam)[1] for f in funcs)
+    def reaches(lam: float) -> bool:
+        return math.fsum([*(f.generalized_inverse(lam)[1] for f in funcs), -M]) >= 0
 
-    lam_lo = min(f.eval(0.0) for f in funcs)
-    if g_plus(lam_lo) >= M:
-        lam_star = lam_lo
-    else:
-        lam_hi = max(1.0, min(f.eval(M) for f in funcs))
+    lam_lo = min(f.eval(M / len(funcs)) for f in funcs)
+    below = lam_star = lam_lo
+    if not reaches(lam_lo):
+        lam_hi = min(f.eval(M) for f in funcs)
         doublings = 0
-        while g_plus(lam_hi) < M:
+        while not reaches(lam_hi):
             lam_hi *= 2.0
             doublings += 1
             if doublings > 128:
                 raise ConvergenceError(
                     "no finite level can route the demand (cost level unbounded)"
                 )
-        _, lam_star = bisect(lambda lam: g_plus(lam) >= M, lam_lo, lam_hi, 1e-15, 300)
+        below, lam_star = bisect(reaches, lam_lo, lam_hi)
 
-    slack = 1e-9 * max(1.0, M)
-    los, his = _aggregate_inverse(funcs, lam_star)
-    if math.fsum(los) > M + slack:
-        # the bisection stopped a hair past a jump of g+; snap the level to
-        # a nearby attained cost value and re-check the sandwich
-        for cand in _snap_candidates(funcs, los, his, lam_star):
-            c_los, c_his = _aggregate_inverse(funcs, cand)
-            if math.fsum(c_los) <= M + slack and sum(c_his) >= M - slack:
-                lam_star, los, his = cand, c_los, c_his
-                break
-        else:
-            raise ConvergenceError(
-                "level bisection failed to bracket the demand", residual=sum(los) - M
-            )
-
+    inverses = [f.generalized_inverse(lam_star) for f in funcs]
+    los, his = [lo for lo, _ in inverses], [hi for _, hi in inverses]
+    if below < lam_star and math.fsum(los) > M:
+        # M lies between the aggregate inverses at two adjacent levels, as on
+        # continuous costs: the flows lie between the inverses at those levels
+        los = [f.generalized_inverse(below)[1] for f in funcs]
+    if math.fsum(los) > M * (1.0 + 1e-9):
+        raise ConvergenceError(
+            "level bisection failed to bracket the demand", residual=math.fsum(los) - M
+        )
     return lam_star, _allocate(funcs, lam_star, los, his, M)
-
-
-def _snap_candidates(funcs, los, his, lam_star: float) -> list[float]:
-    cands = set()
-    for f, lo, hi in zip(funcs, los, his):
-        for x in (lo, hi):
-            if math.isfinite(x):
-                try:
-                    cands.add(f.eval(x))
-                except Exception:
-                    pass
-    return sorted(c for c in cands if c <= lam_star * (1.0 + 1e-12) + 1e-300)
 
 
 def _allocate(funcs, lam: float, los, his, M: float) -> list[float]:
@@ -178,8 +155,9 @@ def _smoothest_link(funcs, lam: float, x, diff: float) -> int:
 
 def _typed_failures(solve):
     """Give the entry point ``solve(net, M, ...)`` the failure contract of the
-    package: a non-finite M, float overflow, division by zero and a
-    non-finite social cost all come out as typed errors naming M."""
+    package: a non-finite M, float overflow, division by zero and a social
+    cost that is not finite or is subnormal all come out as typed errors
+    naming M."""
 
     @functools.wraps(solve)
     def entry(net: Network, M: float, *args, **kwargs):
@@ -187,8 +165,11 @@ def _typed_failures(solve):
             raise DomainError(f"demand must be a finite M > 0, got {M!r}")
         try:
             sol = solve(net, M, *args, **kwargs)
-            if not isinstance(sol.cost, LogValue) and not math.isfinite(sol.cost):
-                raise OverflowError("the social cost left the native float range")
+            if not isinstance(sol.cost, LogValue):
+                if not math.isfinite(sol.cost):
+                    raise OverflowError("the social cost left the native float range")
+                if 0.0 < sol.cost < sys.float_info.min:
+                    raise ZeroDivisionError("the social cost is subnormal")
         except GameError:  # typed already; RangeOverflowError is also an OverflowError
             raise
         except OverflowError as exc:
@@ -230,7 +211,7 @@ def wardrop_parallel(net: Network, M: float) -> EquilibriumSolution:
     lam, x = level_allocation(net.costs, M)
     flow = FlowProfile(tuple(x), M)
     report = verify_equilibrium(net, flow)
-    tol = RESIDUAL_RTOL * max(lam, 1.0)
+    tol = RESIDUAL_RTOL * lam
     if report.residual > tol:
         raise ConvergenceError(
             "parallel equilibrium residual above tolerance", residual=report.residual
@@ -271,7 +252,7 @@ def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
     share, then evaluates the costs of the edges on those two paths again.
     The move is capped at the source path's flow, so a full step leaves that
     path at exactly 0.0.  Stops once no used path costs more than
-    GENERAL_RTOL * max(lam, 1) above the cheapest.
+    GENERAL_RTOL * lam above the cheapest.
 
     Edge flows, path costs and the line search's sums are correctly rounded
     (``math.fsum``) and an exact tie on cost goes to the path with more
@@ -322,7 +303,7 @@ def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
         target = max((i for i in range(n) if own[i] == lam), key=x_paths.__getitem__)
         worst = max((i for i in used if own[i] == top), key=x_paths.__getitem__)
         residual = max(top - lam, 0.0)
-        if residual <= GENERAL_RTOL * max(lam, 1.0):
+        if residual <= GENERAL_RTOL * lam:
             total = math.fsum(x_paths)
             flow = FlowProfile(tuple(x / total * M for x in x_paths), M)
             return EquilibriumSolution(flow, lam, residual, social_cost(net, flow), "frank-wolfe")

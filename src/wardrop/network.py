@@ -129,7 +129,7 @@ class FlowProfile:
         if any(f < 0 for f in flows):
             raise DomainError("path flows must be nonnegative")
         s = math.fsum(flows)
-        if abs(s - self.total) > FEASIBILITY_RTOL * max(abs(self.total), 1.0):
+        if abs(s - self.total) > FEASIBILITY_RTOL * abs(self.total):
             raise DomainError(
                 f"infeasible flow: sum {s!r} != total {self.total!r}"
             )

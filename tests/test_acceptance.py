@@ -245,7 +245,7 @@ def test_criterion_8_oracle_equivalence():
             M = float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
             pairs += 1
             weq = wardrop_parallel(net, M)
-            if weq.residual > 1e-9 * max(weq.lam, 1.0):
+            if weq.residual > 1e-9 * weq.lam:
                 failures.append(f"{name} M={M}: equilibrium residual {weq.residual:.2e}")
             exact = social_optimum(net, M)
             res = 301 if net.n_edges == 3 else 2001

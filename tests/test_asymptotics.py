@@ -163,6 +163,21 @@ def test_closed_form_matches_solver_at_random_demands():
         assert cf.poa == pytest.approx(solver.poa, rel=1e-6)
 
 
+def test_step_poa_just_below_a_period_end_matches_closed_form():
+    # the level is the step value 27, and M lies a hair below the top of
+    # the aggregate inverse's jump there, [36, 54]
+    M = 54.0 * (1.0 - 1e-9)
+    assert poa(step_game(3.0), M).poa == pytest.approx(step_game_closed_form(3.0, M).poa, rel=1e-12)
+
+
+@pytest.mark.parametrize("M", [1e-14, 1e-100])
+def test_affine_sandwich_poa_is_one_at_small_demand(M):
+    # near 0 the links are 2x + O(x^2) and x, linear with no offset, so the
+    # PoA tends to 1
+    net = designated_limit_instances()["affine-sandwich"]
+    assert poa(net, M).poa == pytest.approx(1.0, abs=1e-12)
+
+
 def _near_any_breakpoint(a, M, collar=1e-8):
     from wardrop.optimum import _period_index
 

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 
 import pytest
@@ -314,6 +315,15 @@ def test_inverse_consistency_strictly_increasing():
         assert c.eval(lo) == pytest.approx(level, rel=1e-10)
 
 
+@pytest.mark.parametrize("level", [1e-300, 1e-12, 1e-8, 3.0, 1e10])
+def test_saturating_linear_inverse_round_trips_at_every_scale(level):
+    # below L = 2 the plain root (L-2) + sqrt(L^2+4) cancels: 9e-5 relative
+    # error at L = 1e-12
+    c = SaturatingLinear()
+    x, _ = c.generalized_inverse(level)
+    assert abs(c.eval(x) - level) <= 4 * math.ulp(level)
+
+
 def test_inverse_sandwich_on_step_families():
     c = StepGeometric(2.0)
     for x in (0.7, 1.0, 2.0, 3.3, 4.0, 9.0):
@@ -443,8 +453,21 @@ def test_constructors_reject_non_finite_parameters(build):
 
 
 # ---------------------------------------------------------------------------
-# false position (the line search's root finder)
+# bisection and false position (the line search's root finder)
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("hi", [1e300, sys.float_info.max])
+def test_bisect_ends_on_adjacent_floats_within_64_steps(hi):
+    targets = [sys.float_info.min, 1e-300, 3e-200, 1e-100, 1e-12, 0.3, 1.0, 7.5, 1e12, 1e100,
+               2e200, 1e300]
+    rng = random.Random(7)
+    targets += [10.0 ** rng.uniform(-307.0, 300.0) for _ in range(200)]
+    for t in targets:
+        calls = []
+        lo, up = bisect(lambda x: calls.append(x) or x >= t, 0.0, hi)
+        assert lo < t <= up == math.nextafter(lo, math.inf)
+        assert len(calls) <= 64, t
 
 
 def _counted(f):
@@ -475,7 +498,7 @@ def test_false_position_solves_a_linear_function_in_one_evaluation():
 def test_false_position_matches_bisection_in_fewer_evaluations(f, root):
     g, calls = _counted(f)
     t = false_position(g, 0.0, f(0.0), 1.0, f(1.0), 80)
-    lo, hi = bisect(lambda x: not f(x) <= 0.0, 0.0, 1.0, 0.0, 80)
+    lo, hi = bisect(lambda x: not f(x) <= 0.0, 0.0, 1.0)
     assert lo <= t <= hi or abs(f(t)) <= 4 * sys.float_info.epsilon
     if root is not None:
         assert t == pytest.approx(root, rel=1e-14)

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import time
@@ -23,6 +24,7 @@ from wardrop.errors import (
     RangeOverflowError,
     UnsupportedCostError,
 )
+from wardrop.asymptotics import step_game_closed_form
 from wardrop.instances import exp_game, pigou, step_game
 from wardrop.network import Edge, FlowProfile, Network, build_parallel, social_cost
 from wardrop.optimum import opt_general_marginal
@@ -99,13 +101,34 @@ def test_feasibility_and_residual_properties():
     for M in rng.uniform(0.1, 50.0, 25):
         sol = wardrop_parallel(net, float(M))
         assert math.fsum(sol.flow.path_flows) == pytest.approx(M, rel=1e-12)
-        assert sol.residual <= 1e-9 * max(sol.lam, 1.0)
+        assert sol.residual <= 1e-9 * sol.lam
 
 
 def test_lambda_monotone_in_demand():
     net = step_game(3.0)
     lams = [wardrop_parallel(net, M).lam for M in np.geomspace(0.5, 200.0, 60)]
     assert all(b >= a - 1e-12 for a, b in zip(lams, lams[1:]))
+
+
+@pytest.mark.parametrize("M", [1e-150, 1.0, 1e150])
+def test_step_level_bisection_needs_at_most_64_inverses_per_link(M, monkeypatch):
+    calls = collections.Counter()
+    for cls in (Affine, StepGeometric):
+        def counted(self, level, inverse=cls.generalized_inverse):
+            calls[type(self).__name__] += 1
+            return inverse(self, level)
+
+        monkeypatch.setattr(cls, "generalized_inverse", counted)
+    sol = wardrop_parallel(step_game(3.0), M)
+    assert sorted(calls) == ["Affine", "StepGeometric"]
+    assert max(calls.values()) <= 64
+    assert sol.cost == pytest.approx(step_game_closed_form(3.0, M).weq, rel=1e-12, abs=0.0)
+
+
+def test_subnormal_social_cost_is_a_domain_error():
+    # M^2 = 1e-310 is below float_info.min, where floats lose digits
+    with pytest.raises(DomainError, match="division by zero at M=1e-155"):
+        wardrop_equilibrium(step_game(2.0), 1e-155)
 
 
 def test_identical_shift_moves_lambda_not_flows():
@@ -293,8 +316,8 @@ def test_grid_equilibrium_matches_beckmann_minimum(n, cost_of, M):
     sol = wardrop_general(net, M)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    assert sol.residual <= GENERAL_RTOL * max(sol.lam, 1.0)
-    assert verify_equilibrium(net, sol.flow).residual <= GENERAL_RTOL * max(sol.lam, 1.0)
+    assert sol.residual <= GENERAL_RTOL * sol.lam
+    assert verify_equilibrium(net, sol.flow).residual <= GENERAL_RTOL * sol.lam
     assert sol.cost == pytest.approx(beckmann_reference_cost(net, M), rel=1e-6)
 
 
