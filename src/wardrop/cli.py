@@ -92,10 +92,7 @@ def auto_breakpoints(net: Network, M_lo: float, M_hi: float) -> list[float]:
         alphas = kind.param
         out = []
         for k in range(1, alphas.max_index()):
-            try:
-                points = (2.0 * alphas.alpha(k), alphas.alpha(k) + alphas.alpha(k + 1))
-            except GameError:
-                break
+            points = (2.0 * alphas.alpha(k), alphas.alpha(k) + alphas.alpha(k + 1))
             out.extend(p for p in points if M_lo <= p <= M_hi)
             if alphas.alpha(k) > M_hi:
                 break

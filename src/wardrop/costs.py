@@ -1,21 +1,23 @@
 """Closed families of monotone edge cost functions.
 
 Every family is weakly increasing and nonnegative on [0, inf) and supports
-evaluation, one-sided derivatives, the exact primitive int_0^x c(s) ds, the
-set-valued generalized inverse, the asymptotic value at infinity, and
-log-domain evaluation.  Step families are left-continuous: the value on
+evaluation, one-sided derivatives, the set-valued generalized inverse, the
+asymptotic value at infinity, and log-domain evaluation; all but ExpOverX
+(whose primitive is the exponential integral) give the exact primitive
+int_0^x c(s) ds.  Step families are left-continuous: the value on
 (a^{k-1}, a^k] is taken at the right end, so c(a^k) = a^k exactly for the
 geometric step and evaluation at a knot returns the lower step.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.special import expi
 
 from .errors import (
     DemandBracketError,
@@ -28,6 +30,8 @@ from .logdomain import LogValue
 
 _E = math.e
 _MAX_EXP = math.log(sys.float_info.max)  # ~709.78
+ROOT_SLACK = 3  # evaluations ``root`` may spend over bisection's before it bisects
+_POLY_BRACKET_CAP = 2.0**996  # a polynomial inverse above it is out of range
 
 
 def _check_nonneg(x: float, what: str = "x") -> float:
@@ -48,26 +52,71 @@ def _num(value) -> float:
     return x
 
 
-def bisect(goes_high, lo: float, hi: float) -> tuple[float, float]:
-    """Shrink [lo, hi], 0 <= lo < hi, toward the point where ``goes_high``
-    turns true, until the ends are adjacent floats.
+def _splits_left(lo: float, hi: float) -> float:
+    """About how many bisection splits close [lo, hi] to adjacent floats."""
+    base = max(lo, sys.float_info.min)
+    n = math.log2((hi - lo) / math.ulp(hi))
+    return n + math.log2(math.log2(hi) - math.log2(base)) if hi > 2.0 * base else n
 
-    A step splits at the geometric midpoint while hi > 2 lo (lo read as at
-    least ``sys.float_info.min``), else at the arithmetic one, and moves hi
-    there if ``goes_high`` holds, else lo.  So the ratio of the ends halves,
-    then the count of floats between them: any bracket closes in at most 64
-    steps, at every scale.  Callers choose the comparison (and so the side
-    NaN falls on) and which end of the returned bracket to use.
+
+def root(f, lo: float, f_lo: float, hi: float, f_hi: float) -> tuple[float, float]:
+    """Shrink [lo, hi], 0 <= lo < hi, to the adjacent floats between which a
+    weakly increasing ``f`` turns non-negative, given f_lo = f(lo) < 0 and
+    f_hi = f(hi) >= 0.  NaN counts as non-negative, as in ``not f(x) < 0``.
+
+    Steps are Illinois false position: the secant point of the bracket
+    replaces the end of its sign, and the other end's stored value is halved
+    when the same end is replaced twice in a row.  A secant point that rounds
+    onto an end moves inside by one unit in the last place, then by 2, 4, ...
+    while it keeps doing so: once the secant has found the root, the far end
+    closes on it too.  The safeguard is the
+    split of a bisection: at the geometric midpoint while hi > 2 lo (lo read
+    as at least ``sys.float_info.min``), else at the arithmetic one, which
+    closes any bracket in at most 64 steps at every scale.  A split is taken
+    when f_hi is not finite (the secant point is then undefined) and when the
+    same end has been replaced three times in a row; and for good once the
+    steps taken exceed by ROOT_SLACK the splits they have saved (on a
+    staircase, say).  So where the secant does not help, a call costs a few
+    evaluations more than bisection's: at most 7 more from the same bracket,
+    measured over 20000 random brackets of staircases and power laws across
+    the float range.  On a monotone ``f`` only one pair of adjacent floats
+    has ``f`` turn non-negative between them, so every path ends on it.
     """
+    side = run = steps = 0  # the end (-1 lo, +1 hi) replaced last, how many times in a row
+    start = _splits_left(lo, hi)
+    secant, reach = True, 1.0
     while True:
         base = max(lo, sys.float_info.min)
-        mid = math.sqrt(base) * math.sqrt(hi) if hi > 2.0 * base else lo + 0.5 * (hi - lo)
-        if not lo < mid < hi:
+        x = math.sqrt(base) * math.sqrt(hi) if hi > 2.0 * base else lo + 0.5 * (hi - lo)
+        if not lo < x < hi:
             return lo, hi
-        if goes_high(mid):
-            hi = mid
+        if secant and run < 3 and f_hi < math.inf:
+            # from the end nearer the root, where the secant point is exact
+            w = (hi - lo) / (f_hi - f_lo)
+            s = hi - f_hi * w if f_hi < -f_lo else lo - f_lo * w
+            if s >= hi:
+                s, reach = max(x, hi - reach * math.ulp(hi)), 2.0 * reach
+            elif s <= lo:
+                s, reach = min(x, lo + reach * math.ulp(lo)), 2.0 * reach
+            else:
+                reach = 1.0
+            if lo < s < hi:  # else NaN
+                x = s
+        fx = f(x)
+        steps += 1
+        end = -1 if fx < 0.0 else 1
+        run = run + 1 if end == side else 1
+        side = end
+        if end < 0:
+            lo, f_lo = x, fx
+            if run > 1:
+                f_hi *= 0.5
         else:
-            lo = mid
+            hi, f_hi = x, fx
+            if run > 1:
+                f_lo *= 0.5
+        if secant and steps > ROOT_SLACK and steps - (start - _splits_left(lo, hi)) > ROOT_SLACK:
+            secant = False
 
 
 def false_position(f, lo: float, f_lo: float, hi: float, f_hi: float, max_iter: int) -> float:
@@ -155,7 +204,7 @@ class CostFunction:
         return lo
 
     def primitive(self, x: float) -> float:
-        raise NotImplementedError
+        raise UnsupportedCostError(f"{type(self).__name__} has no closed-form primitive")
 
     # --- inversion ---
     def generalized_inverse(self, level: float) -> tuple[float, float]:
@@ -375,22 +424,29 @@ class Polynomial(CostFunction):
             return Constant(c0).generalized_inverse(level)
         if level == c0:
             return (0.0, 0.0)
-        lo, hi = 0.0, 1.0
-        while self.eval(hi) < level:
-            lo, hi = hi, 2.0 * hi
-            if hi > 1e300:
-                raise RangeOverflowError("polynomial inverse bracket overflow")
         coefs = self.coefficients[::-1]
 
-        # not self.eval(t) < level, with eval's Horner loop inlined: the call
-        # and domain check per step cost a quarter of poa on polynomial links
-        def goes_high(t: float) -> bool:
+        # eval(t) - level, with eval's Horner loop inlined: the call and
+        # domain check per step cost a quarter of poa on polynomial links
+        def excess(t: float) -> float:
             acc = 0.0
             for c in coefs:
                 acc = acc * t + c
-            return not acc < level
+            return acc - level
 
-        lo, hi = bisect(goes_high, lo, hi)
+        # c(x) >= c0 + c_j x^j for every j, so x+ <= ((level - c0) / c_j)^(1/j)
+        lo, hi = 0.0, min(
+            _POLY_BRACKET_CAP,
+            *(((level - c0) / c) ** (1.0 / j) for j, c in enumerate(self.coefficients) if j and c),
+        )
+        f_lo, f_hi, step = c0 - level, excess(hi), 2.0**-48
+        while f_hi < 0.0:  # the bound holds up to rounding
+            if hi >= _POLY_BRACKET_CAP:
+                raise RangeOverflowError("polynomial inverse bracket overflow")
+            lo, f_lo = hi, f_hi
+            hi, step = min(hi + hi * step, _POLY_BRACKET_CAP), 2.0 * step
+            f_hi = excess(hi)
+        lo, hi = root(excess, lo, f_lo, hi, f_hi)
         x = 0.5 * (lo + hi)
         return (x, x)
 
@@ -435,8 +491,10 @@ class SaturatingLinear(CostFunction):
         level = _check_nonneg(level, "level")
         # x + x/(1+x) = L  <=>  x^2 + (2-L)x - L = 0; below L = 2 the
         # conjugate form avoids the cancellation in (L-2) + sqrt(L^2+4)
-        root = math.sqrt(level * level + 4.0)
-        x = 2.0 * level / ((2.0 - level) + root) if level < 2.0 else 0.5 * ((level - 2.0) + root)
+        square = level * level
+        # sqrt(L^2 + 4) rounds to L long before L^2 overflows
+        root = math.sqrt(square + 4.0) if square < math.inf else level
+        x = 2.0 * level / ((2.0 - level) + root) if level < 2.0 else 0.5 * (level - 2.0) + 0.5 * root
         return (x, x)
 
     def asymptotic_value(self) -> float:
@@ -689,14 +747,6 @@ class ExpOverX(CostFunction):
             raise KinkError(1.0, 0.0, 0.0)
         return super().derivative(x)
 
-    def primitive(self, x: float) -> float:
-        x = _check_nonneg(x)
-        if x <= 1.0:
-            return _E * x
-        if x > _MAX_EXP:
-            raise RangeOverflowError("primitive of exp(x)/x overflows; reduce range")
-        return _E + (expi(x) - expi(1.0))
-
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")
         if level < _E:
@@ -762,49 +812,65 @@ class AlphaSequence:
         if self.kind == "supergeometric" and not 1 < self.base < math.inf:
             raise DomainError("supergeometric alpha sequence needs finite base > 1")
 
+    @cached_property
+    def _knots(self) -> tuple[float, ...]:
+        """alpha_0 = 0 and every alpha_k that is a finite float (factorial
+        and explicit sequences; supergeometric ones compute alpha_k directly)."""
+        if self.kind == "explicit":
+            return (0.0, *self.values)
+        return (0.0, *(float(math.factorial(k)) for k in range(1, 171)))  # 171! > float max
+
+    @cached_property
+    def _max_index(self) -> int:
+        if self.kind != "supergeometric":
+            return len(self._knots) - 1
+        k = math.isqrt(int(_MAX_EXP / math.log(self.base))) + 1  # one past it, or more
+        while True:
+            try:
+                self.base ** (k * k)
+                return k
+            except OverflowError:
+                k -= 1
+
     def alpha(self, k: int) -> float:
         if k < 0:
             raise DomainError(f"alpha index must be >= 0, got {k}")
-        if k == 0:
-            return 0.0
-        if self.kind == "factorial":
-            if k > 170:
-                raise RangeOverflowError("factorial alpha exceeds float range")
-            return float(math.factorial(k))
+        if k > self._max_index:
+            if self.kind == "explicit":
+                raise DemandBracketError(
+                    f"explicit alpha sequence has {len(self.values)} terms; "
+                    f"index {k} required",
+                    needed_index=k,
+                )
+            raise RangeOverflowError(f"{self.kind} alpha_{k} exceeds float range")
         if self.kind == "supergeometric":
-            log_val = k * k * math.log(self.base)
-            if log_val > _MAX_EXP:
-                raise RangeOverflowError("supergeometric alpha exceeds float range")
-            return self.base ** (k * k)
-        if k > len(self.values):
-            raise DemandBracketError(
-                f"explicit alpha sequence has {len(self.values)} terms; "
-                f"index {k} required",
-                needed_index=k,
-            )
-        return self.values[k - 1]
+            return self.base ** (k * k) if k else 0.0
+        return self._knots[k]
 
     def max_index(self) -> int:
-        if self.kind == "explicit":
-            return len(self.values)
-        return 170 if self.kind == "factorial" else int(math.sqrt(_MAX_EXP / math.log(self.base)))
+        """The last k whose alpha_k is a finite float."""
+        return self._max_index
+
+    def _least_index(self, x: float) -> int:
+        """Smallest j >= 1 with alpha_j >= x; max_index() + 1 if there is none."""
+        if self.kind == "supergeometric":
+            return 1 + bisect.bisect_left(range(1, self._max_index + 1), x, key=self.alpha)
+        return bisect.bisect_left(self._knots, x, 1)
 
     def cover_index(self, x: float) -> int:
         """Smallest j >= 1 with alpha_j >= x."""
-        j = 1
-        while self.alpha(j) < x:
-            j += 1
-            if j > self.max_index():
-                raise DemandBracketError(
-                    f"alpha sequence cannot cover {x!r}; index {j} needed",
-                    needed_index=j,
-                )
+        j = self._least_index(x)
+        if j > self._max_index:
+            raise DemandBracketError(
+                f"alpha sequence cannot cover {x!r}; index {j} needed",
+                needed_index=j,
+            )
         return j
 
     def bracket_index(self, M: float) -> int:
         """k with 2 alpha_k < M <= 2 alpha_{k+1}: the exponential game's
         demand bracket holding M."""
-        if self.kind == "explicit" and len(self.values) < 2:
+        if self._max_index < 2:
             raise DemandBracketError(
                 "alpha sequence needs at least two terms to define the bracket lattice"
             )
@@ -813,14 +879,12 @@ class AlphaSequence:
                 f"demand {M!r} at or below 2*alpha_1; the bracket lattice starts above it",
                 needed_index=0,
             )
-        k = 1
-        while 2.0 * self.alpha(k + 1) < M:
-            k += 1
-            if k + 1 > self.max_index():
-                raise DemandBracketError(
-                    f"demand {M!r} beyond the generated alpha sequence",
-                    needed_index=k + 1,
-                )
+        k = self._least_index(0.5 * M) - 1
+        if k + 1 > self._max_index:
+            raise DemandBracketError(
+                f"demand {M!r} beyond the generated alpha sequence",
+                needed_index=k + 1,
+            )
         return k
 
     def to_spec(self) -> dict:
@@ -1070,10 +1134,20 @@ class _SaturatingLinearMarginal(CostFunction):
         level = _check_nonneg(level, "level")
         if level == 0:
             return (0.0, 0.0)
-        lo, hi = 0.0, 1.0
-        while self.eval(hi) < level:
-            lo, hi = hi, 2.0 * hi
-        lo, hi = bisect(lambda t: not self.eval(t) < level, lo, hi)
+
+        def excess(t: float) -> float:
+            return self.eval(t) - level
+
+        # 2x <= eval(x) < 2x + 1 brackets x+ by (level - 1)/2 and level/2; the
+        # lower end gives way by 2^-50 relative, as eval rounds up to level
+        lo, hi = max(0.5 * (level - 1.0) * (1.0 - 2.0**-50), 0.0), 0.5 * level
+        f_lo = excess(lo)
+        if not f_lo < 0.0:
+            lo, f_lo = 0.0, -level
+        f_hi = excess(hi)
+        if f_hi < 0.0:  # level/2 rounded down: a subnormal level
+            hi, f_hi = level, excess(level)
+        lo, hi = root(excess, lo, f_lo, hi, f_hi)
         x = 0.5 * (lo + hi)
         return (x, x)
 

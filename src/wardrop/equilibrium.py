@@ -1,14 +1,16 @@
 """Wardrop equilibrium solvers.
 
-The parallel solver finds the equilibrium cost level lambda by monotone
-bisection: with set-valued inverses [x-_i, x+_i] = c_i^{-1}(lambda), the
-correct level is the smallest lambda whose aggregate inverse interval
+The parallel solver finds the equilibrium cost level lambda as a root:
+with set-valued inverses [x-_i, x+_i] = c_i^{-1}(lambda), the correct
+level is the smallest lambda whose aggregate inverse interval
 [sum x-_i, sum x+_i] contains the demand M.  This handles jumps (step
 costs) and flats (constant costs) uniformly; any allocation inside the
 per-link intervals is an equilibrium and the surplus M - sum x-_i is
 distributed proportionally to interval widths, which is deterministic and
-scale-covariant.  The bisection runs until its ends are adjacent floats,
-so it has no tolerance and gives the same answer at every scale.
+scale-covariant.  The search is ``costs.root`` on sum x+_i(lambda) - M:
+secant steps where that sum is smooth, bisection's splits on a staircase,
+until its ends are adjacent floats.  So it has no tolerance and gives the
+same answer at every scale, and the same answer bisection gives.
 
 Equilibrium verification compares each used path's cost against the
 cheapest *entry* cost (right limits of the edge costs): for continuous
@@ -24,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .costs import bisect, false_position
+from .costs import false_position, root
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -80,22 +82,26 @@ def level_allocation(funcs, M: float) -> tuple[float, list[float]]:
     sum_i x+_i(lam) >= M on the exact sum.  It lies in [min_i f_i(M/n),
     min_i f_i(M)]: some link carries at least M/n, and any link can carry M.
     """
-    def reaches(lam: float) -> bool:
-        return math.fsum([*(f.generalized_inverse(lam)[1] for f in funcs), -M]) >= 0
+    def excess(lam: float) -> float:
+        return math.fsum([*(f.generalized_inverse(lam)[1] for f in funcs), -M])
 
     lam_lo = min(f.eval(M / len(funcs)) for f in funcs)
     below = lam_star = lam_lo
-    if not reaches(lam_lo):
+    f_lo = excess(lam_lo)
+    if f_lo < 0:
         lam_hi = min(f.eval(M) for f in funcs)
+        f_hi = excess(lam_hi)
         doublings = 0
-        while not reaches(lam_hi):
+        while f_hi < 0:
+            lam_lo, f_lo = lam_hi, f_hi
             lam_hi *= 2.0
+            f_hi = excess(lam_hi)
             doublings += 1
             if doublings > 128:
                 raise ConvergenceError(
                     "no finite level can route the demand (cost level unbounded)"
                 )
-        below, lam_star = bisect(reaches, lam_lo, lam_hi)
+        below, lam_star = root(excess, lam_lo, f_lo, lam_hi, f_hi)
 
     inverses = [f.generalized_inverse(lam_star) for f in funcs]
     los, his = [lo for lo, _ in inverses], [hi for _, hi in inverses]
@@ -204,6 +210,12 @@ def wardrop_parallel(net: Network, M: float) -> EquilibriumSolution:
     Jumps are allowed; the allocation puts each link at the lower end of
     its inverse interval plus a proportional share of the remaining demand.
     """
+    flow, lam, residual = _parallel_flow(net, M)
+    return EquilibriumSolution(flow, lam, residual, social_cost(net, flow), "bisection")
+
+
+def _parallel_flow(net: Network, M: float) -> tuple[FlowProfile, float, float]:
+    """``wardrop_parallel``'s (flow, level, residual), without the social cost."""
     if not net.is_parallel():
         raise DomainError("wardrop_parallel requires a parallel network")
     if M <= 0:
@@ -216,7 +228,7 @@ def wardrop_parallel(net: Network, M: float) -> EquilibriumSolution:
         raise ConvergenceError(
             "parallel equilibrium residual above tolerance", residual=report.residual
         )
-    return EquilibriumSolution(flow, lam, report.residual, social_cost(net, flow), "bisection")
+    return flow, lam, report.residual
 
 
 def verify_equilibrium(
@@ -261,6 +273,12 @@ def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
 
     Requires continuous costs.
     """
+    flow, lam, residual = _general_flow(net, M)
+    return EquilibriumSolution(flow, lam, residual, social_cost(net, flow), "frank-wolfe")
+
+
+def _general_flow(net: Network, M: float) -> tuple[FlowProfile, float, float]:
+    """``wardrop_general``'s (flow, level, residual), without the social cost."""
     if M <= 0:
         raise DomainError(f"demand must be positive, got {M!r}")
     if not all(c.is_continuous() for c in net.costs):
@@ -305,8 +323,7 @@ def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
         residual = max(top - lam, 0.0)
         if residual <= GENERAL_RTOL * lam:
             total = math.fsum(x_paths)
-            flow = FlowProfile(tuple(x / total * M for x in x_paths), M)
-            return EquilibriumSolution(flow, lam, residual, social_cost(net, flow), "frank-wolfe")
+            return FlowProfile(tuple(x / total * M for x in x_paths), M), lam, residual
         # a line search leaves its two paths tied; on a tie the last source
         # keeps draining rather than the path it has just filled
         if source < 0 or x_paths[source] <= floor or own[source] < top * (1.0 - PATH_TIE_RTOL):

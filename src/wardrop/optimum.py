@@ -14,6 +14,7 @@ honest Lipschitz-style error estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ from .errors import DomainError, UnsupportedCostError
 from .instances import classify
 from .logdomain import LogValue, log_sum
 from .network import FlowProfile, Network, social_cost
-from .equilibrium import _typed_failures, wardrop_general, wardrop_parallel
+from .equilibrium import _general_flow, _parallel_flow, _typed_failures
 
 _GRID_CAP_2D = 257  # per-axis cap for two-dimensional brute-force grids
 
@@ -53,18 +54,20 @@ class OptimumSolution:
 
 def opt_parallel_marginal(net: Network, M: float) -> OptimumSolution:
     """Optimum of a parallel network by level bisection on the marginal costs."""
-    return _marginal_optimum(net, M, wardrop_parallel, "marginal")
+    return _marginal_optimum(net, M, _parallel_flow, "marginal")
 
 
 def opt_general_marginal(net: Network, M: float) -> OptimumSolution:
     """Optimum on a general network by conditional gradient on continuous marginals."""
-    return _marginal_optimum(net, M, wardrop_general, "marginal-general")
+    return _marginal_optimum(net, M, _general_flow, "marginal-general")
 
 
 def _marginal_optimum(net: Network, M: float, solve, method: str) -> OptimumSolution:
     """An optimum is an equilibrium of the game whose edge costs are the
     marginals (x c(x))' (Beckmann, McGuire and Winsten), so ``solve``'s
-    residual check, with [eval, eval_right] at a jump, is the KKT check."""
+    residual check, with [eval, eval_right] at a jump, is the KKT check.
+    ``solve`` returns the equilibrium flow first; the marginal game's own
+    social cost is never formed."""
     try:
         margs = tuple(c.marginal_function() for c in net.costs)
     except UnsupportedCostError:
@@ -72,8 +75,8 @@ def _marginal_optimum(net: Network, M: float, solve, method: str) -> OptimumSolu
             "non-smooth cost present; use the specialized or brute-force method"
         ) from None
     mnet = Network(net.vertices, net.edges, margs, net.source, net.sink, paths=net.paths)
-    eq = solve(mnet, M)
-    return OptimumSolution(eq.flow, social_cost(net, eq.flow), method)
+    flow = solve(mnet, M)[0]
+    return OptimumSolution(flow, social_cost(net, flow), method)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +207,7 @@ def opt_parallel_exp_log(alphas: AlphaSequence, M: float) -> OptimumSolution:
     step_cost = StepExp(alphas)
     k = alphas.bracket_index(M)
 
+    @functools.cache  # each candidate is scored once, for the certificate and the minimum
     def objective(y: float) -> LogValue:
         x = M - y
         terms = []
@@ -231,7 +235,7 @@ def opt_parallel_exp_log(alphas: AlphaSequence, M: float) -> OptimumSolution:
              "log_value": objective(y_proj).log_magnitude}
         )
 
-    y_star = min(candidates, key=lambda y: objective(y))
+    y_star = min(candidates, key=objective)
     best = objective(y_star)
     label = candidates[y_star]
     flag = None

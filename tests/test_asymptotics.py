@@ -178,6 +178,15 @@ def test_affine_sandwich_poa_is_one_at_small_demand(M):
     assert poa(net, M).poa == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("M", [1e155, 1e200])
+def test_affine_sandwich_beyond_float_range_is_a_range_overflow(M):
+    # the social costs (about M^2) leave the float range; the inverse of
+    # x + x/(1+x) no longer squares the level on the way
+    net = designated_limit_instances()["affine-sandwich"]
+    with pytest.raises(RangeOverflowError, match=f"M={M!r}".replace("+", "[+]")):
+        poa(net, M)
+
+
 def _near_any_breakpoint(a, M, collar=1e-8):
     from wardrop.optimum import _period_index
 

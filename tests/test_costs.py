@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from wardrop import costs
 from wardrop.costs import (
     Affine,
     AlphaSequence,
@@ -21,10 +22,11 @@ from wardrop.costs import (
     Shifted,
     StepExp,
     StepGeometric,
+    ROOT_SLACK,
     cost_from_spec,
-    bisect,
     cost_to_spec,
     false_position,
+    root,
 )
 from wardrop.errors import (
     DemandBracketError,
@@ -259,7 +261,14 @@ def test_primitive_examples():
     # geometric-series tail below 1 sums to 2/3 for a = 2
     assert StepGeometric(2.0).primitive(2.0) == pytest.approx(8.0 / 3.0, rel=1e-14)
     for c in ALL_FAMILIES:
-        assert c.primitive(0.0) == 0.0
+        if not isinstance(c, ExpOverX):
+            assert c.primitive(0.0) == 0.0
+
+
+def test_exp_over_x_has_no_primitive():
+    # int e^s/s ds is the exponential integral; no solver needs it
+    with pytest.raises(UnsupportedCostError):
+        ExpOverX().primitive(2.0)
 
 
 @pytest.mark.parametrize(
@@ -269,7 +278,6 @@ def test_primitive_examples():
         (StepGeometric(2.0), 1000.0),
         (StepGeometric(3.0), 1000.0),
         (PwlSquare(2.0), 1000.0),
-        (ExpOverX(), 600.0),  # exp overflows floats beyond ~709
         (StepExp(AlphaSequence("factorial")), 100.0),  # e^alpha range limit
     ],
 )
@@ -281,6 +289,12 @@ def test_primitive_matches_quadrature(cost, hi):
 # ---------------------------------------------------------------------------
 # generalized inverse
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("level", [1e154, 1.4e154, 1e200, sys.float_info.max])
+def test_saturating_linear_inverse_stays_finite_where_the_level_squared_overflows(level):
+    # x + x/(1+x) = L has x = L - 1 + O(1/L), which rounds to L up here
+    assert SaturatingLinear().generalized_inverse(level) == (level, level)
 
 
 def test_inverse_examples():
@@ -389,6 +403,77 @@ def test_alpha_sequences():
     assert fact.cover_index(7.0) == 4  # alpha_4 = 24 is the first >= 7
 
 
+ALPHA_PRESETS = [
+    AlphaSequence("factorial"),
+    AlphaSequence("supergeometric", base=2.0),
+    AlphaSequence("supergeometric", base=3.0),
+    AlphaSequence("supergeometric", base=1.01),
+    AlphaSequence("supergeometric", base=1e100),
+    AlphaSequence("explicit", values=(1.0, 3.0, 30.0)),
+    AlphaSequence("explicit", values=(0.5, 2.0, 2.5, 1e9, 1e300)),
+]
+
+
+@pytest.mark.parametrize("base", [1.01, 1.5, 2.0, 3.0, 10.0, 1e100, 1e300])
+def test_supergeometric_max_index_is_the_last_finite_alpha(base):
+    seq = AlphaSequence("supergeometric", base=base)
+    k = seq.max_index()
+    assert seq.alpha(k) == base ** (k * k) < math.inf
+    with pytest.raises(RangeOverflowError):
+        seq.alpha(k + 1)
+    with pytest.raises(OverflowError):  # float pow overflows past max_index
+        base ** ((k + 1) * (k + 1))
+
+
+def _scan_cover(seq, x):
+    """cover_index's contract by linear scan: smallest j >= 1 with alpha_j >= x."""
+    j = 1
+    while seq.alpha(j) < x:
+        j += 1
+        if j > seq.max_index():
+            return None
+    return j
+
+
+def _scan_bracket(seq, M):
+    """bracket_index's contract by linear scan: 2 alpha_k < M <= 2 alpha_{k+1}."""
+    k = 1
+    while 2.0 * seq.alpha(k + 1) < M:
+        k += 1
+        if k + 1 > seq.max_index():
+            return None
+    return k
+
+
+@pytest.mark.parametrize("seq", ALPHA_PRESETS, ids=repr)
+def test_alpha_lookups_agree_with_a_linear_scan(seq):
+    knots = [seq.alpha(j) for j in range(1, seq.max_index() + 1)]
+    rng = random.Random(11)
+    points = [0.0, 1e-300, 1.0, math.inf] + [10.0 ** rng.uniform(-5.0, 308.0) for _ in range(300)]
+    for a in knots:
+        points += [a, math.nextafter(a, 0.0), math.nextafter(a, math.inf), 2.0 * a,
+                   math.nextafter(2.0 * a, 0.0), math.nextafter(2.0 * a, math.inf)]
+    for x in points:
+        want = _scan_cover(seq, x)
+        if want is None:
+            with pytest.raises(DemandBracketError):
+                seq.cover_index(x)
+        else:
+            assert seq.cover_index(x) == want, x
+        if not 2.0 * seq.alpha(1) < x < math.inf:  # not in the bracket lattice's range
+            continue
+        if seq.max_index() < 2:
+            with pytest.raises(DemandBracketError):
+                seq.bracket_index(x)
+            continue
+        want = _scan_bracket(seq, x)
+        if want is None:
+            with pytest.raises(DemandBracketError):
+                seq.bracket_index(x)
+        else:
+            assert seq.bracket_index(x) == want, x
+
+
 def test_json_round_trip():
     for c in ALL_FAMILIES:
         again = cost_from_spec(json.loads(json.dumps(cost_to_spec(c))))
@@ -453,21 +538,91 @@ def test_constructors_reject_non_finite_parameters(build):
 
 
 # ---------------------------------------------------------------------------
-# bisection and false position (the line search's root finder)
+# the root finder and false position (the line search's)
 # ---------------------------------------------------------------------------
 
 
+def _bisection(goes_high, lo: float, hi: float) -> tuple[float, float]:
+    """Plain bisection to adjacent floats: the reference ``root`` must match."""
+    while True:
+        base = max(lo, sys.float_info.min)
+        mid = math.sqrt(base) * math.sqrt(hi) if hi > 2.0 * base else lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return lo, hi
+        if goes_high(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
+_ROOT_TARGETS = [sys.float_info.min, 1e-300, 3e-200, 1e-100, 1e-12, 0.3, 1.0, 7.5, 1e12, 1e100,
+                 2e200, 1e300]
+_ROOT_TARGETS += [10.0 ** random.Random(7).uniform(-307.0, 300.0) for _ in range(200)]
+
+
 @pytest.mark.parametrize("hi", [1e300, sys.float_info.max])
-def test_bisect_ends_on_adjacent_floats_within_64_steps(hi):
-    targets = [sys.float_info.min, 1e-300, 3e-200, 1e-100, 1e-12, 0.3, 1.0, 7.5, 1e12, 1e100,
-               2e200, 1e300]
-    rng = random.Random(7)
-    targets += [10.0 ** rng.uniform(-307.0, 300.0) for _ in range(200)]
-    for t in targets:
+@pytest.mark.parametrize(
+    "shape, bound",
+    [
+        # the secant finds a linear root at once, then closes the far end
+        (lambda x, t: x - t, 6),
+        # a staircase gives the secant nothing: bisection's 64, plus the
+        # ROOT_SLACK + 1 secant steps taken before only splits are left
+        (lambda x, t: 1.0 if x >= t else -1.0, 64 + ROOT_SLACK + 1),
+    ],
+    ids=["linear", "staircase"],
+)
+def test_root_ends_on_adjacent_floats(hi, shape, bound):
+    for t in _ROOT_TARGETS:
         calls = []
-        lo, up = bisect(lambda x: calls.append(x) or x >= t, 0.0, hi)
+        f = lambda x: calls.append(x) or shape(x, t)  # noqa: E731
+        lo, up = root(f, 0.0, shape(0.0, t), hi, shape(hi, t))
         assert lo < t <= up == math.nextafter(lo, math.inf)
-        assert len(calls) <= 64, t
+        assert len(calls) <= bound, t
+
+
+def test_polynomial_inverse_matches_bisection_in_few_evaluations(monkeypatch):
+    """On random polynomials and levels on [1e-300, 1e300], ``root`` lands on
+    the pair plain bisection finds.  Over 20000 such draws its seeded
+    bracket took at most 15 evaluations (bisection: 55-57)."""
+    evaluations = []
+    real_root = costs.root
+
+    def counted(f, *bracket):
+        return real_root(lambda x: evaluations.append(x) or f(x), *bracket)
+
+    monkeypatch.setattr(costs, "root", counted)
+    rng = random.Random(3)
+    checked = 0
+    while checked < 1500:
+        degree = rng.randint(1, 8)
+        coefs = [10.0 ** rng.uniform(-8, 8) if rng.random() < 0.6 else 0.0 for _ in range(degree + 1)]
+        coefs[rng.randint(1, degree)] = 10.0 ** rng.uniform(-8, 8)
+        level = 10.0 ** rng.uniform(-300, 300)
+        if level <= coefs[0]:
+            continue
+
+        def horner(t):
+            acc = 0.0
+            for c in reversed(coefs):
+                acc = acc * t + c
+            return acc
+
+        lo, hi = _bisection(lambda t: not horner(t) < level, 0.0, 2.0**996)
+        if horner(hi) < level:  # beyond the inverse's range
+            continue
+        evaluations.clear()
+        x = 0.5 * (lo + hi)
+        assert Polynomial(tuple(coefs)).generalized_inverse(level) == (x, x), (coefs, level)
+        assert len(evaluations) <= 16, (coefs, level)
+        checked += 1
+
+
+def test_root_counts_nan_as_non_negative():
+    # undefined above 0.6: the NaN side is the upper end of the bracket
+    f = lambda t: t - 0.2 if t <= 0.6 else math.nan  # noqa: E731
+    lo, hi = root(f, 0.0, -0.2, 1.0, math.nan)
+    assert lo < 0.2 <= hi == math.nextafter(lo, 1.0)
 
 
 def _counted(f):
@@ -487,7 +642,7 @@ def test_false_position_solves_a_linear_function_in_one_evaluation():
 
 
 @pytest.mark.parametrize(
-    "f, root",
+    "f, zero",
     [
         (lambda t: t**5 + t - 0.5, None),  # convex: plain regula falsi sticks at hi
         (lambda t: math.exp(40.0 * t) - 2.0, math.log(2.0) / 40.0),
@@ -495,13 +650,13 @@ def test_false_position_solves_a_linear_function_in_one_evaluation():
     ],
     ids=["quintic", "steep-exp", "atan"],
 )
-def test_false_position_matches_bisection_in_fewer_evaluations(f, root):
+def test_false_position_matches_bisection_in_fewer_evaluations(f, zero):
     g, calls = _counted(f)
     t = false_position(g, 0.0, f(0.0), 1.0, f(1.0), 80)
-    lo, hi = bisect(lambda x: not f(x) <= 0.0, 0.0, 1.0)
+    lo, hi = root(f, 0.0, f(0.0), 1.0, f(1.0))  # where bisection ends
     assert lo <= t <= hi or abs(f(t)) <= 4 * sys.float_info.epsilon
-    if root is not None:
-        assert t == pytest.approx(root, rel=1e-14)
+    if zero is not None:
+        assert t == pytest.approx(zero, rel=1e-14)
     assert len(calls) < 30
 
 
