@@ -30,7 +30,7 @@ from .logdomain import LogValue
 
 _E = math.e
 _MAX_EXP = math.log(sys.float_info.max)  # ~709.78
-ROOT_SLACK = 3  # evaluations ``root`` may spend over bisection's before it bisects
+ROOT_SLACK = 3  # evaluations ``root`` may spend over bisection's bound
 _POLY_BRACKET_CAP = 2.0**996  # a polynomial inverse above it is out of range
 
 
@@ -52,45 +52,57 @@ def _num(value) -> float:
     return x
 
 
-def _splits_left(lo: float, hi: float) -> float:
-    """About how many bisection splits close [lo, hi] to adjacent floats."""
+def _split_bound(lo: float, hi: float) -> int:
+    """At most how many of bisection's splits close [lo, hi], 0 <= lo < hi,
+    to adjacent floats; at most 64 in the float range."""
     base = max(lo, sys.float_info.min)
-    n = math.log2((hi - lo) / math.ulp(hi))
-    return n + math.log2(math.log2(hi) - math.log2(base)) if hi > 2.0 * base else n
+    if hi > 2.0 * base:
+        # each geometric split halves log2(hi/base), down to at most 1, where
+        # hi - lo spans at most 2^53 units in the last place of lo
+        return max(1, math.ceil(math.log2(math.log2(hi) - math.log2(base)) + 1e-9)) + 53
+    # each arithmetic split halves the width, rounding up to whole ulp(lo)
+    return (int((hi - lo) / math.ulp(lo)) - 1).bit_length()
 
 
-def root(f, lo: float, f_lo: float, hi: float, f_hi: float) -> tuple[float, float]:
+def root(
+    f, lo: float, f_lo: float, hi: float, f_hi: float, secant: bool = True
+) -> tuple[float, float]:
     """Shrink [lo, hi], 0 <= lo < hi, to the adjacent floats between which a
     weakly increasing ``f`` turns non-negative, given f_lo = f(lo) < 0 and
     f_hi = f(hi) >= 0.  NaN counts as non-negative, as in ``not f(x) < 0``.
 
-    Steps are Illinois false position: the secant point of the bracket
-    replaces the end of its sign, and the other end's stored value is halved
-    when the same end is replaced twice in a row.  A secant point that rounds
-    onto an end moves inside by one unit in the last place, then by 2, 4, ...
-    while it keeps doing so: once the secant has found the root, the far end
-    closes on it too.  The safeguard is the
-    split of a bisection: at the geometric midpoint while hi > 2 lo (lo read
-    as at least ``sys.float_info.min``), else at the arithmetic one, which
-    closes any bracket in at most 64 steps at every scale.  A split is taken
-    when f_hi is not finite (the secant point is then undefined) and when the
-    same end has been replaced three times in a row; and for good once the
-    steps taken exceed by ROOT_SLACK the splits they have saved (on a
-    staircase, say).  So where the secant does not help, a call costs a few
-    evaluations more than bisection's: at most 7 more from the same bracket,
-    measured over 20000 random brackets of staircases and power laws across
-    the float range.  On a monotone ``f`` only one pair of adjacent floats
-    has ``f`` turn non-negative between them, so every path ends on it.
+    Every step is either the split of a bisection, at the geometric midpoint
+    while hi > 2 lo (lo read as at least ``sys.float_info.min``) and at the
+    arithmetic one after, or, if ``secant``, an Illinois false position step:
+    the secant point of the bracket replaces the end of its sign, and the
+    other end's stored value is halved when the same end is replaced twice
+    in a row.  A secant point that rounds onto an end moves inside by one
+    unit in the last place, then by 2, 4, ... while it keeps doing so: once
+    the secant has found the root, the far end closes on it too.  A split is
+    taken when the secant point is undefined (f_hi - f_lo not positive and
+    finite), when the same end has been replaced three times in a row, and
+    whenever a secant step could make the evaluations exceed
+    ``_split_bound`` of the starting bracket plus ROOT_SLACK.  Splits alone
+    close any bracket in the float range in at most 64 evaluations; with
+    ``secant``, a call costs at most ROOT_SLACK more than that bound from the
+    same bracket, on any ``f``.  On a monotone ``f`` only one pair of
+    adjacent floats has ``f`` turn non-negative between them, so every path
+    ends on it.
     """
     side = run = steps = 0  # the end (-1 lo, +1 hi) replaced last, how many times in a row
-    start = _splits_left(lo, hi)
-    secant, reach = True, 1.0
+    budget = _split_bound(lo, hi) + ROOT_SLACK if secant else 0
+    reach = 1.0
     while True:
         base = max(lo, sys.float_info.min)
         x = math.sqrt(base) * math.sqrt(hi) if hi > 2.0 * base else lo + 0.5 * (hi - lo)
         if not lo < x < hi:
             return lo, hi
-        if secant and run < 3 and f_hi < math.inf:
+        if (
+            secant
+            and run < 3
+            and 0.0 < f_hi - f_lo < math.inf
+            and steps + _split_bound(lo, hi) < budget
+        ):
             # from the end nearer the root, where the secant point is exact
             w = (hi - lo) / (f_hi - f_lo)
             s = hi - f_hi * w if f_hi < -f_lo else lo - f_lo * w
@@ -115,8 +127,6 @@ def root(f, lo: float, f_lo: float, hi: float, f_hi: float) -> tuple[float, floa
             hi, f_hi = x, fx
             if run > 1:
                 f_lo *= 0.5
-        if secant and steps > ROOT_SLACK and steps - (start - _splits_left(lo, hi)) > ROOT_SLACK:
-            secant = False
 
 
 def false_position(f, lo: float, f_lo: float, hi: float, f_hi: float, max_iter: int) -> float:
@@ -434,17 +444,22 @@ class Polynomial(CostFunction):
                 acc = acc * t + c
             return acc - level
 
-        # c(x) >= c0 + c_j x^j for every j, so x+ <= ((level - c0) / c_j)^(1/j)
+        # c(x) >= c0 + c_j x^j for every j, so x+ <= (level - c0)^(1/j) / c_j^(1/j),
+        # taken root by root so that the quotient cannot underflow
         lo, hi = 0.0, min(
             _POLY_BRACKET_CAP,
-            *(((level - c0) / c) ** (1.0 / j) for j, c in enumerate(self.coefficients) if j and c),
+            *(
+                (level - c0) ** (1.0 / j) / c ** (1.0 / j)
+                for j, c in enumerate(self.coefficients)
+                if j and c
+            ),
         )
         f_lo, f_hi, step = c0 - level, excess(hi), 2.0**-48
-        while f_hi < 0.0:  # the bound holds up to rounding
+        while f_hi < 0.0:  # the bound holds up to rounding, and may round to 0
             if hi >= _POLY_BRACKET_CAP:
                 raise RangeOverflowError("polynomial inverse bracket overflow")
             lo, f_lo = hi, f_hi
-            hi, step = min(hi + hi * step, _POLY_BRACKET_CAP), 2.0 * step
+            hi, step = min(hi + max(hi * step, math.ulp(hi)), _POLY_BRACKET_CAP), 2.0 * step
             f_hi = excess(hi)
         lo, hi = root(excess, lo, f_lo, hi, f_hi)
         x = 0.5 * (lo + hi)

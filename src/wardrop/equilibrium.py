@@ -7,9 +7,10 @@ level is the smallest lambda whose aggregate inverse interval
 costs) and flats (constant costs) uniformly; any allocation inside the
 per-link intervals is an equilibrium and the surplus M - sum x-_i is
 distributed proportionally to interval widths, which is deterministic and
-scale-covariant.  The search is ``costs.root`` on sum x+_i(lambda) - M:
-secant steps where that sum is smooth, bisection's splits on a staircase,
-until its ends are adjacent floats.  So it has no tolerance and gives the
+scale-covariant.  The search is ``costs.root`` on sum x+_i(lambda) - M,
+with secant steps where every cost is continuous and bisection's splits
+alone where a discontinuous link makes a staircase of that sum, until its
+ends are adjacent floats.  So it has no tolerance and gives the
 same answer at every scale, and the same answer bisection gives.
 
 Equilibrium verification compares each used path's cost against the
@@ -101,7 +102,10 @@ def level_allocation(funcs, M: float) -> tuple[float, list[float]]:
                 raise ConvergenceError(
                     "no finite level can route the demand (cost level unbounded)"
                 )
-        below, lam_star = root(excess, lam_lo, f_lo, lam_hi, f_hi)
+        # a discontinuous link makes a staircase of the sum, where secant
+        # steps gain nothing: splits alone close any bracket in 64 steps
+        secant = all(f.is_continuous() for f in funcs)
+        below, lam_star = root(excess, lam_lo, f_lo, lam_hi, f_hi, secant)
 
     inverses = [f.generalized_inverse(lam_star) for f in funcs]
     los, his = [lo for lo, _ in inverses], [hi for _, hi in inverses]

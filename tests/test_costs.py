@@ -23,6 +23,7 @@ from wardrop.costs import (
     StepExp,
     StepGeometric,
     ROOT_SLACK,
+    _split_bound,
     cost_from_spec,
     cost_to_spec,
     false_position,
@@ -542,6 +543,16 @@ def test_constructors_reject_non_finite_parameters(build):
 # ---------------------------------------------------------------------------
 
 
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
 def _bisection(goes_high, lo: float, hi: float) -> tuple[float, float]:
     """Plain bisection to adjacent floats: the reference ``root`` must match."""
     while True:
@@ -560,31 +571,66 @@ _ROOT_TARGETS = [sys.float_info.min, 1e-300, 3e-200, 1e-100, 1e-12, 0.3, 1.0, 7.
 _ROOT_TARGETS += [10.0 ** random.Random(7).uniform(-307.0, 300.0) for _ in range(200)]
 
 
+def _staircase(t):
+    return lambda x: 1.0 if x >= t else -1.0
+
+
 @pytest.mark.parametrize("hi", [1e300, sys.float_info.max])
-@pytest.mark.parametrize(
-    "shape, bound",
-    [
-        # the secant finds a linear root at once, then closes the far end
-        (lambda x, t: x - t, 6),
-        # a staircase gives the secant nothing: bisection's 64, plus the
-        # ROOT_SLACK + 1 secant steps taken before only splits are left
-        (lambda x, t: 1.0 if x >= t else -1.0, 64 + ROOT_SLACK + 1),
-    ],
-    ids=["linear", "staircase"],
-)
-def test_root_ends_on_adjacent_floats(hi, shape, bound):
+def test_root_splits_end_on_adjacent_floats_within_64_steps(hi):
     for t in _ROOT_TARGETS:
-        calls = []
-        f = lambda x: calls.append(x) or shape(x, t)  # noqa: E731
-        lo, up = root(f, 0.0, shape(0.0, t), hi, shape(hi, t))
+        f, calls = _counted(_staircase(t))
+        lo, up = root(f, 0.0, -1.0, hi, 1.0, secant=False)
         assert lo < t <= up == math.nextafter(lo, math.inf)
-        assert len(calls) <= bound, t
+        assert len(calls) <= 64, t
+
+
+@pytest.mark.parametrize("hi", [1e300, sys.float_info.max])
+def test_root_finds_a_linear_root_in_6_evaluations(hi):
+    # the secant lands on the root at once, then closes the far end
+    for t in _ROOT_TARGETS:
+        f, calls = _counted(lambda x: x - t)
+        lo, up = root(f, 0.0, -t, hi, hi - t)
+        assert lo < t <= up == math.nextafter(lo, math.inf)
+        assert len(calls) <= 6, t
+
+
+def test_split_bound_bounds_bisection():
+    assert _split_bound(0.0, sys.float_info.max) == 64
+    rng = random.Random(11)
+    for _ in range(3000):
+        lo, hi = sorted(10.0 ** rng.uniform(-323.0, 308.0) for _ in range(2))
+        lo = 0.0 if rng.random() < 0.3 else lo
+        t = rng.choice([lo + (hi - lo) * rng.random(), math.nextafter(lo, hi), hi])
+        if lo < t <= hi:
+            f, calls = _counted(_staircase(t))
+            assert root(f, lo, -1.0, hi, 1.0, secant=False) == _bisection(lambda x: x >= t, lo, hi)
+            assert len(calls) <= _split_bound(lo, hi), (lo, hi, t)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [_staircase, lambda t: lambda x: x - t, lambda t: lambda x: math.atan(1e9 * (x / t - 1.0))],
+    ids=["staircase", "linear", "steep"],
+)
+def test_root_spends_at_most_root_slack_over_the_split_bound(shape):
+    """Secant steps never cost more than ROOT_SLACK evaluations over the
+    bound on bisection from the same bracket, and end where it ends."""
+    rng = random.Random(13)
+    for _ in range(1000):
+        lo, hi = sorted(10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2))
+        lo = 0.0 if rng.random() < 0.3 else lo
+        t = 10.0 ** rng.uniform(math.log10(max(lo, 1e-300)), math.log10(hi))
+        if lo < t < hi:
+            g = shape(t)
+            f, calls = _counted(g)
+            assert root(f, lo, g(lo), hi, g(hi)) == _bisection(lambda x: not g(x) < 0.0, lo, hi)
+            assert len(calls) <= _split_bound(lo, hi) + ROOT_SLACK, (lo, hi, t)
 
 
 def test_polynomial_inverse_matches_bisection_in_few_evaluations(monkeypatch):
     """On random polynomials and levels on [1e-300, 1e300], ``root`` lands on
     the pair plain bisection finds.  Over 20000 such draws its seeded
-    bracket took at most 15 evaluations (bisection: 55-57)."""
+    bracket took at most 13 evaluations (bisection: 55-57)."""
     evaluations = []
     real_root = costs.root
 
@@ -625,14 +671,19 @@ def test_root_counts_nan_as_non_negative():
     assert lo < 0.2 <= hi == math.nextafter(lo, 1.0)
 
 
-def _counted(f):
-    calls = []
+def test_root_splits_where_the_halved_values_meet():
+    # halving f_lo = -5e-324 twice gives -0.0 = f_hi: no secant point exists
+    f = lambda x: 0.0 if x >= 1e-300 else -5e-324  # noqa: E731
+    lo, hi = root(f, 0.0, -5e-324, 1.0, 0.0)
+    assert lo < 1e-300 <= hi == math.nextafter(lo, 1.0)
 
-    def g(x):
-        calls.append(x)
-        return f(x)
 
-    return g, calls
+def test_polynomial_inverse_where_the_bracket_bound_underflows():
+    # (level - c0) / c_j rounds to 0 here; the bound is taken root by root
+    assert Polynomial((0.0, 1e10)).generalized_inverse(1e-315) == (0.0, 0.0)
+    lo, hi = _bisection(lambda t: 1e10 * t * t >= 1e-315, 0.0, 1.0)
+    x = 0.5 * (lo + hi)
+    assert Polynomial((0.0, 0.0, 1e10)).generalized_inverse(1e-315) == (x, x) != (0.0, 0.0)
 
 
 def test_false_position_solves_a_linear_function_in_one_evaluation():
@@ -642,7 +693,7 @@ def test_false_position_solves_a_linear_function_in_one_evaluation():
 
 
 @pytest.mark.parametrize(
-    "f, zero",
+    "f, root",
     [
         (lambda t: t**5 + t - 0.5, None),  # convex: plain regula falsi sticks at hi
         (lambda t: math.exp(40.0 * t) - 2.0, math.log(2.0) / 40.0),
@@ -650,13 +701,13 @@ def test_false_position_solves_a_linear_function_in_one_evaluation():
     ],
     ids=["quintic", "steep-exp", "atan"],
 )
-def test_false_position_matches_bisection_in_fewer_evaluations(f, zero):
+def test_false_position_matches_bisection_in_fewer_evaluations(f, root):
     g, calls = _counted(f)
     t = false_position(g, 0.0, f(0.0), 1.0, f(1.0), 80)
-    lo, hi = root(f, 0.0, f(0.0), 1.0, f(1.0))  # where bisection ends
+    lo, hi = _bisection(lambda x: not f(x) <= 0.0, 0.0, 1.0)
     assert lo <= t <= hi or abs(f(t)) <= 4 * sys.float_info.epsilon
-    if zero is not None:
-        assert t == pytest.approx(zero, rel=1e-14)
+    if root is not None:
+        assert t == pytest.approx(root, rel=1e-14)
     assert len(calls) < 30
 
 
