@@ -90,16 +90,21 @@ def root(
     ends on it.
     """
     side = run = steps = 0  # the end (-1 lo, +1 hi) replaced last, how many times in a row
-    budget = _split_bound(lo, hi) + ROOT_SLACK if secant else 0
+    budget = _split_bound(lo, hi) + ROOT_SLACK
     reach = 1.0
     while True:
         base = max(lo, sys.float_info.min)
         x = math.sqrt(base) * math.sqrt(hi) if hi > 2.0 * base else lo + 0.5 * (hi - lo)
         if not lo < x < hi:
             return lo, hi
+        if not secant:  # bisection: the end values are not needed
+            if f(x) < 0.0:
+                lo = x
+            else:
+                hi = x
+            continue
         if (
-            secant
-            and run < 3
+            run < 3
             and 0.0 < f_hi - f_lo < math.inf
             and steps + _split_bound(lo, hi) < budget
         ):
