@@ -748,10 +748,7 @@ class ExpOverX(CostFunction):
         return np.where(xs >= 1.0, np.exp(t), _E)
 
     def eval_log(self, x: float) -> LogValue:
-        x = _check_nonneg(x)
-        if x < 1.0:
-            return LogValue.from_log(1.0)
-        return LogValue.from_log(x - math.log(x))
+        return LogValue.from_log(_log_exp_over_x(_check_nonneg(x)))
 
     def derivative_bounds(self, x):
         x = float(x)
@@ -784,6 +781,11 @@ class ExpOverX(CostFunction):
 
     def to_spec(self) -> dict:
         return {"family": "exp_over_x"}
+
+
+def _log_exp_over_x(x: float) -> float:
+    """ln ExpOverX(x): x - ln x for x >= 1, and 1 below."""
+    return x - math.log(x) if x >= 1.0 else 1.0
 
 
 def _solve_x_minus_logx(target: float) -> float:
@@ -871,6 +873,14 @@ class AlphaSequence:
         """The last k whose alpha_k is a finite float."""
         return self._max_index
 
+    def knots_through(self, x: float) -> tuple[float, ...]:
+        """alpha_0, ..., alpha_n for the least n >= 1 with alpha_n >= x, or
+        through max_index() when no alpha_n reaches x."""
+        n = min(self._least_index(x), self._max_index)
+        if self.kind == "supergeometric":
+            return tuple(self.alpha(j) for j in range(n + 1))
+        return self._knots[: n + 1]
+
     def _least_index(self, x: float) -> int:
         """Smallest j >= 1 with alpha_j >= x; max_index() + 1 if there is none."""
         if self.kind == "supergeometric":
@@ -950,9 +960,8 @@ class StepExp(CostFunction):
             return 1
         return self.alphas.cover_index(y)
 
-    @staticmethod
-    def _level_log(alpha_j: float) -> float:
-        return alpha_j - math.log(alpha_j) if alpha_j >= 1.0 else 1.0
+    # the step over (alpha_{j-1}, alpha_j] is ExpOverX(alpha_j)
+    _level_log = staticmethod(_log_exp_over_x)
 
     def eval_log(self, y: float) -> LogValue:
         return LogValue.from_log(self._level_log(self.alphas.alpha(self._piece(y))))

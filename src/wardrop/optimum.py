@@ -14,7 +14,6 @@ honest Lipschitz-style error estimate.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -22,15 +21,14 @@ import numpy as np
 
 from .costs import (
     AlphaSequence,
-    ExpOverX,
     PwlSquare,
-    StepExp,
     StepGeometric,
     _least_power_at_least,
+    _log_exp_over_x,
 )
-from .errors import DomainError, UnsupportedCostError
+from .errors import DomainError, RangeOverflowError, UnsupportedCostError
 from .instances import classify
-from .logdomain import LogValue, log_sum
+from .logdomain import LogValue
 from .network import FlowProfile, Network, social_cost
 from .equilibrium import _general_flow, _parallel_flow, _typed_failures
 
@@ -150,6 +148,8 @@ def opt_parallel_pwl_square(a: float, M: float) -> OptimumSolution:
     Candidates are the knots y = a^k (where the optimality condition
     3x^2 in the knot subdifferential can hold) and the stationary point of
     each linear piece; each is projected onto [0, M] and the cheapest wins.
+    A candidate whose (M - y)^3 overflows scores +inf, so it loses to any
+    finite one; when every candidate overflows, RangeOverflowError.
     """
     if a < 2:
         raise DomainError(f"pwl-square family requires a >= 2, got {a!r}")
@@ -158,7 +158,11 @@ def opt_parallel_pwl_square(a: float, M: float) -> OptimumSolution:
     pwl = PwlSquare(a)
 
     def objective(y: float) -> float:
-        return (M - y) ** 3 + y * pwl.eval(y)
+        try:
+            cube = (M - y) ** 3
+        except OverflowError:
+            return math.inf
+        return cube + y * pwl.eval(y)
 
     k_anchor = _least_power_at_least(a, M)
     candidates = {0.0, M}
@@ -182,13 +186,31 @@ def opt_parallel_pwl_square(a: float, M: float) -> OptimumSolution:
         certificate.append({"y": y, "value": objective(y)})
 
     y_star = min(candidates, key=objective)
+    best = objective(y_star)
+    if best == math.inf:
+        raise RangeOverflowError(f"every pwl-square candidate overflows at M={float(M)!r}")
     flow = FlowProfile((M - y_star, y_star), M)
-    return OptimumSolution(flow, objective(y_star), "pwl-candidates", tuple(certificate))
+    return OptimumSolution(flow, best, "pwl-candidates", tuple(certificate))
 
 
 # ---------------------------------------------------------------------------
 # exponential instance: log-domain candidate set
 # ---------------------------------------------------------------------------
+
+
+def _exp_log_objective(M: float, y: float, alpha: float) -> float:
+    """ln(x c1(x) + y c2(y)) at x = M - y, where c2(y) = ExpOverX(alpha) is
+    the step holding y, rounded as ``LogValue.from_float``, ``*`` and
+    ``log_sum`` round it."""
+    x = M - y
+    if x <= 0:
+        return math.log(y) + _log_exp_over_x(alpha)
+    t = math.log(x) + _log_exp_over_x(x)
+    if y <= 0:
+        return t
+    u = math.log(y) + _log_exp_over_x(alpha)
+    hi, lo = (u, t) if t < u else (t, u)
+    return hi + math.log1p(math.exp(lo - hi))
 
 
 def opt_parallel_exp_log(alphas: AlphaSequence, M: float) -> OptimumSolution:
@@ -197,53 +219,44 @@ def opt_parallel_exp_log(alphas: AlphaSequence, M: float) -> OptimumSolution:
     For each feasible piece (alpha_j, alpha_{j+1}] the unconstrained
     stationary point y_j = M - alpha_{j+1} + ln(alpha_{j+1}) is projected
     onto the piece; the true objective is evaluated in log domain at every
-    projected candidate, every knot, and the corners.  The winner is
-    flagged when it falls outside the asymptotic candidate set
-    {k-1, k, k+1}.
+    projected candidate, every knot, and the corners.  The scan runs on
+    float logs rounded as ``LogValue`` arithmetic would round them, and
+    scores each candidate once.  The winner is flagged when it falls
+    outside the asymptotic candidate set {k-1, k, k+1}.
     """
     if M <= 0:
         raise DomainError(f"demand must be positive, got {M!r}")
-    exp_cost = ExpOverX()
-    step_cost = StepExp(alphas)
     k = alphas.bracket_index(M)
+    alphas.cover_index(M)  # DemandBracketError when no step holds y = M
+    knots = alphas.knots_through(M)
 
-    @functools.cache  # each candidate is scored once, for the certificate and the minimum
-    def objective(y: float) -> LogValue:
-        x = M - y
-        terms = []
-        if x > 0:
-            terms.append(LogValue.from_float(x) * exp_cost.eval_log(x))
-        if y > 0:
-            terms.append(LogValue.from_float(y) * step_cost.eval_log(y))
-        return log_sum(terms)
-
-    candidates: dict[float, int] = {0.0: -1, M: -1}  # y -> piece label
-    certificate = []
-    for j in range(0, alphas.max_index()):
-        aj = alphas.alpha(j)
-        if aj >= M:
-            break
-        aj1 = alphas.alpha(j + 1)
+    labels = {0.0: -1, M: -1}  # y -> piece label j of (alpha_j, alpha_{j+1}]; -1 at a corner
+    steps = {0.0: 0.0, M: knots[-1]}  # y -> alpha_j with c2(y) = ExpOverX(alpha_j)
+    rows = []
+    for j in range(len(knots) - 1):
+        aj, aj1 = knots[j], knots[j + 1]
         y_free = M - aj1 + math.log(max(aj1, 1.0))
         y_proj = min(max(y_free, aj), aj1, M)
-        label = j if aj < y_proj else j - 1
-        candidates[y_proj] = label
+        if aj < y_proj:
+            labels[y_proj], steps[y_proj] = j, aj1
+        else:
+            labels[y_proj], steps[y_proj] = j - 1, aj
         if aj1 <= M:
-            candidates[aj1] = j
-        certificate.append(
-            {"j": j, "y_free": y_free, "y": y_proj,
-             "log_value": objective(y_proj).log_magnitude}
-        )
+            labels[aj1], steps[aj1] = j, aj1
+        rows.append((j, y_free, y_proj))
 
-    y_star = min(candidates, key=objective)
-    best = objective(y_star)
-    label = candidates[y_star]
+    logs = {y: _exp_log_objective(M, y, alpha) for y, alpha in steps.items()}
+    certificate = tuple(
+        {"j": j, "y_free": y_free, "y": y, "log_value": logs[y]} for j, y_free, y in rows
+    )
+    y_star = min(logs, key=logs.__getitem__)
+    label = labels[y_star]
     flag = None
     if label not in (k - 1, k, k + 1):
         flag = f"optimal piece j={label} outside the candidate set around k={k}"
 
     flow = FlowProfile((M - y_star, y_star), M)
-    return OptimumSolution(flow, best, "exp-candidates", tuple(certificate), flag=flag)
+    return OptimumSolution(flow, LogValue(logs[y_star]), "exp-candidates", certificate, flag=flag)
 
 
 # ---------------------------------------------------------------------------

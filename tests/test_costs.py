@@ -461,6 +461,7 @@ def test_alpha_lookups_agree_with_a_linear_scan(seq):
                 seq.cover_index(x)
         else:
             assert seq.cover_index(x) == want, x
+        assert seq.knots_through(x) == tuple([0.0] + knots)[: (want or len(knots)) + 1], x
         if not 2.0 * seq.alpha(1) < x < math.inf:  # not in the bracket lattice's range
             continue
         if seq.max_index() < 2:

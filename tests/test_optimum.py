@@ -14,7 +14,7 @@ from wardrop.costs import (
     SaturatingLinear,
     StepGeometric,
 )
-from wardrop.errors import DemandBracketError, DomainError, UnsupportedCostError
+from wardrop.errors import DemandBracketError, DomainError, RangeOverflowError, UnsupportedCostError
 from wardrop.instances import exp_game, pigou, pwl_game, step_game
 from wardrop.network import Edge, Network, build_parallel, social_cost, social_cost_log
 from wardrop.equilibrium import wardrop_parallel, wardrop_parallel_log
@@ -146,6 +146,16 @@ def test_pwl_scaling_law():
     for k in (2, 3, 4):
         scaled = opt_parallel_pwl_square(a, a ** (k - 1) * (a + b)).cost
         assert scaled == pytest.approx(a ** (3 * (k - 1)) * base, rel=1e-9)
+
+
+def test_pwl_corner_whose_cube_overflows_loses_to_finite_candidates():
+    # (M - 0)^3 overflows above about 5.6e102, but the optimum itself is a float
+    for M in (5.7e102, 7.356115539774607e102):
+        sol = opt_parallel_pwl_square(3.0, M)
+        assert math.isfinite(sol.cost) and sol.flow.path_flows[1] > 0.0
+        assert any(row["value"] == math.inf for row in sol.certificate if row.get("y") == 0.0)
+    with pytest.raises(RangeOverflowError):
+        opt_parallel_pwl_square(3.0, 1e103)
 
 
 def test_pwl_agrees_with_marginal_engine():
