@@ -134,44 +134,6 @@ def root(
                 f_lo *= 0.5
 
 
-def false_position(f, lo: float, f_lo: float, hi: float, f_hi: float, max_iter: int) -> float:
-    """Root of a weakly increasing ``f`` on [lo, hi], given f_lo = f(lo) < 0 < f(hi) = f_hi.
-
-    Illinois regula falsi: each step evaluates ``f`` at the secant point of
-    the bracket and replaces the end of the same sign; when the same end is
-    replaced twice in a row the other end's stored value is halved, so both
-    ends close in superlinearly instead of one end sticking.  The step is the
-    midpoint instead when the secant point is not strictly inside the
-    bracket (a NaN value included) or the same end has been replaced three
-    times in a row, so the bracket shrinks at least as fast as bisection's
-    every few steps.  NaN counts as positive, as in ``not f(x) <= 0``.  Stops
-    at an exact zero, after ``max_iter`` evaluations, or once the midpoint
-    rounds onto an end, and returns the last point it tried.
-    """
-    x, moved, run = lo, 0, 0  # the end (-1 lo, +1 hi) replaced last, and how many times in a row
-    for _ in range(max_iter):
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if run >= 3 or not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:
-                break
-        fx = f(x)
-        if fx == 0.0:
-            break
-        end = -1 if fx < 0.0 else 1
-        run = run + 1 if end == moved else 1
-        moved = end
-        if end < 0:
-            lo, f_lo = x, fx
-            if run > 1:
-                f_hi *= 0.5
-        else:
-            hi, f_hi = x, fx
-            if run > 1:
-                f_lo *= 0.5
-    return x
-
-
 class CostFunction:
     """Base interface; concrete families are immutable dataclasses."""
 
@@ -368,7 +330,8 @@ class Monomial(CostFunction):
         return LogValue.from_log(math.log(self.coef) + self.degree * math.log(x))
 
     def derivative_bounds(self, x):
-        d = self.coef * self.degree * float(x) ** (self.degree - 1.0)
+        p = self.degree - 1.0  # below degree 1, x ** p divides by 0 at 0: the slope is infinite
+        d = self.coef * self.degree * float(x) ** p if x or p >= 0 else math.inf
         return (d, d)
 
     def primitive(self, x: float) -> float:
@@ -675,6 +638,8 @@ class PwlSquare(CostFunction):
 
     def derivative_bounds(self, y):
         y = float(y)
+        if y == 0:
+            return (0.0, 0.0)  # the pieces' slopes a^{k-1} + a^k shrink to 0
         k = self._piece(y)
         p, q = self.a ** (k - 1), self.a**k
         if y == q:  # knot between pieces k and k+1
@@ -1141,6 +1106,10 @@ class _ExpOverXMarginal(CostFunction):
             raise RangeOverflowError("marginal exp(x) overflows")
         return math.exp(x)
 
+    def derivative_bounds(self, x):
+        d = math.exp(x) if x >= 1.0 else 0.0
+        return (0.0 if x == 1.0 else d, d)  # a kink at 1, from flat to e^x
+
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")
         if level < _E:
@@ -1158,6 +1127,10 @@ class _SaturatingLinearMarginal(CostFunction):
     def eval(self, x: float) -> float:
         x = _check_nonneg(x)
         return 2.0 * x + (x * x + 2.0 * x) / (1.0 + x) ** 2
+
+    def derivative_bounds(self, x):
+        d = 2.0 + 2.0 / (1.0 + float(x)) ** 3
+        return (d, d)
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")

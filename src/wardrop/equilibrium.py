@@ -27,7 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .costs import false_position, root
+from .costs import root
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -46,9 +46,7 @@ from .network import (
 )
 
 RESIDUAL_RTOL = 1e-9
-GENERAL_RTOL = 1e-7
 GENERAL_MAX_ITER = 100_000
-LINE_SEARCH_MAX_ITER = 80
 PATH_TIE_RTOL = 1e-12
 
 
@@ -91,6 +89,9 @@ def level_allocation(funcs, M: float) -> tuple[float, list[float]]:
     f_lo = excess(lam_lo)
     if f_lo < 0:
         lam_hi = min(f.eval(M) for f in funcs)
+        if lam_hi == 0.0:  # a positive cost underflowed; doubling 0 gets nowhere
+            raise DomainError(f"the cost level underflows to 0 at M={float(M)!r}: "
+                              "the demand is below the range native floats resolve")
         f_hi = excess(lam_hi)
         doublings = 0
         while f_hi < 0:
@@ -198,8 +199,8 @@ def _typed_failures(solve):
 @_typed_failures
 def wardrop_equilibrium(net: Network, M: float) -> EquilibriumSolution:
     """Equilibrium by the solver that ``classify`` picks: the log-domain
-    split for the exponential game, conditional gradient on a general
-    network, level bisection on every other parallel network."""
+    split for the exponential game, pairwise gradient projection on a
+    general network, level bisection on every other parallel network."""
     kind = classify(net).name
     if kind == "exp":
         return wardrop_parallel_log(net, M)
@@ -259,23 +260,23 @@ def verify_equilibrium(
 
 
 def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
-    """Equilibrium on an arbitrary network by pairwise conditional gradient
-    on the path flows, descending the separable potential
-    sum_e int_0^{x_e} c_e.
+    """Equilibrium on an arbitrary network by pairwise gradient projection
+    on the path flows (Bertsekas and Gafni 1982; Jayakrishnan et al. 1994).
 
     Each iteration moves flow from the costliest used path to the cheapest
-    one, with an exact line search over the edges the two paths do not
-    share, then evaluates the costs of the edges on those two paths again.
-    The move is capped at the source path's flow, so a full step leaves that
-    path at exactly 0.0.  Stops once no used path costs more than
-    GENERAL_RTOL * lam above the cheapest.
+    by one Newton step (``_newton_shift``), at most all the source's flow,
+    and prices the two paths' edges again.  Once no used path costs more
+    than RESIDUAL_RTOL * lam above the cheapest, the last pair moves to
+    adjacent floats (``_exact_shift``), so a two-path equilibrium does not
+    depend on where the Newton steps crossed that bound.
 
-    Edge flows, path costs and the line search's sums are correctly rounded
+    Edge flows, path costs and the moves' sums are correctly rounded
     (``math.fsum``) and an exact tie on cost goes to the path with more
     flow, so the iterates, and the work, do not depend on the order in
     which the network lists its edges or enumerates its paths.
 
-    Requires continuous costs.
+    Requires continuous costs.  The method keeps the label "frank-wolfe" of
+    the conditional gradient it replaced: golden CLI output prints it.
     """
     flow, lam, residual = _general_flow(net, M)
     return EquilibriumSolution(flow, lam, residual, social_cost(net, flow), "frank-wolfe")
@@ -286,7 +287,7 @@ def _general_flow(net: Network, M: float) -> tuple[FlowProfile, float, float]:
     if M <= 0:
         raise DomainError(f"demand must be positive, got {M!r}")
     if not all(c.is_continuous() for c in net.costs):
-        raise UnsupportedCostError("conditional gradient needs continuous costs")
+        raise UnsupportedCostError("gradient projection on a general network needs continuous costs")
 
     costs = net.costs
     paths = [list(p) for p in net.paths]  # enumerated paths are simple
@@ -309,54 +310,79 @@ def _general_flow(net: Network, M: float) -> tuple[FlowProfile, float, float]:
     def path_costs() -> list[float]:
         return [math.fsum(map(edge_costs.__getitem__, p)) for p in paths]
 
+    def move(src: int, tgt: int, shift_of, *args) -> bool:
+        """Move ``shift_of``'s flow from path src to path tgt; False if it is 0."""
+        gain, loss = set(paths[tgt]), set(paths[src])
+        unshared = [(costs[e], xe[e]) for e in gain - loss], [(costs[e], xe[e]) for e in loss - gain]
+        shift = shift_of(*unshared, x_paths[src], x_paths[tgt], *args)
+        x_paths[tgt] += shift
+        x_paths[src] -= shift  # 0.0 exactly after a full step
+        update(gain | loss)
+        return shift > 0.0
+
     update(range(net.n_edges))
     own = path_costs()
     first = min(range(n), key=own.__getitem__)
     x_paths[first] = M
     update(paths[first])
 
-    residual, source = math.inf, -1
+    residual, source, target, polished = math.inf, -1, -1, False
     for _ in range(GENERAL_MAX_ITER):
         own = path_costs()
         lam = min(own)
         used = [i for i in range(n) if x_paths[i] > floor]
         top = max(own[i] for i in used)
+        residual = max(top - lam, 0.0)
+        if residual <= RESIDUAL_RTOL * lam:
+            if polished or source < 0:
+                total = math.fsum(x_paths)
+                return FlowProfile(tuple(x / total * M for x in x_paths), M), lam, residual
+            # the last pair to adjacent floats, whichever way its unshared edges say
+            polished = True
+            move(source, target, _exact_shift) or move(target, source, _exact_shift)
+            continue
         # an exact tie on cost goes to the path with more flow
         target = max((i for i in range(n) if own[i] == lam), key=x_paths.__getitem__)
         worst = max((i for i in used if own[i] == top), key=x_paths.__getitem__)
-        residual = max(top - lam, 0.0)
-        if residual <= GENERAL_RTOL * lam:
-            total = math.fsum(x_paths)
-            return FlowProfile(tuple(x / total * M for x in x_paths), M), lam, residual
-        # a line search leaves its two paths tied; on a tie the last source
+        # a move leaves its two paths about tied; on a tie the last source
         # keeps draining rather than the path it has just filled
         if source < 0 or x_paths[source] <= floor or own[source] < top * (1.0 - PATH_TIE_RTOL):
             source = worst
+        move(source, target, _newton_shift, own[source] - lam)
 
-        # the edges the two paths do not share, gaining (+1) or losing (-1)
-        # flow per unit of t
-        amount = x_paths[source]
-        gain, loss = set(paths[target]), set(paths[source])
-        unshared = [(1.0, costs[e], xe[e]) for e in gain - loss]
-        unshared += [(-1.0, costs[e], xe[e]) for e in loss - gain]
+    raise ConvergenceError("gradient projection hit the iteration cap", residual=residual)
 
-        def dphi(t: float) -> float:
-            return math.fsum([s * c.eval(x + s * t * amount) for s, c, x in unshared])
 
-        f_hi = dphi(1.0)
-        if f_hi <= 0.0:
-            x_paths[target] += amount
-            x_paths[source] = 0.0
-        else:
-            f_lo = lam - own[source]
-            shift = amount * false_position(dphi, 0.0, f_lo, 1.0, f_hi, LINE_SEARCH_MAX_ITER)
-            x_paths[target] += shift
-            x_paths[source] -= shift
-        update(gain | loss)
+def _newton_shift(gain, loss, amount: float, base: float, gap: float) -> float:
+    """Flow to move from a source path, with flow ``amount``, to a target path,
+    with flow ``base``, that costs ``gap`` > 0 less, given (cost, flow) of the
+    edges only the target uses (``gain``) and only the source uses (``loss``):
+    one Newton step, ``gap`` over the sum of the edges' derivatives on the
+    side their flows move to, capped at ``amount``.  Where that sum is
+    infinite, as sqrt x's slope at 0 is, ``_exact_shift`` moves instead."""
+    slope = math.fsum([*(c.derivative_bounds(x)[1] for c, x in gain),
+                       *(c.derivative_bounds(x)[0] for c, x in loss)])
+    if not slope < math.inf:
+        return _exact_shift(gain, loss, amount, base)
+    return amount if slope == 0.0 else min(amount, gap / slope)
 
-    raise ConvergenceError(
-        "conditional gradient hit the iteration cap", residual=residual
-    )
+
+def _exact_shift(gain, loss, amount: float, base: float) -> float:
+    """Shift in [0, ``amount``] at which the target-only edges come to cost at
+    least the source-only ones, 0.0 if they already do: ``root`` on the
+    target's new flow ``base`` + shift, to that flow's resolution."""
+
+    def gap(y: float) -> float:
+        s = min(y - base, amount)  # y - base may round above amount
+        return math.fsum([*(c.eval(x + s) for c, x in gain), *(-c.eval(x - s) for c, x in loss)])
+
+    f_lo = gap(base)
+    if f_lo >= 0.0:
+        return 0.0
+    f_hi = gap(base + amount)
+    if f_hi <= 0.0:
+        return amount
+    return min(root(gap, base, f_lo, base + amount, f_hi)[1] - base, amount)
 
 
 def wardrop_parallel_log(net: Network, M: float) -> EquilibriumSolution:

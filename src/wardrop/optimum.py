@@ -56,7 +56,7 @@ def opt_parallel_marginal(net: Network, M: float) -> OptimumSolution:
 
 
 def opt_general_marginal(net: Network, M: float) -> OptimumSolution:
-    """Optimum on a general network by conditional gradient on continuous marginals."""
+    """Optimum on a general network by gradient projection on continuous marginals."""
     return _marginal_optimum(net, M, _general_flow, "marginal-general")
 
 

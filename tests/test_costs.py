@@ -26,7 +26,6 @@ from wardrop.costs import (
     _split_bound,
     cost_from_spec,
     cost_to_spec,
-    false_position,
     root,
 )
 from wardrop.errors import (
@@ -687,55 +686,46 @@ def test_polynomial_inverse_where_the_bracket_bound_underflows():
     assert Polynomial((0.0, 0.0, 1e10)).generalized_inverse(1e-315) == (x, x) != (0.0, 0.0)
 
 
-def test_false_position_solves_a_linear_function_in_one_evaluation():
-    f, calls = _counted(lambda t: 4.0 * t - 1.0)
-    assert false_position(f, 0.0, -1.0, 1.0, 3.0, 80) == 0.25
-    assert calls == [0.25]
+
+@pytest.mark.parametrize("x", [0.0, 0.25, 0.999, 1.5, 3.0, 40.0])
+@pytest.mark.parametrize(
+    "marginal", [SaturatingLinear().marginal_function(), ExpOverX().marginal_function()],
+    ids=["saturating", "exp-over-x"],
+)
+def test_private_marginals_give_their_slopes(marginal, x):
+    # the general solver's Newton moves read them; central differences agree
+    left, right = marginal.derivative_bounds(x)
+    assert left == right
+    if x > 0:
+        h = 1e-6 * max(x, 1.0)
+        slope = (marginal.eval(x + h) - marginal.eval(x - h)) / (2.0 * h)
+        assert left == pytest.approx(slope, rel=1e-6, abs=1e-9)
+
+
+def test_exp_marginal_slope_kinks_at_one():
+    assert ExpOverX().marginal_function().derivative_bounds(1.0) == (0.0, E)
+
+
+def test_saturating_marginal_slope_closed_form():
+    # d/dx [2x + 1 - 1/(1+x)^2] = 2 + 2/(1+x)^3
+    d = SaturatingLinear().marginal_function().derivative_bounds
+    assert d(0.0) == (4.0, 4.0)
+    assert d(1.0) == (2.25, 2.25)
 
 
 @pytest.mark.parametrize(
-    "f, root",
+    "cost",
     [
-        (lambda t: t**5 + t - 0.5, None),  # convex: plain regula falsi sticks at hi
-        (lambda t: math.exp(40.0 * t) - 2.0, math.log(2.0) / 40.0),
-        (lambda t: math.atan(1e3 * (t - 0.3)), 0.3),
+        Affine(1.0, 2.0), Constant(1.0), Monomial(1.0, 0.5), Monomial(2.0, 1.0), Monomial(1.0, 3.0),
+        Polynomial((1.0, 0.0, 2.0)), SaturatingLinear(), PwlSquare(2.0), ExpOverX(),
+        Shifted(Monomial(1.0, 0.5), 1.0), SaturatingLinear().marginal_function(),
+        ExpOverX().marginal_function(),
     ],
-    ids=["quintic", "steep-exp", "atan"],
+    ids=repr,
 )
-def test_false_position_matches_bisection_in_fewer_evaluations(f, root):
-    g, calls = _counted(f)
-    t = false_position(g, 0.0, f(0.0), 1.0, f(1.0), 80)
-    lo, hi = _bisection(lambda x: not f(x) <= 0.0, 0.0, 1.0)
-    assert lo <= t <= hi or abs(f(t)) <= 4 * sys.float_info.epsilon
-    if root is not None:
-        assert t == pytest.approx(root, rel=1e-14)
-    assert len(calls) < 30
-
-
-def test_false_position_counts_nan_as_positive():
-    # undefined above 0.6: the search falls back to the midpoint and keeps
-    # the NaN side as the upper end of the bracket
-    f = lambda t: t - 0.2 if t <= 0.6 else math.nan  # noqa: E731
-    assert false_position(f, 0.0, -0.2, 1.0, math.nan, 80) == pytest.approx(0.2, abs=1e-15)
-
-
-def test_false_position_stops_at_an_exact_zero_on_a_flat():
-    # weakly increasing with a zero flat on [0.4, 0.6]
-    f = lambda t: min(t - 0.4, 0.0) + max(t - 0.6, 0.0)  # noqa: E731
-    t = false_position(f, 0.0, -0.4, 1.0, 0.4, 80)
-    assert 0.4 <= t <= 0.6 and f(t) == 0.0
-
-
-def test_false_position_ends_at_adjacent_floats_on_a_jump():
-    # no zero exists: the bracket closes onto the jump, where the midpoint
-    # rounds onto an end
-    f = lambda t: -1.0 if t <= 1.0 / 3.0 else 1.0  # noqa: E731
-    t = false_position(f, 0.0, -1.0, 1.0, 1.0, 200)
-    assert abs(t - 1.0 / 3.0) <= math.ulp(1.0 / 3.0)
-
-
-def test_false_position_respects_the_evaluation_cap():
-    f, calls = _counted(lambda t: t**9 - 1e-9)
-    false_position(f, 0.0, -1e-9, 1.0, 1.0 - 1e-9, 3)
-    assert len(calls) == 3
-
+def test_continuous_families_give_a_slope_at_zero(cost):
+    # a general network's empty paths start their edges at 0, where the
+    # Newton moves read the slope; sqrt x's is infinite there
+    left, right = cost.derivative_bounds(0.0)
+    assert left == right and right >= 0.0
+    assert math.isinf(right) == (cost in (Monomial(1.0, 0.5), Shifted(Monomial(1.0, 0.5), 1.0)))

@@ -2,7 +2,9 @@ import collections
 import math
 import random
 import time
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -11,8 +13,11 @@ from wardrop.costs import (
     Affine,
     AlphaSequence,
     Constant,
+    ExpOverX,
     Monomial,
     Polynomial,
+    PwlSquare,
+    SaturatingLinear,
     Shifted,
     StepGeometric,
 )
@@ -24,12 +29,12 @@ from wardrop.errors import (
     RangeOverflowError,
     UnsupportedCostError,
 )
-from wardrop.asymptotics import step_game_closed_form
+from wardrop.asymptotics import poa, step_game_closed_form
 from wardrop.instances import exp_game, pigou, step_game
-from wardrop.network import Edge, FlowProfile, Network, build_parallel, social_cost
+from wardrop.network import Edge, FlowProfile, Network, build_parallel, load_network, social_cost
 from wardrop.optimum import opt_general_marginal
 from wardrop.equilibrium import (
-    GENERAL_RTOL,
+    RESIDUAL_RTOL,
     verify_equilibrium,
     wardrop_equilibrium,
     wardrop_general,
@@ -316,8 +321,8 @@ def test_grid_equilibrium_matches_beckmann_minimum(n, cost_of, M):
     sol = wardrop_general(net, M)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    assert sol.residual <= GENERAL_RTOL * sol.lam
-    assert verify_equilibrium(net, sol.flow).residual <= GENERAL_RTOL * sol.lam
+    assert sol.residual <= RESIDUAL_RTOL * sol.lam
+    assert verify_equilibrium(net, sol.flow).residual <= RESIDUAL_RTOL * sol.lam
     assert sol.cost == pytest.approx(beckmann_reference_cost(net, M), rel=1e-6)
 
 
@@ -325,19 +330,19 @@ def test_general_iteration_cap_raises_with_the_residual(monkeypatch):
     monkeypatch.setattr(equilibrium, "GENERAL_MAX_ITER", 3)
     with pytest.raises(ConvergenceError) as exc:
         wardrop_general(grid(4, bpr), 10.0)
-    assert exc.value.residual > GENERAL_RTOL
+    assert exc.value.residual > RESIDUAL_RTOL
 
 
 @pytest.mark.parametrize("cost_of", [affine, bpr])
 def test_general_iterates_do_not_depend_on_edge_order(monkeypatch, cost_of):
     steps = []
-    real = equilibrium.false_position
+    real = equilibrium._newton_shift
 
     def recorded(*args):
         steps.append(real(*args))
         return steps[-1]
 
-    monkeypatch.setattr(equilibrium, "false_position", recorded)
+    monkeypatch.setattr(equilibrium, "_newton_shift", recorded)
     net = grid(4, cost_of)
     runs = []
     for order in (range(24), range(23, -1, -1), [*range(7, 24), *range(7)]):
@@ -356,8 +361,9 @@ def test_general_iterates_do_not_depend_on_edge_order(monkeypatch, cost_of):
         }
         runs.append((list(steps), by_path, sol.lam, relisted.paths))
     assert runs[0][3] != runs[1][3] != runs[2][3]  # the paths come in other orders
-    for line_searches, by_path, lam, _ in runs[1:]:
-        assert line_searches == runs[0][0]
+    assert runs[0][0]  # the moves were recorded
+    for shifts, by_path, lam, _ in runs[1:]:
+        assert shifts == runs[0][0]
         assert by_path == runs[0][1]
         assert lam == runs[0][2]
 
@@ -366,6 +372,107 @@ def test_general_edge_cost_overflow_is_a_range_error():
     # 0.15 x^4 leaves the float range at x = 1e80 without raising
     with pytest.raises(RangeOverflowError, match="M=1e\\+80"):
         wardrop_general(grid(3, bpr), 1e80)
+
+
+@pytest.mark.parametrize("M", [1.0, 10.0, 100.0])
+@pytest.mark.parametrize("cost_of", [affine, bpr])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_grid_equilibrium_keeps_the_demand_within_the_residual_bound(n, cost_of, M):
+    # the flow is returned scaled to sum to M, which would hide flow a move
+    # lost; the lost flow shows as a residual on the scaled profile
+    net = grid(n, cost_of)
+    sol = wardrop_general(net, M)
+    assert sol.residual <= RESIDUAL_RTOL * sol.lam
+    assert verify_equilibrium(net, sol.flow).residual <= RESIDUAL_RTOL * sol.lam
+
+
+def test_fork_equilibrium_is_its_closed_form_to_one_ulp():
+    # x = 3 on sa, then at1 (x) against at2 (1 + x/2 + x^2/4): the tie
+    # x2^2 + 6 x2 - 8 = 0 gives x2 = sqrt 17 - 3, x1 = 6 - sqrt 17, and the
+    # level 3 + x1 = 9 - sqrt 17
+    net = load_network(str(Path(__file__).resolve().parent / "golden" / "fork.json"))
+    sol = wardrop_general(net, 3.0)
+    with mpmath.workdps(50):
+        root17 = mpmath.sqrt(17)
+        exact = (6 - root17, root17 - 3, 9 - root17)
+        for got, want in zip((*sol.flow.path_flows, sol.lam), exact):
+            assert abs(mpmath.mpf(got) - want) <= math.ulp(float(want))
+
+
+BRAESS_POA = {  # from the line-search solver this one replaced
+    ("sqrt", 0.3): 1.0,
+    ("sqrt", 1.0): 1.17157287525381,
+    ("sqrt", 5.0): 1.0,
+    ("saturating", 0.3): 1.000073997577255,
+    ("saturating", 1.0): 1.0909090909090908,
+    ("saturating", 5.0): 1.0,
+}
+
+
+@pytest.mark.parametrize("rising, M", sorted(BRAESS_POA))
+def test_braess_with_curved_rising_edges_keeps_its_poa(rising, M):
+    cost = Monomial(1.0, 0.5) if rising == "sqrt" else SaturatingLinear()
+    got = poa(braess(cost), M).poa
+    assert got == pytest.approx(BRAESS_POA[rising, M], rel=1e-9)
+    if M == 1.0:  # the closed forms
+        assert got == pytest.approx(4.0 - 2.0 * math.sqrt(2.0) if rising == "sqrt" else 12.0 / 11.0, rel=1e-9)
+
+
+def test_an_infinite_slope_moves_by_root(monkeypatch):
+    # sqrt x has no finite slope at 0, where Braess's bottom path starts at
+    # M = 5: that move finds where the gap closes instead of a Newton step
+    assert Monomial(1.0, 0.5).derivative_bounds(0.0) == (math.inf, math.inf)
+    calls = []
+    real = equilibrium._exact_shift
+
+    def recorded(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(equilibrium, "_exact_shift", recorded)
+    sol = wardrop_general(braess(Monomial(1.0, 0.5)), 5.0)
+    assert calls and calls[0] > 0.0
+    assert sol.flow.path_flows == pytest.approx((2.5, 0.0, 2.5), rel=1e-9)
+
+
+def test_braess_with_interpolated_square_edges():
+    # PwlSquare is continuous, so a general network may use it; its slope
+    # at 0, where the empty paths' edges start, is 0
+    net = braess(PwlSquare(2.0))
+    for M in (0.5, 1.0, 3.0):
+        sol = wardrop_general(net, M)
+        assert verify_equilibrium(net, sol.flow).residual <= RESIDUAL_RTOL * sol.lam
+
+
+def test_general_optimum_runs_on_the_private_marginals():
+    # SaturatingLinear and ExpOverX have marginals with no public family;
+    # their slopes let the Newton moves run, and the optimum meets the KKT
+    # check on the marginal network
+    edges = (Edge("sa", "s", "a"), Edge("at1", "a", "t"), Edge("at2", "a", "t"))
+    for costs in ((Affine(0.0, 1.0), SaturatingLinear(), ExpOverX()),
+                  (SaturatingLinear(), ExpOverX(), Affine(1.0, 1.0))):
+        net = Network(("s", "a", "t"), edges, costs, "s", "t")
+        opt = opt_general_marginal(net, 4.0)
+        margs = tuple(c.marginal_function() for c in costs)
+        report = verify_equilibrium(Network(net.vertices, edges, margs, "s", "t"), opt.flow)
+        assert report.residual <= RESIDUAL_RTOL * report.min_entry_cost
+        assert opt.cost <= wardrop_general(net, 4.0).cost
+
+
+@pytest.mark.parametrize("M", [1e-170, 1e-300])
+@pytest.mark.parametrize(
+    "costs",
+    [
+        [Monomial(1.0, 2.0), PwlSquare(2.0)],
+        [Monomial(1.0, 2.0), Polynomial((0.0, 1.0, 3.0))],
+        [Affine(0.0, 2.0), Monomial(1.0, 2.0)],
+    ],
+    ids=["pwl:2", "polynomial-over-common-rv", "derivative-limit"],
+)
+def test_level_that_underflows_to_zero_is_a_domain_error(costs, M):
+    # min c_i(M) rounds to 0, where doubling the level's upper end gets nowhere
+    with pytest.raises(DomainError, match="below the range native floats resolve"):
+        wardrop_parallel(build_parallel(costs), M)
 
 
 # ---------------------------------------------------------------------------

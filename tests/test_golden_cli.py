@@ -22,7 +22,7 @@ from wardrop.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BRAESS = str(GOLDEN / "braess.json")
 SMOOTH3 = str(GOLDEN / "smooth3.json")  # polynomial, saturating-linear and x^2 links
-FORK = str(GOLDEN / "fork.json")  # one edge then two: conditional gradient with line search
+FORK = str(GOLDEN / "fork.json")  # one edge then two: gradient projection, then an exact last move
 
 CASES = {
     "poa-step3": ["poa", "--network", "step:3", "--demand", "17"],

@@ -61,7 +61,7 @@ def test_marginal_rejects_step():
 
 
 def test_general_optimum_rejects_a_jumping_marginal_at_once():
-    # the pwl marginal jumps at its knots and conditional gradient needs
+    # the pwl marginal jumps at its knots and gradient projection needs
     # continuous costs, so the marginal game of this fork is refused up front
     edges = (Edge("sa", "s", "a"), Edge("at1", "a", "t"), Edge("at2", "a", "t"))
     costs = (Affine(0.0, 1.0), Monomial(1.0, 2.0), PwlSquare(2.0))
