@@ -20,7 +20,7 @@ from .errors import ConvergenceError, DomainError, GameError, RangeOverflowError
 from .instances import exp_game, pwl_game
 from .logdomain import LogValue
 from .network import Network, build_parallel
-from .equilibrium import EquilibriumSolution, wardrop_equilibrium, wardrop_parallel
+from .equilibrium import EquilibriumSolution, _check_demand, wardrop_equilibrium, wardrop_parallel
 from .optimum import OptimumSolution, _period_index, social_optimum
 from .rv import numeric_inverse
 
@@ -62,7 +62,6 @@ class PoaCurve:
     samples: tuple[PoaSample, ...]
     period_base: float | None
     periods: tuple[PeriodExtrema, ...]
-    breakpoints: tuple[float, ...]
     failures: tuple[tuple[float, str], ...] = ()
 
 
@@ -78,11 +77,10 @@ class ExtremesReport:
 def poa(net: Network, M: float) -> PoaResult:
     """WEq/Opt with solver routing recorded in the result.
 
-    Both solvers turn float overflow and division by zero into
-    RangeOverflowError and DomainError naming M; so does a zero optimum.
+    Both solvers reject a demand that is not a finite M > 0 and turn float
+    overflow and division by zero into RangeOverflowError and DomainError
+    naming M; so does a zero optimum.
     """
-    if not 0 < M < math.inf:
-        raise DomainError(f"price of anarchy needs a finite M > 0, got {M!r}")
     weq = wardrop_equilibrium(net, M)
     opt = social_optimum(net, M)
     if opt.cost == 0:
@@ -131,8 +129,8 @@ def poa_sweep(
     equilibrium cost is discontinuous there.  Failed samples are recorded
     and skipped; the sweep continues.
     """
-    if not (0 < M_lo < M_hi):
-        raise DomainError(f"need 0 < M_lo < M_hi, got {M_lo!r}, {M_hi!r}")
+    if not 0 < M_lo < M_hi < math.inf:
+        raise DomainError(f"need 0 < M_lo < M_hi < inf, got {M_lo!r}, {M_hi!r}")
     decades = math.log10(M_hi / M_lo)
     n = max(2, int(math.ceil(decades * samples_per_decade)) + 1)
     grid = [float(M) for M in np.geomspace(M_lo, M_hi, n)]
@@ -164,7 +162,6 @@ def poa_sweep(
         tuple(samples),
         period_base,
         tuple(periods),
-        tuple(sorted(set(breakpoint_hints))),
         tuple(failures),
     )
 
@@ -250,8 +247,7 @@ def step_game_closed_form(a: float, M: float) -> StepClosedForm:
     """
     if a < 2:
         raise DomainError(f"step family requires a >= 2, got {a!r}")
-    if M <= 0:
-        raise DomainError(f"demand must be positive, got {M!r}")
+    _check_demand(M)
     k = _period_index(a, M)
     scale = a ** (2 * k)
     z = M / a**k
@@ -329,21 +325,19 @@ class ExpBreakpointReport:
     candidate_flag: str | None
 
 
-def exp_game_poa_near_breakpoint(
-    alphas: AlphaSequence, k: int, offset: float = 1e-6
-) -> ExpBreakpointReport:
+def exp_game_poa_near_breakpoint(alphas: AlphaSequence, k: int) -> ExpBreakpointReport:
     """PoA just after M = alpha_k + alpha_{k+1} for the exponential game.
 
     Closed form (alpha_k + alpha_{k+1}) / (1 + alpha_k + ln alpha_{k+1}),
     cross-checked against the log-domain numeric pipeline at
-    M = (alpha_k + alpha_{k+1})(1 + offset).
+    M = (alpha_k + alpha_{k+1})(1 + 1e-6).
     """
     if k < 1 or k + 1 > alphas.max_index():
         raise DomainError(f"alpha sequence too short for breakpoint index {k}")
     a_k, a_k1 = alphas.alpha(k), alphas.alpha(k + 1)
     closed = (a_k + a_k1) / (1.0 + a_k + math.log(a_k1))
 
-    r = poa(exp_game(alphas), (a_k + a_k1) * (1.0 + offset))
+    r = poa(exp_game(alphas), (a_k + a_k1) * (1.0 + 1e-6))
     gap = abs(r.poa - closed) / closed
     return ExpBreakpointReport(k, closed, r.poa, gap, r.flag)
 
@@ -369,10 +363,10 @@ def _poa_points(net: Network, M_grid) -> list[tuple[float, float]]:
     return [(M, poa(net, M).poa) for M in M_grid]
 
 
-def _tail_monotone(points, decade: float = 10.0) -> bool:
+def _tail_monotone(points) -> bool:
     """Non-increasing over the last sampled decade (tiny slack for roundoff)."""
     hi = points[-1][0]
-    tail = [p for p in points if p[0] >= hi / decade]
+    tail = [p for p in points if p[0] >= hi / 10.0]
     return all(
         b[1] <= a[1] * (1.0 + 1e-12) + 1e-15 for a, b in zip(tail, tail[1:])
     )
@@ -525,9 +519,10 @@ def rv_poa_experiment(
     )
 
 
-def _verify_hypothesis(instance: TrendInstance, x_probe: float = 1e9) -> dict:
+def _verify_hypothesis(instance: TrendInstance) -> dict:
     from .costs import Affine
 
+    x_probe = 1e9  # where each limit is read
     net, kind = instance.net, instance.kind
     measured: list[float] = []
     if kind == "affine":

@@ -204,7 +204,7 @@ def _cmd_extremes(args: argparse.Namespace) -> int:
         raise DomainError(f"curve file {args.curve!r} holds no samples")
     Ms = [s.M for s in samples]
     periods = asy._period_extrema(samples, args.period_base, min(Ms), max(Ms))
-    curve = asy.PoaCurve(tuple(samples), args.period_base, tuple(periods), ())
+    curve = asy.PoaCurve(tuple(samples), args.period_base, tuple(periods))
     est = asy.extremes_estimate(curve, args.periods_required)
     _emit(
         {
@@ -287,10 +287,10 @@ def _repro_step_game(a: float, samples_per_decade: int, jobs: int | None) -> dic
     }
 
 
-def _near_breakpoint(a: float, M: float, collar: float = 1e-8) -> bool:
+def _near_breakpoint(a: float, M: float) -> bool:
     k = _period_index(a, M)
     for b in step_breakpoints(a, k, k + 1):
-        if abs(M - b) <= collar * b:
+        if abs(M - b) <= 1e-8 * b:
             return True
     return False
 
@@ -458,8 +458,8 @@ _HANDLERS = {
 
 
 def run(args: argparse.Namespace) -> int:
-    if args.subcommand == "sweep" and not 0 < args.demand_lo < args.demand_hi:
-        sys.stderr.write("usage error: sweep requires 0 < --from < --to\n")
+    if args.subcommand == "sweep" and not 0 < args.demand_lo < args.demand_hi < math.inf:
+        sys.stderr.write("usage error: sweep requires 0 < --from < --to < inf\n")
         return USAGE_ERROR
     try:
         return _HANDLERS[args.subcommand](args)

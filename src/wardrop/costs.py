@@ -1008,19 +1008,7 @@ class StepExp(CostFunction):
         return math.inf
 
     def breakpoints_within(self, lo: float, hi: float) -> list[float]:
-        out = []
-        j = 1
-        while True:
-            try:
-                a_j = self.alphas.alpha(j)
-            except (DemandBracketError, RangeOverflowError):
-                break
-            if a_j > hi:
-                break
-            if a_j >= lo:
-                out.append(a_j)
-            j += 1
-        return out
+        return [a for a in self.alphas.knots_through(hi)[1:] if lo <= a <= hi]
 
     def to_spec(self) -> dict:
         return {"family": "step_exp", "alpha": self.alphas.to_spec()}

@@ -46,6 +46,7 @@ from .network import (
 )
 
 RESIDUAL_RTOL = 1e-9
+USED_RTOL = 1e-9  # a path with more than this share of M is used
 GENERAL_MAX_ITER = 100_000
 PATH_TIE_RTOL = 1e-12
 
@@ -164,18 +165,23 @@ def _smoothest_link(funcs, lam: float, x, diff: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_demand(M: float) -> None:
+    if not 0 < M < math.inf:
+        raise DomainError(f"demand must be a finite M > 0, got {M!r}")
+
+
 def _typed_failures(solve):
-    """Give the entry point ``solve(net, M, ...)`` the failure contract of the
-    package: a non-finite M, float overflow, division by zero and a social
-    cost that is not finite or is subnormal all come out as typed errors
-    naming M."""
+    """Give the entry point ``solve(instance, M, ...)`` the failure contract
+    of the package: a demand that is not a finite M > 0, float overflow,
+    division by zero and a social cost that is not finite or is subnormal
+    all come out as typed errors naming M.  ``instance`` is whatever the
+    solver takes first: a network, a family parameter or an alpha sequence."""
 
     @functools.wraps(solve)
-    def entry(net: Network, M: float, *args, **kwargs):
-        if not math.isfinite(M):
-            raise DomainError(f"demand must be a finite M > 0, got {M!r}")
+    def entry(instance, M: float, *args, **kwargs):
+        _check_demand(M)
         try:
-            sol = solve(net, M, *args, **kwargs)
+            sol = solve(instance, M, *args, **kwargs)
             if not isinstance(sol.cost, LogValue):
                 if not math.isfinite(sol.cost):
                     raise OverflowError("the social cost left the native float range")
@@ -196,11 +202,11 @@ def _typed_failures(solve):
     return entry
 
 
-@_typed_failures
 def wardrop_equilibrium(net: Network, M: float) -> EquilibriumSolution:
     """Equilibrium by the solver that ``classify`` picks: the log-domain
     split for the exponential game, pairwise gradient projection on a
-    general network, level bisection on every other parallel network."""
+    general network, level bisection on every other parallel network.
+    Each of them carries the failure contract of ``_typed_failures``."""
     kind = classify(net).name
     if kind == "exp":
         return wardrop_parallel_log(net, M)
@@ -209,6 +215,7 @@ def wardrop_equilibrium(net: Network, M: float) -> EquilibriumSolution:
     return wardrop_parallel(net, M)
 
 
+@_typed_failures
 def wardrop_parallel(net: Network, M: float) -> EquilibriumSolution:
     """Equilibrium of a parallel network via level bisection.
 
@@ -223,8 +230,6 @@ def _parallel_flow(net: Network, M: float) -> tuple[FlowProfile, float, float]:
     """``wardrop_parallel``'s (flow, level, residual), without the social cost."""
     if not net.is_parallel():
         raise DomainError("wardrop_parallel requires a parallel network")
-    if M <= 0:
-        raise DomainError(f"demand must be positive, got {M!r}")
     lam, x = level_allocation(net.costs, M)
     flow = FlowProfile(tuple(x), M)
     report = verify_equilibrium(net, flow)
@@ -236,12 +241,10 @@ def _parallel_flow(net: Network, M: float) -> tuple[FlowProfile, float, float]:
     return flow, lam, report.residual
 
 
-def verify_equilibrium(
-    net: Network, flow: FlowProfile, used_tol: float = 1e-9
-) -> ResidualReport:
+def verify_equilibrium(net: Network, flow: FlowProfile) -> ResidualReport:
     """Worst violation of the equilibrium condition over used paths.
 
-    A path counts as used when its flow exceeds used_tol * M.  The
+    A path counts as used when its flow exceeds USED_RTOL * M.  The
     comparison cost for each path is its entry cost (edge right limits),
     which coincides with the plain path cost for continuous families.
     """
@@ -249,7 +252,7 @@ def verify_equilibrium(
     own = tuple(net.path_cost(i, x) for i in range(net.n_paths))
     entry = tuple(net.path_entry_cost(i, x) for i in range(net.n_paths))
     min_entry = min(entry)
-    threshold = used_tol * max(flow.total, 0.0)
+    threshold = USED_RTOL * max(flow.total, 0.0)
     worst, worst_path = 0.0, None
     for i, f in enumerate(flow.path_flows):
         if f > threshold:
@@ -259,6 +262,7 @@ def verify_equilibrium(
     return ResidualReport(worst, min_entry, own, entry, worst_path)
 
 
+@_typed_failures
 def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
     """Equilibrium on an arbitrary network by pairwise gradient projection
     on the path flows (Bertsekas and Gafni 1982; Jayakrishnan et al. 1994).
@@ -284,8 +288,6 @@ def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
 
 def _general_flow(net: Network, M: float) -> tuple[FlowProfile, float, float]:
     """``wardrop_general``'s (flow, level, residual), without the social cost."""
-    if M <= 0:
-        raise DomainError(f"demand must be positive, got {M!r}")
     if not all(c.is_continuous() for c in net.costs):
         raise UnsupportedCostError("gradient projection on a general network needs continuous costs")
 
@@ -348,7 +350,10 @@ def _general_flow(net: Network, M: float) -> tuple[FlowProfile, float, float]:
         # keeps draining rather than the path it has just filled
         if source < 0 or x_paths[source] <= floor or own[source] < top * (1.0 - PATH_TIE_RTOL):
             source = worst
-        move(source, target, _newton_shift, own[source] - lam)
+        if not move(source, target, _newton_shift, own[source] - lam):
+            # nothing moved, so every later iteration would repeat this one
+            raise ConvergenceError("gradient projection stalled: a move shifted no flow",
+                                   residual=residual)
 
     raise ConvergenceError("gradient projection hit the iteration cap", residual=residual)
 
@@ -385,6 +390,7 @@ def _exact_shift(gain, loss, amount: float, base: float) -> float:
     return min(root(gap, base, f_lo, base + amount, f_hi)[1] - base, amount)
 
 
+@_typed_failures
 def wardrop_parallel_log(net: Network, M: float) -> EquilibriumSolution:
     """Equilibrium of the exponential two-link instance, in log domain.
 
@@ -392,8 +398,6 @@ def wardrop_parallel_log(net: Network, M: float) -> EquilibriumSolution:
     step link carries a_k; for a_k + a_{k+1} < M <= 2 a_{k+1} the smooth
     link carries a_{k+1}.
     """
-    if M <= 0:
-        raise DomainError(f"demand must be positive, got {M!r}")
     kind = classify(net)
     if kind.name != "exp":
         raise UnsupportedCostError(
@@ -413,7 +417,7 @@ def wardrop_parallel_log(net: Network, M: float) -> EquilibriumSolution:
     min_entry = min(entry)
     residual = 0.0
     for i, f in enumerate(flow.path_flows):
-        if f > 1e-9 * M:
+        if f > USED_RTOL * M:
             gap = own[i].log_magnitude - min_entry.log_magnitude
             residual = max(residual, math.expm1(gap) if gap > 0 else 0.0)
     lam = max(own)

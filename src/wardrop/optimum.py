@@ -50,11 +50,13 @@ class OptimumSolution:
 # ---------------------------------------------------------------------------
 
 
+@_typed_failures
 def opt_parallel_marginal(net: Network, M: float) -> OptimumSolution:
     """Optimum of a parallel network by level bisection on the marginal costs."""
     return _marginal_optimum(net, M, _parallel_flow, "marginal")
 
 
+@_typed_failures
 def opt_general_marginal(net: Network, M: float) -> OptimumSolution:
     """Optimum on a general network by gradient projection on continuous marginals."""
     return _marginal_optimum(net, M, _general_flow, "marginal-general")
@@ -83,10 +85,14 @@ def _marginal_optimum(net: Network, M: float, solve, method: str) -> OptimumSolu
 
 
 def _period_index(a: float, M: float) -> int:
-    """k with M in (2 a^k, 2 a^{k+1}]."""
+    """k with M in (2 a^k, 2 a^{k+1}], for a finite M > 0."""
+    if M / 2.0 == 0.0:  # subnormal M: log(0) below
+        raise DomainError(f"M/2 underflows to 0 at M={float(M)!r}: "
+                          "the demand is below the range native floats resolve")
     return _least_power_at_least(a, M / 2.0) - 1
 
 
+@_typed_failures
 def opt_parallel_step(a: float, M: float) -> OptimumSolution:
     """Exact optimum of the (identity, geometric step) two-link game.
 
@@ -96,10 +102,6 @@ def opt_parallel_step(a: float, M: float) -> OptimumSolution:
     are scanned; the winner must land in {C_{k-1}, C_k}, which is flagged
     if violated.
     """
-    if a < 2:
-        raise DomainError(f"step family requires a >= 2, got {a!r}")
-    if M <= 0:
-        raise DomainError(f"demand must be positive, got {M!r}")
     step = StepGeometric(a)
     k = _period_index(a, M)
 
@@ -142,6 +144,7 @@ def opt_parallel_step(a: float, M: float) -> OptimumSolution:
 # ---------------------------------------------------------------------------
 
 
+@_typed_failures
 def opt_parallel_pwl_square(a: float, M: float) -> OptimumSolution:
     """Exact optimum of the (x^2, interpolated x^2) two-link game.
 
@@ -151,10 +154,6 @@ def opt_parallel_pwl_square(a: float, M: float) -> OptimumSolution:
     A candidate whose (M - y)^3 overflows scores +inf, so it loses to any
     finite one; when every candidate overflows, RangeOverflowError.
     """
-    if a < 2:
-        raise DomainError(f"pwl-square family requires a >= 2, got {a!r}")
-    if M <= 0:
-        raise DomainError(f"demand must be positive, got {M!r}")
     pwl = PwlSquare(a)
 
     def objective(y: float) -> float:
@@ -213,6 +212,7 @@ def _exp_log_objective(M: float, y: float, alpha: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
+@_typed_failures
 def opt_parallel_exp_log(alphas: AlphaSequence, M: float) -> OptimumSolution:
     """Optimum of the exponential two-link instance as a finite candidate search.
 
@@ -224,8 +224,6 @@ def opt_parallel_exp_log(alphas: AlphaSequence, M: float) -> OptimumSolution:
     scores each candidate once.  The winner is flagged when it falls
     outside the asymptotic candidate set {k-1, k, k+1}.
     """
-    if M <= 0:
-        raise DomainError(f"demand must be positive, got {M!r}")
     k = alphas.bracket_index(M)
     alphas.cover_index(M)  # DemandBracketError when no step holds y = M
     knots = alphas.knots_through(M)
@@ -279,14 +277,16 @@ def opt_bruteforce(
     injected into the grid.  ``resolution_bound`` is a Lipschitz-style
     error estimate: max adjacent objective difference near the incumbent
     in the final round.  Two-dimensional grids (three links) cap the
-    per-axis resolution at 257 to bound memory.
+    per-axis resolution at 257 to bound memory.  It answers M = 0 with the
+    empty flow, so it checks its demand itself rather than carry the
+    ``_typed_failures`` guard of the solvers.
     """
     if not net.is_parallel():
         raise UnsupportedCostError("brute-force oracle requires a parallel network")
     if net.n_edges > 3:
         raise UnsupportedCostError("brute-force oracle supports at most 3 links")
-    if M < 0:
-        raise DomainError(f"demand must be nonnegative, got {M!r}")
+    if not 0 <= M < math.inf:
+        raise DomainError(f"demand must be a finite M >= 0, got {M!r}")
     if M == 0:
         flow = FlowProfile((0.0,) * net.n_edges, 0.0)
         return OptimumSolution(flow, 0.0, "brute-force", resolution_bound=0.0)

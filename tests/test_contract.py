@@ -1,0 +1,122 @@
+"""The failure contract of every exported solver.
+
+A call on any demand ends in a finite social cost or a typed ``GameError``:
+never a bare Python exception, a NaN or an infinite cost.
+"""
+
+import math
+
+import pytest
+
+import wardrop
+from wardrop.asymptotics import poa_sweep, step_game_closed_form
+from wardrop.cli import main
+from wardrop.costs import Affine, AlphaSequence, Monomial
+from wardrop.errors import DomainError, GameError, RangeOverflowError
+from wardrop.instances import exp_game, pigou, step_game
+from wardrop.logdomain import LogValue
+from wardrop.network import Edge, Network
+from wardrop.optimum import opt_bruteforce, opt_parallel_pwl_square, opt_parallel_step, social_optimum
+
+
+def fork(cost) -> Network:
+    """s -> a on one link, then a -> t on two parallel links, all ``cost``."""
+    edges = (Edge("sa", "s", "a"), Edge("at1", "a", "t"), Edge("at2", "a", "t"))
+    return Network(("s", "a", "t"), edges, (cost, cost, cost), "s", "t")
+
+
+FIRST_ARGUMENT = {
+    "wardrop_equilibrium": pigou(),
+    "wardrop_parallel": pigou(),
+    "wardrop_general": fork(Affine(0.0, 1.0)),
+    "wardrop_parallel_log": exp_game(AlphaSequence("factorial")),
+    "opt_parallel_marginal": pigou(),
+    "opt_general_marginal": fork(Affine(0.0, 1.0)),
+    "opt_parallel_step": 2.0,
+    "opt_parallel_pwl_square": 2.0,
+    "opt_parallel_exp_log": AlphaSequence("factorial"),
+}
+
+DEMANDS = [math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 1e308]
+
+
+def test_every_exported_solver_is_probed():
+    # a new solver fails here until the probe table covers it; the
+    # brute-force oracle is left out because it answers M = 0
+    exported = sorted(
+        name for name, obj in vars(wardrop).items()
+        if name.startswith(("wardrop_", "opt_")) and callable(obj) and name != "opt_bruteforce"
+    )
+    assert exported == sorted(FIRST_ARGUMENT)
+
+
+@pytest.mark.parametrize("M", DEMANDS, ids=repr)
+@pytest.mark.parametrize("name", sorted(FIRST_ARGUMENT))
+def test_any_demand_gives_a_finite_cost_or_a_typed_error(name, M):
+    try:
+        cost = getattr(wardrop, name)(FIRST_ARGUMENT[name], M).cost
+    except GameError:
+        return
+    if isinstance(cost, LogValue):
+        assert cost.is_zero or math.isfinite(cost.log_magnitude), cost
+    else:
+        assert math.isfinite(cost), cost
+
+
+@pytest.mark.parametrize("M", [math.nan, math.inf, -math.inf, -1.0, 0.0], ids=repr)
+@pytest.mark.parametrize("name", sorted(FIRST_ARGUMENT))
+def test_a_demand_outside_the_domain_names_the_contract(name, M):
+    with pytest.raises(DomainError, match=f"demand must be a finite M > 0, got {M!r}"):
+        getattr(wardrop, name)(FIRST_ARGUMENT[name], M)
+
+
+@pytest.mark.parametrize("solve", [wardrop.wardrop_general, wardrop.opt_general_marginal])
+def test_a_steep_cost_on_a_general_network_is_a_range_error(solve):
+    # x ** 1e6 raises OverflowError inside Monomial.eval at x = 1.5
+    with pytest.raises(RangeOverflowError, match="M=1.5"):
+        solve(fork(Monomial(1.0, 1e6)), 1.5)
+
+
+def test_subnormal_demand_on_the_step_game_is_a_domain_error():
+    # M / 2 rounds to 0, whose log is undefined
+    for call in (opt_parallel_step, step_game_closed_form):
+        with pytest.raises(DomainError, match="below the range native floats resolve"):
+            call(2.0, 5e-324)
+
+
+def test_step_closed_form_rejects_a_non_finite_demand():
+    with pytest.raises(DomainError, match="finite M > 0"):
+        step_game_closed_form(2.0, math.nan)
+
+
+@pytest.mark.parametrize("solve", [opt_parallel_step, opt_parallel_pwl_square])
+def test_exact_optima_reject_a_small_base_through_their_family(solve):
+    with pytest.raises(DomainError, match="requires finite a >= 2"):
+        solve(1.5, 4.0)
+
+
+@pytest.mark.parametrize("M_hi", [math.inf, math.nan])
+def test_sweep_range_must_be_finite(M_hi):
+    with pytest.raises(DomainError, match="M_hi"):
+        poa_sweep(pigou(), 1.0, M_hi)
+
+
+def test_cli_sweep_to_infinity_is_a_usage_error(capsys):
+    code = main(["sweep", "--network", "pigou", "--from", "1", "--to", "inf"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "usage" in err.lower() and "Traceback" not in err
+
+
+@pytest.mark.parametrize("M", [math.nan, math.inf, -1.0])
+def test_oracle_rejects_a_demand_outside_its_domain(M):
+    with pytest.raises(DomainError, match="finite M >= 0"):
+        opt_bruteforce(pigou(), M)
+
+
+def test_brute_route_rejects_zero_demand_like_every_solver(capsys):
+    with pytest.raises(DomainError, match="finite M > 0"):
+        social_optimum(step_game(2.0), 0.0, method="brute")
+    code = main(["opt", "--network", "pigou", "--demand", "0", "--method", "brute"])
+    assert code == 3
+    assert "finite M > 0, got 0.0" in capsys.readouterr().err

@@ -333,6 +333,17 @@ def test_general_iteration_cap_raises_with_the_residual(monkeypatch):
     assert exc.value.residual > RESIDUAL_RTOL
 
 
+def test_general_stops_at_a_move_that_shifts_no_flow(monkeypatch):
+    # at a subnormal demand the Newton step rounds to 0, and every iteration
+    # after it would repeat it up to the cap
+    calls = []
+    shift = equilibrium._newton_shift
+    monkeypatch.setattr(equilibrium, "_newton_shift", lambda *a: calls.append(a) or shift(*a))
+    with pytest.raises(ConvergenceError, match="stalled"):
+        wardrop_general(build_parallel([Affine(0.0, 1.0), Affine(0.0, 1.0)]), 5e-324)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("cost_of", [affine, bpr])
 def test_general_iterates_do_not_depend_on_edge_order(monkeypatch, cost_of):
     steps = []
