@@ -20,7 +20,8 @@ from .errors import ConvergenceError, DomainError, GameError, RangeOverflowError
 from .instances import exp_game, pwl_game
 from .logdomain import LogValue
 from .network import Network, build_parallel
-from .equilibrium import EquilibriumSolution, _check_demand, wardrop_equilibrium, wardrop_parallel
+from .equilibrium import (EquilibriumSolution, _check_demand, _range_error, wardrop_equilibrium,
+                          wardrop_parallel)
 from .optimum import OptimumSolution, _period_index, social_optimum
 from .rv import numeric_inverse
 
@@ -249,20 +250,26 @@ def step_game_closed_form(a: float, M: float) -> StepClosedForm:
         raise DomainError(f"step family requires a >= 2, got {a!r}")
     _check_demand(M)
     k = _period_index(a, M)
-    scale = a ** (2 * k)
-    z = M / a**k
-    beta = 1.0 + a / 2.0 + math.sqrt(a - 1.0)
-    gamma = 1.5 * a
+    try:
+        scale = a ** (2 * k)
+        z = M / a**k
+        beta = 1.0 + a / 2.0 + math.sqrt(a - 1.0)
+        gamma = 1.5 * a
 
-    weq = scale * (1.0 + (z - 1.0) ** 2) if z <= 1.0 + a else scale * a * z
-    if z < beta:
-        opt, region = scale * (1.0 + (z - 1.0) ** 2), "flat"
-    elif z <= gamma:
-        opt = scale * a * (z - a / 4.0)
-        region = "rise" if z <= 1.0 + a else "post-jump"
-    else:
-        opt, region = scale * (a * a + (z - a) ** 2), "decay"
-    return StepClosedForm(M, k, z, weq, opt, weq / opt, region)
+        weq = scale * (1.0 + (z - 1.0) ** 2) if z <= 1.0 + a else scale * a * z
+        if z < beta:
+            opt, region = scale * (1.0 + (z - 1.0) ** 2), "flat"
+        elif z <= gamma:
+            opt = scale * a * (z - a / 4.0)
+            region = "rise" if z <= 1.0 + a else "post-jump"
+        else:
+            opt, region = scale * (a * a + (z - a) ** 2), "decay"
+        ratio = weq / opt
+        if not math.isfinite(weq):  # a^(2k) a z overflows where a^(2k) does not
+            raise OverflowError("the equilibrium cost left the native float range")
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _range_error(M, exc) from exc
+    return StepClosedForm(M, k, z, weq, opt, ratio, region)
 
 
 def step_jump_value(a: float) -> float:
@@ -307,7 +314,12 @@ def pwl_game_constants(a: float) -> PwlConstants:
 def pwl_game_poa_at_special_demand(a: float, k: int) -> PoaResult:
     """Solver-side PoA of the interpolated-square game at M_k."""
     consts = pwl_game_constants(a)
-    M_k = a ** (k - 1) * (a + consts.b)
+    try:
+        M_k = a ** (k - 1) * (a + consts.b)
+    except OverflowError:  # a^(k-1) overflows; or the product does, to inf
+        M_k = math.inf
+    if M_k == math.inf:
+        raise RangeOverflowError(f"M_k = a^(k-1) (a + b) overflows at k={k!r}")
     return poa(pwl_game(a), M_k)
 
 

@@ -24,7 +24,7 @@ from .errors import DomainError, GameError
 from .instances import classify, named_instance, step_breakpoints
 from .logdomain import LogValue
 from .network import Network, load_network
-from .equilibrium import wardrop_equilibrium
+from .equilibrium import _check_demand, wardrop_equilibrium
 from .optimum import _period_index, social_optimum
 from .rv import rv_suite
 
@@ -197,9 +197,9 @@ def _cmd_extremes(args: argparse.Namespace) -> int:
     samples = []
     with open(args.curve, "r", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            samples.append(
-                asy.PoaSample(float(row["M"]), 0.0, 0.0, float(row["poa"]), row.get("method", ""))
-            )
+            M = float(row["M"])
+            _check_demand(M)  # outside input: a curve's demands are finite and positive
+            samples.append(asy.PoaSample(M, 0.0, 0.0, float(row["poa"]), row.get("method", "")))
     if not samples:
         raise DomainError(f"curve file {args.curve!r} holds no samples")
     Ms = [s.M for s in samples]

@@ -47,8 +47,8 @@ from .network import (
 
 RESIDUAL_RTOL = 1e-9
 USED_RTOL = 1e-9  # a path with more than this share of M is used
-GENERAL_MAX_ITER = 100_000
-PATH_TIE_RTOL = 1e-12
+GENERAL_MAX_ITER = 200
+PIVOT_RTOL = 1e-12  # a pivot below this share of the largest counts as 0
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,8 @@ def level_allocation(funcs, M: float) -> tuple[float, list[float]]:
     f_lo = excess(lam_lo)
     if f_lo < 0:
         lam_hi = min(f.eval(M) for f in funcs)
-        if lam_hi == 0.0:  # a positive cost underflowed; doubling 0 gets nowhere
-            raise DomainError(f"the cost level underflows to 0 at M={float(M)!r}: "
-                              "the demand is below the range native floats resolve")
+        if lam_hi < sys.float_info.min:  # the level, at most lam_hi, is subnormal or 0
+            raise _level_underflow(M)
         f_hi = excess(lam_hi)
         doublings = 0
         while f_hi < 0:
@@ -109,6 +108,8 @@ def level_allocation(funcs, M: float) -> tuple[float, list[float]]:
         secant = all(f.is_continuous() for f in funcs)
         below, lam_star = root(excess, lam_lo, f_lo, lam_hi, f_hi, secant)
 
+    if 0.0 < lam_star < sys.float_info.min:  # RESIDUAL_RTOL * lam would round to 0
+        raise _level_underflow(M)
     inverses = [f.generalized_inverse(lam_star) for f in funcs]
     los, his = [lo for lo, _ in inverses], [hi for _, hi in inverses]
     if below < lam_star and math.fsum(los) > M:
@@ -120,6 +121,11 @@ def level_allocation(funcs, M: float) -> tuple[float, list[float]]:
             "level bisection failed to bracket the demand", residual=math.fsum(los) - M
         )
     return lam_star, _allocate(funcs, lam_star, los, his, M)
+
+
+def _level_underflow(M: float) -> DomainError:
+    return DomainError(f"the cost level underflows at M={float(M)!r}: "
+                       "the demand is below the range native floats resolve")
 
 
 def _allocate(funcs, lam: float, los, his, M: float) -> list[float]:
@@ -189,23 +195,26 @@ def _typed_failures(solve):
                     raise ZeroDivisionError("the social cost is subnormal")
         except GameError:  # typed already; RangeOverflowError is also an OverflowError
             raise
-        except OverflowError as exc:
-            raise RangeOverflowError(
-                f"float overflow at M={float(M)!r}: the demand is above the range native floats resolve"
-            ) from exc
-        except ZeroDivisionError as exc:
-            raise DomainError(
-                f"division by zero at M={float(M)!r}: the demand is below the range native floats resolve"
-            ) from exc
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise _range_error(M, exc) from exc
         return sol
 
     return entry
 
 
+def _range_error(M: float, exc: ArithmeticError) -> GameError:
+    """The typed error, naming M, for float overflow or division by zero."""
+    if isinstance(exc, OverflowError):
+        return RangeOverflowError(f"float overflow at M={float(M)!r}: "
+                                  "the demand is above the range native floats resolve")
+    return DomainError(f"division by zero at M={float(M)!r}: "
+                       "the demand is below the range native floats resolve")
+
+
 def wardrop_equilibrium(net: Network, M: float) -> EquilibriumSolution:
     """Equilibrium by the solver that ``classify`` picks: the log-domain
-    split for the exponential game, pairwise gradient projection on a
-    general network, level bisection on every other parallel network.
+    split for the exponential game, projected Newton steps on a general
+    network, level bisection on every other parallel network.
     Each of them carries the failure contract of ``_typed_failures``."""
     kind = classify(net).name
     if kind == "exp":
@@ -264,20 +273,20 @@ def verify_equilibrium(net: Network, flow: FlowProfile) -> ResidualReport:
 
 @_typed_failures
 def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
-    """Equilibrium on an arbitrary network by pairwise gradient projection
-    on the path flows (Bertsekas and Gafni 1982; Jayakrishnan et al. 1994).
+    """Equilibrium on an arbitrary network by projected Newton steps on the
+    path flows (D. P. Bertsekas, "Projected Newton methods for optimization
+    problems with simple constraints", SIAM J. Control Optim. 20(2), 1982).
 
-    Each iteration moves flow from the costliest used path to the cheapest
-    by one Newton step (``_newton_shift``), at most all the source's flow,
-    and prices the two paths' edges again.  Once no used path costs more
-    than RESIDUAL_RTOL * lam above the cheapest, the last pair moves to
-    adjacent floats (``_exact_shift``), so a two-path equilibrium does not
-    depend on where the Newton steps crossed that bound.
-
-    Edge flows, path costs and the moves' sums are correctly rounded
-    (``math.fsum``) and an exact tie on cost goes to the path with more
-    flow, so the iterates, and the work, do not depend on the order in
-    which the network lists its edges or enumerates its paths.
+    Each iteration moves the flows of the used and the cheapest paths at once
+    to where the linear model of their costs is level (``_newton_step``),
+    clips them at 0 and rescales them to sum to M.  Where a slope is infinite
+    (sqrt x at 0), or a direction without curvature lowers the cost, the
+    costliest used path and the cheapest split their flow exactly instead.
+    Once no used path costs more than RESIDUAL_RTOL * lam above the
+    cheapest, one such split ends the search, so a two-path equilibrium does
+    not depend on where the Newton steps crossed that bound.  Paths are
+    taken in the order of their (tail, head, id) sequences and every sum is
+    correctly rounded, so no iterate depends on the order of the edges.
 
     Requires continuous costs.  The method keeps the label "frank-wolfe" of
     the conditional gradient it replaced: golden CLI output prints it.
@@ -289,105 +298,107 @@ def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
 def _general_flow(net: Network, M: float) -> tuple[FlowProfile, float, float]:
     """``wardrop_general``'s (flow, level, residual), without the social cost."""
     if not all(c.is_continuous() for c in net.costs):
-        raise UnsupportedCostError("gradient projection on a general network needs continuous costs")
+        raise UnsupportedCostError("projected Newton on a general network needs continuous costs")
 
-    costs = net.costs
-    paths = [list(p) for p in net.paths]  # enumerated paths are simple
+    edges = net.edges
+    order = sorted(range(net.n_paths),
+                   key=lambda i: [(edges[e].tail, edges[e].head, edges[e].id) for e in net.paths[i]])
+    paths = [net.paths[i] for i in order]
     through = [[i for i, p in enumerate(paths) if e in p] for e in range(net.n_edges)]
-    n, floor = len(paths), 1e-12 * M
-    x_paths = [0.0] * n
-    xe = [0.0] * net.n_edges
-    edge_costs = [0.0] * net.n_edges
+    x, floor, polish, residual = [0.0] * len(paths), 1e-12 * M, False, math.inf
 
-    def update(edges) -> None:
-        """Edge flows and costs of ``edges`` again from the path flows."""
-        for e in edges:
-            xe[e] = math.fsum(map(x_paths.__getitem__, through[e]))
-            edge_costs[e] = costs[e].eval(xe[e])
-            if not math.isfinite(edge_costs[e]):
-                raise RangeOverflowError(
-                    f"an edge cost left the native float range at M={float(M)!r}"
-                )
-
-    def path_costs() -> list[float]:
-        return [math.fsum(map(edge_costs.__getitem__, p)) for p in paths]
-
-    def move(src: int, tgt: int, shift_of, *args) -> bool:
-        """Move ``shift_of``'s flow from path src to path tgt; False if it is 0."""
+    def split(src: int, tgt: int) -> None:
+        """Give the target the least float share y of the pair's flow at which
+        the edges only it uses cost at least those only the source uses, by
+        ``root`` over the whole pair's flow: y does not depend on the split."""
         gain, loss = set(paths[tgt]), set(paths[src])
-        unshared = [(costs[e], xe[e]) for e in gain - loss], [(costs[e], xe[e]) for e in loss - gain]
-        shift = shift_of(*unshared, x_paths[src], x_paths[tgt], *args)
-        x_paths[tgt] += shift
-        x_paths[src] -= shift  # 0.0 exactly after a full step
-        update(gain | loss)
-        return shift > 0.0
+        others = {e: math.fsum([x[i] for i in through[e] if i not in (src, tgt)]) for e in gain ^ loss}
+        total = max(M - math.fsum([v for i, v in enumerate(x) if i not in (src, tgt)]), 0.0)
 
-    update(range(net.n_edges))
-    own = path_costs()
-    first = min(range(n), key=own.__getitem__)
-    x_paths[first] = M
-    update(paths[first])
+        def gap(y: float) -> float:
+            return math.fsum([*(net.costs[e].eval(others[e] + y) for e in gain - loss),
+                              *(-net.costs[e].eval(others[e] + (total - y)) for e in loss - gain)])
 
-    residual, source, target, polished = math.inf, -1, -1, False
+        f_lo, f_hi = gap(0.0), gap(total)
+        y = 0.0 if f_lo >= 0.0 else total if f_hi < 0.0 else root(gap, 0.0, f_lo, total, f_hi)[1]
+        x[src], x[tgt] = total - y, y
+
     for _ in range(GENERAL_MAX_ITER):
-        own = path_costs()
-        lam = min(own)
-        used = [i for i in range(n) if x_paths[i] > floor]
-        top = max(own[i] for i in used)
-        residual = max(top - lam, 0.0)
-        if residual <= RESIDUAL_RTOL * lam:
-            if polished or source < 0:
-                total = math.fsum(x_paths)
-                return FlowProfile(tuple(x / total * M for x in x_paths), M), lam, residual
-            # the last pair to adjacent floats, whichever way its unshared edges say
-            polished = True
-            move(source, target, _exact_shift) or move(target, source, _exact_shift)
+        xe = [math.fsum(map(x.__getitem__, t)) for t in through]
+        ec = [c.eval(v) for c, v in zip(net.costs, xe)]
+        if not all(map(math.isfinite, ec)):
+            raise OverflowError("an edge cost left the native float range")
+        own = [math.fsum(map(ec.__getitem__, p)) for p in paths]
+        cheapest = own.index(lam := min(own))
+        if not any(x):  # the start: all flow on the path that is cheapest empty
+            x[cheapest] = M
             continue
-        # an exact tie on cost goes to the path with more flow
-        target = max((i for i in range(n) if own[i] == lam), key=x_paths.__getitem__)
-        worst = max((i for i in used if own[i] == top), key=x_paths.__getitem__)
-        # a move leaves its two paths about tied; on a tie the last source
-        # keeps draining rather than the path it has just filled
-        if source < 0 or x_paths[source] <= floor or own[source] < top * (1.0 - PATH_TIE_RTOL):
-            source = worst
-        if not move(source, target, _newton_shift, own[source] - lam):
-            # nothing moved, so every later iteration would repeat this one
-            raise ConvergenceError("gradient projection stalled: a move shifted no flow",
-                                   residual=residual)
+        used = [i for i, v in enumerate(x) if v > floor]
+        worst = max(used, key=own.__getitem__)
+        residual = max(own[worst] - lam, 0.0)
+        if residual <= RESIDUAL_RTOL * lam:
+            rest = [i for i in used if i != cheapest]
+            if not (polish and rest):
+                return FlowProfile(tuple(v for _, v in sorted(zip(order, x))), M), lam, residual
+            # one exact split of the last pair, so that a two-path equilibrium
+            # does not depend on where the Newton steps crossed the bound
+            polish = False
+            split(max(rest, key=own.__getitem__), cheapest)
+            continue
+        before, polish = list(x), True
+        S = [cheapest, *(i for i, v in enumerate(x) if i != cheapest and (v > floor or own[i] == lam))]
+        slope = [c.derivative_bounds(v)[1] for c, v in zip(net.costs, xe)]
+        step = _newton_step([paths[i] for i in S], slope, [own[i] for i in S])
+        if step is None:
+            split(worst, cheapest)
+        else:
+            for i, d in zip(S, step):
+                x[i] = max(x[i] + d, 0.0)
+            total = math.fsum(x)
+            if total > 0.0:
+                x[:] = [v / total * M for v in x]
+        if x == before or not any(x):  # rounded away: every later iteration would repeat this one
+            raise ConvergenceError("projected Newton stalled: a step moved no flow", residual=residual)
 
-    raise ConvergenceError("gradient projection hit the iteration cap", residual=residual)
+    raise ConvergenceError("projected Newton hit the iteration cap", residual=residual)
 
 
-def _newton_shift(gain, loss, amount: float, base: float, gap: float) -> float:
-    """Flow to move from a source path, with flow ``amount``, to a target path,
-    with flow ``base``, that costs ``gap`` > 0 less, given (cost, flow) of the
-    edges only the target uses (``gain``) and only the source uses (``loss``):
-    one Newton step, ``gap`` over the sum of the edges' derivatives on the
-    side their flows move to, capped at ``amount``.  Where that sum is
-    infinite, as sqrt x's slope at 0 is, ``_exact_shift`` moves instead."""
-    slope = math.fsum([*(c.derivative_bounds(x)[1] for c, x in gain),
-                       *(c.derivative_bounds(x)[0] for c, x in loss)])
-    if not slope < math.inf:
-        return _exact_shift(gain, loss, amount, base)
-    return amount if slope == 0.0 else min(amount, gap / slope)
-
-
-def _exact_shift(gain, loss, amount: float, base: float) -> float:
-    """Shift in [0, ``amount``] at which the target-only edges come to cost at
-    least the source-only ones, 0.0 if they already do: ``root`` on the
-    target's new flow ``base`` + shift, to that flow's resolution."""
-
-    def gap(y: float) -> float:
-        s = min(y - base, amount)  # y - base may round above amount
-        return math.fsum([*(c.eval(x + s) for c, x in gain), *(-c.eval(x - s) for c, x in loss)])
-
-    f_lo = gap(base)
-    if f_lo >= 0.0:
-        return 0.0
-    f_hi = gap(base + amount)
-    if f_hi <= 0.0:
-        return amount
-    return min(root(gap, base, f_lo, base + amount, f_hi)[1] - base, amount)
+def _newton_step(paths, slope, cost) -> list[float] | None:
+    """Flow changes d, sum(d) = 0, on ``paths`` (the cheapest first) that level
+    the linear model of their costs under the edge slopes: [H -1; 1' 0][d; mu]
+    = [cost[0] - cost; 0] with H = A diag(slope) A', solved for d_1 .. d_m with
+    d_0 = -(d_1 + ... + d_m); its matrix sums the slopes of the edges where
+    paths i and j differ from path 0 alike.  It can be singular: complete
+    pivoting leaves an unknown at 0 once its pivot falls below PIVOT_RTOL of
+    the largest.  None if one of those slopes is infinite, or if the equations
+    left miss by more than PIVOT_RTOL of the largest cost (no curvature)."""
+    base = set(paths[0])
+    diff = [(set(p) - base, base.difference(p)) for p in paths[1:]]  # (gained, lost) edges
+    if not all(slope[e] < math.inf for gain, loss in diff for e in gain | loss):
+        return None
+    a = [[0.0] * len(diff) for _ in diff]
+    for i, (gi, li) in enumerate(diff):
+        for j, (gj, lj) in enumerate(diff[i:], i):
+            a[i][j] = a[j][i] = math.fsum([slope[e] for e in (gi & gj) | (li & lj)])
+    b = [cost[0] - c for c in cost[1:]]
+    free, pivots = list(range(len(b))), []
+    largest = max([a[i][i] for i in free], default=0.0)
+    while free:
+        k = max(free, key=lambda i: a[i][i])
+        if not a[k][k] > PIVOT_RTOL * largest:
+            break
+        free.remove(k)
+        pivots.append(k)
+        for i in free:
+            f = a[i][k] / a[k][k]
+            a[i] = [u - f * v for u, v in zip(a[i], a[k])]
+            b[i] -= f * b[k]
+    if any(abs(b[i]) > PIVOT_RTOL * max(cost) for i in free):
+        return None
+    z = [0.0] * len(b)
+    for k in reversed(pivots):
+        z[k] = (b[k] - math.fsum([a[k][j] * z[j] for j in pivots if j != k])) / a[k][k]
+    return [-math.fsum(z), *z]
 
 
 @_typed_failures

@@ -58,7 +58,7 @@ def opt_parallel_marginal(net: Network, M: float) -> OptimumSolution:
 
 @_typed_failures
 def opt_general_marginal(net: Network, M: float) -> OptimumSolution:
-    """Optimum on a general network by gradient projection on continuous marginals."""
+    """Optimum on a general network by projected Newton steps on continuous marginals."""
     return _marginal_optimum(net, M, _general_flow, "marginal-general")
 
 

@@ -124,6 +124,18 @@ def test_sweep_csv_and_extremes(tmp_path, capsys):
     assert payload["liminf_estimate"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("M", ["-1", "0", "nan", "inf", "-inf"])
+def test_extremes_rejects_a_curve_demand_outside_the_domain(tmp_path, capsys, M):
+    # a negative M once reached log() in the period index as a traceback,
+    # and M = 0 was reported as an underflow
+    curve = tmp_path / "curve.csv"
+    curve.write_text(f"M,weq,opt,poa,method,flag\n{M},1,1,1.0,bisection,\n8,1,1,1.0,bisection,\n")
+    code, _, err = _run(["extremes", "--curve", str(curve), "--period-base", "2"], capsys)
+    assert code == 3
+    assert f"demand must be a finite M > 0, got {float(M)!r}" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_log_domain_columns(tmp_path, capsys):
     curve = tmp_path / "log_curve.csv"
     code, _, _ = _run(

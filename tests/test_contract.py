@@ -1,15 +1,17 @@
-"""The failure contract of every exported solver.
+"""The failure contract of every exported solver and closed form.
 
-A call on any demand ends in a finite social cost or a typed ``GameError``:
-never a bare Python exception, a NaN or an infinite cost.
+A call on any demand ends in a finite social cost (a finite PoA for the
+closed forms) or a typed ``GameError``: never a bare Python exception, a
+NaN or an infinite value.
 """
 
 import math
+import re
 
 import pytest
 
 import wardrop
-from wardrop.asymptotics import poa_sweep, step_game_closed_form
+from wardrop.asymptotics import poa_sweep, pwl_game_poa_at_special_demand, step_game_closed_form
 from wardrop.cli import main
 from wardrop.costs import Affine, AlphaSequence, Monomial
 from wardrop.errors import DomainError, GameError, RangeOverflowError
@@ -82,6 +84,42 @@ def test_subnormal_demand_on_the_step_game_is_a_domain_error():
     for call in (opt_parallel_step, step_game_closed_form):
         with pytest.raises(DomainError, match="below the range native floats resolve"):
             call(2.0, 5e-324)
+
+
+CLOSED_FORMS = [
+    *(("step_game_closed_form", 2.0, M) for M in [*DEMANDS, 1e-308, 1.8353258673459495e154]),
+    *(("pwl_game_poa_at_special_demand", 2.0, k) for k in (-3000, -1000, 1, 1000, 1024, 1030)),
+    *(("exp_game_poa_near_breakpoint", AlphaSequence("factorial"), k) for k in (0, 1, 169, 170)),
+    ("exp_game_poa_near_breakpoint", AlphaSequence("explicit", values=(1.0, 1e308, 1.7e308)), 2),
+]
+
+
+@pytest.mark.parametrize("name, first, arg", CLOSED_FORMS,
+                         ids=[f"{name}-{arg!r}" for name, _, arg in CLOSED_FORMS])
+def test_any_input_gives_a_closed_form_a_finite_value_or_a_typed_error(name, first, arg):
+    # the second argument is the demand of the step game, and the index k of
+    # the special demand or breakpoint of the other two
+    try:
+        result = getattr(wardrop, name)(first, arg)
+    except GameError:
+        return
+    for value in ("poa", "closed_form", "numeric_poa"):
+        if hasattr(result, value):
+            assert math.isfinite(getattr(result, value)), result
+
+
+@pytest.mark.parametrize("M, error", [(1e308, RangeOverflowError),  # a^(2k) overflows
+                                      (1.8353258673459495e154, RangeOverflowError),  # a^(2k) a z does
+                                      (1e-308, DomainError)])  # a^(2k) underflows to 0
+def test_step_closed_form_types_its_float_range(M, error):
+    with pytest.raises(error, match=re.escape(f"at M={M!r}:")):
+        step_game_closed_form(2.0, M)
+
+
+@pytest.mark.parametrize("k", [1024, 1030])  # 2^1023 (2 + b) overflows, and 2^1029 itself
+def test_pwl_special_demand_types_its_overflow(k):
+    with pytest.raises(RangeOverflowError, match=f"overflows at k={k}"):
+        pwl_game_poa_at_special_demand(2.0, k)
 
 
 def test_step_closed_form_rejects_a_non_finite_demand():

@@ -13,6 +13,7 @@ from wardrop.costs import (
     Affine,
     AlphaSequence,
     Constant,
+    CostFunction,
     ExpOverX,
     Monomial,
     Polynomial,
@@ -32,7 +33,7 @@ from wardrop.errors import (
 from wardrop.asymptotics import poa, step_game_closed_form
 from wardrop.instances import exp_game, pigou, step_game
 from wardrop.network import Edge, FlowProfile, Network, build_parallel, load_network, social_cost
-from wardrop.optimum import opt_general_marginal
+from wardrop.optimum import opt_general_marginal, opt_parallel_marginal
 from wardrop.equilibrium import (
     RESIDUAL_RTOL,
     verify_equilibrium,
@@ -241,7 +242,7 @@ ZIGZAG = (0, 4, 3)
 
 def test_braess_optimum_leaves_the_zigzag_exactly_empty():
     # at M = 1 the zigzag ties the two outer paths in the marginal game but
-    # carries nothing; a full pairwise step empties it exactly
+    # carries nothing; the Newton step's clip at 0 empties it exactly
     net = braess(Affine(0.0, 1.0))
     opt = opt_general_marginal(net, 1.0)
     assert opt.flow.path_flows[net.paths.index(ZIGZAG)] == 0.0
@@ -337,46 +338,64 @@ def test_general_stops_at_a_move_that_shifts_no_flow(monkeypatch):
     # at a subnormal demand the Newton step rounds to 0, and every iteration
     # after it would repeat it up to the cap
     calls = []
-    shift = equilibrium._newton_shift
-    monkeypatch.setattr(equilibrium, "_newton_shift", lambda *a: calls.append(a) or shift(*a))
+    step = equilibrium._newton_step
+    monkeypatch.setattr(equilibrium, "_newton_step", lambda *a: calls.append(a) or step(*a))
     with pytest.raises(ConvergenceError, match="stalled"):
         wardrop_general(build_parallel([Affine(0.0, 1.0), Affine(0.0, 1.0)]), 5e-324)
     assert len(calls) == 1
 
 
+class Priced(CostFunction):
+    """An edge cost that logs every flow it is priced at."""
+
+    def __init__(self, cost, log: list):
+        self.cost, self.log = cost, log
+
+    def eval(self, x):
+        self.log.append(x)
+        return self.cost.eval(x)
+
+    def derivative_bounds(self, x):
+        return self.cost.derivative_bounds(x)
+
+
 @pytest.mark.parametrize("cost_of", [affine, bpr])
 def test_general_iterates_do_not_depend_on_edge_order(monkeypatch, cost_of):
+    # each Newton step's flow changes are recorded by path, and every
+    # iterate prices every edge, so the flows each edge is priced at, in
+    # order, record the iterates (``_general_flow`` forms no social cost,
+    # whose edge flows are summed in path order)
     steps = []
-    real = equilibrium._newton_shift
+    real = equilibrium._newton_step
 
-    def recorded(*args):
-        steps.append(real(*args))
-        return steps[-1]
+    def recorded(paths, slope, cost):
+        step = real(paths, slope, cost)
+        steps.append({frozenset(relisted.edges[e].id for e in p): d for p, d in zip(paths, step)})
+        return step
 
-    monkeypatch.setattr(equilibrium, "_newton_shift", recorded)
+    monkeypatch.setattr(equilibrium, "_newton_step", recorded)
     net = grid(4, cost_of)
     runs = []
     for order in (range(24), range(23, -1, -1), [*range(7, 24), *range(7)]):
+        priced = {net.edges[e].id: [] for e in order}
         relisted = Network(
             net.vertices[::-1],
             tuple(net.edges[e] for e in order),
-            tuple(net.costs[e] for e in order),
+            tuple(Priced(net.costs[e], priced[net.edges[e].id]) for e in order),
             net.source,
             net.sink,
         )
         steps.clear()
-        sol = wardrop_general(relisted, 10.0)
+        flow, lam, _ = equilibrium._general_flow(relisted, 10.0)
         by_path = {
             frozenset(relisted.edges[e].id for e in p): x
-            for p, x in zip(relisted.paths, sol.flow.path_flows)
+            for p, x in zip(relisted.paths, flow.path_flows)
         }
-        runs.append((list(steps), by_path, sol.lam, relisted.paths))
-    assert runs[0][3] != runs[1][3] != runs[2][3]  # the paths come in other orders
-    assert runs[0][0]  # the moves were recorded
-    for shifts, by_path, lam, _ in runs[1:]:
-        assert shifts == runs[0][0]
-        assert by_path == runs[0][1]
-        assert lam == runs[0][2]
+        runs.append((list(steps), priced, by_path, lam, relisted.paths))
+    assert runs[0][4] != runs[1][4] != runs[2][4]  # the paths come in other orders
+    assert len(runs[0][0]) > 1  # the Newton steps were recorded
+    for run in runs[1:]:
+        assert run[:4] == runs[0][:4]
 
 
 def test_general_edge_cost_overflow_is_a_range_error():
@@ -385,16 +404,23 @@ def test_general_edge_cost_overflow_is_a_range_error():
         wardrop_general(grid(3, bpr), 1e80)
 
 
-@pytest.mark.parametrize("M", [1.0, 10.0, 100.0])
+@pytest.mark.parametrize("M", [1.0, 3.0, 10.0, 30.0, 100.0])
 @pytest.mark.parametrize("cost_of", [affine, bpr])
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_grid_equilibrium_keeps_the_demand_within_the_residual_bound(n, cost_of, M):
-    # the flow is returned scaled to sum to M, which would hide flow a move
-    # lost; the lost flow shows as a residual on the scaled profile
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_grid_equilibrium_keeps_the_demand_within_the_residual_bound(n, cost_of, M, monkeypatch):
+    # every step rescales the flows to sum to M, which would hide flow a
+    # step lost; the lost flow shows as a residual on the returned profile.
+    # Projected Newton settles every grid up to 6 x 6 in under 50 steps,
+    # the equilibrium and the optimum (the marginal game's equilibrium)
+    monkeypatch.setattr(equilibrium, "GENERAL_MAX_ITER", 50)
     net = grid(n, cost_of)
     sol = wardrop_general(net, M)
     assert sol.residual <= RESIDUAL_RTOL * sol.lam
     assert verify_equilibrium(net, sol.flow).residual <= RESIDUAL_RTOL * sol.lam
+    opt = opt_general_marginal(net, M)
+    margs = tuple(c.marginal_function() for c in net.costs)
+    report = verify_equilibrium(Network(net.vertices, net.edges, margs, net.source, net.sink), opt.flow)
+    assert report.residual <= RESIDUAL_RTOL * report.min_entry_cost
 
 
 def test_fork_equilibrium_is_its_closed_form_to_one_ulp():
@@ -430,19 +456,16 @@ def test_braess_with_curved_rising_edges_keeps_its_poa(rising, M):
 
 
 def test_an_infinite_slope_moves_by_root(monkeypatch):
-    # sqrt x has no finite slope at 0, where Braess's bottom path starts at
-    # M = 5: that move finds where the gap closes instead of a Newton step
+    # sqrt x has no finite slope at 0, where the second link starts: that
+    # move finds where the pair's gap closes instead of a Newton step
     assert Monomial(1.0, 0.5).derivative_bounds(0.0) == (math.inf, math.inf)
-    calls = []
-    real = equilibrium._exact_shift
-
-    def recorded(*args):
-        calls.append(real(*args))
-        return calls[-1]
-
-    monkeypatch.setattr(equilibrium, "_exact_shift", recorded)
+    steps = []
+    real = equilibrium._newton_step
+    monkeypatch.setattr(equilibrium, "_newton_step", lambda *a: steps.append(real(*a)) or steps[-1])
+    sol = wardrop_general(build_parallel([Monomial(1.0, 0.5), Monomial(2.0, 0.5)]), 1.0)
+    assert steps == [None]
+    assert sol.flow.path_flows == pytest.approx((0.8, 0.2), rel=1e-12)  # sqrt x1 = 2 sqrt x2
     sol = wardrop_general(braess(Monomial(1.0, 0.5)), 5.0)
-    assert calls and calls[0] > 0.0
     assert sol.flow.path_flows == pytest.approx((2.5, 0.0, 2.5), rel=1e-9)
 
 
@@ -484,6 +507,16 @@ def test_level_that_underflows_to_zero_is_a_domain_error(costs, M):
     # min c_i(M) rounds to 0, where doubling the level's upper end gets nowhere
     with pytest.raises(DomainError, match="below the range native floats resolve"):
         wardrop_parallel(build_parallel(costs), M)
+
+
+@pytest.mark.parametrize("solve", [wardrop_parallel, opt_parallel_marginal])
+def test_subnormal_level_is_a_domain_error(solve):
+    # derivative-limit (2x against x^2): the level, about M^2 = 5e-318, is
+    # subnormal, where RESIDUAL_RTOL * lam rounds to 0 and no residual but 0
+    # would meet the bound
+    net = build_parallel([Affine(0.0, 2.0), Monomial(1.0, 2.0)])
+    with pytest.raises(DomainError, match="cost level underflows at M=2.276895660721214e-159"):
+        solve(net, 2.276895660721214e-159)
 
 
 # ---------------------------------------------------------------------------
