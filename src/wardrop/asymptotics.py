@@ -347,9 +347,12 @@ def exp_game_poa_near_breakpoint(alphas: AlphaSequence, k: int) -> ExpBreakpoint
     if k < 1 or k + 1 > alphas.max_index():
         raise DomainError(f"alpha sequence too short for breakpoint index {k}")
     a_k, a_k1 = alphas.alpha(k), alphas.alpha(k + 1)
+    M = (a_k + a_k1) * (1.0 + 1e-6)
+    if M == math.inf:
+        raise RangeOverflowError(f"M = (alpha_k + alpha_(k+1)) (1 + 1e-6) overflows at k={k!r}")
     closed = (a_k + a_k1) / (1.0 + a_k + math.log(a_k1))
 
-    r = poa(exp_game(alphas), (a_k + a_k1) * (1.0 + 1e-6))
+    r = poa(exp_game(alphas), M)
     gap = abs(r.poa - closed) / closed
     return ExpBreakpointReport(k, closed, r.poa, gap, r.flag)
 

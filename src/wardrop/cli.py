@@ -155,13 +155,12 @@ def _cmd_poa(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     net = _load(args.network)
-    hints = [] if args.no_breakpoint_hints else auto_breakpoints(net, args.demand_lo, args.demand_hi)
     curve = asy.poa_sweep(
         net,
         args.demand_lo,
         args.demand_hi,
         samples_per_decade=args.samples_per_decade,
-        breakpoint_hints=hints,
+        breakpoint_hints=auto_breakpoints(net, args.demand_lo, args.demand_hi),
         jobs=args.jobs,
     )
     log_domain = any(isinstance(s.weq, LogValue) for s in curve.samples)
@@ -420,7 +419,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--to", dest="demand_hi", type=float, required=True)
     sp.add_argument("--per-decade", dest="samples_per_decade", type=int,
                     default=asy.DEFAULT_SAMPLES_PER_DECADE)
-    sp.add_argument("--no-breakpoint-hints", action="store_true")
     sp.add_argument("--jobs", type=int, default=os.cpu_count())
     sp.add_argument("--out")
 

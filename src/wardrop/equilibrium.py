@@ -64,9 +64,6 @@ class EquilibriumSolution:
 class ResidualReport:
     residual: float
     min_entry_cost: float
-    path_costs: tuple[float, ...]
-    entry_costs: tuple[float, ...]
-    worst_path: int | None
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +255,10 @@ def verify_equilibrium(net: Network, flow: FlowProfile) -> ResidualReport:
     which coincides with the plain path cost for continuous families.
     """
     x = edge_flows(net, flow)
-    own = tuple(net.path_cost(i, x) for i in range(net.n_paths))
-    entry = tuple(net.path_entry_cost(i, x) for i in range(net.n_paths))
-    min_entry = min(entry)
+    min_entry = min(net.path_entry_cost(i, x) for i in range(net.n_paths))
     threshold = USED_RTOL * max(flow.total, 0.0)
-    worst, worst_path = 0.0, None
-    for i, f in enumerate(flow.path_flows):
-        if f > threshold:
-            gap = own[i] - min_entry
-            if gap > worst:
-                worst, worst_path = gap, i
-    return ResidualReport(worst, min_entry, own, entry, worst_path)
+    gaps = (net.path_cost(i, x) - min_entry for i, f in enumerate(flow.path_flows) if f > threshold)
+    return ResidualReport(max([0.0, *gaps]), min_entry)  # a NaN gap never counts
 
 
 @_typed_failures
@@ -303,8 +293,9 @@ def _general_flow(net: Network, M: float) -> tuple[FlowProfile, float, float]:
     edges = net.edges
     order = sorted(range(net.n_paths),
                    key=lambda i: [(edges[e].tail, edges[e].head, edges[e].id) for e in net.paths[i]])
-    paths = [net.paths[i] for i in order]
-    through = [[i for i, p in enumerate(paths) if e in p] for e in range(net.n_edges)]
+    canon = Network(net.vertices, edges, net.costs, net.source, net.sink,
+                    paths=tuple(net.paths[i] for i in order))
+    paths = canon.paths
     x, floor, polish, residual = [0.0] * len(paths), 1e-12 * M, False, math.inf
 
     def split(src: int, tgt: int) -> None:
@@ -312,7 +303,7 @@ def _general_flow(net: Network, M: float) -> tuple[FlowProfile, float, float]:
         the edges only it uses cost at least those only the source uses, by
         ``root`` over the whole pair's flow: y does not depend on the split."""
         gain, loss = set(paths[tgt]), set(paths[src])
-        others = {e: math.fsum([x[i] for i in through[e] if i not in (src, tgt)]) for e in gain ^ loss}
+        others = {e: math.fsum([x[i] for i in canon.through[e] if i not in (src, tgt)]) for e in gain ^ loss}
         total = max(M - math.fsum([v for i, v in enumerate(x) if i not in (src, tgt)]), 0.0)
 
         def gap(y: float) -> float:
@@ -324,7 +315,7 @@ def _general_flow(net: Network, M: float) -> tuple[FlowProfile, float, float]:
         x[src], x[tgt] = total - y, y
 
     for _ in range(GENERAL_MAX_ITER):
-        xe = [math.fsum(map(x.__getitem__, t)) for t in through]
+        xe = canon.edge_sums(x)
         ec = [c.eval(v) for c, v in zip(net.costs, xe)]
         if not all(map(math.isfinite, ec)):
             raise OverflowError("an edge cost left the native float range")

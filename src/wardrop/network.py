@@ -1,9 +1,12 @@
 """Directed multigraph networks with enumerated source-sink paths.
 
 Paths are enumerated exhaustively at construction by DFS with cycle
-rejection; instances in this problem class are tiny, so a configurable
-cap (default 1e5 paths) guards against accidental blowups.  Networks are
+rejection; instances in this problem class are tiny, so the constant
+``PATH_CAP`` (1e5 paths) guards against accidental blowups.  Networks are
 immutable after construction and safe to share across workers.
+
+Every sum over paths or edges is a ``math.fsum``, so edge flows, path costs
+and social costs do not depend on the order of the edges or paths.
 """
 
 from __future__ import annotations
@@ -11,9 +14,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
-
-import numpy as np
 
 from .costs import CostFunction, cost_from_spec, cost_to_spec
 from .errors import DomainError, GameError
@@ -65,14 +67,25 @@ class Network:
     def is_parallel(self) -> bool:
         return all(e.tail == self.source and e.head == self.sink for e in self.edges)
 
-    def path_cost(self, path_index: int, edge_flow: np.ndarray) -> float:
-        return sum(self.costs[e].eval(float(edge_flow[e])) for e in self.paths[path_index])
+    @cached_property
+    def through(self) -> tuple[tuple[int, ...], ...]:
+        """For each edge, the indices of the paths that use it."""
+        through = [[] for _ in self.edges]
+        for i, p in enumerate(self.paths):
+            for e in p:
+                through[e].append(i)
+        return tuple(map(tuple, through))
 
-    def path_entry_cost(self, path_index: int, edge_flow: np.ndarray) -> float:
+    def edge_sums(self, path_values) -> list[float]:
+        """For each edge, the sum of ``path_values`` over the paths through it."""
+        return [math.fsum(map(path_values.__getitem__, t)) for t in self.through]
+
+    def path_cost(self, path_index: int, edge_flow) -> float:
+        return math.fsum(self.costs[e].eval(edge_flow[e]) for e in self.paths[path_index])
+
+    def path_entry_cost(self, path_index: int, edge_flow) -> float:
         """Cost faced by an infinitesimal player joining the path (right limits)."""
-        return sum(
-            self.costs[e].eval_right(float(edge_flow[e])) for e in self.paths[path_index]
-        )
+        return math.fsum(self.costs[e].eval_right(edge_flow[e]) for e in self.paths[path_index])
 
 
 def _enumerate_paths(net: Network) -> tuple[tuple[int, ...], ...]:
@@ -140,37 +153,26 @@ class FlowProfile:
         return cls(flows, math.fsum(flows))
 
 
-def edge_flows(net: Network, flow: FlowProfile) -> np.ndarray:
+def edge_flows(net: Network, flow: FlowProfile) -> list[float]:
     """x_e as the sum of flows of the paths through e."""
     if len(flow.path_flows) != net.n_paths:
         raise DomainError(
             f"flow has {len(flow.path_flows)} entries for {net.n_paths} paths"
         )
-    x = np.zeros(net.n_edges)
-    for p, f in zip(net.paths, flow.path_flows):
-        for e in p:
-            x[e] += f
-    return x
+    return net.edge_sums(flow.path_flows)
 
 
 def social_cost(net: Network, flow: FlowProfile) -> float:
     """Total travel cost sum_e x_e c_e(x_e) of a feasible flow."""
     x = edge_flows(net, flow)
-    return math.fsum(
-        float(x[e]) * net.costs[e].eval(float(x[e])) for e in range(net.n_edges)
-    )
+    return math.fsum(xe * c.eval(xe) for c, xe in zip(net.costs, x))
 
 
 def social_cost_log(net: Network, flow: FlowProfile) -> LogValue:
     """Log-domain social cost for instances whose costs overflow floats."""
     x = edge_flows(net, flow)
-    terms = []
-    for e in range(net.n_edges):
-        xe = float(x[e])
-        if xe <= 0:
-            continue
-        terms.append(LogValue.from_float(xe) * net.costs[e].eval_log(xe))
-    return log_sum(terms)
+    return log_sum(LogValue.from_float(xe) * c.eval_log(xe)
+                   for c, xe in zip(net.costs, x) if xe > 0)
 
 
 def social_cost_path_form(net: Network, flow: FlowProfile) -> float:

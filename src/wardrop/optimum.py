@@ -109,6 +109,7 @@ def opt_parallel_step(a: float, M: float) -> OptimumSolution:
         return y * step.eval(y) + (M - y) ** 2
 
     # certificate: the closed-form subproblem values C_j
+    # M <= 2 a^(k+1) <= a^(k+2), but a subnormal a^(k+2) can round below M
     j_hi = k + 1
     while a ** (j_hi + 1) < M:  # feasibility requires a^j < M
         j_hi += 1
@@ -122,9 +123,7 @@ def opt_parallel_step(a: float, M: float) -> OptimumSolution:
         y_proj = min(max(y_free, aj), aj1)
         c_j = aj1 * y_proj + (M - y_proj) ** 2
         certificate.append({"j": j, "y_free": y_free, "y": y_proj, "value": c_j})
-        candidates.add(min(y_proj, M))
-        if aj <= M:
-            candidates.add(aj)
+        candidates.update((min(y_proj, M), aj))
 
     y_star = min(candidates, key=objective)
     best = objective(y_star)

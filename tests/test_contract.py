@@ -11,7 +11,8 @@ import re
 import pytest
 
 import wardrop
-from wardrop.asymptotics import poa_sweep, pwl_game_poa_at_special_demand, step_game_closed_form
+from wardrop.asymptotics import (exp_game_poa_near_breakpoint, poa_sweep, pwl_game_poa_at_special_demand,
+                                 step_game_closed_form)
 from wardrop.cli import main
 from wardrop.costs import Affine, AlphaSequence, Monomial
 from wardrop.errors import DomainError, GameError, RangeOverflowError
@@ -120,6 +121,13 @@ def test_step_closed_form_types_its_float_range(M, error):
 def test_pwl_special_demand_types_its_overflow(k):
     with pytest.raises(RangeOverflowError, match=f"overflows at k={k}"):
         pwl_game_poa_at_special_demand(2.0, k)
+
+
+def test_exp_breakpoint_types_its_overflow():
+    # alpha_2 + alpha_3 = 1e308 + 1.7e308 overflows: the breakpoint demand
+    # is out of range, not an invalid demand
+    with pytest.raises(RangeOverflowError, match="overflows at k=2"):
+        exp_game_poa_near_breakpoint(AlphaSequence("explicit", values=(1.0, 1e308, 1.7e308)), 2)
 
 
 def test_step_closed_form_rejects_a_non_finite_demand():

@@ -359,12 +359,14 @@ class Priced(CostFunction):
         return self.cost.derivative_bounds(x)
 
 
+EDGE_ORDERS = (range(24), range(23, -1, -1), [*range(7, 24), *range(7)])  # of grid(4)'s 24 edges
+
+
 @pytest.mark.parametrize("cost_of", [affine, bpr])
 def test_general_iterates_do_not_depend_on_edge_order(monkeypatch, cost_of):
     # each Newton step's flow changes are recorded by path, and every
     # iterate prices every edge, so the flows each edge is priced at, in
-    # order, record the iterates (``_general_flow`` forms no social cost,
-    # whose edge flows are summed in path order)
+    # order, record the iterates
     steps = []
     real = equilibrium._newton_step
 
@@ -376,7 +378,7 @@ def test_general_iterates_do_not_depend_on_edge_order(monkeypatch, cost_of):
     monkeypatch.setattr(equilibrium, "_newton_step", recorded)
     net = grid(4, cost_of)
     runs = []
-    for order in (range(24), range(23, -1, -1), [*range(7, 24), *range(7)]):
+    for order in EDGE_ORDERS:
         priced = {net.edges[e].id: [] for e in order}
         relisted = Network(
             net.vertices[::-1],
@@ -396,6 +398,19 @@ def test_general_iterates_do_not_depend_on_edge_order(monkeypatch, cost_of):
     assert len(runs[0][0]) > 1  # the Newton steps were recorded
     for run in runs[1:]:
         assert run[:4] == runs[0][:4]
+
+
+@pytest.mark.parametrize("cost_of", [affine, bpr])
+def test_general_costs_do_not_depend_on_edge_order(cost_of):
+    # the social costs sum edge flows that sum path flows: both correctly
+    # rounded, the costs are the same floats in every edge order
+    net = grid(4, cost_of)
+    costs = set()
+    for order in EDGE_ORDERS:
+        relisted = Network(net.vertices[::-1], tuple(net.edges[e] for e in order),
+                           tuple(net.costs[e] for e in order), net.source, net.sink)
+        costs.add((wardrop_general(relisted, 10.0).cost, opt_general_marginal(relisted, 10.0).cost))
+    assert len(costs) == 1
 
 
 def test_general_edge_cost_overflow_is_a_range_error():

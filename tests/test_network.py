@@ -41,11 +41,11 @@ def test_build_parallel_examples():
     single = build_parallel([Affine(0.0, 1.0)])
     assert single.n_paths == 1
     f = FlowProfile((4.0,), 4.0)
-    assert edge_flows(single, f).tolist() == [4.0]
+    assert edge_flows(single, f) == [4.0]
 
     three = build_parallel([Constant(1.0), Constant(2.0), Constant(3.0)])
     flows = FlowProfile((1.0, 2.0, 3.0), 6.0)
-    assert edge_flows(three, flows).tolist() == [1.0, 2.0, 3.0]
+    assert edge_flows(three, flows) == [1.0, 2.0, 3.0]
 
 
 def test_build_parallel_rejects_empty():
@@ -55,13 +55,27 @@ def test_build_parallel_rejects_empty():
 
 def test_edge_flows_examples():
     net = build_parallel([Affine(0.0, 1.0), Constant(1.0)])
-    assert edge_flows(net, FlowProfile((3.0, 4.0), 7.0)).tolist() == [3.0, 4.0]
+    assert edge_flows(net, FlowProfile((3.0, 4.0), 7.0)) == [3.0, 4.0]
 
     sp = _series_parallel()
     x = edge_flows(sp, FlowProfile((1.0, 2.0), 3.0))
-    assert x.tolist() == [1.0, 2.0, 3.0]  # shared edge carries the sum
+    assert x == [1.0, 2.0, 3.0]  # shared edge carries the sum
 
-    assert edge_flows(net, FlowProfile((0.0, 0.0), 0.0)).tolist() == [0.0, 0.0]
+    assert edge_flows(net, FlowProfile((0.0, 0.0), 0.0)) == [0.0, 0.0]
+
+
+def test_edge_flows_are_correctly_rounded():
+    # three paths into one shared edge: a sum in path order loses each 1
+    # against 1e16 (the spacing of floats there is 2)
+    net = Network(
+        ("s", "v", "t"),
+        (Edge("a", "s", "v"), Edge("b", "s", "v"), Edge("c", "s", "v"), Edge("vt", "v", "t")),
+        tuple(Constant(1.0) for _ in range(4)),
+        "s",
+        "t",
+    )
+    assert edge_flows(net, FlowProfile.of([1e16, 1.0, 1.0])) == [1e16, 1.0, 1.0, 1e16 + 2.0]
+    assert net.through == ((0,), (1,), (2,), (0, 1, 2))
 
 
 def test_edge_flows_dimension_mismatch():
@@ -107,7 +121,7 @@ def test_edge_flows_linear():
     g = np.array([0.5, 3.0])
     a, b = 2.0, 0.25
     combo = edge_flows(sp, FlowProfile.of(a * f + b * g))
-    parts = a * edge_flows(sp, FlowProfile.of(f)) + b * edge_flows(sp, FlowProfile.of(g))
+    parts = a * np.array(edge_flows(sp, FlowProfile.of(f))) + b * np.array(edge_flows(sp, FlowProfile.of(g)))
     assert np.allclose(combo, parts, rtol=1e-12)
 
 
