@@ -20,10 +20,8 @@ from .errors import ConvergenceError, DomainError, GameError, RangeOverflowError
 from .instances import exp_game, pwl_game
 from .logdomain import LogValue
 from .network import Network, build_parallel
-from .equilibrium import (EquilibriumSolution, _check_demand, _range_error, wardrop_equilibrium,
-                          wardrop_parallel)
+from .equilibrium import EquilibriumSolution, _check_demand, _range_error, wardrop_equilibrium
 from .optimum import OptimumSolution, _period_index, social_optimum
-from .rv import numeric_inverse
 
 POA_FLOOR_SLACK = 1e-9
 DEFAULT_SAMPLES_PER_DECADE = 512
@@ -79,15 +77,11 @@ def poa(net: Network, M: float) -> PoaResult:
     """WEq/Opt with solver routing recorded in the result.
 
     Both solvers reject a demand that is not a finite M > 0 and turn float
-    overflow and division by zero into RangeOverflowError and DomainError
-    naming M; so does a zero optimum.
+    overflow, division by zero and a social cost below the normal floats
+    (0 included) into RangeOverflowError and DomainError naming M.
     """
     weq = wardrop_equilibrium(net, M)
     opt = social_optimum(net, M)
-    if opt.cost == 0:
-        raise DomainError(
-            f"division by zero at M={float(M)!r}: the demand is below the range native floats resolve"
-        )
     ratio = float(weq.cost / opt.cost)
     return _checked(PoaResult(M, weq, opt, ratio, f"{weq.method}/{opt.method}", opt.flag))
 
@@ -374,8 +368,17 @@ class TrendReport:
     passed: bool = False
 
 
-def _poa_points(net: Network, M_grid) -> list[tuple[float, float]]:
-    return [(M, poa(net, M).poa) for M in M_grid]
+def _trend(name: str, samples, eps: float, hypothesis: dict | None = None,
+           monotone: bool = True) -> TrendReport:
+    """The report on (M, PoA) samples: it passes when the PoA at the largest
+    demand is within eps of 1 and, if ``monotone``, the tail does not rise."""
+    final = samples[-1][1]
+    tail_ok = _tail_monotone(samples)
+    return TrendReport(
+        name, tuple(samples), final, eps, _decay_exponent(samples), tail_ok,
+        hypothesis={} if hypothesis is None else hypothesis,
+        passed=final <= 1.0 + eps and (tail_ok or not monotone),
+    )
 
 
 def _tail_monotone(points) -> bool:
@@ -421,17 +424,7 @@ def bounded_path_experiment(
         samples.append((M, r.poa))
         opt_cost = r.optimum.cost
         bounds.append(M * B / opt_cost if not isinstance(opt_cost, LogValue) else math.nan)
-    final = samples[-1][1]
-    return TrendReport(
-        "bounded-path",
-        tuple(samples),
-        final,
-        eps,
-        _decay_exponent(samples),
-        _tail_monotone(samples),
-        hypothesis={"B": B, "weq_over_opt_bound": bounds},
-        passed=final <= 1.0 + eps and _tail_monotone(samples),
-    )
+    return _trend("bounded-path", samples, eps, {"B": B, "weq_over_opt_bound": bounds})
 
 
 @dataclass(frozen=True)
@@ -454,6 +447,8 @@ def shift_experiment(
     """
     from .costs import Shifted
 
+    if not net.is_parallel():
+        raise DomainError("shift preservation needs a parallel network")
     shifts = tuple(float(s) for s in shifts)
     if len(shifts) != net.n_edges or any(s < 0 for s in shifts):
         raise DomainError("one nonnegative shift per edge is required")
@@ -469,29 +464,17 @@ def shift_experiment(
     base_pts, shift_pts, pairs = [], [], []
     sandwich_ok = True
     for M in M_grid:
-        base_eq = wardrop_parallel(net, M)
-        shift_eq = wardrop_parallel(shifted_net, M)
-        slack = 1e-9 * shift_eq.lam
-        if not (
-            shift_eq.lam - a_hi <= base_eq.lam + slack
-            and base_eq.lam <= shift_eq.lam - a_lo + slack
-        ):
+        base, shifted = poa(net, M), poa(shifted_net, M)
+        lam, lam_shifted = base.equilibrium.lam, shifted.equilibrium.lam
+        slack = 1e-9 * lam_shifted
+        if not (lam_shifted - a_hi <= lam + slack and lam <= lam_shifted - a_lo + slack):
             sandwich_ok = False
-        pairs.append((M, base_eq.lam, shift_eq.lam))
-        base_pts.append((M, poa(net, M).poa))
-        shift_pts.append((M, poa(shifted_net, M).poa))
+        pairs.append((M, lam, lam_shifted))
+        base_pts.append((M, base.poa))
+        shift_pts.append((M, shifted.poa))
 
-    base_report = TrendReport(
-        "shift-base", tuple(base_pts), base_pts[-1][1], eps,
-        _decay_exponent(base_pts), _tail_monotone(base_pts),
-        passed=base_pts[-1][1] <= 1.0 + eps,
-    )
-    shifted_report = TrendReport(
-        "shift-shifted", tuple(shift_pts), shift_pts[-1][1], eps,
-        _decay_exponent(shift_pts), _tail_monotone(shift_pts),
-        hypothesis={"shifts": shifts},
-        passed=shift_pts[-1][1] <= 1.0 + eps and _tail_monotone(shift_pts),
-    )
+    base_report = _trend("shift-base", base_pts, eps, monotone=False)
+    shifted_report = _trend("shift-shifted", shift_pts, eps, {"shifts": shifts})
     return ShiftReport(
         base_report,
         shifted_report,
@@ -507,7 +490,7 @@ class TrendInstance:
 
     name: str
     net: Network
-    kind: str  # ratio-to-identity | derivative | ratio-to-rv | alpha | affine | sandwich
+    kind: str  # ratio-to-identity | derivative | ratio-to-rv | affine | sandwich
     reference: CostFunction | None = None
     expected: tuple[float, ...] = ()
     sandwich: tuple[tuple[float, float, float], ...] = ()  # (lo_add, hi_add, slope)
@@ -520,18 +503,8 @@ def rv_poa_experiment(
     hypothesis = _verify_hypothesis(instance)
     if not hypothesis["ok"]:
         raise DomainError(f"instance {instance.name!r} fails its hypothesis: {hypothesis}")
-    samples = _poa_points(instance.net, M_grid)
-    final = samples[-1][1]
-    return TrendReport(
-        instance.name,
-        tuple(samples),
-        final,
-        eps,
-        _decay_exponent(samples),
-        _tail_monotone(samples),
-        hypothesis=hypothesis,
-        passed=final <= 1.0 + eps and _tail_monotone(samples),
-    )
+    samples = [(M, poa(instance.net, M).poa) for M in M_grid]
+    return _trend(instance.name, samples, eps, hypothesis)
 
 
 def _verify_hypothesis(instance: TrendInstance) -> dict:
@@ -558,9 +531,6 @@ def _verify_hypothesis(instance: TrendInstance) -> dict:
             measured.append(c.derivative(x_probe))
         elif kind == "ratio-to-rv":
             measured.append(c.eval(x_probe) / instance.reference.eval(x_probe))
-        elif kind == "alpha":
-            inv = numeric_inverse(instance.reference)
-            measured.append(inv(c.eval(x_probe)) / x_probe)
         else:
             raise DomainError(f"unknown hypothesis kind {kind!r}")
     ok = True

@@ -88,15 +88,10 @@ def auto_breakpoints(net: Network, M_lo: float, M_hi: float) -> list[float]:
         k_lo = _period_index(a, M_lo) - 1
         k_hi = _period_index(a, M_hi) + 2
         return [b for b in step_breakpoints(a, k_lo, k_hi) if M_lo <= b <= M_hi]
-    if kind.name == "exp":
-        alphas = kind.param
-        out = []
-        for k in range(1, alphas.max_index()):
-            points = (2.0 * alphas.alpha(k), alphas.alpha(k) + alphas.alpha(k + 1))
-            out.extend(p for p in points if M_lo <= p <= M_hi)
-            if alphas.alpha(k) > M_hi:
-                break
-        return sorted(out)
+    if kind.name == "exp":  # the bracket ends 2 a_k and the split points a_k + a_(k+1)
+        knots = kind.param.knots_through(M_hi)[1:]
+        points = (p for a, b in zip(knots, knots[1:]) for p in (2.0 * a, a + b))
+        return sorted(p for p in points if M_lo <= p <= M_hi)
     return []
 
 
@@ -331,9 +326,7 @@ def _repro_pwl_game(a: float) -> dict:
 
 
 def _repro_exp_game(preset: str, k_index: int | None) -> dict:
-    alphas = AlphaSequence(preset) if preset != "supergeometric" else AlphaSequence(
-        "supergeometric", base=2.0
-    )
+    alphas = AlphaSequence(preset)
     reports = {k: asy.exp_game_poa_near_breakpoint(alphas, k) for k in range(3, 9)}
     closed = [reports[k].closed_form for k in range(3, 9)]
     growth_ok = all(b > a for a, b in zip(closed, closed[1:]))

@@ -699,10 +699,7 @@ class ExpOverX(CostFunction):
         x = _check_nonneg(x)
         if x < 1.0:
             return _E
-        t = x - math.log(x)
-        if t > _MAX_EXP:
-            raise RangeOverflowError("exp(x)/x overflows native floats; use eval_log")
-        return math.exp(t)
+        return _exp_in_range(x - math.log(x), "exp(x)/x")
 
     def eval_many(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -746,6 +743,13 @@ class ExpOverX(CostFunction):
 
     def to_spec(self) -> dict:
         return {"family": "exp_over_x"}
+
+
+def _exp_in_range(t: float, what: str) -> float:
+    """e^t, or RangeOverflowError naming ``what`` where e^t is beyond floats."""
+    if t > _MAX_EXP:
+        raise RangeOverflowError(f"{what} overflows native floats")
+    return math.exp(t)
 
 
 def _log_exp_over_x(x: float) -> float:
@@ -907,7 +911,7 @@ class StepExp(CostFunction):
 
     The step partner of ExpOverX in the unbounded-price-of-anarchy instance.
     Values grow like e^alpha, so anything beyond toy scales must go through
-    eval_log / generalized_inverse_log.
+    eval_log; generalized_inverse scans the steps on the log of its level.
     """
 
     alphas: AlphaSequence = field(default_factory=AlphaSequence)
@@ -932,19 +936,15 @@ class StepExp(CostFunction):
         return LogValue.from_log(self._level_log(self.alphas.alpha(self._piece(y))))
 
     def eval(self, y: float) -> float:
-        t = self.eval_log(y).log_magnitude
-        if t > _MAX_EXP:
-            raise RangeOverflowError("step-exp value overflows; use eval_log")
-        return math.exp(t)
+        return _exp_in_range(self.eval_log(y).log_magnitude, "step-exp value")
 
     def eval_many(self, ys):
         ys = np.asarray(ys, dtype=float)
-        top = self.alphas.cover_index(float(np.max(ys))) if ys.size else 1
-        knots = np.array([self.alphas.alpha(j) for j in range(0, top + 1)])
-        idx = np.searchsorted(knots, ys, side="left")
-        idx = np.maximum(idx, 1)
-        logs = np.array([self._level_log(a) if a >= 1 else 1.0 for a in knots])
-        t = logs[idx]
+        y_max = float(np.max(ys, initial=0.0))
+        self.alphas.cover_index(y_max)  # DemandBracketError past the table
+        knots = self.alphas.knots_through(y_max)
+        idx = np.maximum(np.searchsorted(knots, ys, side="left"), 1)
+        t = np.array([self._level_log(a) for a in knots])[idx]
         if np.any(t > _MAX_EXP):
             raise RangeOverflowError("step-exp value overflows; use eval_log")
         return np.exp(t)
@@ -956,10 +956,7 @@ class StepExp(CostFunction):
         return LogValue.from_log(self._level_log(self.alphas.alpha(j)))
 
     def eval_right(self, y: float) -> float:
-        t = self.eval_right_log(y).log_magnitude
-        if t > _MAX_EXP:
-            raise RangeOverflowError("step-exp value overflows; use eval_log")
-        return math.exp(t)
+        return _exp_in_range(self.eval_right_log(y).log_magnitude, "step-exp value")
 
     def derivative_bounds(self, y):
         y = float(y)
@@ -972,37 +969,27 @@ class StepExp(CostFunction):
         y = _check_nonneg(y)
         if y == 0:
             return 0.0
-        j = self._piece(y)
+        self.alphas.cover_index(y)  # DemandBracketError past the table
+        knots = self.alphas.knots_through(y)
         total = 0.0
-        for i in range(1, j):
-            width = self.alphas.alpha(i) - self.alphas.alpha(i - 1)
-            total += math.exp(self._level_log(self.alphas.alpha(i))) * width
-        total += math.exp(self._level_log(self.alphas.alpha(j))) * (
-            y - self.alphas.alpha(j - 1)
-        )
+        for lo, hi in zip(knots, knots[1:]):  # only the last step reaches y
+            total += math.exp(self._level_log(hi)) * (min(hi, y) - lo)
         if math.isinf(total):
             raise RangeOverflowError("step-exp primitive overflows")
         return total
 
-    def generalized_inverse_log(self, level: LogValue) -> tuple[float, float]:
-        if level.is_zero:
+    def generalized_inverse(self, level: float) -> tuple[float, float]:
+        level = _check_nonneg(level, "level")
+        if level == 0:
             return (0.0, 0.0)
-        target = level.log_magnitude
+        target = math.log(level)
         j = 1
-        while self._level_log(self.alphas.alpha(j)) < target:
+        while (t := self._level_log(self.alphas.alpha(j))) < target:
             j += 1
             if j > self.alphas.max_index():
                 return (math.inf, math.inf)
         x_minus = self.alphas.alpha(j - 1)
-        x_plus = (
-            self.alphas.alpha(j)
-            if self._level_log(self.alphas.alpha(j)) <= target
-            else x_minus
-        )
-        return (x_minus, x_plus)
-
-    def generalized_inverse(self, level: float) -> tuple[float, float]:
-        return self.generalized_inverse_log(LogValue.from_float(_check_nonneg(level, "level")))
+        return (x_minus, self.alphas.alpha(j) if t <= target else x_minus)
 
     def asymptotic_value(self) -> float:
         return math.inf
@@ -1090,9 +1077,7 @@ class _ExpOverXMarginal(CostFunction):
         x = _check_nonneg(x)
         if x < 1.0:
             return _E
-        if x > _MAX_EXP:
-            raise RangeOverflowError("marginal exp(x) overflows")
-        return math.exp(x)
+        return _exp_in_range(x, "marginal exp(x)")
 
     def derivative_bounds(self, x):
         d = math.exp(x) if x >= 1.0 else 0.0

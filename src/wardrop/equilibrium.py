@@ -176,9 +176,10 @@ def _check_demand(M: float) -> None:
 def _typed_failures(solve):
     """Give the entry point ``solve(instance, M, ...)`` the failure contract
     of the package: a demand that is not a finite M > 0, float overflow,
-    division by zero and a social cost that is not finite or is subnormal
-    all come out as typed errors naming M.  ``instance`` is whatever the
-    solver takes first: a network, a family parameter or an alpha sequence."""
+    division by zero and a social cost that is not finite or is below the
+    normal floats (0 included) all come out as typed errors naming M.
+    ``instance`` is whatever the solver takes first: a network, a family
+    parameter or an alpha sequence."""
 
     @functools.wraps(solve)
     def entry(instance, M: float, *args, **kwargs):
@@ -188,8 +189,8 @@ def _typed_failures(solve):
             if not isinstance(sol.cost, LogValue):
                 if not math.isfinite(sol.cost):
                     raise OverflowError("the social cost left the native float range")
-                if 0.0 < sol.cost < sys.float_info.min:
-                    raise ZeroDivisionError("the social cost is subnormal")
+                if sol.cost < sys.float_info.min:
+                    raise ZeroDivisionError("the social cost is subnormal or 0")
         except GameError:  # typed already; RangeOverflowError is also an OverflowError
             raise
         except (OverflowError, ZeroDivisionError) as exc:
@@ -415,7 +416,7 @@ def wardrop_parallel_log(net: Network, M: float) -> EquilibriumSolution:
     flow = FlowProfile((x, y), M)
 
     own = (net.costs[0].eval_log(x), net.costs[1].eval_log(y))
-    entry = (net.costs[0].eval_log(x), net.costs[1].eval_right_log(y))
+    entry = (own[0], net.costs[1].eval_right_log(y))  # the smooth link has no jump
     min_entry = min(entry)
     residual = 0.0
     for i, f in enumerate(flow.path_flows):

@@ -431,6 +431,22 @@ def test_shift_experiment_equal_shifts_exact_lambda_offset():
         assert lam_shifted == pytest.approx(lam + 2.0, rel=1e-9)
 
 
+def test_shift_experiment_solves_each_demand_once(monkeypatch):
+    import wardrop.equilibrium as eq
+
+    calls = []  # the demands of the equilibrium solves, not the optimum's
+    solve = eq._parallel_flow
+    monkeypatch.setattr(eq, "_parallel_flow", lambda net, M: calls.append(M) or solve(net, M))
+    base = build_parallel([Affine(0.0, 1.0), Affine(0.0, 2.0)])
+    shift_experiment(base, (1.0, 3.0), (1.0, 10.0, 100.0))
+    assert calls == [1.0, 1.0, 10.0, 10.0, 100.0, 100.0]  # the base and the shifted game
+
+
+def test_shift_experiment_needs_a_parallel_network():
+    with pytest.raises(DomainError, match="parallel network"):
+        shift_experiment(_braess(Affine(0.0, 1.0)), (0.0,) * 5, (1.0, 10.0))
+
+
 def test_rv_poa_experiment_instances():
     insts = designated_limit_instances()
     cases = [
@@ -464,12 +480,14 @@ def test_rv_poa_experiment_instances():
         assert rep.monotone_tail
 
 
-def test_rv_poa_experiment_rejects_wrong_hypothesis():
+@pytest.mark.parametrize("kind, match", [("ratio-to-identity", "fails its hypothesis"),
+                                         ("alpha", "unknown hypothesis kind")])
+def test_rv_poa_experiment_rejects_wrong_hypothesis(kind, match):
     bad = TrendInstance(
         "wrong-expectation",
         build_parallel([Affine(0.0, 1.0), Affine(0.0, 2.0)]),
-        "ratio-to-identity",
+        kind,
         expected=(1.0, 5.0),  # the true slope is 2
     )
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=match):
         rv_poa_experiment(bad, (10.0, 100.0))

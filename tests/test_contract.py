@@ -1,18 +1,19 @@
 """The failure contract of every exported solver and closed form.
 
-A call on any demand ends in a finite social cost (a finite PoA for the
-closed forms) or a typed ``GameError``: never a bare Python exception, a
-NaN or an infinite value.
+A call on any demand ends in a social cost within the normal floats (a
+finite PoA for the closed forms) or a typed ``GameError``: never a bare
+Python exception, a NaN, an infinite value, a subnormal value or 0.
 """
 
 import math
 import re
+import sys
 
 import pytest
 
 import wardrop
-from wardrop.asymptotics import (exp_game_poa_near_breakpoint, poa_sweep, pwl_game_poa_at_special_demand,
-                                 step_game_closed_form)
+from wardrop.asymptotics import (exp_game_poa_near_breakpoint, poa, poa_sweep,
+                                 pwl_game_poa_at_special_demand, step_game_closed_form)
 from wardrop.cli import main
 from wardrop.costs import Affine, AlphaSequence, Monomial
 from wardrop.errors import DomainError, GameError, RangeOverflowError
@@ -40,7 +41,7 @@ FIRST_ARGUMENT = {
     "opt_parallel_exp_log": AlphaSequence("factorial"),
 }
 
-DEMANDS = [math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 1e308]
+DEMANDS = [math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 1e-200, 1e308]
 
 
 def test_every_exported_solver_is_probed():
@@ -63,7 +64,7 @@ def test_any_demand_gives_a_finite_cost_or_a_typed_error(name, M):
     if isinstance(cost, LogValue):
         assert cost.is_zero or math.isfinite(cost.log_magnitude), cost
     else:
-        assert math.isfinite(cost), cost
+        assert sys.float_info.min <= cost < math.inf, cost
 
 
 @pytest.mark.parametrize("M", [math.nan, math.inf, -math.inf, -1.0, 0.0], ids=repr)
@@ -85,6 +86,25 @@ def test_subnormal_demand_on_the_step_game_is_a_domain_error():
     for call in (opt_parallel_step, step_game_closed_form):
         with pytest.raises(DomainError, match="below the range native floats resolve"):
             call(2.0, 5e-324)
+
+
+@pytest.mark.parametrize("call", [lambda M: opt_parallel_step(2.0, M),
+                                  lambda M: opt_parallel_pwl_square(2.0, M),
+                                  lambda M: wardrop.wardrop_parallel(step_game(2.0), M),
+                                  lambda M: poa(step_game(2.0), M)],
+                         ids=["opt_parallel_step", "opt_parallel_pwl_square", "wardrop_parallel", "poa"])
+@pytest.mark.parametrize("M", [1e-200, 1e-160])
+def test_a_social_cost_of_zero_is_a_domain_error(call, M):
+    # the cost underflows to exactly 0.0 at both demands, below float_info.min
+    with pytest.raises(DomainError, match=re.escape(
+            f"division by zero at M={M!r}: the demand is below the range native floats resolve")):
+        call(M)
+
+
+def test_cli_solve_refuses_a_zero_social_cost(capsys):
+    code = main(["solve", "--network", "step:2", "--demand", "1e-200"])
+    assert code == 3
+    assert "division by zero at M=1e-200" in capsys.readouterr().err
 
 
 CLOSED_FORMS = [

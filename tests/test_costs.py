@@ -351,9 +351,12 @@ def test_inverse_sandwich_on_step_families():
 
 
 def test_inverse_log_domain_step_exp():
+    # the scan compares log(level) with each step's log level
     se = StepExp(AlphaSequence("factorial"))
-    level = se.eval_log(7.0)  # value c(24) on (6, 24]
-    assert se.generalized_inverse_log(level) == (6.0, 24.0)
+    level = se.eval(7.0)  # value c(24) on (6, 24]
+    assert se.generalized_inverse(level) == (6.0, 24.0)
+    assert se.generalized_inverse(0.0) == (0.0, 0.0)
+    assert se.generalized_inverse(math.inf) == (math.inf, math.inf)
 
 
 # ---------------------------------------------------------------------------
