@@ -59,7 +59,6 @@ class PeriodExtrema:
 @dataclass(frozen=True)
 class PoaCurve:
     samples: tuple[PoaSample, ...]
-    period_base: float | None
     periods: tuple[PeriodExtrema, ...]
     failures: tuple[tuple[float, str], ...] = ()
 
@@ -153,12 +152,7 @@ def poa_sweep(
             failures.append(payload)
 
     periods = _period_extrema(samples, period_base, M_lo, M_hi)
-    return PoaCurve(
-        tuple(samples),
-        period_base,
-        tuple(periods),
-        tuple(failures),
-    )
+    return PoaCurve(tuple(samples), tuple(periods), tuple(failures))
 
 
 def _period_extrema(samples, period_base, M_lo, M_hi) -> list[PeriodExtrema]:

@@ -198,7 +198,7 @@ def _cmd_extremes(args: argparse.Namespace) -> int:
         raise DomainError(f"curve file {args.curve!r} holds no samples")
     Ms = [s.M for s in samples]
     periods = asy._period_extrema(samples, args.period_base, min(Ms), max(Ms))
-    curve = asy.PoaCurve(tuple(samples), args.period_base, tuple(periods))
+    curve = asy.PoaCurve(tuple(samples), tuple(periods))
     est = asy.extremes_estimate(curve, args.periods_required)
     _emit(
         {

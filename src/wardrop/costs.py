@@ -973,7 +973,8 @@ class StepExp(CostFunction):
         knots = self.alphas.knots_through(y)
         total = 0.0
         for lo, hi in zip(knots, knots[1:]):  # only the last step reaches y
-            total += math.exp(self._level_log(hi)) * (min(hi, y) - lo)
+            level = _exp_in_range(self._level_log(hi), "step-exp primitive")
+            total += level * (min(hi, y) - lo)
         if math.isinf(total):
             raise RangeOverflowError("step-exp primitive overflows")
         return total

@@ -177,7 +177,8 @@ def _typed_failures(solve):
     """Give the entry point ``solve(instance, M, ...)`` the failure contract
     of the package: a demand that is not a finite M > 0, float overflow,
     division by zero and a social cost that is not finite or is below the
-    normal floats (0 included) all come out as typed errors naming M.
+    normal floats (0 included) all come out as typed errors naming M; a
+    cost of 0 on links whose costs are identically 0 is named as such.
     ``instance`` is whatever the solver takes first: a network, a family
     parameter or an alpha sequence."""
 
@@ -190,6 +191,13 @@ def _typed_failures(solve):
                 if not math.isfinite(sol.cost):
                     raise OverflowError("the social cost left the native float range")
                 if sol.cost < sys.float_info.min:
+                    if sol.cost == 0 and isinstance(instance, Network) and all(
+                        c.asymptotic_value() == 0
+                        for c, x in zip(instance.costs, edge_flows(instance, sol.flow))
+                        if x > 0
+                    ):
+                        raise DomainError(f"social cost 0 at M={float(M)!r}: the flow "
+                                          "is cost-free, so the price of anarchy is 0/0")
                     raise ZeroDivisionError("the social cost is subnormal or 0")
         except GameError:  # typed already; RangeOverflowError is also an OverflowError
             raise

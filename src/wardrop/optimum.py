@@ -14,7 +14,9 @@ honest Lipschitz-style error estimate.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,7 +277,8 @@ def opt_bruteforce(
     evaluation.  Step/kink breakpoints (and +-1e-9 relative offsets) are
     injected into the grid.  ``resolution_bound`` is a Lipschitz-style
     error estimate: max adjacent objective difference near the incumbent
-    in the final round.  Two-dimensional grids (three links) cap the
+    in the final round, inf where the incumbent borders infeasible points
+    (link 1's flow negative).  Two-dimensional grids (three links) cap the
     per-axis resolution at 257 to bound memory.  It answers M = 0 with the
     empty flow, so it checks its demand itself rather than carry the
     ``_typed_failures`` guard of the solvers.
@@ -294,16 +297,13 @@ def opt_bruteforce(
         return OptimumSolution(
             flow, social_cost(net, flow), "brute-force", resolution_bound=0.0
         )
-    if net.n_edges == 2:
-        return _brute_two_links(net, M, resolution, zoom_rounds, seed)
-    return _brute_three_links(net, M, min(resolution, _GRID_CAP_2D), zoom_rounds, seed)
+    resolution = resolution if net.n_edges == 2 else min(resolution, _GRID_CAP_2D)
+    return _brute_grid(net, M, resolution, zoom_rounds, seed)
 
 
-def _axis_points(
-    lo: float, hi: float, n: int, breakpoints, M: float, rng
-) -> np.ndarray:
+def _axis_points(lo: float, hi: float, n: int, breakpoints, rng) -> np.ndarray:
     base = np.linspace(lo, hi, n)
-    if rng is not None and n > 2:
+    if n > 2:
         cell = (hi - lo) / (n - 1)
         base[1:-1] += rng.uniform(-0.3, 0.3, n - 2) * cell
     extra = []
@@ -318,27 +318,37 @@ def _axis_points(
     return np.clip(base, lo, hi)
 
 
-def _brute_two_links(net, M, resolution, zoom_rounds, seed) -> OptimumSolution:
-    c1, c2 = net.costs
+def _brute_grid(net, M, resolution, zoom_rounds, seed) -> OptimumSolution:
+    """Zoomed grid over the flows y_2..y_n of links 2..n, one axis each;
+    link 1 carries the rest, and a point where that rest is negative
+    scores +inf.  With two links, c_1's knots enter the one axis mirrored
+    as M - b."""
+    c1, others = net.costs[0], net.costs[1:]
     rng = np.random.default_rng(seed)
-
-    def objective(ys: np.ndarray) -> np.ndarray:
-        xs = M - ys
-        return xs * c1.eval_many(xs) + ys * c2.eval_many(ys)
-
-    lo, hi = 0.0, M
-    best_y, best_v, bound = 0.0, math.inf, math.inf
+    win = [(0.0, M)] * len(others)
+    best, best_v, bound = (0.0,) * len(others), math.inf, math.inf
     for _ in range(zoom_rounds + 1):
-        bps = list(c2.breakpoints_within(lo, hi))
-        bps += [M - b for b in c1.breakpoints_within(M - hi, M - lo)]
-        ys = _axis_points(lo, hi, resolution, bps, M, rng)
-        vals = objective(ys)
-        i = int(np.argmin(vals))
-        best_y, best_v = float(ys[i]), float(vals[i])
-        cell = (hi - lo) / (resolution - 1)
-        bound = _local_error_bound(ys, vals, i, cell)
-        lo, hi = max(0.0, best_y - cell), min(M, best_y + cell)
-    flow = FlowProfile((M - best_y, best_y), M)
+        axes = []
+        for cost, (lo, hi) in zip(others, win):
+            bps = list(cost.breakpoints_within(lo, hi))
+            if len(others) == 1:
+                bps += [M - b for b in c1.breakpoints_within(M - hi, M - lo)]
+            axes.append(_axis_points(lo, hi, resolution, bps, rng))
+        ys = np.meshgrid(*axes, indexing="ij")
+        x1 = functools.reduce(operator.sub, ys, M)  # M - y_2 - ... - y_n
+        vals = x1 * c1.eval_many(np.maximum(x1, 0.0))
+        for cost, y in zip(others, ys):
+            vals = vals + y * cost.eval_many(y)
+        vals = np.where(x1 < 0, np.inf, vals)
+        at = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        best, best_v = tuple(float(y[at]) for y in ys), float(vals[at])
+        cells = [(hi - lo) / (resolution - 1) for lo, hi in win]
+        bound = max(
+            _local_error_bound(axis, vals[at[:d] + (slice(None),) + at[d + 1:]], at[d], cell)
+            for d, (axis, cell) in enumerate(zip(axes, cells))
+        )
+        win = [(max(0.0, y - cell), min(M, y + cell)) for y, cell in zip(best, cells)]
+    flow = FlowProfile((max(functools.reduce(operator.sub, best, M), 0.0),) + best, M)
     return OptimumSolution(
         flow, best_v, "brute-force", resolution_bound=bound + 1e-12 * abs(best_v)
     )
@@ -349,65 +359,20 @@ def _local_error_bound(ys: np.ndarray, vals: np.ndarray, i: int, cell: float) ->
 
     Slopes are measured over regular cells only; the hair-width pairs
     injected around breakpoints would report the jump itself, which the
-    grid resolves exactly, not an interpolation error.
+    grid resolves exactly, not an interpolation error.  A pair of two
+    infeasible (+inf) points is skipped; a pair with one makes the bound inf.
     """
     j0, j1 = max(i - 3, 0), min(i + 4, len(ys))
     slope, fallback = 0.0, 0.0
     for t in range(j0, j1 - 1):
+        if vals[t] == vals[t + 1] == math.inf:
+            continue
         dy = float(ys[t + 1] - ys[t])
         df = abs(float(vals[t + 1] - vals[t]))
         fallback = max(fallback, df)
         if dy >= 0.5 * cell:
             slope = max(slope, df / dy)
     return slope * cell if slope > 0 else fallback
-
-
-def _brute_three_links(net, M, resolution, zoom_rounds, seed) -> OptimumSolution:
-    c1, c2, c3 = net.costs
-    rng = np.random.default_rng(seed)
-
-    def objective(y2: np.ndarray, y3: np.ndarray) -> np.ndarray:
-        x1 = M - y2 - y3
-        out = np.where(
-            x1 >= 0,
-            np.where(x1 > 0, x1 * c1.eval_many(np.maximum(x1, 0.0)), 0.0)
-            + y2 * c2.eval_many(y2)
-            + y3 * c3.eval_many(y3),
-            np.inf,
-        )
-        return out
-
-    win = [(0.0, M), (0.0, M)]
-    best = (0.0, 0.0)
-    best_v, bound = math.inf, math.inf
-    for _ in range(zoom_rounds + 1):
-        axes = []
-        for dim, (lo, hi) in enumerate(win):
-            cost = net.costs[dim + 1]
-            axes.append(_axis_points(lo, hi, resolution, cost.breakpoints_within(lo, hi), M, rng))
-        g2, g3 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        vals = objective(g2, g3)
-        flat = int(np.argmin(vals))
-        i2, i3 = np.unravel_index(flat, vals.shape)
-        best = (float(g2[i2, i3]), float(g3[i2, i3]))
-        best_v = float(vals[i2, i3])
-        cell2 = (win[0][1] - win[0][0]) / (resolution - 1)
-        cell3 = (win[1][1] - win[1][0]) / (resolution - 1)
-        bound = max(
-            _local_error_bound(axes[0], vals[:, i3], i2, cell2),
-            _local_error_bound(axes[1], vals[i2, :], i3, cell3),
-        )
-        new_win = []
-        for dim, (lo, hi) in enumerate(win):
-            cell = (hi - lo) / (resolution - 1)
-            center = best[dim]
-            new_win.append((max(0.0, center - cell), min(M, center + cell)))
-        win = new_win
-    x1 = max(M - best[0] - best[1], 0.0)
-    flow = FlowProfile((x1, best[0], best[1]), M)
-    return OptimumSolution(
-        flow, best_v, "brute-force", resolution_bound=bound + 1e-12 * abs(best_v)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ finite PoA for the closed forms) or a typed ``GameError``: never a bare
 Python exception, a NaN, an infinite value, a subnormal value or 0.
 """
 
+import json
 import math
 import re
 import sys
@@ -15,11 +16,11 @@ import wardrop
 from wardrop.asymptotics import (exp_game_poa_near_breakpoint, poa, poa_sweep,
                                  pwl_game_poa_at_special_demand, step_game_closed_form)
 from wardrop.cli import main
-from wardrop.costs import Affine, AlphaSequence, Monomial
+from wardrop.costs import Affine, AlphaSequence, Constant, Monomial
 from wardrop.errors import DomainError, GameError, RangeOverflowError
 from wardrop.instances import exp_game, pigou, step_game
 from wardrop.logdomain import LogValue
-from wardrop.network import Edge, Network
+from wardrop.network import Edge, Network, build_parallel, network_to_spec
 from wardrop.optimum import opt_bruteforce, opt_parallel_pwl_square, opt_parallel_step, social_optimum
 
 
@@ -105,6 +106,25 @@ def test_cli_solve_refuses_a_zero_social_cost(capsys):
     code = main(["solve", "--network", "step:2", "--demand", "1e-200"])
     assert code == 3
     assert "division by zero at M=1e-200" in capsys.readouterr().err
+
+
+FREE_LINK = build_parallel([Constant(0.0), Affine(0.0, 1.0)])
+FREE_LINK_MESSAGE = "social cost 0 at M=1.0: the flow is cost-free, so the price of anarchy is 0/0"
+
+
+@pytest.mark.parametrize("call", [wardrop.wardrop_parallel, wardrop.opt_parallel_marginal, poa])
+def test_a_cost_free_flow_is_named_as_such(call):
+    # all flow takes the link whose cost is identically 0, at every demand
+    with pytest.raises(DomainError, match=re.escape(FREE_LINK_MESSAGE)):
+        call(FREE_LINK, 1.0)
+
+
+def test_cli_solve_names_a_cost_free_flow(tmp_path, capsys):
+    net_file = tmp_path / "free.json"
+    net_file.write_text(json.dumps(network_to_spec(FREE_LINK)))
+    code = main(["solve", "--network", str(net_file), "--demand", "1"])
+    assert code == 3
+    assert FREE_LINK_MESSAGE in capsys.readouterr().err
 
 
 CLOSED_FORMS = [

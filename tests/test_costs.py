@@ -265,6 +265,12 @@ def test_primitive_examples():
             assert c.primitive(0.0) == 0.0
 
 
+def test_step_exp_primitive_past_the_float_range_is_a_range_error():
+    # the step over (5!, 6!] has level e^720 / 720, beyond native floats
+    with pytest.raises(RangeOverflowError, match="step-exp primitive overflows"):
+        StepExp(AlphaSequence("factorial")).primitive(121.0)
+
+
 def test_exp_over_x_has_no_primitive():
     # int e^s/s ds is the exponential integral; no solver needs it
     with pytest.raises(UnsupportedCostError):
