@@ -59,7 +59,6 @@ from .optimum import (
     social_optimum,
 )
 from .rv import (
-    RvProbe,
     check_composition_rv,
     check_inverse_rv,
     check_product_and_integral_rv,

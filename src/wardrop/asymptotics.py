@@ -125,6 +125,7 @@ def poa_sweep(
     """
     if not 0 < M_lo < M_hi < math.inf:
         raise DomainError(f"need 0 < M_lo < M_hi < inf, got {M_lo!r}, {M_hi!r}")
+    _check_period_base(period_base)
     decades = math.log10(M_hi / M_lo)
     n = max(2, int(math.ceil(decades * samples_per_decade)) + 1)
     grid = [float(M) for M in np.geomspace(M_lo, M_hi, n)]
@@ -157,6 +158,7 @@ def poa_sweep(
 
 def _period_extrema(samples, period_base, M_lo, M_hi) -> list[PeriodExtrema]:
     """Extrema over full windows (2a^k, 2a^{k+1}] (or decades without a)."""
+    _check_period_base(period_base)
     if not samples:
         return []
     out = []
@@ -186,6 +188,11 @@ def _period_extrema(samples, period_base, M_lo, M_hi) -> list[PeriodExtrema]:
     return out
 
 
+def _check_period_base(a: float | None) -> None:
+    if a is not None and not 1 < a < math.inf:
+        raise DomainError(f"period base must be a finite a > 1, got {a!r}")
+
+
 def extremes_estimate(curve: PoaCurve, periods_required: int = 3) -> ExtremesReport:
     """Stabilized per-period extrema as conservative liminf/limsup estimates.
 
@@ -193,6 +200,8 @@ def extremes_estimate(curve: PoaCurve, periods_required: int = 3) -> ExtremesRep
     per-period maximum, i.e. inner estimates; stability is the worst
     cross-period relative deviation, accepted at 1e-3.
     """
+    if periods_required < 1:
+        raise DomainError(f"periods_required must be at least 1, got {periods_required!r}")
     if len(curve.periods) < periods_required:
         raise DomainError(
             f"curve covers {len(curve.periods)} full periods; "

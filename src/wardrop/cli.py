@@ -83,8 +83,8 @@ def _cost_value(v: float | LogValue) -> dict:
 def auto_breakpoints(net: Network, M_lo: float, M_hi: float) -> list[float]:
     """Demand values where this instance's equilibrium cost may jump."""
     kind = classify(net)
-    a = kind.period_base
-    if a is not None:
+    if kind.name in ("step", "pwl"):
+        a = kind.param
         k_lo = _period_index(a, M_lo) - 1
         k_hi = _period_index(a, M_hi) + 2
         return [b for b in step_breakpoints(a, k_lo, k_hi) if M_lo <= b <= M_hi]

@@ -539,11 +539,7 @@ class StepGeometric(CostFunction):
         x = _check_nonneg(x)
         if x == 0:
             return 0.0
-        k = _least_power_at_least(self.a, x)
-        v = self.a**k
-        if math.isinf(v):
-            raise RangeOverflowError("step value overflows; use eval_log")
-        return v
+        return self.a ** _least_power_at_least(self.a, x)
 
     def eval_many(self, xs):
         xs = np.asarray(xs, dtype=float)

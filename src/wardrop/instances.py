@@ -29,14 +29,12 @@ class InstanceKind(NamedTuple):
 
     ``name`` is one of exp | step | pwl (the paper's two-link
     counterexamples, each with an exact optimum), parallel or general.
-    ``param`` is a for step and pwl and the alpha sequence for exp;
-    ``period_base`` is a for step and pwl, whose PoA repeats on the
-    windows (2a^k, 2a^{k+1}].
+    ``param`` is a for step and pwl, whose PoA repeats on the windows
+    (2a^k, 2a^{k+1}], and the alpha sequence for exp.
     """
 
     name: str
     param: float | AlphaSequence | None = None
-    period_base: float | None = None
 
 
 def _is_power(c: CostFunction, degree: float) -> bool:
@@ -56,9 +54,9 @@ def classify(net: Network) -> InstanceKind:
         if isinstance(c1, ExpOverX) and isinstance(c2, StepExp):
             return InstanceKind("exp", c2.alphas)
         if _is_power(c1, 1.0) and isinstance(c2, StepGeometric):
-            return InstanceKind("step", c2.a, c2.a)
+            return InstanceKind("step", c2.a)
         if _is_power(c1, 2.0) and isinstance(c2, PwlSquare):
-            return InstanceKind("pwl", c2.a, c2.a)
+            return InstanceKind("pwl", c2.a)
     return InstanceKind("parallel")
 
 

@@ -287,6 +287,9 @@ def opt_bruteforce(
         raise UnsupportedCostError("brute-force oracle requires a parallel network")
     if net.n_edges > 3:
         raise UnsupportedCostError("brute-force oracle supports at most 3 links")
+    if resolution < 2 or zoom_rounds < 0:
+        raise DomainError(f"brute force needs resolution >= 2 and zoom_rounds >= 0, "
+                          f"got {resolution!r} and {zoom_rounds!r}")
     if not 0 <= M < math.inf:
         raise DomainError(f"demand must be a finite M >= 0, got {M!r}")
     if M == 0:

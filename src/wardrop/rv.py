@@ -16,51 +16,30 @@ from statistics import median
 from .costs import CostFunction
 from .errors import DomainError, UnsupportedCostError
 
-_DEFAULT_GRID = tuple(10.0**j for j in range(4, 10))
+GRID = tuple(10.0**j for j in range(4, 10))
+SCALE_FACTORS = (2.0, 3.0, 10.0)
+REL_TOL = 1e-3
+COMPOSITION_TOL = 1e-2
 
 
-@dataclass(frozen=True)
-class RvProbe:
-    """Scale factors and evaluation grid for the variation checks."""
-
-    scale_factors: tuple[float, ...] = (2.0, 3.0, 10.0)
-    grid: tuple[float, ...] = _DEFAULT_GRID
-    rel_tol: float = 1e-3
-
-    def __post_init__(self):
-        if any(a <= 0 for a in self.scale_factors):
-            raise DomainError("scale factors must be positive")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise DomainError("probe grid must be strictly increasing")
-
-
-class _LogFn:
-    """Uniform log-domain view of a cost family or plain callable."""
-
-    def __init__(self, fn, log_fn=None, name: str = ""):
-        self.name = name or getattr(fn, "family", "") or getattr(fn, "__name__", "fn")
-        if isinstance(fn, CostFunction):
-            self._log = lambda x: fn.eval_log(x)
-            self._fn = fn.eval
-        else:
-            self._fn = fn
-            self._log = log_fn
-
-    def __call__(self, x: float) -> float:
-        return self._fn(x)
-
-    def log_at(self, x: float) -> float:
-        if self._log is not None:
-            lv = self._log(x)
-            if hasattr(lv, "is_zero"):
-                if lv.is_zero:
-                    raise DomainError(f"{self.name} is zero at {x!r}; not a positive function")
-                return lv.log_magnitude
-            return float(lv)
-        v = self._fn(x)
-        if v <= 0 or math.isnan(v):
-            raise DomainError(f"{self.name} must be positive on the grid, got {v!r} at {x!r}")
-        return math.log(v)
+def _log_of(theta):
+    """x -> ln theta(x): a cost family through ``eval_log``, refusing an
+    exact zero; any other callable through ``math.log`` of a value that
+    must be a positive finite float."""
+    if isinstance(theta, CostFunction):
+        def log_at(x: float) -> float:
+            lv = theta.eval_log(x)
+            if lv.is_zero:
+                raise DomainError(f"{theta.family} is zero at {x!r}; not a positive function")
+            return lv.log_magnitude
+    else:
+        def log_at(x: float) -> float:
+            v = theta(x)
+            if not 0.0 < v < math.inf:
+                raise DomainError(f"the probed function must be positive and finite, "
+                                  f"got {v!r} at {x!r}")
+            return math.log(v)
+    return log_at
 
 
 @dataclass(frozen=True)
@@ -89,50 +68,43 @@ def _ratio_deviation(log_ratio: float, beta: float, log_a: float) -> float:
     return abs(math.expm1(d))
 
 
-def rv_index(theta, probe: RvProbe = RvProbe()) -> RvIndexReport:
-    """Estimate the variation index from log ratios on the probe grid.
+def rv_index(theta, grid: tuple[float, ...] = GRID) -> RvIndexReport:
+    """Estimate the variation index of a cost family or of a callable with
+    positive finite values, on a positive, strictly increasing grid.
 
     beta is the median of log(T(ax)/T(x))/log(a) at the largest grid
     point; a pass additionally requires the per-grid-point residuals to
     decay as x grows (the honest finite surrogate for a limit).
     """
-    f = theta if isinstance(theta, _LogFn) else _LogFn(theta)
+    if not (grid and 0.0 < grid[0] and grid[-1] * max(SCALE_FACTORS) < math.inf
+            and all(a < b for a, b in zip(grid, grid[1:]))):
+        raise DomainError(f"probe grid must be positive, finite and strictly increasing, "
+                          f"got {grid!r}")
+    return _index(_log_of(theta), grid)
+
+
+def _index(log_at, grid) -> RvIndexReport:
     logs: dict[float, float] = {}
-    for x in probe.grid:
-        logs[x] = f.log_at(x)
-        for a in probe.scale_factors:
-            logs[a * x] = f.log_at(a * x)
+    for x in grid:
+        logs[x] = log_at(x)
+        for a in SCALE_FACTORS:
+            logs[a * x] = log_at(a * x)
 
-    x_top = probe.grid[-1]
-    estimates = [
-        (logs[a * x_top] - logs[x_top]) / math.log(a) for a in probe.scale_factors
-    ]
-    beta = median(estimates)
-
-    residuals = []
-    for x in probe.grid:
-        devs = [
-            _ratio_deviation(logs[a * x] - logs[x], beta, math.log(a))
-            for a in probe.scale_factors
-        ]
-        residuals.append(max(devs))
-    max_residual = max(residuals)
-
+    x_top = grid[-1]
+    beta = median((logs[a * x_top] - logs[x_top]) / math.log(a) for a in SCALE_FACTORS)
+    residuals = tuple(
+        max(_ratio_deviation(logs[a * x] - logs[x], beta, math.log(a)) for a in SCALE_FACTORS)
+        for x in grid
+    )
     decaying = all(
         r_next <= r * (1.0 + 1e-6) + 1e-12
         for r, r_next in zip(residuals, residuals[1:])
     )
-    if residuals[-1] > probe.rel_tol:
-        return RvIndexReport(
-            beta, tuple(residuals), max_residual, False,
-            "not regularly varying at this probe: residual above tolerance",
-        )
-    if not decaying:
-        return RvIndexReport(
-            beta, tuple(residuals), max_residual, False,
-            "residuals do not decay along the grid",
-        )
-    return RvIndexReport(beta, tuple(residuals), max_residual, True)
+    if residuals[-1] > REL_TOL:
+        reason = "not regularly varying at this probe: residual above tolerance"
+    else:
+        reason = "" if decaying else "residuals do not decay along the grid"
+    return RvIndexReport(beta, residuals, max(residuals), not reason, reason)
 
 
 def numeric_inverse(theta: CostFunction):
@@ -146,147 +118,122 @@ def numeric_inverse(theta: CostFunction):
     return inv
 
 
-def check_inverse_rv(theta: CostFunction, probe: RvProbe = RvProbe()) -> RvCheckReport:
+def check_inverse_rv(theta: CostFunction) -> RvCheckReport:
     """Inverse of a b-regularly varying function should be 1/b-varying."""
     _require_invertible(theta)
-    direct = rv_index(theta, probe)
-    inv_report = rv_index(_LogFn(numeric_inverse(theta), name="inverse"), probe)
+    direct = rv_index(theta)
+    inv_report = rv_index(numeric_inverse(theta))
     expected = 1.0 / direct.beta
     passed = (
         direct.passed
         and inv_report.passed
-        and abs(inv_report.beta - expected) <= probe.rel_tol * max(1.0, abs(expected))
+        and abs(inv_report.beta - expected) <= REL_TOL * max(1.0, abs(expected))
     )
     return RvCheckReport(
         "inverse_rv",
         (inv_report.beta,),
         (expected,),
-        probe.rel_tol,
+        REL_TOL,
         passed,
         {"beta_direct": direct.beta, "inverse_residual": inv_report.max_residual},
     )
 
 
-def check_scaling_identity(
-    theta: CostFunction, gamma: float, probe: RvProbe = RvProbe()
-) -> RvCheckReport:
+def check_scaling_identity(theta: CostFunction, gamma: float) -> RvCheckReport:
     """T^{-1}(gamma T(t))/t -> gamma^{1/b} at large t."""
-    if gamma <= 0:
-        raise DomainError(f"gamma must be positive, got {gamma!r}")
+    if not 0 < gamma < math.inf:
+        raise DomainError(f"gamma must be a finite gamma > 0, got {gamma!r}")
     _require_invertible(theta)
-    direct = rv_index(theta, probe)
+    direct = rv_index(theta)
     inv = numeric_inverse(theta)
-    profile = tuple(inv(gamma * theta.eval(t)) / t for t in probe.grid)
+    profile = tuple(inv(gamma * theta.eval(t)) / t for t in GRID)
     target = gamma ** (1.0 / direct.beta)
-    passed = direct.passed and abs(profile[-1] - target) <= probe.rel_tol * max(1.0, target)
+    passed = direct.passed and abs(profile[-1] - target) <= REL_TOL * max(1.0, target)
     return RvCheckReport(
         "scaling_identity",
         (profile[-1],),
         (target,),
-        probe.rel_tol,
+        REL_TOL,
         passed,
         {"gamma": gamma, "profile": profile, "beta": direct.beta},
     )
 
 
-def check_product_and_integral_rv(
-    theta: CostFunction, probe: RvProbe = RvProbe()
-) -> RvCheckReport:
+def check_product_and_integral_rv(theta: CostFunction) -> RvCheckReport:
     """x*T(x) and int_0^x T should both be (1+b)-regularly varying."""
-    base = rv_index(theta, probe)
-    f = _LogFn(theta)
-    product = _LogFn(
-        lambda x: x * theta.eval(x),
-        log_fn=lambda x: math.log(x) + f.log_at(x),
-        name="product",
-    )
-    integral = _LogFn(theta.primitive, name="integral")
-    p_report = rv_index(product, probe)
-    i_report = rv_index(integral, probe)
+    base = rv_index(theta)
+    log_theta = _log_of(theta)
+    p_report = _index(lambda x: math.log(x) + log_theta(x), GRID)
+    i_report = rv_index(theta.primitive)
     expected = 1.0 + base.beta
     passed = (
         p_report.passed
         and i_report.passed
-        and abs(p_report.beta - expected) <= probe.rel_tol * max(1.0, expected)
-        and abs(i_report.beta - expected) <= probe.rel_tol * max(1.0, expected)
+        and abs(p_report.beta - expected) <= REL_TOL * max(1.0, expected)
+        and abs(i_report.beta - expected) <= REL_TOL * max(1.0, expected)
     )
     return RvCheckReport(
         "product_and_integral_rv",
         (p_report.beta, i_report.beta),
         (expected, expected),
-        probe.rel_tol,
+        REL_TOL,
         passed,
         {"beta_base": base.beta},
     )
 
 
-def check_composition_rv(
-    theta_outer: CostFunction,
-    theta_inner: CostFunction,
-    probe: RvProbe = RvProbe(),
-    tol: float = 1e-2,
-) -> RvCheckReport:
+def check_composition_rv(theta_outer: CostFunction, theta_inner: CostFunction) -> RvCheckReport:
     """Composition multiplies variation indices: index(T1 o T2) = b1*b2.
 
     Evaluated on the subset of the grid where the inner value stays well
     inside float range (the composition itself goes through log domain).
     """
-    outer = _LogFn(theta_outer)
-    a_max = max(probe.scale_factors)
-    usable = [x for x in probe.grid if theta_inner.eval(a_max * x) <= 1e150]
+    log_outer = _log_of(theta_outer)
+    a_max = max(SCALE_FACTORS)
+    usable = [x for x in GRID if theta_inner.eval(a_max * x) <= 1e150]
     if len(usable) < 3:
         usable = [x for x in (10.0**j for j in range(1, 10))
                   if theta_inner.eval(a_max * x) <= 1e150]
     if len(usable) < 3:
         raise DomainError("inner function overflows on every usable grid")
-    reduced = RvProbe(probe.scale_factors, tuple(usable), probe.rel_tol)
-    comp = _LogFn(
-        lambda x: theta_outer.eval(theta_inner.eval(x)),
-        log_fn=lambda x: outer.log_at(theta_inner.eval(x)),
-        name="composition",
-    )
-    b1 = rv_index(theta_outer, probe).beta
-    b2 = rv_index(theta_inner, reduced).beta
-    comp_report = rv_index(comp, reduced)
+    b1 = rv_index(theta_outer).beta
+    b2 = rv_index(theta_inner, usable).beta
+    comp_report = _index(lambda x: log_outer(theta_inner.eval(x)), usable)
     expected = b1 * b2
-    passed = comp_report.passed and abs(comp_report.beta - expected) <= tol * max(1.0, expected)
+    passed = (comp_report.passed
+              and abs(comp_report.beta - expected) <= COMPOSITION_TOL * max(1.0, expected))
     return RvCheckReport(
         "composition_rv",
         (comp_report.beta,),
         (expected,),
-        tol,
+        COMPOSITION_TOL,
         passed,
         {"beta_outer": b1, "beta_inner": b2, "grid": tuple(usable)},
     )
 
 
-def check_sum_rv(
-    theta_1: CostFunction, theta_2: CostFunction, probe: RvProbe = RvProbe()
-) -> RvCheckReport:
+def check_sum_rv(theta_1: CostFunction, theta_2: CostFunction) -> RvCheckReport:
     """The sum of two b-regularly varying functions stays b-varying."""
-    r1, r2 = rv_index(theta_1, probe), rv_index(theta_2, probe)
-    if abs(r1.beta - r2.beta) > probe.rel_tol * max(1.0, abs(r1.beta)):
+    r1, r2 = rv_index(theta_1), rv_index(theta_2)
+    if abs(r1.beta - r2.beta) > REL_TOL * max(1.0, abs(r1.beta)):
         raise DomainError(
             f"summands have different variation indices: {r1.beta} vs {r2.beta}"
         )
-    f1, f2 = _LogFn(theta_1), _LogFn(theta_2)
+    log_1, log_2 = _log_of(theta_1), _log_of(theta_2)
 
-    def log_sum_fn(x: float) -> float:
-        l1, l2 = f1.log_at(x), f2.log_at(x)
+    def log_sum(x: float) -> float:
+        l1, l2 = log_1(x), log_2(x)
         hi, lo = max(l1, l2), min(l1, l2)
         return hi + math.log1p(math.exp(lo - hi))
 
-    total = _LogFn(
-        lambda x: theta_1.eval(x) + theta_2.eval(x), log_fn=log_sum_fn, name="sum"
-    )
-    report = rv_index(total, probe)
+    report = _index(log_sum, GRID)
     expected = r1.beta
     passed = (
         r1.passed and r2.passed and report.passed
-        and abs(report.beta - expected) <= probe.rel_tol * max(1.0, abs(expected))
+        and abs(report.beta - expected) <= REL_TOL * max(1.0, abs(expected))
     )
     return RvCheckReport(
-        "sum_rv", (report.beta,), (expected,), probe.rel_tol, passed,
+        "sum_rv", (report.beta,), (expected,), REL_TOL, passed,
         {"beta_1": r1.beta, "beta_2": r2.beta},
     )
 
@@ -298,7 +245,7 @@ def _require_invertible(theta: CostFunction) -> None:
         )
 
 
-def rv_suite(probe: RvProbe = RvProbe()) -> dict:
+def rv_suite() -> dict:
     """Run the full closure-property battery on the canonical families.
 
     The canonical battery must pass on {x, 2x, x^2, 3x^2+x, x^3, constant}
@@ -320,7 +267,7 @@ def rv_suite(probe: RvProbe = RvProbe()) -> dict:
 
     checks = []
     for name, cost in canonical.items():
-        r = rv_index(cost, probe)
+        r = rv_index(cost)
         checks.append(
             {
                 "check": f"rv_index[{name}]",
@@ -329,24 +276,24 @@ def rv_suite(probe: RvProbe = RvProbe()) -> dict:
                 "residuals": list(r.residuals),
                 "passed": bool(
                     r.passed
-                    and abs(r.beta - expected_beta[name]) <= probe.rel_tol
+                    and abs(r.beta - expected_beta[name]) <= REL_TOL
                 ),
             }
         )
         if cost.is_strictly_increasing():
-            inv = check_inverse_rv(cost, probe)
+            inv = check_inverse_rv(cost)
             checks.append(_check_row(f"inverse[{name}]", inv))
-            sc = check_scaling_identity(cost, 4.0, probe)
+            sc = check_scaling_identity(cost, 4.0)
             checks.append(_check_row(f"scaling[{name}]", sc))
-        pi = check_product_and_integral_rv(cost, probe)
+        pi = check_product_and_integral_rv(cost)
         checks.append(_check_row(f"product_integral[{name}]", pi))
 
-    comp = check_composition_rv(canonical["x^2"], canonical["x^3"], probe)
+    comp = check_composition_rv(canonical["x^2"], canonical["x^3"])
     checks.append(_check_row("composition[x^2 o x^3]", comp))
-    s = check_sum_rv(canonical["x^2"], canonical["3x^2+x"], probe)
+    s = check_sum_rv(canonical["x^2"], canonical["3x^2+x"])
     checks.append(_check_row("sum[x^2 + 3x^2+x]", s))
 
-    non_rv = rv_index(ExpOverX(), probe)
+    non_rv = rv_index(ExpOverX())
     checks.append(
         {
             "check": "non_rv_detector[exp(x)/x]",

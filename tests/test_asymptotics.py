@@ -16,6 +16,7 @@ from wardrop.instances import (
 )
 from wardrop.network import Edge, Network, build_parallel
 from wardrop.asymptotics import (
+    PoaCurve,
     TrendInstance,
     bounded_path_experiment,
     extremes_estimate,
@@ -264,6 +265,20 @@ def test_small_demand_periods_same_extrema():
 def test_extremes_requires_enough_periods():
     with pytest.raises(DomainError):
         extremes_estimate(_step_curve(2.0, 1, 2), periods_required=3)
+
+
+def test_extremes_needs_at_least_one_period():
+    # periods_required = 0 on a curve with no full period once hit max() of nothing
+    with pytest.raises(DomainError, match="periods_required must be at least 1, got 0"):
+        extremes_estimate(PoaCurve((), ()), periods_required=0)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, math.inf, math.nan])
+def test_sweep_needs_a_period_base_above_one(a):
+    # a = 0.5 once looped forever in the period index (0.5^k < 3 for every k
+    # above -2); a = 1 divided by log(1)
+    with pytest.raises(DomainError, match="period base must be a finite a > 1"):
+        poa_sweep(step_game(2.0), 6.0, 96.0, samples_per_decade=8, period_base=a)
 
 
 def test_constant_pair_poa_identically_one():

@@ -136,6 +136,37 @@ def test_extremes_rejects_a_curve_demand_outside_the_domain(tmp_path, capsys, M)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("base", ["0.5", "1", "inf", "nan"])
+def test_extremes_rejects_a_period_base_outside_the_domain(tmp_path, base):
+    # 0.5 once looped forever in the period index, hence a child with a timeout;
+    # 1 was a ZeroDivisionError traceback
+    curve = tmp_path / "curve.csv"
+    curve.write_text("M,weq,opt,poa,method,flag\n5,1,1,1.0,bisection,\n9,1,1,1.0,bisection,\n")
+    run = _run_child(["extremes", "--curve", str(curve), "--period-base", base], timeout=60)
+    assert (run.returncode, run.stdout) == (3, "")
+    assert run.stderr == f"solver error: period base must be a finite a > 1, got {float(base)!r}\n"
+
+
+def test_extremes_needs_at_least_one_period(tmp_path, capsys):
+    # a curve with no full period once gave "max() arg is an empty sequence"
+    curve = tmp_path / "curve.csv"
+    curve.write_text("M,weq,opt,poa,method,flag\n5,1,1,1.0,bisection,\n6,1,1,1.0,bisection,\n")
+    code, out, err = _run(["extremes", "--curve", str(curve), "--period-base", "2",
+                           "--periods-required", "0"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "solver error: periods_required must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("resolution", ["1", "0", "-3"])
+def test_brute_force_needs_two_grid_points(resolution, capsys):
+    # 0 and -3 once were ValueError tracebacks, and 1 blamed the demand
+    code, out, err = _run(["opt", "--network", "pigou", "--demand", "1", "--method", "brute",
+                           "--resolution", resolution], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("solver error: brute force needs resolution >= 2 and zoom_rounds >= 0, "
+                   f"got {resolution} and 3\n")
+
+
 def test_sweep_log_domain_columns(tmp_path, capsys):
     curve = tmp_path / "log_curve.csv"
     code, _, _ = _run(
@@ -240,10 +271,11 @@ def test_overflowing_sweep_fails_like_scalar_poa(capsys):
         )
 
 
-def _run_child(argv):
+def _run_child(argv, timeout=None):
     env = dict(os.environ, PYTHONPATH=_child_pythonpath())
     return subprocess.run(
-        [sys.executable, "-m", "wardrop", *argv], capture_output=True, text=True, cwd="/", env=env
+        [sys.executable, "-m", "wardrop", *argv], capture_output=True, text=True, cwd="/", env=env,
+        timeout=timeout,
     )
 
 

@@ -37,6 +37,7 @@ CASES = {
     "sweep-exp": ["sweep", "--network", "exp:factorial", "--from", "13", "--to", "1000",
                   "--per-decade", "12", "--jobs", "1"],
     "repro-thm6": ["repro", "thm6", "--a", "2"],
+    "repro-rv": ["repro", "rv"],
     "poa-braess": ["poa", "--network", BRAESS, "--demand", "0.7"],
     "poa-smooth3": ["poa", "--network", SMOOTH3, "--demand", "50"],
     "solve-smooth3": ["solve", "--network", SMOOTH3, "--demand", "7"],

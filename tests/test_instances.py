@@ -41,10 +41,10 @@ def _series(net_cls, *costs_):
 
 NAMED = {
     "pigou": PARALLEL,
-    "step:2": InstanceKind("step", 2.0, 2.0),
-    "step:3": InstanceKind("step", 3.0, 3.0),
-    "pwl:2": InstanceKind("pwl", 2.0, 2.0),
-    "pwl:3.5": InstanceKind("pwl", 3.5, 3.5),
+    "step:2": InstanceKind("step", 2.0),
+    "step:3": InstanceKind("step", 3.0),
+    "pwl:2": InstanceKind("pwl", 2.0),
+    "pwl:3.5": InstanceKind("pwl", 3.5),
     "exp": InstanceKind("exp", FACTORIAL),
     "exp:factorial": InstanceKind("exp", FACTORIAL),
     "exp:supergeometric:3": InstanceKind("exp", AlphaSequence("supergeometric", base=3.0)),
@@ -55,11 +55,11 @@ NAMED = {
 BUILT = {
     "step": (
         lambda N, k: _parallel(N, k.Affine(0.0, 1.0), k.StepGeometric(2.0)),
-        InstanceKind("step", 2.0, 2.0),
+        InstanceKind("step", 2.0),
     ),
     "pwl": (
         lambda N, k: _parallel(N, k.Monomial(1.0, 2.0), k.PwlSquare(2.0)),
-        InstanceKind("pwl", 2.0, 2.0),
+        InstanceKind("pwl", 2.0),
     ),
     "exp": (
         lambda N, k: _parallel(N, k.ExpOverX(), k.StepExp(FACTORIAL)),
@@ -76,7 +76,7 @@ BUILT = {
     ),
     "monomial identity + step": (
         lambda N, k: _parallel(N, k.Monomial(1.0, 1.0), k.StepGeometric(2.0)),
-        InstanceKind("step", 2.0, 2.0),
+        InstanceKind("step", 2.0),
     ),
     "identity + pwl": (
         lambda N, k: _parallel(N, k.Affine(0.0, 1.0), k.PwlSquare(2.0)), PARALLEL,

@@ -248,6 +248,16 @@ def test_brute_rejects_many_links():
         opt_bruteforce(net, 1.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"resolution": 1}, {"resolution": 0}, {"resolution": -3}, {"zoom_rounds": -1},
+], ids=str)
+def test_brute_needs_two_grid_points_and_no_negative_zoom(kwargs):
+    # resolution 0 and -3 once raised a bare ValueError, 1 blamed the demand,
+    # and zoom_rounds = -1 returned an infinite cost
+    with pytest.raises(DomainError, match="resolution >= 2 and zoom_rounds >= 0"):
+        opt_bruteforce(pigou(), 1.0, **kwargs)
+
+
 def test_brute_single_link():
     net = build_parallel([Monomial(1.0, 2.0)])
     assert opt_bruteforce(net, 3.0).cost == pytest.approx(27.0)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from wardrop.costs import (
@@ -8,8 +10,6 @@ from wardrop.costs import (
 )
 from wardrop.errors import DomainError, UnsupportedCostError
 from wardrop.rv import (
-    RvProbe,
-    _LogFn,
     check_composition_rv,
     check_inverse_rv,
     check_product_and_integral_rv,
@@ -54,7 +54,19 @@ def test_rv_index_constant_is_zero_index():
 
 def test_rv_index_rejects_nonpositive():
     with pytest.raises(DomainError):
-        rv_index(_LogFn(lambda x: x - 1e7, name="shifted-down"))
+        rv_index(lambda x: x - 1e7)
+
+
+def test_rv_index_refuses_a_value_that_is_not_finite():
+    # 1e308 * x once gave beta = nan and blamed the residual decay
+    with pytest.raises(DomainError, match="got inf at 10000.0"):
+        rv_index(lambda x: 1e308 * x)
+
+
+@pytest.mark.parametrize("grid", [(), (1e4, 1e4), (1e5, 1e4), (0.0, 1e4), (1e4, 1e308)])
+def test_rv_index_refuses_a_grid_it_cannot_probe(grid):
+    with pytest.raises(DomainError, match="probe grid"):
+        rv_index(SQUARE, grid)
 
 
 def test_inverse_rv_examples():
@@ -81,8 +93,7 @@ def test_inverse_of_inverse_recovers_index():
                 hi = mid
         return 0.5 * (lo + hi)
 
-    probe = RvProbe(grid=tuple(10.0**j for j in range(2, 6)))
-    r = rv_index(_LogFn(inv_of_inv, name="inv-of-inv"), probe)
+    r = rv_index(inv_of_inv, tuple(10.0**j for j in range(2, 6)))
     assert abs(r.beta - 3.0) <= 1e-3
 
 
@@ -99,6 +110,13 @@ def test_scaling_identity_examples():
     assert r.passed
     # gamma = 1 is the identity at every grid point
     assert all(v == pytest.approx(1.0, rel=1e-9) for v in r.details["profile"])
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_scaling_identity_needs_a_finite_positive_gamma(gamma):
+    # gamma = nan was blamed on "level must be nonnegative"
+    with pytest.raises(DomainError, match="gamma"):
+        check_scaling_identity(SQUARE, gamma)
 
 
 def test_product_and_integral_examples():
