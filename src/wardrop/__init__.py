@@ -37,7 +37,6 @@ from .network import (
     network_to_spec,
     social_cost,
     social_cost_log,
-    social_cost_path_form,
 )
 from .equilibrium import (
     EquilibriumSolution,

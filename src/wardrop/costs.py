@@ -14,8 +14,9 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,15 +83,18 @@ def root(
     taken when the secant point is undefined (f_hi - f_lo not positive and
     finite), when the same end has been replaced three times in a row, and
     whenever a secant step could make the evaluations exceed
-    ``_split_bound`` of the starting bracket plus ROOT_SLACK.  Splits alone
-    close any bracket in the float range in at most 64 evaluations; with
-    ``secant``, a call costs at most ROOT_SLACK more than that bound from the
-    same bracket, on any ``f``.  On a monotone ``f`` only one pair of
-    adjacent floats has ``f`` turn non-negative between them, so every path
-    ends on it.
+    ``_split_bound`` of the starting bracket plus ROOT_SLACK.  That check
+    reads the last ``_split_bound`` computed and recomputes it only when the
+    stale one fails: the bound never rises on a sub-bracket, so the stale
+    one passes only where the current one would.  Splits alone close any
+    bracket in the float range in at most 64 evaluations; with ``secant``, a
+    call costs at most ROOT_SLACK more than that bound from the same bracket,
+    on any ``f``.  On a monotone ``f`` only one pair of adjacent floats has
+    ``f`` turn non-negative between them, so every path ends on it.
     """
     side = run = steps = 0  # the end (-1 lo, +1 hi) replaced last, how many times in a row
-    budget = _split_bound(lo, hi) + ROOT_SLACK
+    bound = _split_bound(lo, hi)
+    budget = bound + ROOT_SLACK
     reach = 1.0
     while True:
         base = max(lo, sys.float_info.min)
@@ -106,7 +110,7 @@ def root(
         if (
             run < 3
             and 0.0 < f_hi - f_lo < math.inf
-            and steps + _split_bound(lo, hi) < budget
+            and (steps + bound < budget or steps + (bound := _split_bound(lo, hi)) < budget)
         ):
             # from the end nearer the root, where the secant point is exact
             w = (hi - lo) / (f_hi - f_lo)
@@ -412,23 +416,8 @@ class Polynomial(CostFunction):
                 acc = acc * t + c
             return acc - level
 
-        # c(x) >= c0 + c_j x^j for every j, so x+ <= (level - c0)^(1/j) / c_j^(1/j),
-        # taken root by root so that the quotient cannot underflow
-        lo, hi = 0.0, min(
-            _POLY_BRACKET_CAP,
-            *(
-                (level - c0) ** (1.0 / j) / c ** (1.0 / j)
-                for j, c in enumerate(self.coefficients)
-                if j and c
-            ),
-        )
-        f_lo, f_hi, step = c0 - level, excess(hi), 2.0**-48
-        while f_hi < 0.0:  # the bound holds up to rounding, and may round to 0
-            if hi >= _POLY_BRACKET_CAP:
-                raise RangeOverflowError("polynomial inverse bracket overflow")
-            lo, f_lo = hi, f_hi
-            hi, step = min(hi + max(hi * step, math.ulp(hi)), _POLY_BRACKET_CAP), 2.0 * step
-            f_hi = excess(hi)
+        bracket = _quadratic_bracket(self.coefficients, level, excess)
+        lo, f_lo, hi, f_hi = bracket or _power_bracket(self.coefficients, level, excess)
         lo, hi = root(excess, lo, f_lo, hi, f_hi)
         x = 0.5 * (lo + hi)
         return (x, x)
@@ -441,6 +430,51 @@ class Polynomial(CostFunction):
 
     def to_spec(self) -> dict:
         return {"family": "polynomial", "coefficients": list(self.coefficients)}
+
+
+def _power_bracket(coefficients, level: float, excess):
+    """(lo, excess(lo), hi, excess(hi)) around x+ of a polynomial at
+    ``level`` > c0 from c(x) >= c0 + c_j x^j for every j, so x+ <= (level -
+    c0)^(1/j) / c_j^(1/j), taken root by root so that the quotient cannot
+    underflow; widened where rounding breaks the bound."""
+    c0 = coefficients[0]
+    lo, hi = 0.0, min(
+        _POLY_BRACKET_CAP,
+        *((level - c0) ** (1.0 / j) / c ** (1.0 / j) for j, c in enumerate(coefficients) if j and c),
+    )
+    f_lo, f_hi, step = c0 - level, excess(hi), 2.0**-48
+    while f_hi < 0.0:  # the bound holds up to rounding, and may round to 0
+        if hi >= _POLY_BRACKET_CAP:
+            raise RangeOverflowError("polynomial inverse bracket overflow")
+        lo, f_lo = hi, f_hi
+        hi, step = min(hi + max(hi * step, math.ulp(hi)), _POLY_BRACKET_CAP), 2.0 * step
+        f_hi = excess(hi)
+    return lo, f_lo, hi, f_hi
+
+
+def _quadratic_bracket(coefficients, level: float, excess):
+    """(lo, excess(lo), hi, excess(hi)) around x+ of c0 + c1 x + c2 x^2 at
+    ``level`` > c0: x0 (1 -+ 2^-48) for the closed-form root x0 = 2r / (c1 +
+    sqrt(c1^2 + 4 c2 r)), r = level - c0, which has no cancellation and is
+    off by a few units in the last place.  None above degree 2, and where
+    the signs of ``excess`` show that the bracket misses x+ or it is beyond
+    the polynomial inverse's range; ``_power_bracket`` serves those.
+    ``root`` ends on the same floats from it as from any other bracket:
+    Horner's rule with nonnegative coefficients is monotone in floats."""
+    if len(coefficients) > 3:
+        return None
+    c1 = coefficients[1]
+    c2 = coefficients[2] if len(coefficients) == 3 else 0.0
+    r = level - coefficients[0]
+    d = c1 + math.sqrt(c1 * c1 + 4.0 * c2 * r)  # may overflow, or underflow to 0
+    if not d > 0.0:
+        return None
+    x0 = 2.0 * r / d
+    lo, hi = x0 * (1.0 - 2.0**-48), x0 * (1.0 + 2.0**-48)
+    if not 0.0 < lo < hi <= _POLY_BRACKET_CAP:
+        return None
+    f_lo, f_hi = excess(lo), excess(hi)
+    return (lo, f_lo, hi, f_hi) if f_lo < 0.0 <= f_hi else None
 
 
 @dataclass(frozen=True)
@@ -495,23 +529,46 @@ class SaturatingLinear(CostFunction):
 # ---------------------------------------------------------------------------
 
 
-def _least_power_at_least(a: float, x: float) -> int:
-    """Smallest integer k with a**k >= x, for x > 0."""
-    k = math.ceil(math.log(x) / math.log(a))
-    while a**k < x:
-        k += 1
-    while a ** (k - 1) >= x:
+@lru_cache(maxsize=64)
+def _powers(a: float) -> tuple[int, array]:
+    """(k0, table) with table[i] = a ** (k0 + i) in Python's float pow, for a > 1: from the last power that rounds to 0
+    through the last finite one (or the first infinite one, for a = inf).
+    ``np.power`` differs from Python's pow in the last place for some k, so
+    every power the step families search comes from here."""
+    a = float(a)
+    low, k = [], -1
+    while (v := a**k) > 0.0:
+        low.append(v)
         k -= 1
-    return k
+    high, k = [], 0
+    while v < math.inf:
+        try:
+            v = a**k
+        except OverflowError:
+            break
+        high.append(v)
+        k += 1
+    return -len(low) - 1, array("d", [0.0, *reversed(low), *high])
 
 
-def _least_power_array(a: float, xs: np.ndarray) -> np.ndarray:
-    """Vectorized _least_power_at_least; entries with x <= 0 are unspecified."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.ceil(np.log(xs) / math.log(a))
-    k = np.where(np.power(a, k) < xs, k + 1, k)
-    k = np.where(np.power(a, k - 1) >= xs, k - 1, k)
-    return k
+def _least_power_at_least(a: float, x: float) -> int:
+    """Smallest integer k with a**k >= x, for x > 0; OverflowError where
+    every finite a**k is below x."""
+    k0, table = _powers(a)
+    i = bisect.bisect_left(table, x)
+    if i == len(table):
+        raise OverflowError(f"no power of {a!r} in the float range reaches {x!r}")
+    return k0 + i
+
+
+def _least_powers(a: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a**(k-1), a**k) for the k of ``_least_power_at_least`` at each of the
+    positive ``xs``, from the same table."""
+    powers = np.frombuffer(_powers(a)[1])
+    i = np.searchsorted(powers, xs, side="left")
+    if np.any(i == len(powers)):
+        raise OverflowError(f"no power of {a!r} in the float range reaches {float(np.max(xs))!r}")
+    return powers[i - 1], powers[i]
 
 
 @dataclass(frozen=True)
@@ -543,8 +600,8 @@ class StepGeometric(CostFunction):
 
     def eval_many(self, xs):
         xs = np.asarray(xs, dtype=float)
-        k = _least_power_array(self.a, np.where(xs > 0, xs, 1.0))
-        return np.where(xs > 0, np.power(self.a, k), 0.0)
+        _, q = _least_powers(self.a, np.where(xs > 0, xs, 1.0))
+        return np.where(xs > 0, q, 0.0)
 
     def eval_right(self, x: float) -> float:
         v = self.eval(x)
@@ -627,9 +684,7 @@ class PwlSquare(CostFunction):
 
     def eval_many(self, ys):
         ys = np.asarray(ys, dtype=float)
-        k = _least_power_array(self.a, np.where(ys > 0, ys, 1.0))
-        p = np.power(self.a, k - 1)
-        q = np.power(self.a, k)
+        p, q = _least_powers(self.a, np.where(ys > 0, ys, 1.0))
         return np.where(ys > 0, (p + q) * ys - p * q, 0.0)
 
     def derivative_bounds(self, y):

@@ -8,10 +8,12 @@ costs) and flats (constant costs) uniformly; any allocation inside the
 per-link intervals is an equilibrium and the surplus M - sum x-_i is
 distributed proportionally to interval widths, which is deterministic and
 scale-covariant.  The search is ``costs.root`` on sum x+_i(lambda) - M,
-with secant steps where every cost is continuous and bisection's splits
-alone where a discontinuous link makes a staircase of that sum, until its
-ends are adjacent floats.  So it has no tolerance and gives the
-same answer at every scale, and the same answer bisection gives.
+with Illinois secant steps between bisection's splits, until its ends are
+adjacent floats.  On a staircase (a step link) the secant steps still
+land near the riser: on the step games a search evaluates the sum 20-29
+times on average where splits alone take 52.  The sum is monotone in
+floats, so the search has no tolerance and gives the same answer at every
+scale, and the same answer bisection gives.
 
 Equilibrium verification compares each used path's cost against the
 cheapest *entry* cost (right limits of the edge costs): for continuous
@@ -100,10 +102,9 @@ def level_allocation(funcs, M: float) -> tuple[float, list[float]]:
                 raise ConvergenceError(
                     "no finite level can route the demand (cost level unbounded)"
                 )
-        # a discontinuous link makes a staircase of the sum, where secant
-        # steps gain nothing: splits alone close any bracket in 64 steps
-        secant = all(f.is_continuous() for f in funcs)
-        below, lam_star = root(excess, lam_lo, f_lo, lam_hi, f_hi, secant)
+        # a step link makes a staircase of the sum: secant steps still land
+        # near its riser, and root ends on the pair bisection ends on
+        below, lam_star = root(excess, lam_lo, f_lo, lam_hi, f_hi)
 
     if 0.0 < lam_star < sys.float_info.min:  # RESIDUAL_RTOL * lam would round to 0
         raise _level_underflow(M)

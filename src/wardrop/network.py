@@ -175,14 +175,6 @@ def social_cost_log(net: Network, flow: FlowProfile) -> LogValue:
                    for c, xe in zip(net.costs, x) if xe > 0)
 
 
-def social_cost_path_form(net: Network, flow: FlowProfile) -> float:
-    """sum_P x_P c_P(x); agrees with the edge form (cross-check hook)."""
-    x = edge_flows(net, flow)
-    return math.fsum(
-        f * net.path_cost(i, x) for i, f in enumerate(flow.path_flows) if f > 0
-    )
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format
 # ---------------------------------------------------------------------------

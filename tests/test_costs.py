@@ -3,8 +3,9 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -137,6 +138,55 @@ def test_pwl_square_exact_at_knots_and_above_square_inside():
             for t in (0.25, 0.5, 0.75):
                 y = a ** (k - 1) + t * (a**k - a ** (k - 1))
                 assert c.eval(y) >= y * y
+
+
+def _least_power_by_logs(a: float, x: float) -> int:
+    """The log guess and two correction loops the power table replaced: the
+    reference for the table's k, where its a**k does not overflow."""
+    k = math.ceil(math.log(x) / math.log(a))
+    while a**k < x:
+        k += 1
+    while a ** (k - 1) >= x:
+        k -= 1
+    return k
+
+
+def _knots_and_neighbours(a: float) -> list[float]:
+    k0, table = costs._powers(a)
+    assert all(v == a ** (k0 + i) for i, v in enumerate(table))
+    return sorted({y for v in table[1:] for y in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))
+                   if 0.0 < y <= table[-1]})
+
+
+@pytest.mark.parametrize("a", [2.0, 2.5, 3.0, 5.0])
+def test_power_table_gives_python_powers_at_every_knot(a):
+    xs = _knots_and_neighbours(a)
+    k0, table = costs._powers(a)
+    step, pwl = StepGeometric(a), PwlSquare(a)
+    for x in xs:
+        k = costs._least_power_at_least(a, x)
+        assert a ** (k - 1) < x <= a**k
+        try:
+            ref = _least_power_by_logs(a, x)
+        except OverflowError:  # the log guess overshot to a power past the float range
+            ref = k0 + len(table) - 1
+        assert k == ref, x
+    # np.power(a, k) differs from a**k in the last place for some k: both
+    # forms now read the same table, bit for bit
+    assert step.eval_many(np.array(xs)).tolist() == [step.eval(x) for x in xs]
+    small = [x for x in xs if x < 1e150]  # beyond, p q overflows and eval is nan
+    assert pwl.eval_many(np.array(small)).tolist() == [pwl.eval(x) for x in small]
+
+
+def test_step_powers_reach_the_top_of_the_float_range():
+    assert StepGeometric(3.0).eval_many(np.array([3.0**539])).tolist() == [3.0**539]
+    assert StepGeometric(2.0).eval(2.0**1023) == 2.0**1023
+    for x in (sys.float_info.max, 2.0**1023 * 1.5):
+        with pytest.raises(OverflowError) as exc:
+            StepGeometric(2.0).eval(x)
+        assert type(exc.value) is OverflowError  # bare: the solvers' contract types it
+        with pytest.raises(OverflowError):
+            StepGeometric(2.0).eval_many(np.array([1.0, x]))
 
 
 def test_step_right_limits():
@@ -603,6 +653,18 @@ def test_root_finds_a_linear_root_in_6_evaluations(hi):
         assert len(calls) <= 6, t
 
 
+_BRACKET_END = st.floats(min_value=0.0, max_value=sys.float_info.max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_BRACKET_END, _BRACKET_END, _BRACKET_END, _BRACKET_END))
+def test_split_bound_does_not_rise_on_a_sub_bracket(ends):
+    # root reads a stale bound until it fails: it must never be below the current one
+    lo, sub_lo, sub_hi, hi = sorted(ends)
+    assume(sub_lo < sub_hi)
+    assert _split_bound(sub_lo, sub_hi) <= _split_bound(lo, hi)
+
+
 def test_split_bound_bounds_bisection():
     assert _split_bound(0.0, sys.float_info.max) == 64
     rng = random.Random(11)
@@ -671,6 +733,50 @@ def test_polynomial_inverse_matches_bisection_in_few_evaluations(monkeypatch):
         assert Polynomial(tuple(coefs)).generalized_inverse(level) == (x, x), (coefs, level)
         assert len(evaluations) <= 16, (coefs, level)
         checked += 1
+
+
+def _unseeded_polynomial_inverse(coefs, level):
+    """x+ of a strictly increasing polynomial at a level above c0, from the
+    bracket the inverse takes above degree 2: the reference for the seeded
+    bracket of degrees 1 and 2."""
+    def excess(t):
+        acc = 0.0
+        for c in reversed(coefs):
+            acc = acc * t + c
+        return acc - level
+
+    cap = costs._POLY_BRACKET_CAP
+    lo, hi = 0.0, min(cap, *((level - coefs[0]) ** (1.0 / j) / c ** (1.0 / j)
+                             for j, c in enumerate(coefs) if j and c))
+    f_lo, f_hi, step = coefs[0] - level, excess(hi), 2.0**-48
+    while f_hi < 0.0:
+        if hi >= cap:
+            raise RangeOverflowError("polynomial inverse bracket overflow")
+        lo, f_lo = hi, f_hi
+        hi, step = min(hi + max(hi * step, math.ulp(hi)), cap), 2.0 * step
+        f_hi = excess(hi)
+    lo, hi = root(excess, lo, f_lo, hi, f_hi)
+    return (0.5 * (lo + hi),) * 2
+
+
+def test_seeded_quadratic_inverse_matches_the_unseeded_one():
+    """The closed-form seed changes the bracket, never the answer: 20000
+    polynomials of degree 1 and 2 over the float range, levels near c0 too."""
+    rng = random.Random(17)
+    for _ in range(20000):
+        coefs = [10.0 ** rng.uniform(-150, 150) if rng.random() < 0.7 else 0.0 for _ in range(rng.randint(2, 3))]
+        coefs[rng.randint(1, len(coefs) - 1)] = 10.0 ** rng.uniform(-150, 150)
+        r = 10.0 ** rng.uniform(-300, 300)
+        level = coefs[0] + r if rng.random() < 0.8 else coefs[0] * (1.0 + 2.0 ** -rng.randint(1, 52))
+        if not coefs[0] < level < math.inf:
+            continue
+        try:
+            expected = _unseeded_polynomial_inverse(coefs, level)
+        except RangeOverflowError:
+            with pytest.raises(RangeOverflowError):
+                Polynomial(tuple(coefs)).generalized_inverse(level)
+            continue
+        assert Polynomial(tuple(coefs)).generalized_inverse(level) == expected, (coefs, level)
 
 
 def test_root_counts_nan_as_non_negative():

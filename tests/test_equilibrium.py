@@ -20,6 +20,7 @@ from wardrop.costs import (
     PwlSquare,
     SaturatingLinear,
     Shifted,
+    StepExp,
     StepGeometric,
 )
 from wardrop import equilibrium
@@ -116,8 +117,14 @@ def test_lambda_monotone_in_demand():
     assert all(b >= a - 1e-12 for a, b in zip(lams, lams[1:]))
 
 
-@pytest.mark.parametrize("M", [1e-150, 1.0, 1e150])
+_rng = random.Random(23)
+# one seeded demand in every ten decades of [1e-150, 1e150], besides the ends and 1
+_STEP_DEMANDS = [1e-150, 1.0, 1e150, *(10.0 ** _rng.uniform(e, e + 10) for e in range(-150, 150, 10))]
+
+
+@pytest.mark.parametrize("M", _STEP_DEMANDS)
 def test_step_level_bisection_needs_at_most_64_inverses_per_link(M, monkeypatch):
+    # secant steps on the staircase took at most 60 over 6000 such demands
     calls = collections.Counter()
     for cls in (Affine, StepGeometric):
         def counted(self, level, inverse=cls.generalized_inverse):
@@ -125,10 +132,48 @@ def test_step_level_bisection_needs_at_most_64_inverses_per_link(M, monkeypatch)
             return inverse(self, level)
 
         monkeypatch.setattr(cls, "generalized_inverse", counted)
-    sol = wardrop_parallel(step_game(3.0), M)
-    assert sorted(calls) == ["Affine", "StepGeometric"]
-    assert max(calls.values()) <= 64
-    assert sol.cost == pytest.approx(step_game_closed_form(3.0, M).weq, rel=1e-12, abs=0.0)
+    for a in (2.0, 3.0, 5.0):
+        calls.clear()
+        sol = wardrop_parallel(step_game(a), M)
+        assert sorted(calls) == ["Affine", "StepGeometric"]
+        assert max(calls.values()) <= 64, a
+        assert sol.cost == pytest.approx(step_game_closed_form(a, M).weq, rel=1e-12, abs=0.0)
+
+
+_LEVEL_MIXES = {
+    "step:2": step_game(2.0).costs,
+    "step:3": step_game(3.0).costs,
+    "step:5": step_game(5.0).costs,
+    "affine-step-constant": (Affine(1.0, 2.0), StepGeometric(2.5), Constant(40.0)),
+    "shifted-step-square": (Shifted(StepGeometric(3.0), 1.0), Monomial(1.0, 2.0)),
+    "exp-steps-affine": (ExpOverX(), StepExp(AlphaSequence()), Affine(0.0, 1.0)),
+    "pwl-marginal-affine": (PwlSquare(2.0).marginal_function(), Affine(0.0, 2.0)),
+    "two-steps": (StepGeometric(2.0), StepGeometric(3.0)),
+}
+
+
+@pytest.mark.parametrize("mix", _LEVEL_MIXES, ids=str)
+def test_level_search_ends_where_splits_alone_end(mix, monkeypatch):
+    """Secant steps change the path of the level search, never its end: the
+    sum of the x+ is monotone in floats, step links included.  The reference
+    is root with bisection's splits alone, on 5000 seeded demands per mix."""
+    funcs = _LEVEL_MIXES[mix]
+    rng = random.Random(29)
+    demands = [10.0 ** rng.uniform(-6.0, 9.0) for _ in range(5000)]
+
+    def outcomes():
+        out = []
+        for M in demands:
+            try:
+                out.append(repr(equilibrium.level_allocation(funcs, M)))
+            except Exception as exc:  # noqa: BLE001 - a failure must match too
+                out.append(f"{type(exc).__name__}: {exc}")
+        return out
+
+    secant = outcomes()
+    real_root = equilibrium.root
+    monkeypatch.setattr(equilibrium, "root", lambda *bracket: real_root(*bracket, secant=False))
+    assert secant == outcomes()
 
 
 def test_subnormal_social_cost_is_a_domain_error():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,8 +19,15 @@ from wardrop.network import (
     network_to_spec,
     social_cost,
     social_cost_log,
-    social_cost_path_form,
 )
+
+
+def social_cost_path_form(net: Network, flow: FlowProfile) -> float:
+    """sum_P x_P c_P(x), the path form the edge form must agree with."""
+    x = edge_flows(net, flow)
+    return math.fsum(
+        f * net.path_cost(i, x) for i, f in enumerate(flow.path_flows) if f > 0
+    )
 
 
 def _series_parallel():
