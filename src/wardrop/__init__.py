@@ -25,7 +25,7 @@ from .errors import (
     RangeOverflowError,
     UnsupportedCostError,
 )
-from .logdomain import LogValue, log_sum
+from .logdomain import LogValue
 from .network import (
     Edge,
     FlowProfile,
@@ -36,7 +36,6 @@ from .network import (
     network_from_spec,
     network_to_spec,
     social_cost,
-    social_cost_log,
 )
 from .equilibrium import (
     EquilibriumSolution,

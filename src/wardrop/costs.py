@@ -27,12 +27,16 @@ from .errors import (
     RangeOverflowError,
     UnsupportedCostError,
 )
-from .logdomain import LogValue
 
 _E = math.e
 _MAX_EXP = math.log(sys.float_info.max)  # ~709.78
 ROOT_SLACK = 3  # evaluations ``root`` may spend over bisection's bound
 _POLY_BRACKET_CAP = 2.0**996  # a polynomial inverse above it is out of range
+
+
+def _log(v: float) -> float:
+    """ln v for a cost value v >= 0, with ln 0 = -inf; a NaN stays NaN."""
+    return math.log(v) if v != 0 else -math.inf
 
 
 def _check_nonneg(x: float, what: str = "x") -> float:
@@ -165,11 +169,12 @@ class CostFunction:
         """Right limit at x: the cost an entering infinitesimal player faces."""
         return self.eval(x)
 
-    def eval_log(self, x: float) -> LogValue:
-        return LogValue.from_float(self.eval(x))
+    def eval_log(self, x: float) -> float:
+        """ln c(x); -inf where c(x) = 0."""
+        return _log(self.eval(x))
 
-    def eval_right_log(self, x: float) -> LogValue:
-        return LogValue.from_float(self.eval_right(x))
+    def eval_right_log(self, x: float) -> float:
+        return _log(self.eval_right(x))
 
     # --- calculus ---
     def derivative_bounds(self, x: float) -> tuple[float, float]:
@@ -327,11 +332,11 @@ class Monomial(CostFunction):
     def eval_many(self, xs):
         return self.coef * np.asarray(xs, dtype=float) ** self.degree
 
-    def eval_log(self, x: float) -> LogValue:
+    def eval_log(self, x: float) -> float:
         x = _check_nonneg(x)
         if x == 0:
-            return LogValue.zero()
-        return LogValue.from_log(math.log(self.coef) + self.degree * math.log(x))
+            return -math.inf
+        return math.log(self.coef) + self.degree * math.log(x)
 
     def derivative_bounds(self, x):
         p = self.degree - 1.0  # below degree 1, x ** p divides by 0 at 0: the slope is infinite
@@ -603,6 +608,19 @@ class StepGeometric(CostFunction):
         _, q = _least_powers(self.a, np.where(xs > 0, xs, 1.0))
         return np.where(xs > 0, q, 0.0)
 
+    def eval_log(self, x: float) -> float:
+        """k ln a for the k of ``eval``; past the last finite power a^K of
+        the table, a finite x has k = K + 1, as a^(K+1) exceeds every float.
+        (``_least_power_at_least`` raises there instead: ``PwlSquare`` reads
+        it on the a^2 table, where K + 1 would pass an overflowing piece.)"""
+        x = _check_nonneg(x)
+        if x == 0:
+            return -math.inf
+        if x == math.inf:
+            raise OverflowError(f"no power of {self.a!r} reaches inf")
+        k0, table = _powers(self.a)
+        return (k0 + bisect.bisect_left(table, x)) * math.log(self.a)
+
     def eval_right(self, x: float) -> float:
         v = self.eval(x)
         if v == x:  # exactly at a knot: the next step is about to start
@@ -680,7 +698,10 @@ class PwlSquare(CostFunction):
             return 0.0
         k = self._piece(y)
         p, q = self.a ** (k - 1), self.a**k
-        return (p + q) * y - p * q
+        v = (p + q) * y - p * q
+        if math.isnan(v):  # p q overflows, and (p + q) y with it: inf - inf
+            raise OverflowError(f"pwl-square value at {y!r} overflows native floats")
+        return v
 
     def eval_many(self, ys):
         ys = np.asarray(ys, dtype=float)
@@ -760,8 +781,8 @@ class ExpOverX(CostFunction):
             raise RangeOverflowError("exp(x)/x overflows native floats; use eval_log")
         return np.where(xs >= 1.0, np.exp(t), _E)
 
-    def eval_log(self, x: float) -> LogValue:
-        return LogValue.from_log(_log_exp_over_x(_check_nonneg(x)))
+    def eval_log(self, x: float) -> float:
+        return _log_exp_over_x(_check_nonneg(x))
 
     def derivative_bounds(self, x):
         x = float(x)
@@ -983,11 +1004,11 @@ class StepExp(CostFunction):
     # the step over (alpha_{j-1}, alpha_j] is ExpOverX(alpha_j)
     _level_log = staticmethod(_log_exp_over_x)
 
-    def eval_log(self, y: float) -> LogValue:
-        return LogValue.from_log(self._level_log(self.alphas.alpha(self._piece(y))))
+    def eval_log(self, y: float) -> float:
+        return self._level_log(self.alphas.alpha(self._piece(y)))
 
     def eval(self, y: float) -> float:
-        return _exp_in_range(self.eval_log(y).log_magnitude, "step-exp value")
+        return _exp_in_range(self.eval_log(y), "step-exp value")
 
     def eval_many(self, ys):
         ys = np.asarray(ys, dtype=float)
@@ -1000,14 +1021,14 @@ class StepExp(CostFunction):
             raise RangeOverflowError("step-exp value overflows; use eval_log")
         return np.exp(t)
 
-    def eval_right_log(self, y: float) -> LogValue:
+    def eval_right_log(self, y: float) -> float:
         j = self._piece(y)
         if y == self.alphas.alpha(j):  # at a knot: the next step starts
             j += 1
-        return LogValue.from_log(self._level_log(self.alphas.alpha(j)))
+        return self._level_log(self.alphas.alpha(j))
 
     def eval_right(self, y: float) -> float:
-        return _exp_in_range(self.eval_right_log(y).log_magnitude, "step-exp value")
+        return _exp_in_range(self.eval_right_log(y), "step-exp value")
 
     def derivative_bounds(self, y):
         y = float(y)

@@ -38,14 +38,8 @@ from .errors import (
     UnsupportedCostError,
 )
 from .instances import classify
-from .logdomain import LogValue
-from .network import (
-    FlowProfile,
-    Network,
-    edge_flows,
-    social_cost,
-    social_cost_log,
-)
+from .logdomain import LogValue, log_add
+from .network import FlowProfile, Network, edge_flows, social_cost
 
 RESIDUAL_RTOL = 1e-9
 USED_RTOL = 1e-9  # a path with more than this share of M is used
@@ -430,8 +424,7 @@ def wardrop_parallel_log(net: Network, M: float) -> EquilibriumSolution:
     residual = 0.0
     for i, f in enumerate(flow.path_flows):
         if f > USED_RTOL * M:
-            gap = own[i].log_magnitude - min_entry.log_magnitude
+            gap = own[i] - min_entry
             residual = max(residual, math.expm1(gap) if gap > 0 else 0.0)
-    lam = max(own)
-    cost = social_cost_log(net, flow)
-    return EquilibriumSolution(flow, lam, residual, cost, "log-bisection")
+    cost = log_add(math.log(x) + own[0], math.log(y) + own[1])  # x, y > 0
+    return EquilibriumSolution(flow, LogValue(max(own)), residual, LogValue(cost), "log-bisection")

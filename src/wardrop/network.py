@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 from .costs import CostFunction, cost_from_spec, cost_to_spec
 from .errors import DomainError, GameError
-from .logdomain import LogValue, log_sum
 
 PATH_CAP = 100_000
 
@@ -166,13 +165,6 @@ def social_cost(net: Network, flow: FlowProfile) -> float:
     """Total travel cost sum_e x_e c_e(x_e) of a feasible flow."""
     x = edge_flows(net, flow)
     return math.fsum(xe * c.eval(xe) for c, xe in zip(net.costs, x))
-
-
-def social_cost_log(net: Network, flow: FlowProfile) -> LogValue:
-    """Log-domain social cost for instances whose costs overflow floats."""
-    x = edge_flows(net, flow)
-    return log_sum(LogValue.from_float(xe) * c.eval_log(xe)
-                   for c, xe in zip(net.costs, x) if xe > 0)
 
 
 # ---------------------------------------------------------------------------

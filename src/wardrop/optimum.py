@@ -30,7 +30,7 @@ from .costs import (
 )
 from .errors import DomainError, RangeOverflowError, UnsupportedCostError
 from .instances import classify
-from .logdomain import LogValue
+from .logdomain import LogValue, log_add
 from .network import FlowProfile, Network, social_cost
 from .equilibrium import _general_flow, _parallel_flow, _typed_failures
 
@@ -200,17 +200,11 @@ def opt_parallel_pwl_square(a: float, M: float) -> OptimumSolution:
 
 def _exp_log_objective(M: float, y: float, alpha: float) -> float:
     """ln(x c1(x) + y c2(y)) at x = M - y, where c2(y) = ExpOverX(alpha) is
-    the step holding y, rounded as ``LogValue.from_float``, ``*`` and
-    ``log_sum`` round it."""
+    the step holding y; a term with no flow is left out."""
     x = M - y
-    if x <= 0:
-        return math.log(y) + _log_exp_over_x(alpha)
-    t = math.log(x) + _log_exp_over_x(x)
-    if y <= 0:
-        return t
-    u = math.log(y) + _log_exp_over_x(alpha)
-    hi, lo = (u, t) if t < u else (t, u)
-    return hi + math.log1p(math.exp(lo - hi))
+    t = math.log(x) + _log_exp_over_x(x) if x > 0 else -math.inf
+    u = math.log(y) + _log_exp_over_x(alpha) if y > 0 else -math.inf
+    return log_add(t, u)
 
 
 @_typed_failures
@@ -221,8 +215,8 @@ def opt_parallel_exp_log(alphas: AlphaSequence, M: float) -> OptimumSolution:
     stationary point y_j = M - alpha_{j+1} + ln(alpha_{j+1}) is projected
     onto the piece; the true objective is evaluated in log domain at every
     projected candidate, every knot, and the corners.  The scan runs on
-    float logs rounded as ``LogValue`` arithmetic would round them, and
-    scores each candidate once.  The winner is flagged when it falls
+    float logs summed by ``log_add`` and scores each candidate once; only
+    the winner becomes a ``LogValue``.  The winner is flagged when it falls
     outside the asymptotic candidate set {k-1, k, k+1}.
     """
     k = alphas.bracket_index(M)

@@ -15,6 +15,7 @@ from statistics import median
 
 from .costs import CostFunction
 from .errors import DomainError, UnsupportedCostError
+from .logdomain import log_add
 
 GRID = tuple(10.0**j for j in range(4, 10))
 SCALE_FACTORS = (2.0, 3.0, 10.0)
@@ -23,15 +24,15 @@ COMPOSITION_TOL = 1e-2
 
 
 def _log_of(theta):
-    """x -> ln theta(x): a cost family through ``eval_log``, refusing an
-    exact zero; any other callable through ``math.log`` of a value that
+    """x -> ln theta(x): a cost family through ``eval_log``, refusing
+    ln 0 = -inf; any other callable through ``math.log`` of a value that
     must be a positive finite float."""
     if isinstance(theta, CostFunction):
         def log_at(x: float) -> float:
-            lv = theta.eval_log(x)
-            if lv.is_zero:
+            t = theta.eval_log(x)
+            if t == -math.inf:
                 raise DomainError(f"{theta.family} is zero at {x!r}; not a positive function")
-            return lv.log_magnitude
+            return t
     else:
         def log_at(x: float) -> float:
             v = theta(x)
@@ -221,12 +222,7 @@ def check_sum_rv(theta_1: CostFunction, theta_2: CostFunction) -> RvCheckReport:
         )
     log_1, log_2 = _log_of(theta_1), _log_of(theta_2)
 
-    def log_sum(x: float) -> float:
-        l1, l2 = log_1(x), log_2(x)
-        hi, lo = max(l1, l2), min(l1, l2)
-        return hi + math.log1p(math.exp(lo - hi))
-
-    report = _index(log_sum, GRID)
+    report = _index(lambda x: log_add(log_1(x), log_2(x)), GRID)
     expected = r1.beta
     passed = (
         r1.passed and r2.passed and report.passed

@@ -17,7 +17,6 @@ from wardrop.cli import auto_breakpoints
 from wardrop.costs import AlphaSequence, StepExp
 from wardrop.errors import DemandBracketError, RangeOverflowError
 from wardrop.instances import exp_game
-from wardrop.logdomain import LogValue
 
 SEQUENCES = [
     AlphaSequence("factorial"),
@@ -28,11 +27,10 @@ SEQUENCES = [
 
 
 def _scan_inverse(se: StepExp, level: float) -> tuple[float, float]:
-    """The inverse by the former route: level -> LogValue -> the same scan."""
-    level = LogValue.from_float(level)
-    if level.is_zero:
+    """The inverse by the former route: level -> its log -> the same scan."""
+    if level == 0:
         return (0.0, 0.0)
-    target = level.log_magnitude
+    target = math.log(level)
     j = 1
     while se._level_log(se.alphas.alpha(j)) < target:
         j += 1

@@ -32,6 +32,7 @@ from wardrop.costs import (
 from wardrop.errors import (
     DemandBracketError,
     DomainError,
+    GameError,
     KinkError,
     RangeOverflowError,
     UnsupportedCostError,
@@ -82,7 +83,7 @@ def test_eval_overflow_routes_to_log():
     with pytest.raises(RangeOverflowError):
         StepExp(AlphaSequence("factorial")).eval(1e4)
     # the log evaluator has no such limit
-    assert ExpOverX().eval_log(1000.0).log_magnitude == pytest.approx(
+    assert ExpOverX().eval_log(1000.0) == pytest.approx(
         1000.0 - math.log(1000.0)
     )
 
@@ -99,13 +100,13 @@ def test_monotone(cost, x, y):
 
 
 def test_eval_log_examples():
-    assert ExpOverX().eval_log(100.0).log_magnitude == pytest.approx(
+    assert ExpOverX().eval_log(100.0) == pytest.approx(
         100.0 - math.log(100.0), rel=1e-14
     )
-    assert Constant(1.0).eval_log(17.0).log_magnitude == 0.0
+    assert Constant(1.0).eval_log(17.0) == 0.0
     # factorial knots: 7 in (3!, 4!] so the level is c(24)
     got = StepExp(AlphaSequence("factorial")).eval_log(7.0)
-    assert got.log_magnitude == pytest.approx(24.0 - math.log(24.0), rel=1e-14)
+    assert got == pytest.approx(24.0 - math.log(24.0), rel=1e-14)
 
 
 def test_eval_log_matches_eval():
@@ -115,11 +116,11 @@ def test_eval_log_matches_eval():
                 direct = c.eval(x)
             except RangeOverflowError:
                 continue
-            lv = c.eval_log(x)
+            t = c.eval_log(x)
             if direct == 0.0:
-                assert lv.is_zero
+                assert t == -math.inf
             else:
-                assert lv.to_float() == pytest.approx(direct, rel=1e-12)
+                assert math.exp(t) == pytest.approx(direct, rel=1e-12)
 
 
 def test_step_touches_identity_at_knots():
@@ -174,7 +175,7 @@ def test_power_table_gives_python_powers_at_every_knot(a):
     # np.power(a, k) differs from a**k in the last place for some k: both
     # forms now read the same table, bit for bit
     assert step.eval_many(np.array(xs)).tolist() == [step.eval(x) for x in xs]
-    small = [x for x in xs if x < 1e150]  # beyond, p q overflows and eval is nan
+    small = [x for x in xs if x < 1e150]  # beyond, p q overflows and eval raises
     assert pwl.eval_many(np.array(small)).tolist() == [pwl.eval(x) for x in small]
 
 
@@ -189,13 +190,55 @@ def test_step_powers_reach_the_top_of_the_float_range():
             StepGeometric(2.0).eval_many(np.array([1.0, x]))
 
 
+@pytest.mark.parametrize("a", [2.0, 2.5, 3.0, 5.0, 7.3, 1e6])
+def test_step_eval_log_is_k_log_a(a):
+    """k ln a is within 1e-15 relative of ln eval wherever eval is a normal
+    float, and goes on past the table's last finite power a^K with K + 1."""
+    k0, table = costs._powers(a)
+    step = StepGeometric(a)
+    for x in _knots_and_neighbours(a):
+        v = step.eval(x)
+        if v >= sys.float_info.min:
+            assert abs(step.eval_log(x) - math.log(v)) <= 1e-15 * abs(math.log(v)), x
+    last = k0 + len(table) - 1
+    for x in (math.nextafter(table[-1], math.inf), sys.float_info.max):
+        assert step.eval_log(x) == (last + 1) * math.log(a)
+    assert step.eval_log(0.0) == -math.inf
+    with pytest.raises(OverflowError):
+        step.eval_log(math.inf)
+
+
+def test_pwl_square_past_the_float_range_overflows_instead_of_nan():
+    for cost, y in ((PwlSquare(3.0), 3.0**539), (PwlSquare(2.0), 1e300)):
+        for evaluate in (cost.eval, cost.eval_log):
+            with pytest.raises(OverflowError) as exc:
+                evaluate(y)
+            # bare: the solvers' contract types it with the demand in its message
+            assert not isinstance(exc.value, GameError)
+    assert PwlSquare(2.0).eval(2.0**500) == 2.0**1000  # in range: a knot keeps its bits
+
+
+@pytest.mark.parametrize("x", [1e300, 1e308, sys.float_info.max])
+@pytest.mark.parametrize("cost", ALL_FAMILIES, ids=repr)
+def test_eval_log_at_the_top_of_the_float_range_is_a_number_or_a_refusal(cost, x):
+    """A log that is not NaN, or OverflowError or a GameError; the geometric
+    step has a finite log at every finite x."""
+    try:
+        t = cost.eval_log(x)
+    except (OverflowError, GameError):
+        assert not isinstance(cost, StepGeometric)
+        return
+    assert not math.isnan(t)
+    assert math.isfinite(t) or not isinstance(cost, StepGeometric)
+
+
 def test_step_right_limits():
     c = StepGeometric(2.0)
     assert c.eval_right(2.0) == 4.0
     assert c.eval_right(3.0) == 4.0
     se = StepExp(AlphaSequence("factorial"))
-    assert se.eval_right_log(6.0).log_magnitude == pytest.approx(24.0 - math.log(24.0))
-    assert se.eval_log(6.0).log_magnitude == pytest.approx(6.0 - math.log(6.0))
+    assert se.eval_right_log(6.0) == pytest.approx(24.0 - math.log(24.0))
+    assert se.eval_log(6.0) == pytest.approx(6.0 - math.log(6.0))
 
 
 # ---------------------------------------------------------------------------

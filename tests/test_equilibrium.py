@@ -609,6 +609,36 @@ def test_log_solver_matches_native_floats_at_small_scale():
     assert log_sol.cost.to_float() == pytest.approx(native, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "alphas, seed",
+    [
+        (AlphaSequence("factorial"), 11),
+        (AlphaSequence("supergeometric", base=2.0), 12),
+        (AlphaSequence("supergeometric", base=1.5), 13),
+        (AlphaSequence("explicit", values=(1.0, 3.0, 10.0, 50.0, 400.0, 1e4, 1e6, 1e9)), 14),
+    ],
+    ids=["factorial", "supergeometric:2", "supergeometric:1.5", "explicit"],
+)
+def test_log_solver_cost_is_the_log_sum_exp_of_its_links(alphas, seed):
+    """The equilibrium's cost, bit for bit, against a log-sum-exp written
+    out here: a fold from the first link's term, with the larger log as the
+    shift.  The level is the larger of the two links' logs."""
+    net = exp_game(alphas)
+    rng = random.Random(seed)
+    lo, hi = 2.0 * alphas.alpha(1), min(1e300, 2.0 * alphas.alpha(alphas.max_index()))
+    for _ in range(500):
+        M = hi * (lo / hi) ** rng.random()
+        sol = wardrop_parallel_log(net, M)
+        logs = [c.eval_log(f) for c, f in zip(net.costs, sol.flow.path_flows)]
+        terms = [math.log(f) + t for f, t in zip(sol.flow.path_flows, logs)]
+        total = terms[0]
+        for t in terms[1:]:
+            top, bottom = max(total, t), min(total, t)
+            total = top + math.log1p(math.exp(bottom - top))
+        assert sol.cost.log_magnitude == total and not sol.cost.is_zero, f"M={M!r}"
+        assert sol.lam.log_magnitude == max(logs), f"M={M!r}"
+
+
 def test_log_solver_degenerate_sequence():
     with pytest.raises(DemandBracketError):
         wardrop_parallel_log(exp_game(AlphaSequence("explicit", values=(5.0,))), 20.0)

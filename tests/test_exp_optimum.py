@@ -1,10 +1,10 @@
-"""The exponential game's optimum scan against a LogValue reference and mpmath.
+"""The exponential game's optimum scan against a reference scan and mpmath.
 
 ``opt_parallel_exp_log`` scores its candidates on plain float logs.  The
-reference below is the same scan written with ``LogValue`` arithmetic;
-every output must match it bit for bit.  An mpmath referee at 50 digits
-checks each certificate value, and two counting tests check the work per
-call.
+reference below is the same scan with its own log-sum-exp written out:
+a fold from the first term, with the larger log as the shift; every
+output must match it bit for bit.  An mpmath referee at 50 digits checks
+each certificate value, and two counting tests check the work per call.
 """
 
 import functools
@@ -17,7 +17,7 @@ import pytest
 from wardrop import optimum
 from wardrop.costs import AlphaSequence, ExpOverX, StepExp
 from wardrop.errors import DemandBracketError
-from wardrop.logdomain import LogValue, log_sum
+from wardrop.logdomain import LogValue
 from wardrop.network import FlowProfile
 from wardrop.optimum import OptimumSolution, opt_parallel_exp_log
 
@@ -28,20 +28,24 @@ REFEREE_ULPS = 1.0
 
 
 def _reference(alphas: AlphaSequence, M: float) -> OptimumSolution:
-    """The candidate scan scored through LogValue objects."""
+    """The candidate scan scored through a log-sum-exp of its own."""
     exp_cost = ExpOverX()
     step_cost = StepExp(alphas)
     k = alphas.bracket_index(M)
 
     @functools.cache
-    def objective(y: float) -> LogValue:
+    def objective(y: float) -> float:
         x = M - y
         terms = []
         if x > 0:
-            terms.append(LogValue.from_float(x) * exp_cost.eval_log(x))
+            terms.append(math.log(x) + exp_cost.eval_log(x))
         if y > 0:
-            terms.append(LogValue.from_float(y) * step_cost.eval_log(y))
-        return log_sum(terms)
+            terms.append(math.log(y) + step_cost.eval_log(y))
+        total = terms[0]
+        for t in terms[1:]:
+            hi, lo = max(total, t), min(total, t)
+            total = hi + math.log1p(math.exp(lo - hi))
+        return total
 
     candidates = {0.0: -1, M: -1}
     certificate = []
@@ -57,7 +61,7 @@ def _reference(alphas: AlphaSequence, M: float) -> OptimumSolution:
             candidates[aj1] = j
         certificate.append(
             {"j": j, "y_free": y_free, "y": y_proj,
-             "log_value": objective(y_proj).log_magnitude}
+             "log_value": objective(y_proj)}
         )
     y_star = min(candidates, key=objective)
     label = candidates[y_star]
@@ -65,7 +69,8 @@ def _reference(alphas: AlphaSequence, M: float) -> OptimumSolution:
     if label not in (k - 1, k, k + 1):
         flag = f"optimal piece j={label} outside the candidate set around k={k}"
     flow = FlowProfile((M - y_star, y_star), M)
-    return OptimumSolution(flow, objective(y_star), "exp-candidates", tuple(certificate), flag=flag)
+    return OptimumSolution(flow, LogValue(objective(y_star)), "exp-candidates", tuple(certificate),
+                           flag=flag)
 
 
 def _outcome(alphas: AlphaSequence, M: float, solve) -> tuple:

@@ -18,7 +18,6 @@ from wardrop.network import (
     network_from_spec,
     network_to_spec,
     social_cost,
-    social_cost_log,
 )
 
 
@@ -131,14 +130,6 @@ def test_edge_flows_linear():
     combo = edge_flows(sp, FlowProfile.of(a * f + b * g))
     parts = a * np.array(edge_flows(sp, FlowProfile.of(f))) + b * np.array(edge_flows(sp, FlowProfile.of(g)))
     assert np.allclose(combo, parts, rtol=1e-12)
-
-
-def test_social_cost_log_matches_linear():
-    net = build_parallel([Affine(0.0, 1.0), StepGeometric(2.0)])
-    f = FlowProfile((3.0, 2.0), 5.0)
-    assert social_cost_log(net, f).to_float() == pytest.approx(
-        social_cost(net, f), rel=1e-12
-    )
 
 
 def test_parallel_path_count_matches_edges():
