@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import AlphaSequence, CostFunction
+from .costs import AlphaSequence, CostFunction, _period_index
 from .errors import ConvergenceError, DomainError, GameError, RangeOverflowError
 from .instances import exp_game, pwl_game
 from .logdomain import LogValue
 from .network import Network, build_parallel
 from .equilibrium import EquilibriumSolution, _check_demand, _range_error, wardrop_equilibrium
-from .optimum import OptimumSolution, _period_index, social_optimum
+from .optimum import OptimumSolution, social_optimum
 
 POA_FLOOR_SLACK = 1e-9
 DEFAULT_SAMPLES_PER_DECADE = 512

@@ -19,13 +19,13 @@ import os
 import sys
 
 from . import asymptotics as asy
-from .costs import AlphaSequence
+from .costs import AlphaSequence, _period_index
 from .errors import DomainError, GameError
 from .instances import classify, named_instance, step_breakpoints
 from .logdomain import LogValue
 from .network import Network, load_network
 from .equilibrium import _check_demand, wardrop_equilibrium
-from .optimum import _period_index, social_optimum
+from .optimum import social_optimum
 from .rv import rv_suite
 
 USAGE_ERROR, INPUT_ERROR, NUMERIC_ERROR = 1, 2, 3

@@ -69,21 +69,19 @@ def _split_bound(lo: float, hi: float) -> int:
     return (int((hi - lo) / math.ulp(lo)) - 1).bit_length()
 
 
-def root(
-    f, lo: float, f_lo: float, hi: float, f_hi: float, secant: bool = True
-) -> tuple[float, float]:
+def root(f, lo: float, f_lo: float, hi: float, f_hi: float) -> tuple[float, float]:
     """Shrink [lo, hi], 0 <= lo < hi, to the adjacent floats between which a
     weakly increasing ``f`` turns non-negative, given f_lo = f(lo) < 0 and
     f_hi = f(hi) >= 0.  NaN counts as non-negative, as in ``not f(x) < 0``.
 
     Every step is either the split of a bisection, at the geometric midpoint
     while hi > 2 lo (lo read as at least ``sys.float_info.min``) and at the
-    arithmetic one after, or, if ``secant``, an Illinois false position step:
-    the secant point of the bracket replaces the end of its sign, and the
-    other end's stored value is halved when the same end is replaced twice
-    in a row.  A secant point that rounds onto an end moves inside by one
-    unit in the last place, then by 2, 4, ... while it keeps doing so: once
-    the secant has found the root, the far end closes on it too.  A split is
+    arithmetic one after, or an Illinois false position step: the secant
+    point of the bracket replaces the end of its sign, and the other end's
+    stored value is halved when the same end is replaced twice in a row.
+    A secant point that rounds onto an end moves inside by one unit in the
+    last place, then by 2, 4, ... while it keeps doing so: once the secant
+    has found the root, the far end closes on it too.  A split is
     taken when the secant point is undefined (f_hi - f_lo not positive and
     finite), when the same end has been replaced three times in a row, and
     whenever a secant step could make the evaluations exceed
@@ -91,11 +89,10 @@ def root(
     reads the last ``_split_bound`` computed and recomputes it only when the
     stale one fails: the bound never rises on a sub-bracket, so the stale
     one passes only where the current one would.  Splits alone close any
-    bracket in the float range in at most 64 evaluations; with ``secant``, a
-    call costs at most ROOT_SLACK more than that bound from the same bracket,
-    on any ``f``.  On a monotone ``f`` only one pair of adjacent floats has
-    ``f`` turn non-negative between them, so every path ends on it.
-    """
+    bracket in the float range in at most 64 evaluations; a call costs at
+    most ROOT_SLACK more than that bound from the same bracket, on any
+    ``f``.  On a monotone ``f`` only one pair of adjacent floats has ``f``
+    turn non-negative between them, so every path ends on it."""
     side = run = steps = 0  # the end (-1 lo, +1 hi) replaced last, how many times in a row
     bound = _split_bound(lo, hi)
     budget = bound + ROOT_SLACK
@@ -105,12 +102,6 @@ def root(
         x = math.sqrt(base) * math.sqrt(hi) if hi > 2.0 * base else lo + 0.5 * (hi - lo)
         if not lo < x < hi:
             return lo, hi
-        if not secant:  # bisection: the end values are not needed
-            if f(x) < 0.0:
-                lo = x
-            else:
-                hi = x
-            continue
         if (
             run < 3
             and 0.0 < f_hi - f_lo < math.inf
@@ -539,7 +530,7 @@ def _powers(a: float) -> tuple[int, array]:
     """(k0, table) with table[i] = a ** (k0 + i) in Python's float pow, for a > 1: from the last power that rounds to 0
     through the last finite one (or the first infinite one, for a = inf).
     ``np.power`` differs from Python's pow in the last place for some k, so
-    every power the step families search comes from here."""
+    every power the geometric families read comes from here."""
     a = float(a)
     low, k = [], -1
     while (v := a**k) > 0.0:
@@ -556,19 +547,37 @@ def _powers(a: float) -> tuple[int, array]:
     return -len(low) - 1, array("d", [0.0, *reversed(low), *high])
 
 
-def _least_power_at_least(a: float, x: float) -> int:
-    """Smallest integer k with a**k >= x, for x > 0; OverflowError where
-    every finite a**k is below x."""
+def _piece(a: float, x: float) -> tuple[int, float, float]:
+    """(k, a**(k-1), a**k) for the smallest integer k with a**k >= x > 0,
+    all read from ``_powers(a)``; a bare OverflowError where every finite
+    a**k is below x."""
     k0, table = _powers(a)
     i = bisect.bisect_left(table, x)
     if i == len(table):
         raise OverflowError(f"no power of {a!r} in the float range reaches {x!r}")
-    return k0 + i
+    return k0 + i, table[i - 1], table[i]
+
+
+def _power_index(a: float, x: float) -> int:
+    """The k of ``_piece`` for 0 < x < inf, and K + 1 past the table's last
+    finite power a^K, as a^(K+1) exceeds every float."""
+    if x == math.inf:
+        raise OverflowError(f"no power of {a!r} reaches inf")
+    k0, table = _powers(a)
+    return k0 + bisect.bisect_left(table, x)
+
+
+def _period_index(a: float, M: float) -> int:
+    """k with M in (2 a^k, 2 a^{k+1}], for a finite M > 0."""
+    if M / 2.0 == 0.0:  # subnormal M: no power of a is below M/2
+        raise DomainError(f"M/2 underflows to 0 at M={float(M)!r}: "
+                          "the demand is below the range native floats resolve")
+    return _piece(a, M / 2.0)[0] - 1
 
 
 def _least_powers(a: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a**(k-1), a**k) for the k of ``_least_power_at_least`` at each of the
-    positive ``xs``, from the same table."""
+    """(a**(k-1), a**k) for the k of ``_piece`` at each of the positive
+    ``xs``, from the same table."""
     powers = np.frombuffer(_powers(a)[1])
     i = np.searchsorted(powers, xs, side="left")
     if np.any(i == len(powers)):
@@ -577,19 +586,39 @@ def _least_powers(a: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class StepGeometric(CostFunction):
+class _Geometric(CostFunction):
+    """A family whose pieces change at the knots a^k, k in Z, a >= 2; every
+    piece, knot and period is read from ``_powers(a)``."""
+
+    a: float
+    _label = ""  # the family's name in the range error
+
+    def __post_init__(self):
+        if not 2 <= self.a < math.inf:
+            raise DomainError(f"{self._label} family requires finite a >= 2, got {self.a!r}")
+
+    def asymptotic_value(self) -> float:
+        return math.inf
+
+    def breakpoints_within(self, lo: float, hi: float) -> list[float]:
+        if hi <= 0 or hi < lo:
+            return []
+        lo, table = max(lo, hi * 1e-18, 1e-300), _powers(self.a)[1]
+        return table[bisect.bisect_left(table, lo) : bisect.bisect_right(table, hi)].tolist()
+
+    def to_spec(self) -> dict:
+        return {"family": self.family, "a": self.a}
+
+
+class StepGeometric(_Geometric):
     """c(x) = a^k for x in (a^{k-1}, a^k], k in Z, with a >= 2.
 
     Left-continuous step function that touches the identity at every knot:
     c(a^k) = a^k exactly.  c(0) = 0 as the infimum limit over k -> -inf.
     """
 
-    a: float
     family = "step_geometric"
-
-    def __post_init__(self):
-        if not 2 <= self.a < math.inf:
-            raise DomainError(f"step family requires finite a >= 2, got {self.a!r}")
+    _label = "step"
 
     def is_continuous(self) -> bool:
         return False
@@ -601,7 +630,7 @@ class StepGeometric(CostFunction):
         x = _check_nonneg(x)
         if x == 0:
             return 0.0
-        return self.a ** _least_power_at_least(self.a, x)
+        return _piece(self.a, x)[2]
 
     def eval_many(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -609,17 +638,12 @@ class StepGeometric(CostFunction):
         return np.where(xs > 0, q, 0.0)
 
     def eval_log(self, x: float) -> float:
-        """k ln a for the k of ``eval``; past the last finite power a^K of
-        the table, a finite x has k = K + 1, as a^(K+1) exceeds every float.
-        (``_least_power_at_least`` raises there instead: ``PwlSquare`` reads
-        it on the a^2 table, where K + 1 would pass an overflowing piece.)"""
+        """k ln a for the k of ``eval``, and for k = K + 1 past the last
+        finite power a^K (``_power_index``)."""
         x = _check_nonneg(x)
         if x == 0:
             return -math.inf
-        if x == math.inf:
-            raise OverflowError(f"no power of {self.a!r} reaches inf")
-        k0, table = _powers(self.a)
-        return (k0 + bisect.bisect_left(table, x)) * math.log(self.a)
+        return _power_index(self.a, x) * math.log(self.a)
 
     def eval_right(self, x: float) -> float:
         v = self.eval(x)
@@ -638,42 +662,20 @@ class StepGeometric(CostFunction):
         if x == 0:
             return 0.0
         a = self.a
-        k = _least_power_at_least(a, x)
+        k, p, q = _piece(a, x)
         # full pieces (.., a^{k-1}] sum to a^{2(k-1)} * a/(a+1) (geometric in a^2)
         full = a ** (2 * (k - 1)) * a / (a + 1.0)
-        return full + a**k * (x - a ** (k - 1))
+        return full + q * (x - p)
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")
         if level == 0:
             return (0.0, 0.0)
-        a = self.a
-        j = _least_power_at_least(a, level)  # smallest step value >= level
-        x_minus = a ** (j - 1)
-        x_plus = a**j if a**j <= level else a ** (j - 1)
-        return (x_minus, x_plus)
-
-    def asymptotic_value(self) -> float:
-        return math.inf
-
-    def breakpoints_within(self, lo: float, hi: float) -> list[float]:
-        return _geometric_knots(self.a, lo, hi)
-
-    def to_spec(self) -> dict:
-        return {"family": "step_geometric", "a": self.a}
+        _, p, q = _piece(self.a, level)  # q: the smallest step value >= level
+        return (p, q if q <= level else p)
 
 
-def _geometric_knots(a: float, lo: float, hi: float) -> list[float]:
-    if hi <= 0 or hi < lo:
-        return []
-    lo = max(lo, hi * 1e-18, 1e-300)
-    k_lo = _least_power_at_least(a, lo)
-    k_hi = _least_power_at_least(a, hi)
-    return [a**k for k in range(k_lo, k_hi + 1) if lo <= a**k <= hi]
-
-
-@dataclass(frozen=True)
-class PwlSquare(CostFunction):
+class PwlSquare(_Geometric):
     """Linear interpolation of x^2 at the knots a^k (a >= 2).
 
     On [a^{k-1}, a^k] the value is (a^{k-1}+a^k) y - a^{k-1} a^k, which is
@@ -681,23 +683,14 @@ class PwlSquare(CostFunction):
     above a convex function); convex and strictly increasing on [0, inf).
     """
 
-    a: float
     family = "pwl_square"
-
-    def __post_init__(self):
-        if not 2 <= self.a < math.inf:
-            raise DomainError(f"pwl-square family requires finite a >= 2, got {self.a!r}")
-
-    def _piece(self, y: float) -> int:
-        """Index k of the piece [a^{k-1}, a^k] containing y > 0."""
-        return _least_power_at_least(self.a, y)
+    _label = "pwl-square"
 
     def eval(self, y: float) -> float:
         y = _check_nonneg(y)
         if y == 0:
             return 0.0
-        k = self._piece(y)
-        p, q = self.a ** (k - 1), self.a**k
+        _, p, q = _piece(self.a, y)
         v = (p + q) * y - p * q
         if math.isnan(v):  # p q overflows, and (p + q) y with it: inf - inf
             raise OverflowError(f"pwl-square value at {y!r} overflows native floats")
@@ -708,12 +701,27 @@ class PwlSquare(CostFunction):
         p, q = _least_powers(self.a, np.where(ys > 0, ys, 1.0))
         return np.where(ys > 0, (p + q) * ys - p * q, 0.0)
 
+    def eval_log(self, y: float) -> float:
+        """ln eval(y) where eval is finite; past that, ln((p+q)y - pq) as
+        ln y + k ln a + ln(1 + 1/a) + log1p(-q/((a+1)y)), with the k of
+        ``StepGeometric.eval_log``."""
+        y = _check_nonneg(y)
+        try:
+            v = self.eval(y)
+        except OverflowError:
+            v = math.inf
+        if v < math.inf:
+            return _log(v)
+        a, (k0, table) = self.a, _powers(self.a)
+        k = _power_index(a, y)
+        ratio = table[k - 1 - k0] / y * (a / (a + 1.0))  # q / ((a+1) y), q = a p
+        return math.log(y) + k * math.log(a) + math.log1p(1.0 / a) + math.log1p(-ratio)
+
     def derivative_bounds(self, y):
         y = float(y)
-        if y == 0:
+        if not y > 0:
             return (0.0, 0.0)  # the pieces' slopes a^{k-1} + a^k shrink to 0
-        k = self._piece(y)
-        p, q = self.a ** (k - 1), self.a**k
+        _, p, q = _piece(self.a, y)
         if y == q:  # knot between pieces k and k+1
             return (p + q, q + q * self.a)
         return (p + q, p + q)
@@ -723,10 +731,9 @@ class PwlSquare(CostFunction):
         if y == 0:
             return 0.0
         a = self.a
-        k = self._piece(y)
+        k, p, q = _piece(a, y)
         # full pieces below a^{k-1}: geometric sum with ratio a^3
         full = a ** (3 * (k - 1)) * (a - 1.0) * (a * a + 1.0) / (2.0 * (a**3 - 1.0))
-        p, q = a ** (k - 1), a**k
         partial = 0.5 * (p + q) * (y * y - p * p) - p * q * (y - p)
         return full + partial
 
@@ -734,23 +741,21 @@ class PwlSquare(CostFunction):
         level = _check_nonneg(level, "level")
         if level == 0:
             return (0.0, 0.0)
-        # piece k covers values [a^{2(k-1)}, a^{2k}]
-        k = _least_power_at_least(self.a * self.a, level)
-        p, q = self.a ** (k - 1), self.a**k
+        # piece k covers values [a^{2(k-1)}, a^{2k}], and past the last finite
+        # a^{2K} k = K + 1, whose ends are still floats
+        k0, table = _powers(self.a)
+        i = _power_index(self.a * self.a, level) - k0
+        p, q = table[i - 1], table[i]
         y = (level + p * q) / (p + q)
+        if y == math.inf:  # p q or level + p q overflows, y itself does not
+            y = (level / q + p) / (1.0 + p / q)
+        # a^{2k} and the knot value eval(a^k) can differ in the last place:
+        # staying in the piece keeps the inverse monotone across them
+        y = p if y < p else q if y > q else y
         return (y, y)
-
-    def asymptotic_value(self) -> float:
-        return math.inf
 
     def marginal_function(self):
         return _PwlSquareMarginal(self.a)
-
-    def breakpoints_within(self, lo: float, hi: float) -> list[float]:
-        return _geometric_knots(self.a, lo, hi)
-
-    def to_spec(self) -> dict:
-        return {"family": "pwl_square", "a": self.a}
 
 
 # ---------------------------------------------------------------------------
@@ -1219,14 +1224,13 @@ class _PwlSquareMarginal(CostFunction):
         y = _check_nonneg(y)
         if y == 0:
             return 0.0
-        k = _least_power_at_least(self.a, y)
-        p, q = self.a ** (k - 1), self.a**k
+        _, p, q = _piece(self.a, y)
         return 2.0 * (p + q) * y - p * q
 
     def eval_right(self, y: float) -> float:
         if y > 0:
-            k = _least_power_at_least(self.a, y)
-            if y == self.a**k:  # at a knot: the next piece is about to start
+            k, _, q = _piece(self.a, y)
+            if y == q:  # at a knot: the next piece is about to start
                 return self._knot_interval(k)[1]
         return self.eval(y)
 
@@ -1236,16 +1240,17 @@ class _PwlSquareMarginal(CostFunction):
             return (0.0, 0.0)
         a = self.a
         # find the smallest knot k whose subdifferential reaches level
-        k = _least_power_at_least(a * a, level / (2.0 + a))
+        k = _piece(a * a, level / (2.0 + a))[0]
         while self._knot_interval(k)[1] < level:
             k += 1
         while k > -1075 and self._knot_interval(k - 1)[1] >= level:
             k -= 1
+        # a^{2k} is finite and positive, so a^{k-1} and a^k are in the table
+        k0, table = _powers(a)
+        p, q = table[k - 1 - k0], table[k - k0]
         if level >= self._knot_interval(k)[0]:  # inside the knot's subdifferential
-            y = a**k
-            return (y, y)
+            return (q, q)
         # otherwise level is an interior slope of piece (a^{k-1}, a^k)
-        p, q = a ** (k - 1), a**k
         y = (level + p * q) / (2.0 * (p + q))
         return (y, y)
 

@@ -151,7 +151,7 @@ def _smoothest_link(funcs, lam: float, x, diff: float) -> int:
             continue
         try:
             gap = abs(f.eval(max(xi, 0.0)) - lam)
-        except Exception:
+        except (OverflowError, GameError):  # no value to compare: not this link
             continue
         if gap < best:
             best, arg = gap, i

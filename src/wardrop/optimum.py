@@ -25,8 +25,10 @@ from .costs import (
     AlphaSequence,
     PwlSquare,
     StepGeometric,
-    _least_power_at_least,
     _log_exp_over_x,
+    _period_index,
+    _piece,
+    _powers,
 )
 from .errors import DomainError, RangeOverflowError, UnsupportedCostError
 from .instances import classify
@@ -86,14 +88,6 @@ def _marginal_optimum(net: Network, M: float, solve, method: str) -> OptimumSolu
 # ---------------------------------------------------------------------------
 
 
-def _period_index(a: float, M: float) -> int:
-    """k with M in (2 a^k, 2 a^{k+1}], for a finite M > 0."""
-    if M / 2.0 == 0.0:  # subnormal M: log(0) below
-        raise DomainError(f"M/2 underflows to 0 at M={float(M)!r}: "
-                          "the demand is below the range native floats resolve")
-    return _least_power_at_least(a, M / 2.0) - 1
-
-
 @_typed_failures
 def opt_parallel_step(a: float, M: float) -> OptimumSolution:
     """Exact optimum of the (identity, geometric step) two-link game.
@@ -110,17 +104,13 @@ def opt_parallel_step(a: float, M: float) -> OptimumSolution:
     def objective(y: float) -> float:
         return y * step.eval(y) + (M - y) ** 2
 
-    # certificate: the closed-form subproblem values C_j
-    # M <= 2 a^(k+1) <= a^(k+2), but a subnormal a^(k+2) can round below M
-    j_hi = k + 1
-    while a ** (j_hi + 1) < M:  # feasibility requires a^j < M
-        j_hi += 1
+    # certificate: the closed-form subproblem values C_j; feasibility
+    # requires a^j < M, so j stops below the least knot at or above M
+    k0, table = _powers(a)
     certificate = []
     candidates = {0.0, M}
-    for j in range(k - 8, j_hi + 1):
-        aj, aj1 = a**j, a ** (j + 1)
-        if aj >= M:
-            continue
+    for j in range(k - 8, _piece(a, M)[0]):
+        aj, aj1 = table[max(j - k0, 0)], table[max(j + 1 - k0, 0)]  # a^j rounds to 0 below k0
         y_free = M - aj1 / 2.0
         y_proj = min(max(y_free, aj), aj1)
         c_j = aj1 * y_proj + (M - y_proj) ** 2
@@ -164,13 +154,13 @@ def opt_parallel_pwl_square(a: float, M: float) -> OptimumSolution:
             return math.inf
         return cube + y * pwl.eval(y)
 
-    k_anchor = _least_power_at_least(a, M)
+    # pieces above the anchor start at or above M
+    k_anchor = _piece(a, M)[0]
+    k0, table = _powers(a)
     candidates = {0.0, M}
     certificate = []
-    for k in range(k_anchor - 3, k_anchor + 2):
-        p, q = a ** (k - 1), a**k
-        if p >= M:
-            continue
+    for k in range(k_anchor - 3, k_anchor + 1):
+        p, q = table[max(k - 1 - k0, 0)], table[max(k - k0, 0)]  # a^k rounds to 0 below k0
         if q <= M:
             candidates.add(q)
         # stationary point of (M-y)^3 + (p+q)y^2 - pqy on the piece interior:

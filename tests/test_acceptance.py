@@ -17,6 +17,7 @@ from wardrop.costs import (
     SaturatingLinear,
     Shifted,
     StepGeometric,
+    _period_index,
 )
 from wardrop.instances import (
     designated_limit_instances,
@@ -28,11 +29,7 @@ from wardrop.instances import (
 )
 from wardrop.network import build_parallel
 from wardrop.equilibrium import wardrop_parallel, wardrop_parallel_log
-from wardrop.optimum import (
-    _period_index,
-    opt_bruteforce,
-    social_optimum,
-)
+from wardrop.optimum import opt_bruteforce, social_optimum
 from wardrop.rv import rv_index, rv_suite
 from wardrop.asymptotics import (
     TrendInstance,

@@ -189,7 +189,7 @@ def test_affine_sandwich_beyond_float_range_is_a_range_overflow(M):
 
 
 def _near_any_breakpoint(a, M, collar=1e-8):
-    from wardrop.optimum import _period_index
+    from wardrop.costs import _period_index
 
     k = _period_index(a, M)
     return any(

@@ -1,8 +1,10 @@
+import bisect
 import json
 import math
 import random
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -165,8 +167,9 @@ def test_power_table_gives_python_powers_at_every_knot(a):
     k0, table = costs._powers(a)
     step, pwl = StepGeometric(a), PwlSquare(a)
     for x in xs:
-        k = costs._least_power_at_least(a, x)
-        assert a ** (k - 1) < x <= a**k
+        k, p, q = costs._piece(a, x)
+        assert (p, q) == (a ** (k - 1), a**k)
+        assert p < x <= q
         try:
             ref = _least_power_by_logs(a, x)
         except OverflowError:  # the log guess overshot to a power past the float range
@@ -210,26 +213,74 @@ def test_step_eval_log_is_k_log_a(a):
 
 def test_pwl_square_past_the_float_range_overflows_instead_of_nan():
     for cost, y in ((PwlSquare(3.0), 3.0**539), (PwlSquare(2.0), 1e300)):
-        for evaluate in (cost.eval, cost.eval_log):
-            with pytest.raises(OverflowError) as exc:
-                evaluate(y)
-            # bare: the solvers' contract types it with the demand in its message
-            assert not isinstance(exc.value, GameError)
+        with pytest.raises(OverflowError) as exc:
+            cost.eval(y)
+        # bare: the solvers' contract types it with the demand in its message
+        assert not isinstance(exc.value, GameError)
+        assert math.isfinite(cost.eval_log(y))  # the log form answers there
     assert PwlSquare(2.0).eval(2.0**500) == 2.0**1000  # in range: a knot keeps its bits
+
+
+@pytest.mark.parametrize("a", [2.0, 3.0, 5.0])
+def test_pwl_square_eval_log_matches_mpmath_past_the_float_range(a):
+    """ln eval(y) where eval is finite; past it, the closed form on the piece
+    of ``StepGeometric.eval_log`` (k = K + 1 past the table's a^K), checked
+    at 50 digits on the same piece ends."""
+    cost, (k0, table) = PwlSquare(a), costs._powers(a)
+    with mpmath.workdps(50):
+        for y in (1e150, 1.3e154, 1e200, 1e300, 1e308, math.nextafter(table[-1], math.inf),
+                  sys.float_info.max):
+            i = bisect.bisect_left(table, y)
+            p = mpmath.mpf(table[i - 1])
+            q = mpmath.mpf(table[i]) if i < len(table) else a * p
+            ref = float(mpmath.log((p + q) * y - p * q))
+            assert abs(cost.eval_log(y) - ref) <= 1e-15 * ref, y
+
+
+@pytest.mark.parametrize("a", [2.0, 2.5, 3.0, 5.0])
+def test_pwl_square_inverse_is_monotone_across_every_knot_value(a):
+    """The a^2 table's values and the knot values eval(a^k) differ in the last
+    place at many knots; the inverse stays in its piece, so over the 4 levels
+    on either side of every knot value it never drops."""
+    cost = PwlSquare(a)
+    for y in costs._powers(a)[1]:
+        if 1e-150 < y < 1e150:
+            levels = [cost.eval(y)]
+            for _ in range(4):
+                levels = [math.nextafter(levels[0], 0.0), *levels, math.nextafter(levels[-1], math.inf)]
+            xs = [cost.generalized_inverse(v)[1] for v in levels]
+            assert xs == sorted(xs), y
+
+
+@pytest.mark.parametrize("a", [2.0, 3.0, 5.0])
+def test_pwl_square_inverse_answers_at_the_top_of_the_float_range(a):
+    """Past the last finite a^{2K} the level lies on piece K + 1, whose ends
+    are floats: y is finite, in the piece, and y^2 <= level <= y^2 (a+1)^2/(4a),
+    the most a chord of x^2 rises above it."""
+    cost, (k0, table), (k02, squares) = PwlSquare(a), costs._powers(a), costs._powers(a * a)
+    ys = []
+    for level in (4.6e307, 1e308, sys.float_info.max):
+        y, y_hi = cost.generalized_inverse(level)
+        i = k02 + bisect.bisect_left(squares, level) - k0
+        assert table[i - 1] <= y == y_hi <= table[i]
+        log_rise = math.log((a + 1.0) ** 2 / (4.0 * a))
+        assert math.log(level) - log_rise - 1e-12 <= 2.0 * math.log(y) <= math.log(level) + 1e-12
+        ys.append(y)
+    assert ys == sorted(ys)
 
 
 @pytest.mark.parametrize("x", [1e300, 1e308, sys.float_info.max])
 @pytest.mark.parametrize("cost", ALL_FAMILIES, ids=repr)
 def test_eval_log_at_the_top_of_the_float_range_is_a_number_or_a_refusal(cost, x):
     """A log that is not NaN, or OverflowError or a GameError; the geometric
-    step has a finite log at every finite x."""
+    step and the interpolated square have a finite log at every finite x."""
     try:
         t = cost.eval_log(x)
     except (OverflowError, GameError):
-        assert not isinstance(cost, StepGeometric)
+        assert not isinstance(cost, (StepGeometric, PwlSquare))
         return
     assert not math.isnan(t)
-    assert math.isfinite(t) or not isinstance(cost, StepGeometric)
+    assert math.isfinite(t) or not isinstance(cost, (StepGeometric, PwlSquare))
 
 
 def test_step_right_limits():
@@ -681,7 +732,7 @@ def _staircase(t):
 def test_root_splits_end_on_adjacent_floats_within_64_steps(hi):
     for t in _ROOT_TARGETS:
         f, calls = _counted(_staircase(t))
-        lo, up = root(f, 0.0, -1.0, hi, 1.0, secant=False)
+        lo, up = _bisection(lambda x: not f(x) < 0.0, 0.0, hi)
         assert lo < t <= up == math.nextafter(lo, math.inf)
         assert len(calls) <= 64, t
 
@@ -717,7 +768,7 @@ def test_split_bound_bounds_bisection():
         t = rng.choice([lo + (hi - lo) * rng.random(), math.nextafter(lo, hi), hi])
         if lo < t <= hi:
             f, calls = _counted(_staircase(t))
-            assert root(f, lo, -1.0, hi, 1.0, secant=False) == _bisection(lambda x: x >= t, lo, hi)
+            assert _bisection(lambda x: not f(x) < 0.0, lo, hi) == root(_staircase(t), lo, -1.0, hi, 1.0)
             assert len(calls) <= _split_bound(lo, hi), (lo, hi, t)
 
 

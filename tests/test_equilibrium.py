@@ -43,6 +43,7 @@ from wardrop.equilibrium import (
     wardrop_parallel,
     wardrop_parallel_log,
 )
+from test_costs import _bisection
 
 
 def test_pigou():
@@ -171,9 +172,27 @@ def test_level_search_ends_where_splits_alone_end(mix, monkeypatch):
         return out
 
     secant = outcomes()
-    real_root = equilibrium.root
-    monkeypatch.setattr(equilibrium, "root", lambda *bracket: real_root(*bracket, secant=False))
+    monkeypatch.setattr(equilibrium, "root", lambda f, lo, f_lo, hi, f_hi: _bisection(
+        lambda x: not f(x) < 0.0, lo, hi))
     assert secant == outcomes()
+
+
+def test_allocation_skips_only_links_without_a_value():
+    """The roundoff goes to the link whose cost is nearest the level; a link
+    whose eval overflows is passed over, but a fault in a cost family, such as
+    a TypeError, propagates."""
+    def raising(error):
+        class Raising(Affine):
+            def eval(self, x):
+                raise error(f"eval at {x!r}")
+
+        return Raising(0.0, 1.0)
+
+    los = [0.5, 0.25]
+    x = equilibrium._allocate((Affine(0.0, 1.0), raising(OverflowError)), 0.5, los, los, 1.0)
+    assert x == [0.75, 0.25]
+    with pytest.raises(TypeError, match="eval at"):
+        equilibrium._allocate((Affine(0.0, 1.0), raising(TypeError)), 0.5, los, los, 1.0)
 
 
 def test_subnormal_social_cost_is_a_domain_error():
