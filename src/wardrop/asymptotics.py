@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .costs import AlphaSequence, CostFunction, _period_index
 from .errors import ConvergenceError, DomainError, GameError, RangeOverflowError
 from .instances import exp_game, pwl_game
@@ -125,6 +123,8 @@ def poa_sweep(
     """
     if not 0 < M_lo < M_hi < math.inf:
         raise DomainError(f"need 0 < M_lo < M_hi < inf, got {M_lo!r}, {M_hi!r}")
+    import numpy as np
+
     _check_period_base(period_base)
     decades = math.log10(M_hi / M_lo)
     n = max(2, int(math.ceil(decades * samples_per_decade)) + 1)
@@ -402,6 +402,8 @@ def _decay_exponent(points) -> float | None:
             ys.append(math.log(p - 1.0))
     if len(xs) < 2:
         return None
+    import numpy as np
+
     slope = np.polyfit(xs, ys, 1)[0]
     return -float(slope)
 

@@ -17,8 +17,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DemandBracketError,
@@ -27,6 +26,9 @@ from .errors import (
     RangeOverflowError,
     UnsupportedCostError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _E = math.e
 _MAX_EXP = math.log(sys.float_info.max)  # ~709.78
@@ -154,6 +156,8 @@ class CostFunction:
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation without domain checks (oracle/sweep path)."""
+        import numpy as np
+
         return np.array([self.eval(float(v)) for v in np.asarray(xs, dtype=float)])
 
     def eval_right(self, x: float) -> float:
@@ -230,6 +234,8 @@ class Affine(CostFunction):
         return self.a + self.b * _check_nonneg(x)
 
     def eval_many(self, xs):
+        import numpy as np
+
         return self.a + self.b * np.asarray(xs, dtype=float)
 
     def derivative_bounds(self, x):
@@ -279,6 +285,8 @@ class Constant(CostFunction):
         return self.value
 
     def eval_many(self, xs):
+        import numpy as np
+
         return np.full(np.shape(xs), self.value, dtype=float)
 
     def derivative_bounds(self, x):
@@ -318,9 +326,11 @@ class Monomial(CostFunction):
             raise DomainError(f"monomial needs finite coef > 0 and degree > 0: {self}")
 
     def eval(self, x: float) -> float:
-        return self.coef * _check_nonneg(x) ** self.degree
+        return self.coef * _pow_in_range(_check_nonneg(x), self.degree, "monomial value")
 
     def eval_many(self, xs):
+        import numpy as np
+
         return self.coef * np.asarray(xs, dtype=float) ** self.degree
 
     def eval_log(self, x: float) -> float:
@@ -336,7 +346,8 @@ class Monomial(CostFunction):
 
     def primitive(self, x: float) -> float:
         x = _check_nonneg(x)
-        return self.coef * x ** (self.degree + 1.0) / (self.degree + 1.0)
+        p = self.degree + 1.0
+        return self.coef * _pow_in_range(x, p, "monomial primitive") / p
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")
@@ -377,6 +388,8 @@ class Polynomial(CostFunction):
         return acc
 
     def eval_many(self, xs):
+        import numpy as np
+
         return np.polyval(list(reversed(self.coefficients)), np.asarray(xs, dtype=float))
 
     def derivative_bounds(self, x):
@@ -489,6 +502,8 @@ class SaturatingLinear(CostFunction):
         return x + x / (1.0 + x)
 
     def eval_many(self, xs):
+        import numpy as np
+
         xs = np.asarray(xs, dtype=float)
         return xs + xs / (1.0 + xs)
 
@@ -549,12 +564,12 @@ def _powers(a: float) -> tuple[int, array]:
 
 def _piece(a: float, x: float) -> tuple[int, float, float]:
     """(k, a**(k-1), a**k) for the smallest integer k with a**k >= x > 0,
-    all read from ``_powers(a)``; a bare OverflowError where every finite
+    all read from ``_powers(a)``; RangeOverflowError where every finite
     a**k is below x."""
     k0, table = _powers(a)
     i = bisect.bisect_left(table, x)
     if i == len(table):
-        raise OverflowError(f"no power of {a!r} in the float range reaches {x!r}")
+        raise RangeOverflowError(f"no power of {a!r} in the float range reaches {x!r}")
     return k0 + i, table[i - 1], table[i]
 
 
@@ -562,7 +577,7 @@ def _power_index(a: float, x: float) -> int:
     """The k of ``_piece`` for 0 < x < inf, and K + 1 past the table's last
     finite power a^K, as a^(K+1) exceeds every float."""
     if x == math.inf:
-        raise OverflowError(f"no power of {a!r} reaches inf")
+        raise RangeOverflowError(f"no power of {a!r} reaches inf")
     k0, table = _powers(a)
     return k0 + bisect.bisect_left(table, x)
 
@@ -578,10 +593,12 @@ def _period_index(a: float, M: float) -> int:
 def _least_powers(a: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(a**(k-1), a**k) for the k of ``_piece`` at each of the positive
     ``xs``, from the same table."""
+    import numpy as np
+
     powers = np.frombuffer(_powers(a)[1])
     i = np.searchsorted(powers, xs, side="left")
     if np.any(i == len(powers)):
-        raise OverflowError(f"no power of {a!r} in the float range reaches {float(np.max(xs))!r}")
+        raise RangeOverflowError(f"no power of {a!r} in the float range reaches {float(np.max(xs))!r}")
     return powers[i - 1], powers[i]
 
 
@@ -633,6 +650,8 @@ class StepGeometric(_Geometric):
         return _piece(self.a, x)[2]
 
     def eval_many(self, xs):
+        import numpy as np
+
         xs = np.asarray(xs, dtype=float)
         _, q = _least_powers(self.a, np.where(xs > 0, xs, 1.0))
         return np.where(xs > 0, q, 0.0)
@@ -664,7 +683,7 @@ class StepGeometric(_Geometric):
         a = self.a
         k, p, q = _piece(a, x)
         # full pieces (.., a^{k-1}] sum to a^{2(k-1)} * a/(a+1) (geometric in a^2)
-        full = a ** (2 * (k - 1)) * a / (a + 1.0)
+        full = _pow_in_range(a, 2 * (k - 1), "step primitive") * a / (a + 1.0)
         return full + q * (x - p)
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
@@ -693,13 +712,18 @@ class PwlSquare(_Geometric):
         _, p, q = _piece(self.a, y)
         v = (p + q) * y - p * q
         if math.isnan(v):  # p q overflows, and (p + q) y with it: inf - inf
-            raise OverflowError(f"pwl-square value at {y!r} overflows native floats")
+            raise RangeOverflowError(f"pwl-square value at {y!r} overflows native floats")
         return v
 
     def eval_many(self, ys):
+        import numpy as np
+
         ys = np.asarray(ys, dtype=float)
         p, q = _least_powers(self.a, np.where(ys > 0, ys, 1.0))
-        return np.where(ys > 0, (p + q) * ys - p * q, 0.0)
+        v = np.where(ys > 0, (p + q) * ys - p * q, 0.0)
+        if np.isnan(v).any():  # as in eval
+            raise RangeOverflowError("pwl-square value overflows native floats")
+        return v
 
     def eval_log(self, y: float) -> float:
         """ln eval(y) where eval is finite; past that, ln((p+q)y - pq) as
@@ -708,7 +732,7 @@ class PwlSquare(_Geometric):
         y = _check_nonneg(y)
         try:
             v = self.eval(y)
-        except OverflowError:
+        except RangeOverflowError:
             v = math.inf
         if v < math.inf:
             return _log(v)
@@ -733,9 +757,13 @@ class PwlSquare(_Geometric):
         a = self.a
         k, p, q = _piece(a, y)
         # full pieces below a^{k-1}: geometric sum with ratio a^3
-        full = a ** (3 * (k - 1)) * (a - 1.0) * (a * a + 1.0) / (2.0 * (a**3 - 1.0))
+        full = (_pow_in_range(a, 3 * (k - 1), "pwl-square primitive")
+                * (a - 1.0) * (a * a + 1.0) / (2.0 * (a**3 - 1.0)))
         partial = 0.5 * (p + q) * (y * y - p * p) - p * q * (y - p)
-        return full + partial
+        v = full + partial
+        if math.isnan(v):  # the terms overflow to opposite infinities
+            raise RangeOverflowError(f"pwl-square primitive at {y!r} overflows native floats")
+        return v
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")
@@ -779,6 +807,8 @@ class ExpOverX(CostFunction):
         return _exp_in_range(x - math.log(x), "exp(x)/x")
 
     def eval_many(self, xs):
+        import numpy as np
+
         xs = np.asarray(xs, dtype=float)
         safe = np.where(xs >= 1.0, xs, 1.0)
         t = safe - np.log(safe)
@@ -827,6 +857,14 @@ def _exp_in_range(t: float, what: str) -> float:
     if t > _MAX_EXP:
         raise RangeOverflowError(f"{what} overflows native floats")
     return math.exp(t)
+
+
+def _pow_in_range(x: float, p: float, what: str) -> float:
+    """x ** p, or RangeOverflowError naming ``what`` where it is beyond floats."""
+    try:
+        return x**p
+    except OverflowError:
+        raise RangeOverflowError(f"{what} overflows native floats") from None
 
 
 def _log_exp_over_x(x: float) -> float:
@@ -1016,6 +1054,8 @@ class StepExp(CostFunction):
         return _exp_in_range(self.eval_log(y), "step-exp value")
 
     def eval_many(self, ys):
+        import numpy as np
+
         ys = np.asarray(ys, dtype=float)
         y_max = float(np.max(ys, initial=0.0))
         self.alphas.cover_index(y_max)  # DemandBracketError past the table
@@ -1177,7 +1217,10 @@ class _SaturatingLinearMarginal(CostFunction):
 
     def eval(self, x: float) -> float:
         x = _check_nonneg(x)
-        return 2.0 * x + (x * x + 2.0 * x) / (1.0 + x) ** 2
+        try:
+            return 2.0 * x + (x * x + 2.0 * x) / (1.0 + x) ** 2
+        except OverflowError:  # (1 + x)^2 is past floats, and the term below 1 under half an ulp of 2x
+            return 2.0 * x
 
     def derivative_bounds(self, x):
         d = 2.0 + 2.0 / (1.0 + float(x)) ** 3
@@ -1217,15 +1260,19 @@ class _PwlSquareMarginal(CostFunction):
         return False
 
     def _knot_interval(self, k: int) -> tuple[float, float]:
-        a = self.a
-        return (a ** (2 * (k - 1)) * (2 * a * a + a), a ** (2 * k) * (2.0 + a))
+        a, what = self.a, "pwl-square marginal"
+        return (_pow_in_range(a, 2 * (k - 1), what) * (2 * a * a + a),
+                _pow_in_range(a, 2 * k, what) * (2.0 + a))
 
     def eval(self, y: float) -> float:
         y = _check_nonneg(y)
         if y == 0:
             return 0.0
         _, p, q = _piece(self.a, y)
-        return 2.0 * (p + q) * y - p * q
+        v = 2.0 * (p + q) * y - p * q
+        if math.isnan(v):  # p q overflows, and 2 (p + q) y with it: inf - inf
+            raise RangeOverflowError(f"pwl-square marginal at {y!r} overflows native floats")
+        return v
 
     def eval_right(self, y: float) -> float:
         if y > 0:

@@ -194,9 +194,7 @@ def _typed_failures(solve):
                         raise DomainError(f"social cost 0 at M={float(M)!r}: the flow "
                                           "is cost-free, so the price of anarchy is 0/0")
                     raise ZeroDivisionError("the social cost is subnormal or 0")
-        except GameError:  # typed already; RangeOverflowError is also an OverflowError
-            raise
-        except (OverflowError, ZeroDivisionError) as exc:
+        except (OverflowError, ZeroDivisionError) as exc:  # a cost's RangeOverflowError too
             raise _range_error(M, exc) from exc
         return sol
 

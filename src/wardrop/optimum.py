@@ -18,8 +18,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .costs import (
     AlphaSequence,
@@ -35,6 +34,9 @@ from .instances import classify
 from .logdomain import LogValue, log_add
 from .network import FlowProfile, Network, social_cost
 from .equilibrium import _general_flow, _parallel_flow, _typed_failures
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _GRID_CAP_2D = 257  # per-axis cap for two-dimensional brute-force grids
 
@@ -289,6 +291,8 @@ def opt_bruteforce(
 
 
 def _axis_points(lo: float, hi: float, n: int, breakpoints, rng) -> np.ndarray:
+    import numpy as np
+
     base = np.linspace(lo, hi, n)
     if n > 2:
         cell = (hi - lo) / (n - 1)
@@ -310,6 +314,8 @@ def _brute_grid(net, M, resolution, zoom_rounds, seed) -> OptimumSolution:
     link 1 carries the rest, and a point where that rest is negative
     scores +inf.  With two links, c_1's knots enter the one axis mirrored
     as M - b."""
+    import numpy as np
+
     c1, others = net.costs[0], net.costs[1:]
     rng = np.random.default_rng(seed)
     win = [(0.0, M)] * len(others)

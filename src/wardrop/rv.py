@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from statistics import median
 
 from .costs import CostFunction
 from .errors import DomainError, UnsupportedCostError
@@ -85,6 +84,8 @@ def rv_index(theta, grid: tuple[float, ...] = GRID) -> RvIndexReport:
 
 
 def _index(log_at, grid) -> RvIndexReport:
+    from statistics import median  # imported here, as it adds about 6 ms to `import wardrop`
+
     logs: dict[float, float] = {}
     for x in grid:
         logs[x] = log_at(x)

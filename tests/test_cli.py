@@ -350,6 +350,22 @@ def _child_pythonpath():
     return os.pathsep.join(entries)
 
 
+@pytest.mark.parametrize("call", [
+    'assert wardrop.cli.main(["poa", "--network", "pigou", "--demand", "1"]) == 0\n'
+    'assert "numpy" not in sys.modules',
+    'assert wardrop.StepGeometric(2.0).eval_many([1.0, 3.0]).tolist() == [1.0, 4.0]',
+    'curve = wardrop.poa_sweep(wardrop.named_instance("step:2"), 4.0, 8.0, samples_per_decade=8)\n'
+    'assert curve.samples and not curve.failures',
+], ids=["cli-poa", "eval_many", "poa_sweep"])
+def test_numpy_is_loaded_only_where_arrays_are_used(call):
+    # a fresh interpreter: the suite's own numpy would hide an import at load time
+    script = f"import sys\nimport wardrop, wardrop.cli\nassert 'numpy' not in sys.modules\n{call}\n"
+    env = dict(os.environ, PYTHONPATH=_child_pythonpath())
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd="/",
+                         env=env)
+    assert run.returncode == 0, run.stderr
+
+
 def test_byte_determinism():
     cmd = [sys.executable, "-m", "wardrop", "poa", "--network", "step:3", "--demand", "17"]
     outs = []
