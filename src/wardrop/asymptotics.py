@@ -19,7 +19,7 @@ from .instances import exp_game, pwl_game
 from .logdomain import LogValue
 from .network import Network, build_parallel
 from .equilibrium import EquilibriumSolution, _check_demand, _range_error, wardrop_equilibrium
-from .optimum import OptimumSolution, social_optimum
+from .optimum import OptimumSolution, _opt_general_from, social_optimum
 
 POA_FLOOR_SLACK = 1e-9
 DEFAULT_SAMPLES_PER_DECADE = 512
@@ -75,10 +75,15 @@ def poa(net: Network, M: float) -> PoaResult:
 
     Both solvers reject a demand that is not a finite M > 0 and turn float
     overflow, division by zero and a social cost below the normal floats
-    (0 included) into RangeOverflowError and DomainError naming M.
+    (0 included) into RangeOverflowError and DomainError naming M.  On a
+    general network the optimum's projected Newton steps start from the
+    equilibrium's path flows, which the optimum approaches as congestion
+    grows, where ``social_optimum`` starts them from all flow on one path;
+    the two optima meet the same KKT bound and agree to a few ulps.
     """
     weq = wardrop_equilibrium(net, M)
-    opt = social_optimum(net, M)
+    # a general network's equilibrium came from projected Newton, so its costs are continuous
+    opt = social_optimum(net, M) if net.is_parallel() else _opt_general_from(net, M, weq.flow)
     ratio = float(weq.cost / opt.cost)
     return _checked(PoaResult(M, weq, opt, ratio, f"{weq.method}/{opt.method}", opt.flag))
 

@@ -174,7 +174,7 @@ class CostFunction:
     # --- calculus ---
     def derivative_bounds(self, x: float) -> tuple[float, float]:
         """(left, right) one-sided derivatives at x > 0."""
-        raise NotImplementedError
+        raise UnsupportedCostError(f"{type(self).__name__} has no one-sided derivatives")
 
     def derivative(self, x: float) -> float:
         if float(x) <= 0:
@@ -341,7 +341,7 @@ class Monomial(CostFunction):
 
     def derivative_bounds(self, x):
         p = self.degree - 1.0  # below degree 1, x ** p divides by 0 at 0: the slope is infinite
-        d = self.coef * self.degree * float(x) ** p if x or p >= 0 else math.inf
+        d = self.coef * self.degree * _pow_in_range(float(x), p, "monomial slope") if x or p >= 0 else math.inf
         return (d, d)
 
     def primitive(self, x: float) -> float:
@@ -508,7 +508,10 @@ class SaturatingLinear(CostFunction):
         return xs + xs / (1.0 + xs)
 
     def derivative_bounds(self, x):
-        d = 1.0 + 1.0 / (1.0 + float(x)) ** 2
+        try:
+            d = 1.0 + 1.0 / (1.0 + float(x)) ** 2
+        except OverflowError:  # (1 + x)^2 is past floats, and 1/(1 + x)^2 under half an ulp of 1
+            d = 1.0
         return (d, d)
 
     def primitive(self, x: float) -> float:
@@ -1198,7 +1201,7 @@ class _ExpOverXMarginal(CostFunction):
         return _exp_in_range(x, "marginal exp(x)")
 
     def derivative_bounds(self, x):
-        d = math.exp(x) if x >= 1.0 else 0.0
+        d = _exp_in_range(x, "marginal exp(x) slope") if x >= 1.0 else 0.0
         return (0.0 if x == 1.0 else d, d)  # a kink at 1, from flat to e^x
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
@@ -1223,7 +1226,10 @@ class _SaturatingLinearMarginal(CostFunction):
             return 2.0 * x
 
     def derivative_bounds(self, x):
-        d = 2.0 + 2.0 / (1.0 + float(x)) ** 3
+        try:
+            d = 2.0 + 2.0 / (1.0 + float(x)) ** 3
+        except OverflowError:  # as in eval: the term below 1 is under half an ulp of 2
+            d = 2.0
         return (d, d)
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:

@@ -269,16 +269,18 @@ def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
     path flows (D. P. Bertsekas, "Projected Newton methods for optimization
     problems with simple constraints", SIAM J. Control Optim. 20(2), 1982).
 
-    Each iteration moves the flows of the used and the cheapest paths at once
-    to where the linear model of their costs is level (``_newton_step``),
-    clips them at 0 and rescales them to sum to M.  Where a slope is infinite
-    (sqrt x at 0), or a direction without curvature lowers the cost, the
-    costliest used path and the cheapest split their flow exactly instead.
+    The iteration starts from all flow on the cheapest path.  Each iteration
+    moves the flows of the used and the cheapest paths at once to where the
+    linear model of their costs is level (``_newton_step``), clips them at 0
+    and rescales them to sum to M.  Where a slope is infinite (sqrt x at 0),
+    or a direction without curvature lowers the cost, the costliest used path
+    and the cheapest split their flow exactly instead (``_pair_share``).
     Once no used path costs more than RESIDUAL_RTOL * lam above the
     cheapest, one such split ends the search, so a two-path equilibrium does
     not depend on where the Newton steps crossed that bound.  Paths are
-    taken in the order of their (tail, head, id) sequences and every sum is
-    correctly rounded, so no iterate depends on the order of the edges.
+    taken in the order of their (tail, head, id) sequences (``Network.canonical``,
+    built once per network) and every sum is correctly rounded, so no
+    iterate depends on the order of the edges.
 
     Requires continuous costs.  The method keeps the label "frank-wolfe" of
     the conditional gradient it replaced: golden CLI output prints it.
@@ -287,23 +289,22 @@ def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
     return EquilibriumSolution(flow, lam, residual, social_cost(net, flow), "frank-wolfe")
 
 
-def _general_flow(net: Network, M: float) -> tuple[FlowProfile, float, float]:
-    """``wardrop_general``'s (flow, level, residual), without the social cost."""
+def _general_flow(net: Network, M: float, start=None) -> tuple[FlowProfile, float, float]:
+    """``wardrop_general``'s (flow, level, residual), without the social cost.
+    The iteration starts from the path flows ``start`` (in ``net``'s path
+    order, summing to M) where given, else from all flow on one path."""
     if not all(c.is_continuous() for c in net.costs):
         raise UnsupportedCostError("projected Newton on a general network needs continuous costs")
 
-    edges = net.edges
-    order = sorted(range(net.n_paths),
-                   key=lambda i: [(edges[e].tail, edges[e].head, edges[e].id) for e in net.paths[i]])
-    canon = Network(net.vertices, edges, net.costs, net.source, net.sink,
-                    paths=tuple(net.paths[i] for i in order))
+    order, canon = net.canonical
     paths = canon.paths
-    x, floor, polish, residual = [0.0] * len(paths), 1e-12 * M, False, math.inf
+    x = [0.0] * len(paths) if start is None else [start[i] for i in order]
+    floor, polish, residual = 1e-12 * M, False, math.inf
 
     def split(src: int, tgt: int) -> None:
         """Give the target the least float share y of the pair's flow at which
         the edges only it uses cost at least those only the source uses, by
-        ``root`` over the whole pair's flow: y does not depend on the split."""
+        ``_pair_share`` from the target's share: y does not depend on the split."""
         gain, loss = set(paths[tgt]), set(paths[src])
         others = {e: math.fsum([x[i] for i in canon.through[e] if i not in (src, tgt)]) for e in gain ^ loss}
         total = max(M - math.fsum([v for i, v in enumerate(x) if i not in (src, tgt)]), 0.0)
@@ -312,8 +313,7 @@ def _general_flow(net: Network, M: float) -> tuple[FlowProfile, float, float]:
             return math.fsum([*(net.costs[e].eval(others[e] + y) for e in gain - loss),
                               *(-net.costs[e].eval(others[e] + (total - y)) for e in loss - gain)])
 
-        f_lo, f_hi = gap(0.0), gap(total)
-        y = 0.0 if f_lo >= 0.0 else total if f_hi < 0.0 else root(gap, 0.0, f_lo, total, f_hi)[1]
+        y = _pair_share(gap, total, x[tgt])
         x[src], x[tgt] = total - y, y
 
     for _ in range(GENERAL_MAX_ITER):
@@ -354,6 +354,22 @@ def _general_flow(net: Network, M: float) -> tuple[FlowProfile, float, float]:
             raise ConvergenceError("projected Newton stalled: a step moved no flow", residual=residual)
 
     raise ConvergenceError("projected Newton hit the iteration cap", residual=residual)
+
+
+def _pair_share(gap, total: float, seed: float) -> float:
+    """The least float y in [0, total] with gap(y) >= 0 for a weakly
+    increasing ``gap`` (total where there is none), by ``root``: from a
+    bracket of 2^-30 relative around ``seed`` where gap changes sign on it,
+    else from [0, total].  On a monotone gap both brackets hold the one pair
+    of adjacent floats where gap turns non-negative, so y does not depend on
+    the seed."""
+    lo, hi = seed * (1.0 - 2.0**-30), min(seed * (1.0 + 2.0**-30), total)
+    if 0.0 < lo < hi:
+        f_lo, f_hi = gap(lo), gap(hi)
+        if f_lo < 0.0 and not f_hi < 0.0:
+            return root(gap, lo, f_lo, hi, f_hi)[1]
+    f_lo, f_hi = gap(0.0), gap(total)
+    return 0.0 if f_lo >= 0.0 else total if f_hi < 0.0 else root(gap, 0.0, f_lo, total, f_hi)[1]
 
 
 def _newton_step(paths, slope, cost) -> list[float] | None:

@@ -75,6 +75,24 @@ class Network:
                 through[e].append(i)
         return tuple(map(tuple, through))
 
+    @cached_property
+    def canonical(self) -> tuple[tuple[int, ...], Network]:
+        """The order of the paths by their (tail, head, id) edge sequences,
+        and a copy of the network that lists its paths in that order: an
+        iteration over it does not depend on the order of the edges."""
+        edges = self.edges
+        order = tuple(sorted(range(self.n_paths),
+                             key=lambda i: [(edges[e].tail, edges[e].head, edges[e].id) for e in self.paths[i]]))
+        return order, Network(self.vertices, edges, self.costs, self.source, self.sink,
+                              paths=tuple(self.paths[i] for i in order))
+
+    @cached_property
+    def marginal(self) -> Network:
+        """The network whose edge costs are the marginals (x c(x))', with the
+        same paths; UnsupportedCostError where a cost has no marginal."""
+        return Network(self.vertices, self.edges, tuple(c.marginal_function() for c in self.costs),
+                       self.source, self.sink, paths=self.paths)
+
     def edge_sums(self, path_values) -> list[float]:
         """For each edge, the sum of ``path_values`` over the paths through it."""
         return [math.fsum(map(path_values.__getitem__, t)) for t in self.through]
@@ -145,11 +163,6 @@ class FlowProfile:
             raise DomainError(
                 f"infeasible flow: sum {s!r} != total {self.total!r}"
             )
-
-    @classmethod
-    def of(cls, path_flows) -> "FlowProfile":
-        flows = tuple(float(f) for f in path_flows)
-        return cls(flows, math.fsum(flows))
 
 
 def edge_flows(net: Network, flow: FlowProfile) -> list[float]:

@@ -64,8 +64,19 @@ def opt_parallel_marginal(net: Network, M: float) -> OptimumSolution:
 
 @_typed_failures
 def opt_general_marginal(net: Network, M: float) -> OptimumSolution:
-    """Optimum on a general network by projected Newton steps on continuous marginals."""
+    """Optimum on a general network by projected Newton steps on continuous
+    marginals, started from all flow on one path (``poa`` starts them from
+    the equilibrium instead, ``_opt_general_from``)."""
     return _marginal_optimum(net, M, _general_flow, "marginal-general")
+
+
+@_typed_failures
+def _opt_general_from(net: Network, M: float, start: FlowProfile) -> OptimumSolution:
+    """``opt_general_marginal`` with the projected Newton steps started from
+    the flow ``start``, such as the equilibrium at the same M: as congestion
+    grows the two approach each other, and the steps start near the end."""
+    return _marginal_optimum(net, M, functools.partial(_general_flow, start=start.path_flows),
+                             "marginal-general")
 
 
 def _marginal_optimum(net: Network, M: float, solve, method: str) -> OptimumSolution:
@@ -75,12 +86,11 @@ def _marginal_optimum(net: Network, M: float, solve, method: str) -> OptimumSolu
     ``solve`` returns the equilibrium flow first; the marginal game's own
     social cost is never formed."""
     try:
-        margs = tuple(c.marginal_function() for c in net.costs)
+        mnet = net.marginal
     except UnsupportedCostError:
         raise UnsupportedCostError(
             "non-smooth cost present; use the specialized or brute-force method"
         ) from None
-    mnet = Network(net.vertices, net.edges, margs, net.source, net.sink, paths=net.paths)
     flow = solve(mnet, M)[0]
     return OptimumSolution(flow, social_cost(net, flow), method)
 

@@ -292,7 +292,7 @@ def _with_marginals(families):
 
 
 @pytest.mark.parametrize("x", [1e300, 1e308, sys.float_info.max])
-@pytest.mark.parametrize("method", ["eval", "eval_right", "primitive", "eval_many"])
+@pytest.mark.parametrize("method", ["eval", "eval_right", "primitive", "eval_many", "derivative_bounds", "derivative"])
 @pytest.mark.parametrize(
     "cost", _with_marginals(ALL_FAMILIES + [Monomial(1.0, 3.0), PwlSquare(1e10)]), ids=repr
 )
@@ -317,9 +317,19 @@ def test_point_methods_past_the_float_range_raise_range_errors_not_nan():
                  lambda: Monomial(1.0, 3.0).primitive(1e308),
                  lambda: PwlSquare(2.0).marginal_function().eval(8.986697727553101e+224),
                  lambda: PwlSquare(2.0).marginal_function().eval_right(8.986697727553101e+224),
-                 lambda: PwlSquare(1e10).primitive(4.090947259529486e+104)):
+                 lambda: PwlSquare(1e10).primitive(4.090947259529486e+104),
+                 lambda: Monomial(1.0, 3.0).derivative_bounds(1e300),
+                 lambda: Shifted(Monomial(1.0, 3.0), 1.0).derivative(sys.float_info.max),
+                 lambda: ExpOverX().marginal_function().derivative_bounds(1e300)):
         with pytest.raises(RangeOverflowError):
             call()
+
+
+def test_saturating_slopes_past_the_float_range_are_their_limits():
+    # (1 + x)^2 overflows, and 1/(1 + x)^2 is far under half an ulp of the limit
+    for x in (1e300, sys.float_info.max):
+        assert SaturatingLinear().derivative_bounds(x) == (1.0, 1.0)
+        assert SaturatingLinear().marginal_function().derivative_bounds(x) == (2.0, 2.0)
 
 
 def test_step_right_limits():

@@ -34,7 +34,7 @@ from wardrop.errors import (
 from wardrop.asymptotics import poa, step_game_closed_form
 from wardrop.instances import exp_game, pigou, step_game
 from wardrop.network import Edge, FlowProfile, Network, build_parallel, load_network, social_cost
-from wardrop.optimum import opt_general_marginal, opt_parallel_marginal
+from wardrop.optimum import opt_general_marginal, opt_parallel_marginal, social_optimum
 from wardrop.equilibrium import (
     RESIDUAL_RTOL,
     verify_equilibrium,
@@ -570,6 +570,125 @@ def test_general_optimum_runs_on_the_private_marginals():
         report = verify_equilibrium(Network(net.vertices, edges, margs, "s", "t"), opt.flow)
         assert report.residual <= RESIDUAL_RTOL * report.min_entry_cost
         assert opt.cost <= wardrop_general(net, 4.0).cost
+
+
+GRID_DEMANDS = (0.3, 1.0, 3.0, 10.0, 100.0)
+WARM_COST_ULPS = 5  # the largest gap measured over these 120 cases
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("cost_of", [affine, bpr])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_poa_starts_the_general_optimum_from_the_equilibrium(n, cost_of, seed):
+    # the warm-started optimum meets the KKT bound on the marginal network,
+    # and its cost is the cold one's to a few ulps: both end within the
+    # bound, at iterates that differ
+    net = grid(n, cost_of, seed)
+    for M in GRID_DEMANDS:
+        warm = poa(net, M).optimum
+        report = verify_equilibrium(net.marginal, warm.flow)
+        assert report.residual <= RESIDUAL_RTOL * report.min_entry_cost
+        cold = social_optimum(net, M).cost
+        assert abs(warm.cost - cold) <= WARM_COST_ULPS * math.ulp(cold), M
+
+
+FORK = str(Path(__file__).resolve().parent / "golden" / "fork.json")
+
+GENERAL_POA = {  # (poa, optimum cost) from the cold-started optimum
+    ("braess", 0.3): (1.0, 0.18),
+    ("braess", 1.0): (1.3333333333333333, 1.5),
+    ("braess", 3.0): (1.0, 7.5),
+    ("braess", 10.0): (1.0, 60.0),
+    ("braess", 100.0): (1.0, 5100.0),
+    ("braess-x4", 1.0): (2.150501764876878, 0.9300155120377246),
+    ("fork", 1.0): (1.0860138566096937, 1.8415971286439918),
+    ("fork", 3.0): (1.0033794305350772, 14.581406273541845),
+    ("fork", 10.0): (1.0021714572340799, 162.56495782133726),
+    ("fork", 100.0): (1.005255318716494, 18191.93440687252),
+}
+
+
+@pytest.mark.parametrize("name, M", sorted(GENERAL_POA))
+def test_warm_start_keeps_poa_on_braess_and_the_fork(name, M):
+    # two used paths end in one exact split, wherever the Newton steps
+    # started; the flows may still move by two ulps where the last step
+    # leaves the other path of the pair the cheaper (the fork at M = 100)
+    net = {"braess": braess(Affine(0.0, 1.0)), "braess-x4": braess(Monomial(1.0, 4.0)),
+           "fork": load_network(FORK)}[name]
+    got = poa(net, M)
+    assert (got.poa, got.optimum.cost) == GENERAL_POA[name, M]
+    cold = social_optimum(net, M).flow.path_flows
+    for w, c in zip(got.optimum.flow.path_flows, cold):
+        assert abs(w - c) <= 2.0 * math.ulp(c)
+
+
+def _full_bracket_share(gap, total: float) -> float:
+    """The pair split from [0, total], by plain bisection."""
+    if not gap(0.0) < 0.0:
+        return 0.0
+    if gap(total) < 0.0:
+        return total
+    return _bisection(lambda y: not gap(y) < 0.0, 0.0, total)[1]
+
+
+def test_seeded_pair_split_matches_the_full_bracket(monkeypatch):
+    shares = []
+    real = equilibrium._pair_share
+
+    def checked(gap, total, seed):
+        y = real(gap, total, seed)
+        assert y == _full_bracket_share(gap, total), (total, seed)
+        shares.append(abs(y - seed) <= 2.0**-30 * seed)
+        return y
+
+    monkeypatch.setattr(equilibrium, "_pair_share", checked)
+    nets = [braess(Affine(0.0, 1.0)), braess(Monomial(1.0, 4.0)), braess(Monomial(1.0, 0.5)),
+            load_network(FORK), *(grid(n, c, seed) for n in (3, 4, 5) for c in (affine, bpr) for seed in range(3))]
+    for net in nets:
+        for M in GRID_DEMANDS:
+            poa(net, M)
+            social_optimum(net, M)
+    assert any(shares) and not all(shares)  # shares within the seeded bracket and outside it
+
+
+def test_seeded_pair_split_falls_back_to_the_full_bracket():
+    calls = []
+
+    def gap_of(root_at):
+        return lambda y: calls.append(y) or y - root_at
+
+    cases = [(-1.0, 3.0, 2.9, 0.0),  # the target gains at every share: 0
+             (5.0, 3.0, 2.9, 3.0),  # the target loses at every share: the whole total
+             (1.0, 3.0, 2.5, 1.0),  # the sign changes far from the seed
+             (1.0, 3.0, 0.0, 1.0),  # no seed
+             (2.5, 3.0, 2.5, 2.5)]  # the seed is the share: its bracket holds it
+    for root_at, total, seed, want in cases:
+        calls.clear()
+        assert equilibrium._pair_share(gap_of(root_at), total, seed) == want
+        assert (0.0 in calls) == (want != seed)
+
+
+@pytest.mark.parametrize("cost_of", [affine, bpr])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_warm_started_optimum_takes_fewer_newton_steps(monkeypatch, n, cost_of):
+    # counted over the seeds and demands: one case of the 90, grid(5, bpr,
+    # seed 2) at M = 3, takes 46 steps from the equilibrium against 18 cold
+    calls = []
+    real = equilibrium._newton_step
+    monkeypatch.setattr(equilibrium, "_newton_step", lambda *a: calls.append(a) or real(*a))
+
+    def steps(solve, net, M):
+        calls.clear()
+        solve(net, M)
+        return len(calls)
+
+    warm = cold = 0
+    for seed in range(3):
+        net = grid(n, cost_of, seed)
+        for M in GRID_DEMANDS:
+            warm += steps(poa, net, M) - steps(wardrop_general, net, M)
+            cold += steps(social_optimum, net, M)
+    assert warm < cold
 
 
 @pytest.mark.parametrize("M", [1e-170, 1e-300])
