@@ -276,8 +276,10 @@ def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
     or a direction without curvature lowers the cost, the costliest used path
     and the cheapest split their flow exactly instead (``_pair_share``).
     Once no used path costs more than RESIDUAL_RTOL * lam above the
-    cheapest, one such split ends the search, so a two-path equilibrium does
-    not depend on where the Newton steps crossed that bound.  Paths are
+    cheapest, one such split ends the search, so a two-path equilibrium
+    lands on the float grid wherever the Newton steps crossed that bound; it
+    may still move by up to 2 ulps with which path of the pair ends the
+    cheaper (measured on Braess and the fork).  Paths are
     taken in the order of their (tail, head, id) sequences (``Network.canonical``,
     built once per network) and every sum is correctly rounded, so no
     iterate depends on the order of the edges.

@@ -63,20 +63,13 @@ def opt_parallel_marginal(net: Network, M: float) -> OptimumSolution:
 
 
 @_typed_failures
-def opt_general_marginal(net: Network, M: float) -> OptimumSolution:
+def opt_general_marginal(net: Network, M: float, _start: FlowProfile | None = None) -> OptimumSolution:
     """Optimum on a general network by projected Newton steps on continuous
-    marginals, started from all flow on one path (``poa`` starts them from
-    the equilibrium instead, ``_opt_general_from``)."""
-    return _marginal_optimum(net, M, _general_flow, "marginal-general")
-
-
-@_typed_failures
-def _opt_general_from(net: Network, M: float, start: FlowProfile) -> OptimumSolution:
-    """``opt_general_marginal`` with the projected Newton steps started from
-    the flow ``start``, such as the equilibrium at the same M: as congestion
-    grows the two approach each other, and the steps start near the end."""
-    return _marginal_optimum(net, M, functools.partial(_general_flow, start=start.path_flows),
-                             "marginal-general")
+    marginals, started from all flow on one path, or from the private
+    ``_start`` flow where given (``poa`` passes the equilibrium at the same M,
+    which the optimum approaches as congestion grows)."""
+    start = None if _start is None else _start.path_flows
+    return _marginal_optimum(net, M, functools.partial(_general_flow, start=start), "marginal-general")
 
 
 def _marginal_optimum(net: Network, M: float, solve, method: str) -> OptimumSolution:
@@ -391,8 +384,11 @@ _EXACT_INSTANCES = {
 
 
 @_typed_failures
-def social_optimum(net: Network, M: float, method: str = "auto", **kwargs) -> OptimumSolution:
-    """Dispatch to the exact method matching the instance, or brute force."""
+def social_optimum(net: Network, M: float, method: str = "auto", _start: FlowProfile | None = None,
+                   **kwargs) -> OptimumSolution:
+    """Dispatch to the exact method matching the instance, or brute force.
+    The private ``_start`` flow starts ``opt_general_marginal``; every other
+    method ignores it."""
     kind = classify(net)
     if method == "auto":
         if kind.name in _EXACT_INSTANCES:
@@ -414,7 +410,7 @@ def social_optimum(net: Network, M: float, method: str = "auto", **kwargs) -> Op
     if method == "pwl":
         return opt_parallel_pwl_square(kind.param, M)
     if method == "marginal":
-        return opt_parallel_marginal(net, M) if net.is_parallel() else opt_general_marginal(net, M)
+        return opt_parallel_marginal(net, M) if net.is_parallel() else opt_general_marginal(net, M, _start)
     if method == "brute":
         return opt_bruteforce(net, M, **kwargs)
     raise DomainError(f"unknown optimum method {method!r}")
