@@ -18,7 +18,7 @@ from .errors import ConvergenceError, DomainError, GameError, RangeOverflowError
 from .instances import exp_game, pwl_game
 from .logdomain import LogValue
 from .network import Network, build_parallel
-from .equilibrium import EquilibriumSolution, _check_demand, _range_error, wardrop_equilibrium
+from .equilibrium import EquilibriumSolution, _check_demand, _range_error, _Track, wardrop_equilibrium
 from .optimum import OptimumSolution, social_optimum
 
 POA_FLOOR_SLACK = 1e-9
@@ -70,7 +70,7 @@ class ExtremesReport:
     accepted: bool
 
 
-def poa(net: Network, M: float) -> PoaResult:
+def poa(net: Network, M: float, _track: _Track | None = None) -> PoaResult:
     """WEq/Opt with solver routing recorded in the result.
 
     Both solvers reject a demand that is not a finite M > 0 and turn float
@@ -81,9 +81,11 @@ def poa(net: Network, M: float) -> PoaResult:
     grows, where ``social_optimum`` alone starts them from all flow on one
     path.  Both optima meet the same KKT bound; on the seeded test grids
     (3x3 to 6x6, M from 0.3 to 100) their costs agree to within 5 ulps.
+    A sweep's private ``_track`` guesses the level of each level search
+    from its earlier demands; the answer is bit for bit the same.
     """
-    weq = wardrop_equilibrium(net, M)
-    opt = social_optimum(net, M, _start=weq.flow)
+    weq = wardrop_equilibrium(net, M, _track)
+    opt = social_optimum(net, M, _start=weq.flow, _track=_track)
     ratio = float(weq.cost / opt.cost)
     return _checked(PoaResult(M, weq, opt, ratio, f"{weq.method}/{opt.method}", opt.flag))
 
@@ -102,13 +104,18 @@ def _checked(result: PoaResult) -> PoaResult:
     return result
 
 
-def _sweep_worker(args) -> tuple[str, object]:
-    net, M = args
-    try:
-        r = poa(net, M)
-        return ("ok", PoaSample(M, r.equilibrium.cost, r.optimum.cost, r.poa, r.method, r.flag))
-    except GameError as exc:
-        return ("fail", (M, str(exc)))
+def _sweep_block(args) -> list[tuple[str, object]]:
+    """The outcome of ``poa`` at each demand of a block, in order, with one
+    track continuing each level search from the demands before it."""
+    net, block = args
+    track, outcomes = _Track(), []
+    for M in block:
+        try:
+            r = poa(net, M, track)
+            outcomes.append(("ok", PoaSample(M, r.equilibrium.cost, r.optimum.cost, r.poa, r.method, r.flag)))
+        except GameError as exc:
+            outcomes.append(("fail", (M, str(exc))))
+    return outcomes
 
 
 def poa_sweep(
@@ -124,14 +131,17 @@ def poa_sweep(
 
     Breakpoints are sampled at both 1e-9-relative offsets because the
     equilibrium cost is discontinuous there.  Failed samples are recorded
-    and skipped; the sweep continues.
+    and skipped; the sweep continues.  Each worker (one when serial) solves
+    a block of increasing demands, each level search starting next to the level
+    the demands before it predict (numerical continuation, Allgower and
+    Georg, 1990); no answer changes.
     """
     if not 0 < M_lo < M_hi < math.inf:
         raise DomainError(f"need 0 < M_lo < M_hi < inf, got {M_lo!r}, {M_hi!r}")
     import numpy as np
 
     _check_period_base(period_base)
-    decades = math.log10(M_hi / M_lo)
+    decades = math.log10(M_hi) - math.log10(M_lo)  # M_hi / M_lo can overflow
     n = max(2, int(math.ceil(decades * samples_per_decade)) + 1)
     grid = [float(M) for M in np.geomspace(M_lo, M_hi, n)]
     for b in breakpoint_hints:
@@ -140,15 +150,15 @@ def poa_sweep(
                 grid.append(off)
     grid = sorted(set(grid))
 
-    tasks = [(net, M) for M in grid]
     if jobs is not None and jobs > 1:
         # imported here: it adds about 1.6 MB of memory and 20 ms to `import wardrop`
         from concurrent.futures import ProcessPoolExecutor
 
+        blocks = [(net, grid[len(grid) * i // jobs:len(grid) * (i + 1) // jobs]) for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_sweep_worker, tasks, chunksize=32))
+            outcomes = [o for block in pool.map(_sweep_block, blocks) for o in block]
     else:
-        outcomes = [_sweep_worker(t) for t in tasks]
+        outcomes = _sweep_block((net, grid))
 
     samples, failures = [], []
     for status, payload in outcomes:

@@ -33,7 +33,7 @@ from .errors import DomainError, RangeOverflowError, UnsupportedCostError
 from .instances import classify
 from .logdomain import LogValue, log_add
 from .network import FlowProfile, Network, social_cost
-from .equilibrium import _general_flow, _parallel_flow, _typed_failures
+from .equilibrium import _general_flow, _parallel_flow, _Track, _typed_failures
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,9 +57,10 @@ class OptimumSolution:
 
 
 @_typed_failures
-def opt_parallel_marginal(net: Network, M: float) -> OptimumSolution:
-    """Optimum of a parallel network by level bisection on the marginal costs."""
-    return _marginal_optimum(net, M, _parallel_flow, "marginal")
+def opt_parallel_marginal(net: Network, M: float, _track: _Track | None = None) -> OptimumSolution:
+    """Optimum of a parallel network by level bisection on the marginal
+    costs, its level guessed by the private sweep ``_track`` where given."""
+    return _marginal_optimum(net, M, functools.partial(_parallel_flow, track=_track), "marginal")
 
 
 @_typed_failures
@@ -385,10 +386,11 @@ _EXACT_INSTANCES = {
 
 @_typed_failures
 def social_optimum(net: Network, M: float, method: str = "auto", _start: FlowProfile | None = None,
-                   **kwargs) -> OptimumSolution:
+                   _track: _Track | None = None, **kwargs) -> OptimumSolution:
     """Dispatch to the exact method matching the instance, or brute force.
-    The private ``_start`` flow starts ``opt_general_marginal``; every other
-    method ignores it."""
+    The private ``_start`` flow starts ``opt_general_marginal`` and the
+    private sweep ``_track`` guesses ``opt_parallel_marginal``'s level;
+    every other method ignores them."""
     kind = classify(net)
     if method == "auto":
         if kind.name in _EXACT_INSTANCES:
@@ -410,7 +412,7 @@ def social_optimum(net: Network, M: float, method: str = "auto", _start: FlowPro
     if method == "pwl":
         return opt_parallel_pwl_square(kind.param, M)
     if method == "marginal":
-        return opt_parallel_marginal(net, M) if net.is_parallel() else opt_general_marginal(net, M, _start)
+        return opt_parallel_marginal(net, M, _track) if net.is_parallel() else opt_general_marginal(net, M, _start)
     if method == "brute":
         return opt_bruteforce(net, M, **kwargs)
     raise DomainError(f"unknown optimum method {method!r}")

@@ -1,11 +1,14 @@
+import collections
 import math
 import time
 
 import numpy as np
 import pytest
 
-from wardrop.costs import Affine, AlphaSequence, Constant, Monomial
-from wardrop.errors import DomainError, RangeOverflowError
+from wardrop.cli import auto_breakpoints
+from wardrop.costs import Affine, AlphaSequence, Constant, CostFunction, Monomial
+from wardrop.equilibrium import _Track
+from wardrop.errors import DomainError, GameError, RangeOverflowError
 from wardrop.instances import (
     designated_limit_instances,
     exp_game,
@@ -17,6 +20,7 @@ from wardrop.instances import (
 from wardrop.network import Edge, Network, build_parallel
 from wardrop.asymptotics import (
     PoaCurve,
+    PoaSample,
     TrendInstance,
     bounded_path_experiment,
     extremes_estimate,
@@ -304,11 +308,77 @@ def test_sweep_records_failures_and_continues():
 
 
 def test_parallel_sweep_matches_serial():
-    hints = step_breakpoints(2.0, 1, 2)
-    serial = poa_sweep(step_game(2.0), 4.0, 16.0, 32, hints, 2.0, jobs=None)
-    parallel = poa_sweep(step_game(2.0), 4.0, 16.0, 32, hints, 2.0, jobs=2)
-    assert [s.M for s in serial.samples] == [s.M for s in parallel.samples]
-    assert [s.poa for s in serial.samples] == [s.poa for s in parallel.samples]
+    # each worker continues its level searches along its own block of demands;
+    # the smooth network's optimum is the marginal game's level search
+    smooth = designated_limit_instances()["polynomial-over-common-rv"]
+    cases = [(step_game(2.0), 4.0, 16.0, 32, step_breakpoints(2.0, 1, 2), 2.0),
+             (smooth, 0.1, 1e3, 16, (), None)]
+    for net, *args in cases:
+        serial = poa_sweep(net, *args, jobs=None)
+        assert repr(poa_sweep(net, *args, jobs=2)) == repr(serial)
+        assert serial.samples and not serial.failures
+
+
+@pytest.mark.parametrize("net", [pigou(), step_game(2.0)], ids=["pigou", "step:2"])
+def test_sweep_answers_as_cold_poa(net):
+    """The continued sweep gives each demand the samples and failure messages
+    of a cold ``poa``, across the underflow and overflow failures at the
+    ends of the range: a failed demand leaves nothing that moves the next."""
+    curve = poa_sweep(net, 1e-200, 1e200, samples_per_decade=8)
+    samples, failures = [], []
+    for M in sorted([s.M for s in curve.samples] + [M for M, _ in curve.failures]):
+        try:
+            r = poa(net, M)
+            samples.append(PoaSample(M, r.equilibrium.cost, r.optimum.cost, r.poa, r.method, r.flag))
+        except GameError as exc:
+            failures.append((M, str(exc)))
+    assert len(samples) + len(failures) == 3201
+    assert samples and failures
+    assert repr((curve.samples, curve.failures)) == repr((tuple(samples), tuple(failures)))
+
+
+def _count_inverses(monkeypatch) -> collections.Counter:
+    """Counts ``generalized_inverse`` calls by cost class from here on."""
+    calls = collections.Counter()
+
+    def families(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from families(sub)
+
+    for cls in set(families(CostFunction)):
+        if "generalized_inverse" in vars(cls):
+            def counted(self, level, inverse=vars(cls)["generalized_inverse"]):
+                calls[type(self).__name__] += 1
+                return inverse(self, level)
+
+            monkeypatch.setattr(cls, "generalized_inverse", counted)
+    return calls
+
+
+def test_readme_sweep_continues_its_level_searches(monkeypatch):
+    # each demand solved from a cold bracket made 31,959 step inverses
+    net = step_game(3.0)
+    hints = auto_breakpoints(net, 6.0, 486.0)
+    calls = _count_inverses(monkeypatch)
+    curve = poa_sweep(net, 6.0, 486.0, 512, hints, jobs=None)
+    assert len(curve.samples) == 1027
+    assert calls["StepGeometric"] <= 8000
+
+
+@pytest.mark.parametrize("name", sorted(designated_limit_instances()))
+def test_sweep_guesses_cost_no_more_level_sums_than_cold(name, monkeypatch):
+    """Inverses (n per evaluation of the level sum, and the same after each
+    search) of a sweep at 64 per decade, against the same sweep with every
+    guess withheld."""
+    net = designated_limit_instances()[name]
+    calls = _count_inverses(monkeypatch)
+    poa_sweep(net, 1e-3, 1e9, 64)
+    guessed = sum(calls.values())
+    calls.clear()
+    monkeypatch.setattr(_Track, "guess", lambda self, funcs, M: None)
+    poa_sweep(net, 1e-3, 1e9, 64)
+    assert guessed <= sum(calls.values())
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +521,7 @@ def test_shift_experiment_solves_each_demand_once(monkeypatch):
 
     calls = []  # the demands of the equilibrium solves, not the optimum's
     solve = eq._parallel_flow
-    monkeypatch.setattr(eq, "_parallel_flow", lambda net, M: calls.append(M) or solve(net, M))
+    monkeypatch.setattr(eq, "_parallel_flow", lambda net, M, *track: calls.append(M) or solve(net, M, *track))
     base = build_parallel([Affine(0.0, 1.0), Affine(0.0, 2.0)])
     shift_experiment(base, (1.0, 3.0), (1.0, 10.0, 100.0))
     assert calls == [1.0, 1.0, 10.0, 10.0, 100.0, 100.0]  # the base and the shifted game

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -122,6 +123,19 @@ def test_sweep_csv_and_extremes(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["limsup_estimate"] == pytest.approx(1.2, abs=1e-3)
     assert payload["liminf_estimate"] == pytest.approx(1.0, abs=1e-9)
+
+
+# the README sweep's CSV as each demand's cold level searches wrote it
+README_SWEEP_SHA256 = "cec226321c61f3b554febe8d6c99ac19128dc678cddefc96e91f623dcce6072b"
+
+
+@pytest.mark.parametrize("jobs", [["--jobs", "1"], []], ids=["jobs-1", "default-jobs"])
+def test_readme_sweep_csv_is_pinned(jobs, tmp_path, capsys):
+    curve = tmp_path / "curve.csv"
+    code, _, _ = _run(["sweep", "--network", "step:3", "--from", "6", "--to", "486",
+                       "--per-decade", "512", *jobs, "--out", str(curve)], capsys)
+    assert code == 0
+    assert hashlib.sha256(curve.read_bytes()).hexdigest() == README_SWEEP_SHA256
 
 
 @pytest.mark.parametrize("M", ["-1", "0", "nan", "inf", "-inf"])

@@ -32,7 +32,7 @@ from wardrop.errors import (
     UnsupportedCostError,
 )
 from wardrop.asymptotics import poa, step_game_closed_form
-from wardrop.instances import exp_game, pigou, step_game
+from wardrop.instances import designated_limit_instances, exp_game, pigou, step_game
 from wardrop.network import Edge, FlowProfile, Network, build_parallel, load_network, social_cost
 from wardrop.optimum import opt_general_marginal, opt_parallel_marginal, social_optimum
 from wardrop.equilibrium import (
@@ -175,6 +175,44 @@ def test_level_search_ends_where_splits_alone_end(mix, monkeypatch):
     monkeypatch.setattr(equilibrium, "root", lambda f, lo, f_lo, hi, f_hi: _bisection(
         lambda x: not f(x) < 0.0, lo, hi))
     assert secant == outcomes()
+
+
+_GUESS_MIXES = {
+    **_LEVEL_MIXES,
+    "two-squares": (Monomial(1.0, 2.0), Monomial(1.0, 2.0)),
+    **{f"marginal:{name}": net.marginal.costs for name, net in designated_limit_instances().items()},
+}
+
+
+@pytest.mark.parametrize("mix", _GUESS_MIXES, ids=str)
+def test_level_guess_changes_no_answer(mix):
+    """A guessed level search ends where the search without a guess ends, or
+    raises the same error, from guesses at the level, 1 ulp, 2^-40 and 2^-8
+    off it, 3 times too far, at a random point, and at 0, -1, NaN and inf.
+    100 seeded demands per mix, one in five on [1e-300, 1e300], where the
+    searches underflow and overflow, and M = 1.5e154, where M^2 overflows
+    but the two squares have their level at (M/2)^2 without it."""
+    funcs = _GUESS_MIXES[mix]
+    rng = random.Random(31)
+
+    def outcome(M, guess=None):
+        try:
+            return equilibrium.level_allocation(funcs, M, guess)
+        except Exception as exc:  # noqa: BLE001 - a failure must match too
+            return f"{type(exc).__name__}: {exc}"
+
+    failed = 0
+    for i in range(101):
+        M = 1.5e154 if i == 100 else 10.0 ** (rng.uniform(-300.0, 300.0) if i % 5 == 0 else rng.uniform(-6.0, 9.0))
+        cold = outcome(M)
+        failed += isinstance(cold, str)
+        lam = cold[0] if isinstance(cold, tuple) else 10.0 ** rng.uniform(-300.0, 300.0)
+        guesses = [lam, math.nextafter(lam, math.inf), math.nextafter(lam, 0.0),
+                   *(lam * (1.0 + d) for d in (2.0**-40, -(2.0**-40), 2.0**-8, -(2.0**-8))),
+                   lam * 3.0, lam / 3.0, lam * 10.0 ** rng.uniform(-3.0, 3.0), 0.0, -1.0, math.nan, math.inf]
+        for guess in guesses:
+            assert repr(outcome(M, guess)) == repr(cold), (M, guess)
+    assert failed < 101
 
 
 def test_allocation_skips_only_links_without_a_value():
