@@ -412,7 +412,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--to", dest="demand_hi", type=float, required=True)
     sp.add_argument("--per-decade", dest="samples_per_decade", type=int,
                     default=asy.DEFAULT_SAMPLES_PER_DECADE)
-    sp.add_argument("--jobs", type=int, default=os.cpu_count())
+    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out")
 
     sp = sub.add_parser("extremes", help="liminf/limsup estimates from a curve CSV")

@@ -206,6 +206,12 @@ class CostFunction:
     def breakpoints_within(self, lo: float, hi: float) -> list[float]:
         return []
 
+    def jump_levels(self, lo: float, hi: float) -> list[float]:
+        """Levels in [lo, hi] where x+ of ``generalized_inverse`` jumps (the
+        values of the flat pieces of c), as far as the family lists them;
+        the level search probes them before it bisects."""
+        return []
+
     def to_spec(self) -> dict:
         raise NotImplementedError
 
@@ -305,6 +311,9 @@ class Constant(CostFunction):
 
     def asymptotic_value(self) -> float:
         return self.value
+
+    def jump_levels(self, lo: float, hi: float) -> list[float]:
+        return [self.value] if lo <= self.value <= hi else []
 
     def marginal_function(self):
         return Constant(self.value)
@@ -696,6 +705,9 @@ class StepGeometric(_Geometric):
         _, p, q = _piece(self.a, level)  # q: the smallest step value >= level
         return (p, q if q <= level else p)
 
+    def jump_levels(self, lo: float, hi: float) -> list[float]:
+        return self.breakpoints_within(lo, hi)  # x+ jumps at c(a^k) = a^k
+
 
 class PwlSquare(_Geometric):
     """Linear interpolation of x^2 at the knots a^k (a >= 2).
@@ -713,10 +725,7 @@ class PwlSquare(_Geometric):
         if y == 0:
             return 0.0
         _, p, q = _piece(self.a, y)
-        v = (p + q) * y - p * q
-        if math.isnan(v):  # p q overflows, and (p + q) y with it: inf - inf
-            raise RangeOverflowError(f"pwl-square value at {y!r} overflows native floats")
-        return v
+        return _chord(p, q, y)
 
     def eval_many(self, ys):
         import numpy as np
@@ -787,6 +796,14 @@ class PwlSquare(_Geometric):
 
     def marginal_function(self):
         return _PwlSquareMarginal(self.a)
+
+
+def _chord(p: float, q: float, y: float) -> float:
+    """(p + q) y - p q: x^2 interpolated on the piece [p, q] holding y."""
+    v = (p + q) * y - p * q
+    if math.isnan(v):  # p q overflows, and (p + q) y with it: inf - inf
+        raise RangeOverflowError(f"pwl-square value at {y!r} overflows native floats")
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .costs import (
     AlphaSequence,
     PwlSquare,
     StepGeometric,
+    _chord,
     _log_exp_over_x,
     _period_index,
     _piece,
@@ -102,26 +103,32 @@ def opt_parallel_step(a: float, M: float) -> OptimumSolution:
     where the step cost is constant; on each, the unconstrained minimizer
     y_j = M - a^{j+1}/2 is projected onto the interval.  All feasible j
     are scanned; the winner must land in {C_{k-1}, C_k}, which is flagged
-    if violated.
+    if violated.  Each candidate y is scored as y c2(y) + (M - y)^2 with
+    the step value c2(y) of the piece that made it.
     """
-    step = StepGeometric(a)
+    StepGeometric(a)  # the family's check of a
     k = _period_index(a, M)
-
-    def objective(y: float) -> float:
-        return y * step.eval(y) + (M - y) ** 2
 
     # certificate: the closed-form subproblem values C_j; feasibility
     # requires a^j < M, so j stops below the least knot at or above M
     k0, table = _powers(a)
+    k_top, _, c_top = _piece(a, M)
     certificate = []
     candidates = {0.0, M}
-    for j in range(k - 8, _piece(a, M)[0]):
+    step = {0.0: 0.0, M: c_top}  # y -> c2(y)
+    for j in range(k - 8, k_top):
         aj, aj1 = table[max(j - k0, 0)], table[max(j + 1 - k0, 0)]  # a^j rounds to 0 below k0
         y_free = M - aj1 / 2.0
         y_proj = min(max(y_free, aj), aj1)
         c_j = aj1 * y_proj + (M - y_proj) ** 2
         certificate.append({"j": j, "y_free": y_free, "y": y_proj, "value": c_j})
-        candidates.update((min(y_proj, M), aj))
+        y = min(y_proj, M)
+        candidates.update((y, aj))
+        step.setdefault(y, aj1 if y > aj else aj)  # c2 = aj1 on (aj, aj1], and c2(a^j) = a^j
+        step.setdefault(aj, aj)
+
+    def objective(y: float) -> float:
+        return y * step[y] + (M - y) ** 2
 
     y_star = min(candidates, key=objective)
     best = objective(y_star)
@@ -149,26 +156,29 @@ def opt_parallel_pwl_square(a: float, M: float) -> OptimumSolution:
     3x^2 in the knot subdifferential can hold) and the stationary point of
     each linear piece; each is projected onto [0, M] and the cheapest wins.
     A candidate whose (M - y)^3 overflows scores +inf, so it loses to any
-    finite one; when every candidate overflows, RangeOverflowError.
+    finite one; when every candidate overflows, RangeOverflowError.  Each
+    candidate y is scored with the chord of the piece [p, q] that made it.
     """
-    pwl = PwlSquare(a)
+    PwlSquare(a)  # the family's check of a
+    # pieces above the anchor start at or above M
+    k_anchor, p_top, q_top = _piece(a, M)
+    k0, table = _powers(a)
+    candidates = {0.0, M}
+    pieces = {0.0: (0.0, 0.0), M: (p_top, q_top)}  # y -> the piece (p, q) holding y
 
     def objective(y: float) -> float:
         try:
             cube = (M - y) ** 3
         except OverflowError:
             return math.inf
-        return cube + y * pwl.eval(y)
+        return cube + y * _chord(*pieces[y], y)
 
-    # pieces above the anchor start at or above M
-    k_anchor = _piece(a, M)[0]
-    k0, table = _powers(a)
-    candidates = {0.0, M}
     certificate = []
     for k in range(k_anchor - 3, k_anchor + 1):
         p, q = table[max(k - 1 - k0, 0)], table[max(k - k0, 0)]  # a^k rounds to 0 below k0
         if q <= M:
             candidates.add(q)
+            pieces.setdefault(q, (p, q))
         # stationary point of (M-y)^3 + (p+q)y^2 - pqy on the piece interior:
         # 3(M-y)^2 = 2(p+q)y - pq, the increasing branch root
         b = 6.0 * M + 2.0 * (p + q)
@@ -177,12 +187,13 @@ def opt_parallel_pwl_square(a: float, M: float) -> OptimumSolution:
             root = (b - math.sqrt(disc)) / 6.0
             if p < root < q and 0.0 < root <= M:
                 candidates.add(root)
+                pieces.setdefault(root, (p, q))
                 certificate.append({"k": k, "interior": root, "value": objective(root)})
-    for y in sorted(candidates):
-        certificate.append({"y": y, "value": objective(y)})
+    value = {y: objective(y) for y in sorted(candidates)}
+    certificate.extend({"y": y, "value": v} for y, v in value.items())
 
-    y_star = min(candidates, key=objective)
-    best = objective(y_star)
+    y_star = min(candidates, key=value.__getitem__)
+    best = value[y_star]
     if best == math.inf:
         raise RangeOverflowError(f"every pwl-square candidate overflows at M={float(M)!r}")
     flow = FlowProfile((M - y_star, y_star), M)

@@ -129,13 +129,24 @@ def test_sweep_csv_and_extremes(tmp_path, capsys):
 README_SWEEP_SHA256 = "cec226321c61f3b554febe8d6c99ac19128dc678cddefc96e91f623dcce6072b"
 
 
-@pytest.mark.parametrize("jobs", [["--jobs", "1"], []], ids=["jobs-1", "default-jobs"])
+@pytest.mark.parametrize("jobs", [["--jobs", "1"], [], ["--jobs", "2"]], ids=["jobs-1", "default-jobs", "jobs-2"])
 def test_readme_sweep_csv_is_pinned(jobs, tmp_path, capsys):
     curve = tmp_path / "curve.csv"
     code, _, _ = _run(["sweep", "--network", "step:3", "--from", "6", "--to", "486",
                        "--per-decade", "512", *jobs, "--out", str(curve)], capsys)
     assert code == 0
     assert hashlib.sha256(curve.read_bytes()).hexdigest() == README_SWEEP_SHA256
+
+
+@pytest.mark.parametrize("jobs, expected", [([], 1), (["--jobs", "2"], 2)], ids=["default", "jobs-2"])
+def test_sweep_runs_serially_unless_given_jobs(jobs, expected, monkeypatch, capsys):
+    # a pool of cpu_count() workers was slower than one process on the README sweep
+    from wardrop import asymptotics
+
+    seen, sweep = [], asymptotics.poa_sweep
+    monkeypatch.setattr(asymptotics, "poa_sweep", lambda *a, **kw: seen.append(kw["jobs"]) or sweep(*a, **kw))
+    code, _, _ = _run(["sweep", "--network", "pigou", "--from", "1", "--to", "2", "--per-decade", "4", *jobs], capsys)
+    assert code == 0 and seen == [expected]
 
 
 @pytest.mark.parametrize("M", ["-1", "0", "nan", "inf", "-inf"])

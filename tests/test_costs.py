@@ -310,6 +310,36 @@ def test_point_methods_at_the_top_of_the_float_range_are_a_number_or_a_refusal(c
     assert not np.isnan(v).any(), v
 
 
+@pytest.mark.parametrize(
+    "cost",
+    _with_marginals(ALL_FAMILIES + [Monomial(1.0, 3.0), PwlSquare(1e10), Constant(1e308), Constant(sys.float_info.max)]),
+    ids=repr,
+)
+def test_jump_levels_at_the_top_of_the_float_range_are_levels_in_the_bracket(cost):
+    """The level search probes jump_levels(lo, hi) as levels: each is a
+    finite float in [lo, hi], or the call raises a GameError."""
+    for lo in (0.0, 1.0, 1e300):
+        for hi in (1e300, 1e308, sys.float_info.max, math.inf):
+            try:
+                levels = cost.jump_levels(lo, hi)
+            except GameError:
+                continue
+            assert all(math.isfinite(v) and lo <= v <= hi for v in levels), (lo, hi, levels)
+
+
+def test_jump_levels_are_where_the_upper_inverse_jumps():
+    for cost, lo, hi, expected in [
+        (StepGeometric(2.0), 3.0, 64.0, [4.0, 8.0, 16.0, 32.0, 64.0]),
+        (StepGeometric(3.0), 1.0, 8.9, [1.0, 3.0]),
+        (Constant(5.0), 1.0, 5.0, [5.0]),
+        (Constant(5.0), 5.5, 9.0, []),
+        (Affine(1.0, 2.0), 0.0, 9.0, []),
+    ]:
+        assert cost.jump_levels(lo, hi) == expected
+        for level in expected:
+            assert cost.generalized_inverse(math.nextafter(level, 0.0))[1] < cost.generalized_inverse(level)[1]
+
+
 def test_point_methods_past_the_float_range_raise_range_errors_not_nan():
     for call in (lambda: StepGeometric(2.0).eval(1e308),
                  lambda: Monomial(1.0, 3.0).eval(1e308),

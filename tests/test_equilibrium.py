@@ -125,7 +125,7 @@ _STEP_DEMANDS = [1e-150, 1.0, 1e150, *(10.0 ** _rng.uniform(e, e + 10) for e in 
 
 @pytest.mark.parametrize("M", _STEP_DEMANDS)
 def test_step_level_bisection_needs_at_most_64_inverses_per_link(M, monkeypatch):
-    # secant steps on the staircase took at most 60 over 6000 such demands
+    # secant steps on the staircase took at most 60 over 6000 such demands, and 8 after the jump probes
     calls = collections.Counter()
     for cls in (Affine, StepGeometric):
         def counted(self, level, inverse=cls.generalized_inverse):
@@ -213,6 +213,79 @@ def test_level_guess_changes_no_answer(mix):
         for guess in guesses:
             assert repr(outcome(M, guess)) == repr(cold), (M, guess)
     assert failed < 101
+
+
+_JUMP_MIXES = {
+    **_LEVEL_MIXES,
+    "pigou": pigou().costs,
+    "constant-step-affine": (Constant(3.0), StepGeometric(3.0), Affine(0.0, 2.0)),
+    # the link that carries most of M puts the bracket's lower end below the jump
+    "flat-affine-step": (Affine(0.0, 1e-3), StepGeometric(5.0)),
+    # _SaturatingLinearMarginal is not monotone in floats: a different bracket could end elsewhere
+    "constant-saturating-marginal": (Constant(7.0), SaturatingLinear().marginal_function()),
+    "step-saturating-marginal": (StepGeometric(3.0), SaturatingLinear().marginal_function()),
+}
+
+
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
+@pytest.mark.parametrize("mix", _JUMP_MIXES, ids=str)
+def test_jump_probes_change_no_answer(mix, monkeypatch):
+    """The level search with its probes at the jump levels ends where the
+    search without them ends, or raises the same error, cold and from a
+    guess 2^-8 below the level: log-uniform demands on [1e-300, 1e300],
+    every knot of the mix in that range with its float neighbours, and the
+    demand sum_i x+_i(k) each knot level k routes exactly, where the probe
+    at k finds the sum at M."""
+    funcs = _JUMP_MIXES[mix]
+    rng = random.Random(37)
+    knots = {k for f in funcs for e in range(-300, 300, 10)  # breakpoints_within spans at most 18 decades
+             for k in [*f.breakpoints_within(10.0**e, 10.0 ** (e + 10)), *f.jump_levels(10.0**e, 10.0 ** (e + 10))]}
+    demands = [*(10.0 ** rng.uniform(-300.0, 300.0) for _ in range(400)),
+               *(y for k in knots for y in (math.nextafter(k, 0.0), k, math.nextafter(k, math.inf))),
+               *(math.fsum(f.generalized_inverse(k)[1] for f in funcs) for k in knots)]
+
+    def outcome(M, guess=None):
+        try:
+            return equilibrium.level_allocation(funcs, M, guess)
+        except Exception as exc:  # noqa: BLE001 - a failure must match too
+            return f"{type(exc).__name__}: {exc}"
+
+    def outcomes():
+        out = []
+        for M in demands:
+            out.append(outcome(M))
+            if isinstance(out[-1], tuple):
+                out.append(outcome(M, out[-1][0] * (1.0 - 2.0**-8)))
+        return [repr(o) for o in out]
+
+    probed = outcomes()
+    for cls in [CostFunction, *_all_subclasses(CostFunction)]:
+        if "jump_levels" in vars(cls):
+            monkeypatch.setattr(cls, "jump_levels", lambda self, lo, hi: [])
+    assert probed == outcomes()
+
+
+@pytest.mark.parametrize("a", [2.0, 3.0, 5.0])
+def test_cold_step_equilibrium_needs_at_most_10_step_inverses(a, monkeypatch):
+    # the jump probes close the staircase's riser; secant steps alone took up to 60
+    levels = []
+
+    def counted(self, level, inverse=StepGeometric.generalized_inverse):
+        levels.append(level)
+        return inverse(self, level)
+
+    monkeypatch.setattr(StepGeometric, "generalized_inverse", counted)
+    rng, net = random.Random(41), step_game(a)
+    for _ in range(6000):
+        M = 10.0 ** rng.uniform(-150.0, 150.0)
+        levels.clear()
+        wardrop_parallel(net, M)
+        assert len(levels) <= 10, M
 
 
 def test_allocation_skips_only_links_without_a_value():

@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 import time
 
 import numpy as np
@@ -13,12 +15,16 @@ from wardrop.costs import (
     PwlSquare,
     SaturatingLinear,
     StepGeometric,
+    _period_index,
+    _piece,
+    _powers,
 )
 from wardrop.errors import DemandBracketError, DomainError, RangeOverflowError, UnsupportedCostError
 from wardrop.instances import exp_game, pigou, pwl_game, step_game
-from wardrop.network import Edge, Network, build_parallel, social_cost
-from wardrop.equilibrium import wardrop_parallel, wardrop_parallel_log
+from wardrop.network import Edge, FlowProfile, Network, build_parallel, social_cost
+from wardrop.equilibrium import _typed_failures, wardrop_parallel, wardrop_parallel_log
 from wardrop.optimum import (
+    OptimumSolution,
     opt_bruteforce,
     opt_parallel_exp_log,
     opt_parallel_marginal,
@@ -122,6 +128,92 @@ def test_step_optimum_continuous_at_breakpoints():
 def test_step_rejects_bad_a():
     with pytest.raises(DomainError):
         opt_parallel_step(1.5, 4.0)
+
+
+@_typed_failures
+def _eval_scored_step(a: float, M: float) -> OptimumSolution:
+    """opt_parallel_step as it was when it scored every candidate through
+    StepGeometric.eval: the reference for the piece-scored one."""
+    step = StepGeometric(a)
+    k = _period_index(a, M)
+
+    def objective(y):
+        return y * step.eval(y) + (M - y) ** 2
+
+    k0, table = _powers(a)
+    certificate, candidates = [], {0.0, M}
+    for j in range(k - 8, _piece(a, M)[0]):
+        aj, aj1 = table[max(j - k0, 0)], table[max(j + 1 - k0, 0)]
+        y_free = M - aj1 / 2.0
+        y_proj = min(max(y_free, aj), aj1)
+        certificate.append({"j": j, "y_free": y_free, "y": y_proj, "value": aj1 * y_proj + (M - y_proj) ** 2})
+        candidates.update((min(y_proj, M), aj))
+    y_star = min(candidates, key=objective)
+    cert_best = min(row["value"] for row in certificate)
+    paper_set = [row["value"] for row in certificate if row["j"] in (k - 1, k)]
+    flag = "optimal interval outside {k-1, k}" if not paper_set or min(paper_set) > cert_best * (1.0 + 1e-12) else None
+    return OptimumSolution(FlowProfile((M - y_star, y_star), M), objective(y_star), "step-interval",
+                           tuple(certificate), flag=flag)
+
+
+@_typed_failures
+def _eval_scored_pwl(a: float, M: float) -> OptimumSolution:
+    """opt_parallel_pwl_square as it was when it scored every candidate
+    through PwlSquare.eval: the reference for the piece-scored one."""
+    pwl = PwlSquare(a)
+
+    def objective(y):
+        try:
+            cube = (M - y) ** 3
+        except OverflowError:
+            return math.inf
+        return cube + y * pwl.eval(y)
+
+    k_anchor = _piece(a, M)[0]
+    k0, table = _powers(a)
+    candidates, certificate = {0.0, M}, []
+    for k in range(k_anchor - 3, k_anchor + 1):
+        p, q = table[max(k - 1 - k0, 0)], table[max(k - k0, 0)]
+        if q <= M:
+            candidates.add(q)
+        b = 6.0 * M + 2.0 * (p + q)
+        disc = b * b - 12.0 * (3.0 * M * M + p * q)
+        if disc >= 0.0:
+            root = (b - math.sqrt(disc)) / 6.0
+            if p < root < q and 0.0 < root <= M:
+                candidates.add(root)
+                certificate.append({"k": k, "interior": root, "value": objective(root)})
+    certificate += [{"y": y, "value": objective(y)} for y in sorted(candidates)]
+    y_star = min(candidates, key=objective)
+    best = objective(y_star)
+    if best == math.inf:
+        raise RangeOverflowError(f"every pwl-square candidate overflows at M={float(M)!r}")
+    return OptimumSolution(FlowProfile((M - y_star, y_star), M), best, "pwl-candidates", tuple(certificate))
+
+
+@pytest.mark.parametrize("a", [2.0, 3.0, 5.0, 1e10])
+def test_piece_scored_optima_match_the_eval_scored_ones(a):
+    """The step and pwl optima score each candidate from the piece that made
+    it; every answer, certificate row, flag and error text is the one that
+    scoring through eval gives: 3000 log-uniform demands on [1e-300, 1e300],
+    every a^k and 2a^k in the float range with its float neighbours, and
+    demands near the top of the float range."""
+    rng = random.Random(43)
+    knots = [v for q in _powers(a)[1][1:] for v in (q, 2.0 * q) if v < math.inf]
+    demands = [*(10.0 ** rng.uniform(-300.0, 300.0) for _ in range(3000)),
+               *(y for v in knots for y in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))),
+               1e308, 1.5e308, math.nextafter(sys.float_info.max, 0.0), sys.float_info.max]
+
+    def outcome(solve, M):
+        try:
+            return repr(solve(a, M))
+        except Exception as exc:  # noqa: BLE001 - a failure must match too
+            return f"{type(exc).__name__}: {exc}"
+
+    for piece_scored, eval_scored in ((opt_parallel_step, _eval_scored_step),
+                                      (opt_parallel_pwl_square, _eval_scored_pwl)):
+        for M in demands:
+            assert outcome(piece_scored, M) == outcome(eval_scored, M), (piece_scored.__name__, M)
 
 
 # ---------------------------------------------------------------------------
