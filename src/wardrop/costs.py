@@ -204,12 +204,18 @@ class CostFunction:
         )
 
     def breakpoints_within(self, lo: float, hi: float) -> list[float]:
+        """Flows in [lo, hi] where c jumps or kinks, ascending, as far as the
+        family lists them (the brute-force oracle's grids add them).
+        ``StepGeometric`` and ``PwlSquare`` list only their knots in [max(lo,
+        hi * 1e-18, 1e-300), hi]; those left out lie below the grid spacing."""
         return []
 
     def jump_levels(self, lo: float, hi: float) -> list[float]:
         """Levels in [lo, hi] where x+ of ``generalized_inverse`` jumps (the
         values of the flat pieces of c), as far as the family lists them;
-        the level search probes them before it bisects."""
+        the level search probes them before it bisects.  ``StepGeometric``
+        lists its ``breakpoints_within(lo, hi)``, so only the top 18 decades
+        of a wider bracket; any subset of the jumps gives the same level."""
         return []
 
     def to_spec(self) -> dict:

@@ -325,9 +325,15 @@ def verify_equilibrium(net: Network, flow: FlowProfile) -> ResidualReport:
     which coincides with the plain path cost for continuous families.
     """
     x = edge_flows(net, flow)
-    min_entry = min(net.path_entry_cost(i, x) for i in range(net.n_paths))
     threshold = USED_RTOL * max(flow.total, 0.0)
-    gaps = (net.path_cost(i, x) - min_entry for i, f in enumerate(flow.path_flows) if f > threshold)
+    used = [i for i, f in enumerate(flow.path_flows) if f > threshold]
+    if net._links_are_paths:  # a path's cost is its link's, as the one-term fsum gives it
+        costs = net.costs
+        min_entry = min([float(c.eval_right(v)) + 0.0 for c, v in zip(costs, x)])
+        gaps = [float(costs[i].eval(x[i])) + 0.0 - min_entry for i in used]
+    else:
+        min_entry = min(net.path_entry_cost(i, x) for i in range(net.n_paths))
+        gaps = [net.path_cost(i, x) - min_entry for i in used]
     return ResidualReport(max([0.0, *gaps]), min_entry)  # a NaN gap never counts
 
 

@@ -46,7 +46,16 @@ def _is_power(c: CostFunction, degree: float) -> bool:
 
 def classify(net: Network) -> InstanceKind:
     """The single place where instances are recognised (by isinstance, so
-    subclasses of the cost families and of Network classify as their base)."""
+    subclasses of the cost families and of Network classify as their base).
+    The kind is decided once per network and kept on it, as its
+    ``canonical`` order and ``marginal`` game are."""
+    kind = vars(net).get("_kind")
+    if kind is None:
+        kind = vars(net)["_kind"] = _classify(net)
+    return kind
+
+
+def _classify(net: Network) -> InstanceKind:
     if not net.is_parallel():
         return InstanceKind("general")
     if net.n_edges == 2:

@@ -64,7 +64,19 @@ class Network:
         return len(self.paths)
 
     def is_parallel(self) -> bool:
+        """Every edge runs from the source to the sink (decided once)."""
+        return self._parallel
+
+    @cached_property
+    def _parallel(self) -> bool:
         return all(e.tail == self.source and e.head == self.sink for e in self.edges)
+
+    @cached_property
+    def _links_are_paths(self) -> bool:
+        """Path i is edge i alone, as ``build_parallel`` lists them: a sum over a
+        path or an edge has one term v, whose fsum is float(v) + 0.0 (-0.0
+        reads 0.0).  Paths listed in another order are summed over ``through``."""
+        return self.paths == tuple((e,) for e in range(self.n_edges))
 
     @cached_property
     def through(self) -> tuple[tuple[int, ...], ...]:
@@ -95,6 +107,8 @@ class Network:
 
     def edge_sums(self, path_values) -> list[float]:
         """For each edge, the sum of ``path_values`` over the paths through it."""
+        if self._links_are_paths:
+            return [float(v) + 0.0 for v in path_values]
         return [math.fsum(map(path_values.__getitem__, t)) for t in self.through]
 
     def path_cost(self, path_index: int, edge_flow) -> float:

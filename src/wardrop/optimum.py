@@ -401,7 +401,7 @@ def social_optimum(net: Network, M: float, method: str = "auto", _start: FlowPro
     """Dispatch to the exact method matching the instance, or brute force.
     The private ``_start`` flow starts ``opt_general_marginal`` and the
     private sweep ``_track`` guesses ``opt_parallel_marginal``'s level;
-    every other method ignores them."""
+    every other method ignores them.  Its guard covers the method, run unwrapped."""
     kind = classify(net)
     if method == "auto":
         if kind.name in _EXACT_INSTANCES:
@@ -417,13 +417,15 @@ def social_optimum(net: Network, M: float, method: str = "auto", _start: FlowPro
     if method in _EXACT_INSTANCES and kind.name != method:
         raise UnsupportedCostError(f"network is not the {_EXACT_INSTANCES[method]} instance")
     if method == "exp":
-        return opt_parallel_exp_log(kind.param, M)
+        return opt_parallel_exp_log.__wrapped__(kind.param, M)
     if method == "step":
-        return opt_parallel_step(kind.param, M)
+        return opt_parallel_step.__wrapped__(kind.param, M)
     if method == "pwl":
-        return opt_parallel_pwl_square(kind.param, M)
+        return opt_parallel_pwl_square.__wrapped__(kind.param, M)
     if method == "marginal":
-        return opt_parallel_marginal(net, M, _track) if net.is_parallel() else opt_general_marginal(net, M, _start)
+        if net.is_parallel():
+            return opt_parallel_marginal.__wrapped__(net, M, _track)
+        return opt_general_marginal.__wrapped__(net, M, _start)
     if method == "brute":
         return opt_bruteforce(net, M, **kwargs)
     raise DomainError(f"unknown optimum method {method!r}")

@@ -18,7 +18,8 @@ from wardrop.asymptotics import (exp_game_poa_near_breakpoint, poa, poa_sweep,
 from wardrop.cli import main
 from wardrop.costs import Affine, AlphaSequence, Constant, Monomial
 from wardrop.errors import DomainError, GameError, RangeOverflowError
-from wardrop.instances import exp_game, pigou, step_game
+from wardrop import equilibrium
+from wardrop.instances import exp_game, pigou, pwl_game, step_game
 from wardrop.logdomain import LogValue
 from wardrop.network import Edge, Network, build_parallel, network_to_spec
 from wardrop.optimum import opt_bruteforce, opt_parallel_pwl_square, opt_parallel_step, social_optimum
@@ -206,3 +207,17 @@ def test_brute_route_rejects_zero_demand_like_every_solver(capsys):
     code = main(["opt", "--network", "pigou", "--demand", "0", "--method", "brute"])
     assert code == 3
     assert "finite M > 0, got 0.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("net, M", [(pigou(), 3.7), (step_game(2.0), 37.0), (pwl_game(2.0), 37.0),
+                                    (exp_game(AlphaSequence("factorial")), 37.0), (fork(Affine(0.0, 1.0)), 3.7)],
+                         ids=["pigou", "step", "pwl", "exp", "fork"])
+def test_a_solve_passes_one_guard(monkeypatch, net, M):
+    # each guard entry checks the demand once: poa makes two solves, and
+    # social_optimum's guard covers the method it picks
+    checked = []
+    monkeypatch.setattr(equilibrium, "_check_demand", checked.append)
+    poa(net, M)
+    assert checked == [M, M]
+    social_optimum(net, M)
+    assert checked == [M, M, M]

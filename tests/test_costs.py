@@ -340,6 +340,18 @@ def test_jump_levels_are_where_the_upper_inverse_jumps():
             assert cost.generalized_inverse(math.nextafter(level, 0.0))[1] < cost.generalized_inverse(level)[1]
 
 
+def test_geometric_breakpoints_cover_only_the_top_18_decades():
+    """breakpoints_within(lo, hi) lists the knots in [max(lo, hi * 1e-18,
+    1e-300), hi]: of the 1993 knots 2^k in [1e-300, 1e300], the 60 from
+    2^937 (about 1.16e282) up; jump_levels inherits the clamp."""
+    knots = StepGeometric(2.0).breakpoints_within(1e-300, 1e300)
+    assert knots == [2.0**k for k in range(937, 997)]
+    assert knots[0] == pytest.approx(1.16e282, rel=1e-2)
+    assert StepGeometric(2.0).jump_levels(1e-300, 1e300) == knots
+    assert PwlSquare(2.0).breakpoints_within(1e-300, 1e300) == knots
+    assert StepGeometric(2.0).breakpoints_within(0.0, 1e-290) == [2.0**k for k in range(-996, -963)]
+
+
 def test_point_methods_past_the_float_range_raise_range_errors_not_nan():
     for call in (lambda: StepGeometric(2.0).eval(1e308),
                  lambda: Monomial(1.0, 3.0).eval(1e308),

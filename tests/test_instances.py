@@ -1,10 +1,13 @@
 """classify: the one place a network is matched to its solvers."""
 
+import pickle
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
-from wardrop import costs
+from wardrop import costs, instances
+from wardrop.asymptotics import poa, poa_sweep
 from wardrop.costs import AlphaSequence
 from wardrop.instances import (
     InstanceKind,
@@ -122,3 +125,35 @@ def test_classify_built_networks(name):
 def test_classify_sees_through_subclasses(name):
     build, expected = BUILT[name]
     assert classify(build(SubNetwork, SUBCLASSED)) == expected
+
+
+LINKS = {
+    "pigou": lambda k: (k.Affine(0.0, 1.0), k.Constant(1.0)),
+    "step": lambda k: (k.Affine(0.0, 1.0), k.StepGeometric(2.0)),
+}
+
+
+@pytest.mark.parametrize("net_cls", [Network, SubNetwork], ids=["Network", "subclass"])
+@pytest.mark.parametrize("links", sorted(LINKS))
+def test_a_network_is_classified_once(monkeypatch, net_cls, links):
+    """classify decides each network's kind once, however many solves ask:
+    over a sweep and over 100 point queries, the classifier proper runs once
+    per network object."""
+    seen = []
+    uncached = instances._classify
+    monkeypatch.setattr(instances, "_classify", lambda net: seen.append(net) or uncached(net))
+    swept, queried = (_parallel(net_cls, *LINKS[links](PLAIN)) for _ in range(2))
+    curve = poa_sweep(swept, 2.0, 200.0, samples_per_decade=16)
+    assert len(curve.samples) > 30 and not curve.failures
+    for i in range(100):
+        assert poa(queried, 10.0 ** (i / 20.0 - 2.0)).poa >= 1.0
+    assert Counter(map(id, seen)) == {id(swept): 1, id(queried): 1}
+    assert classify(swept) is classify(swept)
+
+
+def test_a_network_keeps_its_kind_through_pickling(monkeypatch):
+    net = named_instance("step:3")
+    kind = classify(net)
+    monkeypatch.setattr(instances, "_classify", lambda net: pytest.fail("classified again"))
+    clone = pickle.loads(pickle.dumps(net))
+    assert classify(clone) == kind == InstanceKind("step", 3.0)
