@@ -172,7 +172,12 @@ class FlowProfile:
         object.__setattr__(self, "path_flows", flows)
         if any(f < 0 for f in flows):
             raise DomainError("path flows must be nonnegative")
-        s = math.fsum(flows)
+        try:
+            s = math.fsum(flows)  # nan or inf where a flow is, so no second test per flow
+        except OverflowError:
+            raise DomainError(f"path flows sum past the float range (total {self.total!r})") from None
+        if not (math.isfinite(s) and math.isfinite(self.total)):
+            raise DomainError(f"flows must be finite: sum {s!r}, total {self.total!r}")
         if abs(s - self.total) > FEASIBILITY_RTOL * abs(self.total):
             raise DomainError(
                 f"infeasible flow: sum {s!r} != total {self.total!r}"

@@ -2,14 +2,12 @@
 
 Smooth instances are solved as the Wardrop equilibrium of the game whose
 edge costs are the marginal costs (x c(x))' = c(x) + x c'(x), by the
-equilibrium solvers and their residual check.  The two-link
-counterexample families get exact piecewise procedures: the geometric
-step instance decomposes the problem over the intervals where the step
-cost is constant, the interpolated-square instance enumerates knot and
-interior stationary candidates, and the exponential instance evaluates
-its candidate set in log domain.  Every exact method can be checked
-against a zoomed grid search whose reported resolution bound is an
-honest Lipschitz-style error estimate.
+equilibrium solvers and their residual check.  The paper's three two-link
+counterexamples share one exact scan, ``_scan``: the least objective over
+the corners, the knots and each piece's projected stationary point, each
+scored once on the piece holding it (in log domain for the exponential
+game).  Every exact method can be checked against a zoomed grid search
+whose reported resolution bound is an honest Lipschitz-style error estimate.
 """
 
 from __future__ import annotations
@@ -91,8 +89,29 @@ def _marginal_optimum(net: Network, M: float, solve, method: str) -> OptimumSolu
 
 
 # ---------------------------------------------------------------------------
-# geometric step instance: interval decomposition
+# the exact two-link optima: one candidate scan
 # ---------------------------------------------------------------------------
+
+
+def _scan(M: float, top: tuple[float, float], pieces, objective) -> tuple[float, dict]:
+    """The least objective over the exact optima's candidates.
+
+    ``pieces`` yields (j, lo, hi, y) for each piece (lo, hi] of c2, where y
+    is the caller's projected stationary point or None.  The candidates are
+    the corners 0 and M (label -1; M lies on ``top``), each y and each knot
+    hi <= M (label j); a y equal to lo lies on the piece below (label j - 1),
+    scored on the point piece (lo, lo) for c2(lo).  A y found twice keeps
+    its last label.  Each is scored once, as ``objective(y, lo, hi)``.
+    Returns the least y (first found among equal values), {y: (value, label)}.
+    """
+    found = {0.0: (-1, 0.0, 0.0), M: (-1, *top)}  # y -> (label, lo, hi) of the piece holding y
+    for j, lo, hi, y in pieces:
+        if y is not None:
+            found[y] = (j, lo, hi) if y > lo else (j - 1, lo, lo)
+        if hi <= M:
+            found[hi] = (j, lo, hi)
+    scores = {y: (objective(y, lo, hi), label) for y, (label, lo, hi) in found.items()}
+    return min(scores, key=lambda y: scores[y][0]), scores
 
 
 @_typed_failures
@@ -103,35 +122,23 @@ def opt_parallel_step(a: float, M: float) -> OptimumSolution:
     where the step cost is constant; on each, the unconstrained minimizer
     y_j = M - a^{j+1}/2 is projected onto the interval.  All feasible j
     are scanned; the winner must land in {C_{k-1}, C_k}, which is flagged
-    if violated.  Each candidate y is scored as y c2(y) + (M - y)^2 with
-    the step value c2(y) of the piece that made it.
+    if violated.  On the piece (lo, hi] holding y, c2(y) = hi.
     """
     StepGeometric(a)  # the family's check of a
     k = _period_index(a, M)
 
-    # certificate: the closed-form subproblem values C_j; feasibility
+    # certificate: the closed-form subproblem values C_j, with c2 = a^{j+1}
+    # on the closed interval (the scan scores y = a^j at c2 = a^j); feasibility
     # requires a^j < M, so j stops below the least knot at or above M
     k0, table = _powers(a)
-    k_top, _, c_top = _piece(a, M)
-    certificate = []
-    candidates = {0.0, M}
-    step = {0.0: 0.0, M: c_top}  # y -> c2(y)
+    k_top, lo_top, c_top = _piece(a, M)
+    pieces = []
     for j in range(k - 8, k_top):
         aj, aj1 = table[max(j - k0, 0)], table[max(j + 1 - k0, 0)]  # a^j rounds to 0 below k0
-        y_free = M - aj1 / 2.0
-        y_proj = min(max(y_free, aj), aj1)
-        c_j = aj1 * y_proj + (M - y_proj) ** 2
-        certificate.append({"j": j, "y_free": y_free, "y": y_proj, "value": c_j})
-        y = min(y_proj, M)
-        candidates.update((y, aj))
-        step.setdefault(y, aj1 if y > aj else aj)  # c2 = aj1 on (aj, aj1], and c2(a^j) = a^j
-        step.setdefault(aj, aj)
-
-    def objective(y: float) -> float:
-        return y * step[y] + (M - y) ** 2
-
-    y_star = min(candidates, key=objective)
-    best = objective(y_star)
+        pieces.append((j, aj, aj1, min(max(M - aj1 / 2.0, aj), aj1)))
+    certificate = [{"j": j, "y_free": M - hi / 2.0, "y": y, "value": hi * y + (M - y) ** 2}
+                   for j, _, hi, y in pieces]
+    y_star, scores = _scan(M, (lo_top, c_top), pieces, lambda y, lo, hi: y * hi + (M - y) ** 2)
 
     flag = None
     cert_best = min(row["value"] for row in certificate)
@@ -140,12 +147,7 @@ def opt_parallel_step(a: float, M: float) -> OptimumSolution:
         flag = "optimal interval outside {k-1, k}"
 
     flow = FlowProfile((M - y_star, y_star), M)
-    return OptimumSolution(flow, best, "step-interval", tuple(certificate), flag=flag)
-
-
-# ---------------------------------------------------------------------------
-# interpolated-square instance: knot + interior candidates
-# ---------------------------------------------------------------------------
+    return OptimumSolution(flow, scores[y_star][0], "step-interval", tuple(certificate), flag=flag)
 
 
 @_typed_failures
@@ -154,55 +156,40 @@ def opt_parallel_pwl_square(a: float, M: float) -> OptimumSolution:
 
     Candidates are the knots y = a^k (where the optimality condition
     3x^2 in the knot subdifferential can hold) and the stationary point of
-    each linear piece; each is projected onto [0, M] and the cheapest wins.
-    A candidate whose (M - y)^3 overflows scores +inf, so it loses to any
-    finite one; when every candidate overflows, RangeOverflowError.  Each
-    candidate y is scored with the chord of the piece [p, q] that made it.
+    each linear piece, scored with the chord of the piece [p, q] holding
+    them.  A candidate whose (M - y)^3 overflows scores +inf, so it loses
+    to any finite one; when every candidate overflows, RangeOverflowError.
     """
     PwlSquare(a)  # the family's check of a
     # pieces above the anchor start at or above M
     k_anchor, p_top, q_top = _piece(a, M)
     k0, table = _powers(a)
-    candidates = {0.0, M}
-    pieces = {0.0: (0.0, 0.0), M: (p_top, q_top)}  # y -> the piece (p, q) holding y
-
-    def objective(y: float) -> float:
-        try:
-            cube = (M - y) ** 3
-        except OverflowError:
-            return math.inf
-        return cube + y * _chord(*pieces[y], y)
-
-    certificate = []
+    pieces = []
     for k in range(k_anchor - 3, k_anchor + 1):
         p, q = table[max(k - 1 - k0, 0)], table[max(k - k0, 0)]  # a^k rounds to 0 below k0
-        if q <= M:
-            candidates.add(q)
-            pieces.setdefault(q, (p, q))
         # stationary point of (M-y)^3 + (p+q)y^2 - pqy on the piece interior:
         # 3(M-y)^2 = 2(p+q)y - pq, the increasing branch root
         b = 6.0 * M + 2.0 * (p + q)
         disc = b * b - 12.0 * (3.0 * M * M + p * q)
-        if disc >= 0.0:
-            root = (b - math.sqrt(disc)) / 6.0
-            if p < root < q and 0.0 < root <= M:
-                candidates.add(root)
-                pieces.setdefault(root, (p, q))
-                certificate.append({"k": k, "interior": root, "value": objective(root)})
-    value = {y: objective(y) for y in sorted(candidates)}
-    certificate.extend({"y": y, "value": v} for y, v in value.items())
+        root = (b - math.sqrt(disc)) / 6.0 if disc >= 0.0 else math.nan  # nan fails every test below
+        pieces.append((k, p, q, root if p < root < q and 0.0 < root <= M else None))
 
-    y_star = min(candidates, key=value.__getitem__)
-    best = value[y_star]
+    def objective(y: float, p: float, q: float) -> float:
+        try:
+            cube = (M - y) ** 3
+        except OverflowError:
+            return math.inf
+        return cube + y * _chord(p, q, y)
+
+    y_star, scores = _scan(M, (p_top, q_top), pieces, objective)
+    certificate = [{"k": k, "interior": y, "value": scores[y][0]}
+                   for k, _, _, y in pieces if y is not None]
+    certificate.extend({"y": y, "value": v} for y, (v, _) in sorted(scores.items()))
+    best = scores[y_star][0]
     if best == math.inf:
         raise RangeOverflowError(f"every pwl-square candidate overflows at M={float(M)!r}")
     flow = FlowProfile((M - y_star, y_star), M)
     return OptimumSolution(flow, best, "pwl-candidates", tuple(certificate))
-
-
-# ---------------------------------------------------------------------------
-# exponential instance: log-domain candidate set
-# ---------------------------------------------------------------------------
 
 
 def _exp_log_objective(M: float, y: float, alpha: float) -> float:
@@ -221,42 +208,28 @@ def opt_parallel_exp_log(alphas: AlphaSequence, M: float) -> OptimumSolution:
     For each feasible piece (alpha_j, alpha_{j+1}] the unconstrained
     stationary point y_j = M - alpha_{j+1} + ln(alpha_{j+1}) is projected
     onto the piece; the true objective is evaluated in log domain at every
-    projected candidate, every knot, and the corners.  The scan runs on
-    float logs summed by ``log_add`` and scores each candidate once; only
-    the winner becomes a ``LogValue``.  The winner is flagged when it falls
-    outside the asymptotic candidate set {k-1, k, k+1}.
+    projected candidate, every knot, and the corners, on float logs summed
+    by ``log_add``; only the winner becomes a ``LogValue``.  The winner is
+    flagged when it falls outside the asymptotic candidate set {k-1, k, k+1}.
     """
     k = alphas.bracket_index(M)
     alphas.cover_index(M)  # DemandBracketError when no step holds y = M
     knots = alphas.knots_through(M)
 
-    labels = {0.0: -1, M: -1}  # y -> piece label j of (alpha_j, alpha_{j+1}]; -1 at a corner
-    steps = {0.0: 0.0, M: knots[-1]}  # y -> alpha_j with c2(y) = ExpOverX(alpha_j)
-    rows = []
-    for j in range(len(knots) - 1):
-        aj, aj1 = knots[j], knots[j + 1]
-        y_free = M - aj1 + math.log(max(aj1, 1.0))
-        y_proj = min(max(y_free, aj), aj1, M)
-        if aj < y_proj:
-            labels[y_proj], steps[y_proj] = j, aj1
-        else:
-            labels[y_proj], steps[y_proj] = j - 1, aj
-        if aj1 <= M:
-            labels[aj1], steps[aj1] = j, aj1
-        rows.append((j, y_free, y_proj))
-
-    logs = {y: _exp_log_objective(M, y, alpha) for y, alpha in steps.items()}
-    certificate = tuple(
-        {"j": j, "y_free": y_free, "y": y, "log_value": logs[y]} for j, y_free, y in rows
-    )
-    y_star = min(logs, key=logs.__getitem__)
-    label = labels[y_star]
+    y_free = [M - aj1 + math.log(max(aj1, 1.0)) for aj1 in knots[1:]]
+    pieces = [(j, aj, aj1, min(max(y_free[j], aj), aj1, M))
+              for j, (aj, aj1) in enumerate(zip(knots, knots[1:]))]
+    # c2(y) = ExpOverX(alpha) for the upper end alpha of the piece holding y
+    y_star, scores = _scan(M, knots[-2:], pieces, lambda y, lo, hi: _exp_log_objective(M, y, hi))
+    certificate = tuple({"j": j, "y_free": y_free[j], "y": y, "log_value": scores[y][0]}
+                        for j, _, _, y in pieces)
+    log_value, label = scores[y_star]
     flag = None
     if label not in (k - 1, k, k + 1):
         flag = f"optimal piece j={label} outside the candidate set around k={k}"
 
     flow = FlowProfile((M - y_star, y_star), M)
-    return OptimumSolution(flow, LogValue(logs[y_star]), "exp-candidates", certificate, flag=flag)
+    return OptimumSolution(flow, LogValue(log_value), "exp-candidates", certificate, flag=flag)
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +361,10 @@ def _local_error_bound(ys: np.ndarray, vals: np.ndarray, i: int, cell: float) ->
 # ---------------------------------------------------------------------------
 
 
-_EXACT_INSTANCES = {
-    "step": "(identity, step)",
-    "pwl": "(square, pwl-square)",
-    "exp": "exponential",
+_EXACT = {  # classify(net).name -> (the instance's name, its exact optimum)
+    "step": ("(identity, step)", opt_parallel_step),
+    "pwl": ("(square, pwl-square)", opt_parallel_pwl_square),
+    "exp": ("exponential", opt_parallel_exp_log),
 }
 
 
@@ -404,7 +377,7 @@ def social_optimum(net: Network, M: float, method: str = "auto", _start: FlowPro
     every other method ignores them.  Its guard covers the method, run unwrapped."""
     kind = classify(net)
     if method == "auto":
-        if kind.name in _EXACT_INSTANCES:
+        if kind.name in _EXACT:
             method = kind.name
         elif all(c.is_continuous() for c in net.costs):
             method = "marginal"
@@ -414,14 +387,11 @@ def social_optimum(net: Network, M: float, method: str = "auto", _start: FlowPro
             raise UnsupportedCostError(
                 "no optimum method applies: discontinuous costs on a general network"
             )
-    if method in _EXACT_INSTANCES and kind.name != method:
-        raise UnsupportedCostError(f"network is not the {_EXACT_INSTANCES[method]} instance")
-    if method == "exp":
-        return opt_parallel_exp_log.__wrapped__(kind.param, M)
-    if method == "step":
-        return opt_parallel_step.__wrapped__(kind.param, M)
-    if method == "pwl":
-        return opt_parallel_pwl_square.__wrapped__(kind.param, M)
+    if method in _EXACT:
+        name, solve = _EXACT[method]
+        if kind.name != method:
+            raise UnsupportedCostError(f"network is not the {name} instance")
+        return solve.__wrapped__(kind.param, M)
     if method == "marginal":
         if net.is_parallel():
             return opt_parallel_marginal.__wrapped__(net, M, _track)

@@ -4,7 +4,8 @@
 reference below is the same scan with its own log-sum-exp written out:
 a fold from the first term, with the larger log as the shift; every
 output must match it bit for bit.  An mpmath referee at 50 digits checks
-each certificate value, and two counting tests check the work per call.
+each certificate value, and two counting tests check the work per call,
+one of them on all three games that share ``optimum._scan``.
 """
 
 import functools
@@ -15,11 +16,16 @@ import mpmath
 import pytest
 
 from wardrop import optimum
-from wardrop.costs import AlphaSequence, ExpOverX, StepExp
+from wardrop.costs import AlphaSequence, ExpOverX, StepExp, _piece
 from wardrop.errors import DemandBracketError
 from wardrop.logdomain import LogValue
 from wardrop.network import FlowProfile
-from wardrop.optimum import OptimumSolution, opt_parallel_exp_log
+from wardrop.optimum import (
+    OptimumSolution,
+    opt_parallel_exp_log,
+    opt_parallel_pwl_square,
+    opt_parallel_step,
+)
 
 FACTORIAL = AlphaSequence("factorial")
 SUPERGEOMETRIC = AlphaSequence("supergeometric", base=2.0)
@@ -99,10 +105,20 @@ def _demands(seed: int, n: int, hi: float, lo: float = 2.0) -> list[float]:
     return [hi * (lo / hi) ** rng.random() for _ in range(n)]
 
 
+def _knot_demands(alphas: AlphaSequence) -> list[float]:
+    """Every 2 alpha_k and alpha_k + alpha_(k+1) (k >= 1) in the float range
+    and their float neighbours: the demands where a projected point meets a
+    knot, so that the piece below sets its label and with it the flag."""
+    knots = alphas.knots_through(math.inf)[1:]
+    meets = [2.0 * v for v in knots] + [v + w for v, w in zip(knots, knots[1:])]
+    return [y for m in meets if m < math.inf
+            for y in (math.nextafter(m, 0.0), m, math.nextafter(m, math.inf))]
+
+
 @pytest.mark.parametrize(
     "alphas, demands",
     [
-        (FACTORIAL, _demands(1, 150, 1e300) + [5.72e299, 1e300, 3.0, 1e307]),
+        (FACTORIAL, _demands(1, 150, 1e300) + [5.72e299, 1e300, 3.0, 1e307] + _knot_demands(FACTORIAL)),
         (SUPERGEOMETRIC, _demands(2, 150, 1e300) + [1.9e289, 3.0e289]),
         # past 1e9 the bracket lattice ends; in (1e9, 2e9] only y = M is uncovered
         (EXPLICIT, _demands(3, 80, 1e300) + _demands(4, 80, 4e9) + [1.5e9, 2e9]),
@@ -136,8 +152,22 @@ def test_scan_builds_one_logvalue_per_call(monkeypatch):
         assert len(sol.certificate) > 3
 
 
-def test_scan_scores_each_candidate_once(monkeypatch):
-    scored = []
+def _record_scan(monkeypatch, scored: list) -> None:
+    """Record every y that ``_scan`` hands its objective."""
+    scan = optimum._scan
+
+    def recording_scan(M, top, pieces, objective):
+        def recorded(y, lo, hi):
+            scored.append(y)
+            return objective(y, lo, hi)
+
+        return scan(M, top, pieces, recorded)
+
+    monkeypatch.setattr(optimum, "_scan", recording_scan)
+
+
+def _record_exp_objective(monkeypatch, scored: list) -> None:
+    """Record every y scored through the module's ``_exp_log_objective``."""
     score = optimum._exp_log_objective
 
     def recording(M, y, alpha):
@@ -145,16 +175,50 @@ def test_scan_scores_each_candidate_once(monkeypatch):
         return score(M, y, alpha)
 
     monkeypatch.setattr(optimum, "_exp_log_objective", recording)
-    for alphas, M in ((FACTORIAL, 31.0), (FACTORIAL, 5.72e299), (SUPERGEOMETRIC, 1e200)):
+
+
+def _step_candidates(a: float, M: float, sol) -> set:
+    """Each piece's projected point, and its upper knot a^(j+1) <= M."""
+    rows = sol.certificate
+    return {row["y"] for row in rows} | {a ** (row["j"] + 1) for row in rows if a ** (row["j"] + 1) <= M}
+
+
+def _pwl_candidates(a: float, M: float, sol) -> set:
+    """The interior stationary points, and the knots a^k <= M of the four
+    pieces through the one holding M."""
+    k_anchor = _piece(a, M)[0]
+    knots = {a ** k for k in range(k_anchor - 3, k_anchor + 1)}
+    return {row["interior"] for row in sol.certificate if "interior" in row} | {q for q in knots if q <= M}
+
+
+def _exp_candidates(alphas: AlphaSequence, M: float, sol) -> set:
+    """Each piece's projected point, and its upper knot alpha_(j+1) <= M."""
+    rows = sol.certificate
+    return {row["y"] for row in rows} | {
+        alphas.alpha(row["j"] + 1) for row in rows if alphas.alpha(row["j"] + 1) <= M
+    }
+
+
+@pytest.mark.parametrize(
+    "solve, record, candidates, cases",
+    [
+        (opt_parallel_step, _record_scan, _step_candidates, [(3.0, 17.0), (2.0, 1e20), (5.0, 1e100)]),
+        (opt_parallel_pwl_square, _record_scan, _pwl_candidates, [(2.0, 5.0), (3.0, 1e20), (2.0, 1e90)]),
+        (opt_parallel_exp_log, _record_exp_objective, _exp_candidates,
+         [(FACTORIAL, 31.0), (FACTORIAL, 5.72e299), (SUPERGEOMETRIC, 1e200)]),
+    ],
+    ids=["step", "pwl", "exp"],
+)
+def test_scan_scores_each_candidate_once(monkeypatch, solve, record, candidates, cases):
+    """No y is scored twice, and the scored set is {0, M}, the knots <= M
+    and the projected stationary points."""
+    scored = []
+    record(monkeypatch, scored)
+    for instance, M in cases:
         scored.clear()
-        sol = opt_parallel_exp_log(alphas, M)
-        expected = {0.0, M}
-        for row in sol.certificate:
-            expected.add(row["y"])
-            if alphas.alpha(row["j"] + 1) <= M:
-                expected.add(alphas.alpha(row["j"] + 1))
+        sol = solve(instance, M)
         assert len(scored) == len(set(scored)), f"M={M!r}: a candidate scored twice"
-        assert set(scored) == expected
+        assert set(scored) == {0.0, M} | candidates(instance, M, sol), f"M={M!r}"
 
 
 def _referee_log(alphas: AlphaSequence, M: float, y: float):

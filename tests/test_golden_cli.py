@@ -31,6 +31,7 @@ CASES = {
     "opt-pwl2": ["opt", "--network", "pwl:2", "--demand", "5"],
     "opt-exp": ["opt", "--network", "exp:factorial", "--demand", "31"],
     "opt-pigou-as-step": ["opt", "--network", "pigou", "--demand", "1", "--method", "step"],
+    "opt-step3": ["opt", "--network", "step:3", "--demand", "17"],
     "solve-exp-log": ["solve", "--network", "exp:factorial", "--demand", "31"],
     "sweep-step2": ["sweep", "--network", "step:2", "--from", "4", "--to", "64",
                     "--per-decade", "48", "--jobs", "1"],

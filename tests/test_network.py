@@ -120,6 +120,25 @@ def test_flow_profile_feasibility():
     assert flow_of([0.25, 0.75]).total == 1.0
 
 
+@pytest.mark.parametrize("flows, total", [
+    ((math.nan, 1.0), 1.0),
+    ((math.inf, 1.0), math.inf),
+    ((1.0, 2.0), math.nan),
+    ((1.0, 2.0), math.inf),
+    ((math.nan,), math.nan),
+])
+def test_flow_profile_rejects_nan_and_inf(flows, total):
+    with pytest.raises(DomainError, match="finite"):
+        FlowProfile(flows, total)
+
+
+@pytest.mark.parametrize("total", [math.inf, sys.float_info.max])
+def test_flow_profile_sum_past_the_float_range_is_a_domain_error(total):
+    # fsum raises a bare OverflowError on the intermediate sum
+    with pytest.raises(DomainError, match="float range"):
+        FlowProfile((1e308, 1e308), total)
+
+
 def test_social_cost_examples():
     net = build_parallel([Affine(0.0, 1.0), Constant(1.0)])
     assert social_cost(net, FlowProfile((0.5, 0.5), 1.0)) == pytest.approx(0.75)
@@ -231,7 +250,8 @@ FLOW_DRAWS = (0.0, -0.0, 5e-324, 1e-200, 0.5, 1.0, 3.0, 1e300, 1e308, sys.float_
 
 def raw_flow(path_flows) -> FlowProfile:
     """A profile of ``path_flows`` with their sum (inf where it overflows) as
-    total, built past the feasibility check, which an overflowing sum fails."""
+    total, built past the constructor's checks, which a NaN or infinite flow
+    and an overflowing sum fail."""
     try:
         total = math.fsum(path_flows)
     except OverflowError:

@@ -125,6 +125,15 @@ def test_step_optimum_continuous_at_breakpoints():
                 assert abs(hi - lo) <= slope * 2.0 * eps + 1e-12
 
 
+def test_step_tie_takes_the_lower_knot_at_every_scale():
+    # at M = 3 * 2^k, y = 2^k and y = 2^(k+1) both score 5 * 4^k exactly; the
+    # candidate found first wins, so the answer scales with M (a set's hash
+    # order gives the upper one where 2^k and 2^(k+61) hash alike, as at M = 48)
+    for k in range(-150, 150):
+        sol = opt_parallel_step(2.0, 3.0 * 2.0**k)
+        assert sol.flow.path_flows == (2.0 ** (k + 1), 2.0**k), k
+
+
 def test_step_rejects_bad_a():
     with pytest.raises(DomainError):
         opt_parallel_step(1.5, 4.0)
