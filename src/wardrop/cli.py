@@ -117,7 +117,7 @@ def _cmd_opt(args: argparse.Namespace) -> int:
     net = _load(args.network)
     kwargs = {}
     if args.method == "brute":
-        kwargs = {"resolution": args.resolution, "seed": args.seed}
+        kwargs = {"resolution": args.resolution}
     sol = social_optimum(net, args.demand, method=args.method, **kwargs)
     payload = {
         "demand": args.demand,
@@ -398,7 +398,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--method", default="auto",
                     choices=["auto", "marginal", "step", "pwl", "exp", "brute"])
     sp.add_argument("--resolution", type=int, default=4001)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
 
     sp = sub.add_parser("poa", help="price of anarchy at one demand")

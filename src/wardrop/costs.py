@@ -4,7 +4,8 @@ Every family is weakly increasing and nonnegative on [0, inf) and supports
 evaluation, one-sided derivatives, the set-valued generalized inverse, the
 asymptotic value at infinity, and log-domain evaluation; all but ExpOverX
 (whose primitive is the exponential integral) give the exact primitive
-int_0^x c(s) ds.  Step families are left-continuous: the value on
+int_0^x c(s) ds.  Every method takes one point and none needs numpy: the
+solvers and the brute-force oracle alike call the scalar ``eval``.  Step families are left-continuous: the value on
 (a^{k-1}, a^k] is taken at the right end, so c(a^k) = a^k exactly for the
 geometric step and evaluation at a knot returns the lower step.
 """
@@ -14,10 +15,8 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
 
 from .errors import (
     DemandBracketError,
@@ -26,9 +25,6 @@ from .errors import (
     RangeOverflowError,
     UnsupportedCostError,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _E = math.e
 _MAX_EXP = math.log(sys.float_info.max)  # ~709.78
@@ -43,7 +39,7 @@ def _log(v: float) -> float:
 
 def _check_nonneg(x: float, what: str = "x") -> float:
     x = float(x)
-    if math.isnan(x) or x < 0:
+    if not x >= 0:  # negative or NaN
         raise DomainError(f"{what} must be nonnegative, got {x!r}")
     return x
 
@@ -154,12 +150,6 @@ class CostFunction:
     def __call__(self, x: float) -> float:
         return self.eval(x)
 
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation without domain checks (oracle/sweep path)."""
-        import numpy as np
-
-        return np.array([self.eval(float(v)) for v in np.asarray(xs, dtype=float)])
-
     def eval_right(self, x: float) -> float:
         """Right limit at x: the cost an entering infinitesimal player faces."""
         return self.eval(x)
@@ -205,9 +195,9 @@ class CostFunction:
 
     def breakpoints_within(self, lo: float, hi: float) -> list[float]:
         """Flows in [lo, hi] where c jumps or kinks, ascending, as far as the
-        family lists them (the brute-force oracle's grids add them).
+        family lists them (the brute-force oracle's lattices add them).
         ``StepGeometric`` and ``PwlSquare`` list only their knots in [max(lo,
-        hi * 1e-18, 1e-300), hi]; those left out lie below the grid spacing."""
+        hi * 1e-18, 1e-300), hi]; those left out lie below the lattice spacing."""
         return []
 
     def jump_levels(self, lo: float, hi: float) -> list[float]:
@@ -244,11 +234,6 @@ class Affine(CostFunction):
 
     def eval(self, x: float) -> float:
         return self.a + self.b * _check_nonneg(x)
-
-    def eval_many(self, xs):
-        import numpy as np
-
-        return self.a + self.b * np.asarray(xs, dtype=float)
 
     def derivative_bounds(self, x):
         return (self.b, self.b)
@@ -296,11 +281,6 @@ class Constant(CostFunction):
         _check_nonneg(x)
         return self.value
 
-    def eval_many(self, xs):
-        import numpy as np
-
-        return np.full(np.shape(xs), self.value, dtype=float)
-
     def derivative_bounds(self, x):
         return (0.0, 0.0)
 
@@ -342,11 +322,6 @@ class Monomial(CostFunction):
 
     def eval(self, x: float) -> float:
         return self.coef * _pow_in_range(_check_nonneg(x), self.degree, "monomial value")
-
-    def eval_many(self, xs):
-        import numpy as np
-
-        return self.coef * np.asarray(xs, dtype=float) ** self.degree
 
     def eval_log(self, x: float) -> float:
         x = _check_nonneg(x)
@@ -401,11 +376,6 @@ class Polynomial(CostFunction):
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
-
-    def eval_many(self, xs):
-        import numpy as np
-
-        return np.polyval(list(reversed(self.coefficients)), np.asarray(xs, dtype=float))
 
     def derivative_bounds(self, x):
         x = float(x)
@@ -516,12 +486,6 @@ class SaturatingLinear(CostFunction):
         x = _check_nonneg(x)
         return x + x / (1.0 + x)
 
-    def eval_many(self, xs):
-        import numpy as np
-
-        xs = np.asarray(xs, dtype=float)
-        return xs + xs / (1.0 + xs)
-
     def derivative_bounds(self, x):
         try:
             d = 1.0 + 1.0 / (1.0 + float(x)) ** 2
@@ -559,11 +523,11 @@ class SaturatingLinear(CostFunction):
 
 
 @lru_cache(maxsize=64)
-def _powers(a: float) -> tuple[int, array]:
+def _powers(a: float) -> tuple[int, tuple[float, ...]]:
     """(k0, table) with table[i] = a ** (k0 + i) in Python's float pow, for a > 1: from the last power that rounds to 0
     through the last finite one (or the first infinite one, for a = inf).
-    ``np.power`` differs from Python's pow in the last place for some k, so
-    every power the geometric families read comes from here."""
+    Every power the geometric families and the exact optima read comes
+    from here, so a knot has the same bits in each of them."""
     a = float(a)
     low, k = [], -1
     while (v := a**k) > 0.0:
@@ -577,7 +541,7 @@ def _powers(a: float) -> tuple[int, array]:
             break
         high.append(v)
         k += 1
-    return -len(low) - 1, array("d", [0.0, *reversed(low), *high])
+    return -len(low) - 1, (0.0, *reversed(low), *high)
 
 
 def _piece(a: float, x: float) -> tuple[int, float, float]:
@@ -608,18 +572,6 @@ def _period_index(a: float, M: float) -> int:
     return _piece(a, M / 2.0)[0] - 1
 
 
-def _least_powers(a: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a**(k-1), a**k) for the k of ``_piece`` at each of the positive
-    ``xs``, from the same table."""
-    import numpy as np
-
-    powers = np.frombuffer(_powers(a)[1])
-    i = np.searchsorted(powers, xs, side="left")
-    if np.any(i == len(powers)):
-        raise RangeOverflowError(f"no power of {a!r} in the float range reaches {float(np.max(xs))!r}")
-    return powers[i - 1], powers[i]
-
-
 @dataclass(frozen=True)
 class _Geometric(CostFunction):
     """A family whose pieces change at the knots a^k, k in Z, a >= 2; every
@@ -639,7 +591,7 @@ class _Geometric(CostFunction):
         if hi <= 0 or hi < lo:
             return []
         lo, table = max(lo, hi * 1e-18, 1e-300), _powers(self.a)[1]
-        return table[bisect.bisect_left(table, lo) : bisect.bisect_right(table, hi)].tolist()
+        return list(table[bisect.bisect_left(table, lo) : bisect.bisect_right(table, hi)])
 
     def to_spec(self) -> dict:
         return {"family": self.family, "a": self.a}
@@ -666,13 +618,6 @@ class StepGeometric(_Geometric):
         if x == 0:
             return 0.0
         return _piece(self.a, x)[2]
-
-    def eval_many(self, xs):
-        import numpy as np
-
-        xs = np.asarray(xs, dtype=float)
-        _, q = _least_powers(self.a, np.where(xs > 0, xs, 1.0))
-        return np.where(xs > 0, q, 0.0)
 
     def eval_log(self, x: float) -> float:
         """k ln a for the k of ``eval``, and for k = K + 1 past the last
@@ -732,16 +677,6 @@ class PwlSquare(_Geometric):
             return 0.0
         _, p, q = _piece(self.a, y)
         return _chord(p, q, y)
-
-    def eval_many(self, ys):
-        import numpy as np
-
-        ys = np.asarray(ys, dtype=float)
-        p, q = _least_powers(self.a, np.where(ys > 0, ys, 1.0))
-        v = np.where(ys > 0, (p + q) * ys - p * q, 0.0)
-        if np.isnan(v).any():  # as in eval
-            raise RangeOverflowError("pwl-square value overflows native floats")
-        return v
 
     def eval_log(self, y: float) -> float:
         """ln eval(y) where eval is finite; past that, ln((p+q)y - pq) as
@@ -831,16 +766,6 @@ class ExpOverX(CostFunction):
         if x < 1.0:
             return _E
         return _exp_in_range(x - math.log(x), "exp(x)/x")
-
-    def eval_many(self, xs):
-        import numpy as np
-
-        xs = np.asarray(xs, dtype=float)
-        safe = np.where(xs >= 1.0, xs, 1.0)
-        t = safe - np.log(safe)
-        if np.any(t > _MAX_EXP):
-            raise RangeOverflowError("exp(x)/x overflows native floats; use eval_log")
-        return np.where(xs >= 1.0, np.exp(t), _E)
 
     def eval_log(self, x: float) -> float:
         return _log_exp_over_x(_check_nonneg(x))
@@ -1079,19 +1004,6 @@ class StepExp(CostFunction):
     def eval(self, y: float) -> float:
         return _exp_in_range(self.eval_log(y), "step-exp value")
 
-    def eval_many(self, ys):
-        import numpy as np
-
-        ys = np.asarray(ys, dtype=float)
-        y_max = float(np.max(ys, initial=0.0))
-        self.alphas.cover_index(y_max)  # DemandBracketError past the table
-        knots = self.alphas.knots_through(y_max)
-        idx = np.maximum(np.searchsorted(knots, ys, side="left"), 1)
-        t = np.array([self._level_log(a) for a in knots])[idx]
-        if np.any(t > _MAX_EXP):
-            raise RangeOverflowError("step-exp value overflows; use eval_log")
-        return np.exp(t)
-
     def eval_right_log(self, y: float) -> float:
         j = self._piece(y)
         if y == self.alphas.alpha(j):  # at a knot: the next step starts
@@ -1170,9 +1082,6 @@ class Shifted(CostFunction):
 
     def eval(self, x: float) -> float:
         return self.shift + self.base_cost.eval(x)
-
-    def eval_many(self, xs):
-        return self.shift + self.base_cost.eval_many(xs)
 
     def eval_right(self, x: float) -> float:
         return self.shift + self.base_cost.eval_right(x)

@@ -168,17 +168,17 @@ class FlowProfile:
     total: float
 
     def __post_init__(self):
-        flows = tuple(float(f) for f in self.path_flows)
+        try:
+            flows = tuple(float(f) for f in self.path_flows)
+            s, total = math.fsum(flows), float(self.total)  # nan or inf where a flow is, so no second test per flow
+        except OverflowError:  # an int flow or total, or the flows' sum, past the float range
+            raise DomainError("flows must be finite: a flow, their sum or the total is past the float range") from None
         object.__setattr__(self, "path_flows", flows)
         if any(f < 0 for f in flows):
             raise DomainError("path flows must be nonnegative")
-        try:
-            s = math.fsum(flows)  # nan or inf where a flow is, so no second test per flow
-        except OverflowError:
-            raise DomainError(f"path flows sum past the float range (total {self.total!r})") from None
-        if not (math.isfinite(s) and math.isfinite(self.total)):
+        if not (math.isfinite(s) and math.isfinite(total)):
             raise DomainError(f"flows must be finite: sum {s!r}, total {self.total!r}")
-        if abs(s - self.total) > FEASIBILITY_RTOL * abs(self.total):
+        if abs(s - total) > FEASIBILITY_RTOL * abs(total):
             raise DomainError(
                 f"infeasible flow: sum {s!r} != total {self.total!r}"
             )

@@ -6,17 +6,17 @@ equilibrium solvers and their residual check.  The paper's three two-link
 counterexamples share one exact scan, ``_scan``: the least objective over
 the corners, the knots and each piece's projected stationary point, each
 scored once on the piece holding it (in log domain for the exponential
-game).  Every exact method can be checked against a zoomed grid search
+game).  Every exact method can be checked against a zoomed lattice search
 whose reported resolution bound is an honest Lipschitz-style error estimate.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .costs import (
     AlphaSequence,
@@ -34,10 +34,7 @@ from .logdomain import LogValue, log_add
 from .network import FlowProfile, Network, social_cost
 from .equilibrium import _general_flow, _parallel_flow, _Track, _typed_failures
 
-if TYPE_CHECKING:
-    import numpy as np
-
-_GRID_CAP_2D = 257  # per-axis cap for two-dimensional brute-force grids
+_LATTICE_POINTS = 257 * 257  # lattice points per brute-force round
 
 
 @dataclass(frozen=True)
@@ -243,25 +240,21 @@ def opt_bruteforce(
     *,
     resolution: int = 4001,
     zoom_rounds: int = 3,
-    seed: int = 0,
 ) -> OptimumSolution:
-    """Grid search over the feasible simplex, zoomed around the incumbent.
+    """Search over a lattice on the simplex of flows, zoomed around the incumbent.
 
-    Independent of every exact method: only uses vectorized cost
-    evaluation.  Step/kink breakpoints (and +-1e-9 relative offsets) are
-    injected into the grid.  ``resolution_bound`` is a Lipschitz-style
-    error estimate: max adjacent objective difference near the incumbent
-    in the final round, inf where the incumbent borders infeasible points
-    (link 1's flow negative).  Two-dimensional grids (three links) cap the
-    per-axis resolution at 257 to bound memory.  It answers M = 0 with the
-    empty flow, so it checks its demand itself rather than carry the
-    ``_typed_failures`` guard of the solvers.
+    Independent of every exact method: it only calls each link's scalar
+    ``eval``.  A round gives links 2..n ``resolution`` lattice flows each,
+    fewer past 257**2 lattice points (4 links: 40, 5 links: 16), and their
+    knots; link 1 takes the rest.  ``resolution_bound`` is a Lipschitz-style
+    error estimate near the incumbent in the final round.  It answers M = 0
+    with the empty flow, so it checks its demand itself rather than carry
+    the ``_typed_failures`` guard of the solvers.
     """
     if not net.is_parallel():
         raise UnsupportedCostError("brute-force oracle requires a parallel network")
-    if net.n_edges > 3:
-        raise UnsupportedCostError("brute-force oracle supports at most 3 links")
-    if resolution < 2 or zoom_rounds < 0:
+    if not (isinstance(resolution, int) and isinstance(zoom_rounds, int)
+            and resolution >= 2 and zoom_rounds >= 0):
         raise DomainError(f"brute force needs resolution >= 2 and zoom_rounds >= 0, "
                           f"got {resolution!r} and {zoom_rounds!r}")
     if not 0 <= M < math.inf:
@@ -274,86 +267,125 @@ def opt_bruteforce(
         return OptimumSolution(
             flow, social_cost(net, flow), "brute-force", resolution_bound=0.0
         )
-    resolution = resolution if net.n_edges == 2 else min(resolution, _GRID_CAP_2D)
-    return _brute_grid(net, M, resolution, zoom_rounds, seed)
+    m = net.n_edges - 1
+    r = min(resolution, int(_LATTICE_POINTS ** (1 / m) + 1e-9))  # r**m <= _LATTICE_POINTS
+    if r < 2:
+        raise UnsupportedCostError(f"brute-force lattice: fewer than 2 flows for each of {m} free links")
+    return _brute_grid(net, M, r, zoom_rounds)
 
 
-def _axis_points(lo: float, hi: float, n: int, breakpoints, rng) -> np.ndarray:
-    import numpy as np
+def _brute_grid(net, M, r, zoom_rounds) -> OptimumSolution:
+    """Zoomed lattice search with r lattice flows per free link i >= 2.
 
-    base = np.linspace(lo, hi, n)
-    if n > 2:
-        cell = (hi - lo) / (n - 1)
-        base[1:-1] += rng.uniform(-0.3, 0.3, n - 2) * cell
-    extra = []
-    for b in breakpoints:
-        if b <= 0:
-            continue
-        for off in (b * (1 - 1e-9), b, b * (1 + 1e-9)):
-            if lo <= off <= hi:
-                extra.append(off)
-    if extra:
-        base = np.unique(np.concatenate([base, np.asarray(extra)]))
-    return np.clip(base, lo, hi)
-
-
-def _brute_grid(net, M, resolution, zoom_rounds, seed) -> OptimumSolution:
-    """Zoomed grid over the flows y_2..y_n of links 2..n, one axis each;
-    link 1 carries the rest, and a point where that rest is negative
-    scores +inf.  With two links, c_1's knots enter the one axis mirrored
-    as M - b."""
-    import numpy as np
-
+    A point gives link i a flow as (y, k, e, y c_i(y)): (y, k, 0.0, .) for
+    the lattice flow y = M k / D, (y, 0, y, .) for a knot or its +-1e-9
+    relative offsets (with two links, c_1's knots b too, as M - b).  Link 1
+    takes the rest M (D - K) / D - E for the points' sums K of k and E of e,
+    exactly 0 on the face K = D.  A round takes the least lattice point of
+    its windows, or the last incumbent if less, and descends from it.  Round
+    0 takes D = r - 1 and all of [0, M]; each next one multiplies D by
+    f = (r - 1) // 2 and spans one old cell either side of the incumbent,
+    while f >= 2 and no two adjacent lattice flows round to the same float."""
     c1, others = net.costs[0], net.costs[1:]
-    rng = np.random.default_rng(seed)
-    win = [(0.0, M)] * len(others)
-    best, best_v, bound = (0.0,) * len(others), math.inf, math.inf
-    for _ in range(zoom_rounds + 1):
+    D, f = r - 1, (r - 1) // 2
+    wins, zooms, found = [(0, D)] * len(others), zoom_rounds if f >= 2 else 0, None
+    while True:
+        lattices = [[M * (k / D) for k in range(lo, hi + 1)] for lo, hi in wins]
+        K_lo, K_hi = sum(lo for lo, _ in wins), min(D, sum(hi for _, hi in wins))
+        rests = [M * ((D - K) / D) for K in range(K_lo, K_hi + 1)]
+        if found and any(len(set(ys)) < len(ys) for ys in [rests, *lattices]):
+            break
         axes = []
-        for cost, (lo, hi) in zip(others, win):
-            bps = list(cost.breakpoints_within(lo, hi))
+        for cost, (lo, hi), ys in zip(others, wins, lattices):
+            knots = list(cost.breakpoints_within(ys[0], ys[-1]))
             if len(others) == 1:
-                bps += [M - b for b in c1.breakpoints_within(M - hi, M - lo)]
-            axes.append(_axis_points(lo, hi, resolution, bps, rng))
-        ys = np.meshgrid(*axes, indexing="ij")
-        x1 = functools.reduce(operator.sub, ys, M)  # M - y_2 - ... - y_n
-        vals = x1 * c1.eval_many(np.maximum(x1, 0.0))
-        for cost, y in zip(others, ys):
-            vals = vals + y * cost.eval_many(y)
-        vals = np.where(x1 < 0, np.inf, vals)
-        at = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        best, best_v = tuple(float(y[at]) for y in ys), float(vals[at])
-        cells = [(hi - lo) / (resolution - 1) for lo, hi in win]
-        bound = max(
-            _local_error_bound(axis, vals[at[:d] + (slice(None),) + at[d + 1:]], at[d], cell)
-            for d, (axis, cell) in enumerate(zip(axes, cells))
-        )
-        win = [(max(0.0, y - cell), min(M, y + cell)) for y, cell in zip(best, cells)]
-    flow = FlowProfile((max(functools.reduce(operator.sub, best, M), 0.0),) + best, M)
+                knots += [M - b for b in c1.breakpoints_within(M - ys[-1], M - ys[0])]
+            kys = sorted({off for b in knots if b > 0 for off in (b * (1 - 1e-9), b, b * (1 + 1e-9))
+                          if ys[0] <= off <= ys[-1]})
+            values = map(operator.mul, ys, map(cost.eval, ys))
+            axes.append((list(zip(ys, range(lo, hi + 1), itertools.repeat(0.0), values)),
+                         [(y, 0, y, y * cost.eval(y)) for y in kys]))
+        table = list(map(operator.mul, rests, map(c1.eval, rests)))
+        best_v, best = _least([lattice for lattice, _ in axes], table, K_lo)
+        if found and found[0] < best_v:  # the same flows at the same value, in this round's units
+            best_v, best = found[0], tuple((y, k * D // found[2], e, v) for y, k, e, v in found[1])
+        best_v, best = _descend(M, D, c1, axes, best_v, best)
+        centers = [k if e == 0.0 else round(y / M * D) for y, k, e, _ in best]
+        # an incumbent that improved on an edge of its windows inside the
+        # simplex may have better points beyond: search again around it
+        walk = found is not None and best_v < found[0] and any(
+            c in (lo, hi) and 0 < c < D for c, (lo, hi) in zip(centers, wins))
+        bound = max(_bound(M, D, c1, axes, best, d, c - lo)
+                    for d, (c, (lo, _)) in enumerate(zip(centers, wins)))
+        found = best_v, best, D, bound
+        if not walk:
+            if not zooms:
+                break
+            zooms, D, centers = zooms - 1, D * f, [c * f for c in centers]
+        wins = [(max(0, c - f), min(D, c + f)) for c in centers]
+    best_v, best, D, bound = found
+    flow = FlowProfile((_point(M, D, c1, best)[0],) + tuple(y for y, *_ in best), M)
     return OptimumSolution(
         flow, best_v, "brute-force", resolution_bound=bound + 1e-12 * abs(best_v)
     )
 
 
-def _local_error_bound(ys: np.ndarray, vals: np.ndarray, i: int, cell: float) -> float:
-    """Lipschitz-style error estimate near the incumbent grid point.
+def _point(M: float, D: int, c1, points) -> tuple[float, float | None]:
+    """(x, objective) at one point: link 1's rest x, and the points' y c(y)
+    plus x c_1(x), or None where x < 0."""
+    *free, last = points
+    x = M * ((D - sum(p[1] for p in points)) / D) - sum(p[2] for p in points)
+    return x, None if x < 0 else sum(p[3] for p in free) + (last[3] + x * c1.eval(x))
 
-    Slopes are measured over regular cells only; the hair-width pairs
-    injected around breakpoints would report the jump itself, which the
-    grid resolves exactly, not an interpolation error.  A pair of two
-    infeasible (+inf) points is skipped; a pair with one makes the bound inf.
-    """
-    j0, j1 = max(i - 3, 0), min(i + 4, len(ys))
-    slope, fallback = 0.0, 0.0
-    for t in range(j0, j1 - 1):
-        if vals[t] == vals[t + 1] == math.inf:
-            continue
-        dy = float(ys[t + 1] - ys[t])
-        df = abs(float(vals[t + 1] - vals[t]))
-        fallback = max(fallback, df)
-        if dy >= 0.5 * cell:
-            slope = max(slope, df / dy)
-    return slope * cell if slope > 0 else fallback
+
+def _least(lattices, table: list, K_lo: int) -> tuple[float, tuple]:
+    """The least objective over the lattice points of a round's windows, as
+    ``_point`` sums it, and its points.  ``table[K - K_lo]`` is x c_1(x) at
+    the lattice sum K, up to K = D, so a slice of it stops at x = 0."""
+    *free, last = lattices
+    values, best_v, best = [p[3] for p in last], math.inf, None
+    for combo in itertools.product(*free):
+        K, V = sum(p[1] for p in combo), sum(p[3] for p in combo)
+        i = K + last[0][1] - K_lo
+        low = min(map(operator.add, values, table[i:i + len(values)]), default=None)
+        if low is not None and (best is None or V + low < best_v):
+            j = list(map(operator.add, values, table[i:i + len(values)])).index(low)
+            best_v, best = V + low, combo + (last[j],)
+    return best_v, best
+
+
+def _descend(M: float, D: int, c1, axes, best_v: float, best: tuple) -> tuple[float, tuple]:
+    """Coordinate descent: each free link in turn, the others held, tries
+    its knots, and its lattice flows too while another link sits at a knot;
+    sweeps repeat until one finds nothing less.  Link 1's knots lie across
+    these lines, so from three links on they do not enter."""
+    improved = True
+    while improved:
+        improved = False
+        for d, (lattice, knots) in enumerate(axes):
+            held = best[:d] + best[d + 1:]
+            for p in knots + lattice if any(e for _, _, e, _ in held) else knots:
+                v = _point(M, D, c1, best[:d] + (p,) + best[d + 1:])[1]
+                if v is not None and v < best_v:
+                    best_v, best, improved = v, best[:d] + (p,) + best[d + 1:], True
+    return best_v, best
+
+
+def _bound(M: float, D: int, c1, axes, best: tuple, d: int, i: int) -> float:
+    """Lipschitz-style error estimate along link d + 2's seven flows nearest
+    the incumbent's, which lies next to its i-th lattice flow, the others
+    held: the largest adjacent slope over regular cells times the cell M / D,
+    else the largest adjacent difference.  Slopes skip the hair-width pairs
+    around a knot, which would report its jump, not an interpolation error;
+    pairs skip an infeasible end, as the face it borders lies on the lattice."""
+    lattice, knots = axes[d]
+    around = lattice[max(i - 4, 0):i + 5]
+    line = sorted({*around, *(p for p in knots if around[0][0] <= p[0] <= around[-1][0]), best[d]})
+    j, cell = line.index(best[d]), M / D
+    near = [(p[0], _point(M, D, c1, best[:d] + (p,) + best[d + 1:])[1]) for p in line[max(j - 3, 0):j + 4]]
+    pairs = [(y1 - y0, abs(v1 - v0)) for (y0, v0), (y1, v1) in zip(near, near[1:]) if None not in (v0, v1)]
+    slope = max((df / dy for dy, df in pairs if dy > 0 and dy >= 0.5 * cell), default=0.0)
+    return slope * cell if slope > 0 else max((df for _, df in pairs), default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The exponential game's knots come from one table, ``AlphaSequence``.
 
-``StepExp``'s inverse, ``eval_many`` and ``primitive`` and the CLI's
-breakpoint hints read the knots through ``knots_through``.  Each is checked
+``StepExp``'s inverse and ``primitive`` and the CLI's breakpoint hints
+read the knots through ``knots_through``.  Each is checked
 here against the hand-built ``alpha(j)`` loop it replaced, kept below as a
 reference, on seeded random levels, demands and ranges.
 """
@@ -10,7 +10,6 @@ import math
 import random
 import sys
 
-import numpy as np
 import pytest
 
 from wardrop.cli import auto_breakpoints
@@ -102,26 +101,13 @@ def test_breakpoint_hints_match_the_alpha_loop(seq):
         assert auto_breakpoints(net, lo, hi) == _loop_breakpoints(seq, lo, hi), (lo, hi)
 
 
-@pytest.mark.parametrize("seq", SEQUENCES, ids=repr)
-def test_eval_many_matches_scalar_eval(seq):
-    se = StepExp(seq)
-    knots = _finite_knots(seq)
-    rng = random.Random(18)
-    ys = [0.0, 1e-300] + _knot_neighbours(knots)[:-1]  # the top knot's successor overflows
-    ys += [rng.uniform(0.0, knots[-1]) for _ in range(500)]
-    ys = [y for y in ys if y <= knots[-1]]
-    got = se.eval_many(np.array(ys))
-    assert [float(v) for v in got] == [se.eval(y) for y in ys]
-    assert se.eval_many(np.array([])).shape == (0,)
-
-
-def test_eval_many_refuses_what_eval_refuses():
+def test_eval_and_primitive_refuse_past_the_floats_or_the_table():
     se = StepExp(AlphaSequence("factorial"))
     with pytest.raises(RangeOverflowError):
-        se.eval_many(np.array([1.0, 121.0]))  # the step up to 6! = 720 is beyond floats
+        se.eval(121.0)  # the step up to 6! = 720 is beyond floats
     short = StepExp(AlphaSequence("explicit", values=(1.0, 3.0, 30.0)))
     with pytest.raises(DemandBracketError):
-        short.eval_many(np.array([1.0, 31.0]))
+        short.eval(31.0)
     with pytest.raises(DemandBracketError):
         short.primitive(31.0)
 

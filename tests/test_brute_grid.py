@@ -1,16 +1,17 @@
-"""The brute-force oracle runs one zoom loop for two and three links.
+"""What the brute-force oracle promises, on seeded networks from every cost family.
 
-``opt_bruteforce`` zooms a grid over the flows of links 2..n, one axis per
-link, and gives link 1 the rest.  It replaced a two-link loop and a
-three-link loop, kept below as references with the helpers they called.
-Flows, costs and resolution bounds are compared for exact equality on
-seeded random networks drawn from every cost family.
+``opt_bruteforce`` searches a lattice on the simplex of flows: links 2..n
+take the flows M k / D and their knots, link 1 the rest, and each round
+zooms around the incumbent.  Its answer is a feasible flow, its cost is
+that flow's social cost, no corner of the simplex and no knot of link 1
+costs less, smooth networks of up to five links agree with the
+marginal-cost optimum within its bound, and two calls on the same input
+answer alike.
 """
 
 import math
 import random
 
-import numpy as np
 import pytest
 
 from wardrop.costs import (
@@ -26,115 +27,13 @@ from wardrop.costs import (
     StepExp,
     StepGeometric,
 )
-from wardrop.network import build_parallel
-from wardrop.optimum import opt_bruteforce
-
-
-def _ref_axis_points(lo, hi, n, breakpoints, M, rng):
-    base = np.linspace(lo, hi, n)
-    if rng is not None and n > 2:
-        cell = (hi - lo) / (n - 1)
-        base[1:-1] += rng.uniform(-0.3, 0.3, n - 2) * cell
-    extra = []
-    for b in breakpoints:
-        if b <= 0:
-            continue
-        for off in (b * (1 - 1e-9), b, b * (1 + 1e-9)):
-            if lo <= off <= hi:
-                extra.append(off)
-    if extra:
-        base = np.unique(np.concatenate([base, np.asarray(extra)]))
-    return np.clip(base, lo, hi)
-
-
-def _ref_local_error_bound(ys, vals, i, cell):
-    j0, j1 = max(i - 3, 0), min(i + 4, len(ys))
-    slope, fallback = 0.0, 0.0
-    for t in range(j0, j1 - 1):
-        dy = float(ys[t + 1] - ys[t])
-        with np.errstate(invalid="ignore"):  # inf - inf on two infeasible points
-            df = abs(float(vals[t + 1] - vals[t]))
-        fallback = max(fallback, df)
-        if dy >= 0.5 * cell:
-            slope = max(slope, df / dy)
-    return slope * cell if slope > 0 else fallback
-
-
-def _ref_two_links(net, M, resolution, zoom_rounds, seed):
-    c1, c2 = net.costs
-    rng = np.random.default_rng(seed)
-
-    def objective(ys):
-        xs = M - ys
-        return xs * c1.eval_many(xs) + ys * c2.eval_many(ys)
-
-    lo, hi = 0.0, M
-    best_y, best_v, bound = 0.0, math.inf, math.inf
-    for _ in range(zoom_rounds + 1):
-        bps = list(c2.breakpoints_within(lo, hi))
-        bps += [M - b for b in c1.breakpoints_within(M - hi, M - lo)]
-        ys = _ref_axis_points(lo, hi, resolution, bps, M, rng)
-        vals = objective(ys)
-        i = int(np.argmin(vals))
-        best_y, best_v = float(ys[i]), float(vals[i])
-        cell = (hi - lo) / (resolution - 1)
-        bound = _ref_local_error_bound(ys, vals, i, cell)
-        lo, hi = max(0.0, best_y - cell), min(M, best_y + cell)
-    return (M - best_y, best_y), best_v, bound + 1e-12 * abs(best_v)
-
-
-def _ref_three_links(net, M, resolution, zoom_rounds, seed):
-    c1, c2, c3 = net.costs
-    rng = np.random.default_rng(seed)
-
-    def objective(y2, y3):
-        x1 = M - y2 - y3
-        return np.where(
-            x1 >= 0,
-            np.where(x1 > 0, x1 * c1.eval_many(np.maximum(x1, 0.0)), 0.0)
-            + y2 * c2.eval_many(y2)
-            + y3 * c3.eval_many(y3),
-            np.inf,
-        )
-
-    win = [(0.0, M), (0.0, M)]
-    best = (0.0, 0.0)
-    best_v, bound = math.inf, math.inf
-    for _ in range(zoom_rounds + 1):
-        axes = []
-        for dim, (lo, hi) in enumerate(win):
-            cost = net.costs[dim + 1]
-            axes.append(
-                _ref_axis_points(lo, hi, resolution, cost.breakpoints_within(lo, hi), M, rng)
-            )
-        g2, g3 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        vals = objective(g2, g3)
-        i2, i3 = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        best = (float(g2[i2, i3]), float(g3[i2, i3]))
-        best_v = float(vals[i2, i3])
-        cell2 = (win[0][1] - win[0][0]) / (resolution - 1)
-        cell3 = (win[1][1] - win[1][0]) / (resolution - 1)
-        bound = max(
-            _ref_local_error_bound(axes[0], vals[:, i3], i2, cell2),
-            _ref_local_error_bound(axes[1], vals[i2, :], i3, cell3),
-        )
-        new_win = []
-        for dim, (lo, hi) in enumerate(win):
-            cell = (hi - lo) / (resolution - 1)
-            new_win.append((max(0.0, best[dim] - cell), min(M, best[dim] + cell)))
-        win = new_win
-    x1 = max(M - best[0] - best[1], 0.0)
-    return (x1, best[0], best[1]), best_v, bound + 1e-12 * abs(best_v)
-
-
-def _reference(net, M, resolution, zoom_rounds, seed):
-    if net.n_edges == 2:
-        return _ref_two_links(net, M, resolution, zoom_rounds, seed)
-    return _ref_three_links(net, M, min(resolution, 257), zoom_rounds, seed)
+from wardrop.errors import UnsupportedCostError
+from wardrop.network import FlowProfile, build_parallel, social_cost
+from wardrop.optimum import opt_bruteforce, opt_parallel_marginal
 
 
 def _random_cost(rnd: random.Random):
-    """A cost from every family the oracle evaluates on a grid."""
+    """A cost from every family the oracle evaluates on a lattice."""
     family = rnd.randrange(11)
     if family == 0:
         return Affine(rnd.uniform(0.0, 3.0), rnd.uniform(0.0, 3.0))
@@ -159,28 +58,57 @@ def _random_cost(rnd: random.Random):
     return Shifted(StepGeometric(2.0), rnd.uniform(0.0, 5.0))
 
 
+def _demand(rnd: random.Random) -> float:
+    return math.exp(rnd.uniform(math.log(0.2), math.log(25.0)))
+
+
 def _cases(n_links: int, count: int, seed: int):
     rnd = random.Random(seed)
     for _ in range(count):
         net = build_parallel([_random_cost(rnd) for _ in range(n_links)])
-        M = math.exp(rnd.uniform(math.log(0.2), math.log(25.0)))
+        M = _demand(rnd)
         resolution = rnd.choice((33, 64, 257, 300, 1201, 4001))
-        yield net, M, resolution, rnd.randint(0, 3), rnd.randint(0, 4)
-
-
-def _assert_matches_reference(net, M, resolution, zoom_rounds, seed):
-    sol = opt_bruteforce(net, M, resolution=resolution, zoom_rounds=zoom_rounds, seed=seed)
-    flows, cost, bound = _reference(net, M, resolution, zoom_rounds, seed)
-    case = (net.costs, M, resolution, zoom_rounds, seed)
-    assert sol.flow.path_flows == flows, case
-    assert sol.cost == cost, case
-    assert sol.resolution_bound == bound, case
+        yield net, M, resolution, rnd.randint(0, 3)
 
 
 @pytest.mark.parametrize("n_links, count", [(2, 200), (3, 100)])
-def test_oracle_matches_the_former_loops_bit_for_bit(n_links, count):
-    for case in _cases(n_links, count, seed=19 + n_links):
-        _assert_matches_reference(*case)
+def test_oracle_answers_a_feasible_flow_at_its_cost_and_beats_every_corner(n_links, count):
+    for net, M, resolution, zoom_rounds in _cases(n_links, count, seed=19 + n_links):
+        sol = opt_bruteforce(net, M, resolution=resolution, zoom_rounds=zoom_rounds)
+        case = (net.costs, M, resolution, zoom_rounds)
+        flows = sol.flow.path_flows
+        assert len(flows) == n_links and min(flows) >= 0.0, case
+        assert abs(math.fsum(flows) - M) <= 1e-12 * M, case
+        assert sol.cost == pytest.approx(social_cost(net, sol.flow), rel=1e-12, abs=0.0), case
+        # the corners are lattice points of the first round, and no later
+        # round loses its incumbent
+        for i in range(n_links):
+            corner = FlowProfile(tuple(M if j == i else 0.0 for j in range(n_links)), M)
+            assert sol.cost <= social_cost(net, corner), (case, i)
+
+
+@pytest.mark.parametrize("n_links", [3, 4, 5])
+def test_smooth_networks_agree_with_the_marginal_optimum_within_the_bound(n_links):
+    rnd = random.Random(40 + n_links)
+    for _ in range(12):
+        costs = []
+        while len(costs) < n_links:
+            cost = _random_cost(rnd)
+            if cost.is_continuous():
+                costs.append(cost)
+        net, M = build_parallel(costs), _demand(rnd)
+        exact = opt_parallel_marginal(net, M)
+        brute = opt_bruteforce(net, M)
+        tol = max(brute.resolution_bound, 1e-9 * max(abs(exact.cost), 1.0))
+        assert abs(brute.cost - exact.cost) <= tol, (costs, M, brute.resolution_bound)
+
+
+def test_three_link_oracle_reaches_the_face_where_link_1_is_empty():
+    # the optimum leaves the constant link empty: (0, 2.5, 2.5) at cost 12.5
+    net = build_parallel([Constant(30.0), Affine(0.0, 1.0), Affine(0.0, 1.0)])
+    sol = opt_bruteforce(net, 5.0)
+    assert sol.flow.path_flows[0] == 0.0
+    assert abs(sol.cost - 12.5) <= sol.resolution_bound < 1e-6
 
 
 @pytest.mark.parametrize(
@@ -193,15 +121,22 @@ def test_oracle_matches_the_former_loops_bit_for_bit(n_links, count):
 )
 @pytest.mark.parametrize("M", [0.7, 3.0, 6.0, 13.5])
 def test_two_link_oracle_mirrors_the_first_links_knots(costs, M):
+    # link 2's flow M - b puts link 1 at its knot b, where its cost jumps or
+    # kinks; off the lattice, such a point is found only as a knot
+    net = build_parallel(costs)
+    knots = [b for b in costs[0].breakpoints_within(0.0, M) if b < M]
+    at_knots = min(social_cost(net, FlowProfile((M - (M - b), M - b), M)) for b in knots)
     for zoom_rounds in (0, 2):
-        _assert_matches_reference(build_parallel(costs), M, 257, zoom_rounds, 1)
+        assert opt_bruteforce(net, M, resolution=257, zoom_rounds=zoom_rounds).cost <= at_knots
 
 
-def test_three_link_oracle_skips_infeasible_pairs_without_a_warning():
-    # the grid cannot reach the face x_1 = 0, so the incumbent borders
-    # infeasible points; the pytest configuration turns a warning into an error
-    net = build_parallel([Constant(30.0), Affine(0.0, 1.0), Affine(0.0, 1.0)])
-    sol = opt_bruteforce(net, 5.0)
-    assert sol.resolution_bound == math.inf
-    assert sol.cost == pytest.approx(12.5, rel=1e-3)
-    assert (sol.flow.path_flows, sol.cost) == _reference(net, 5.0, 4001, 3, 0)[:2]
+def test_two_calls_answer_alike():
+    net = build_parallel([Shifted(StepGeometric(2.0), 1.0), PwlSquare(3.0), ExpOverX()])
+    a, b = opt_bruteforce(net, 5.0), opt_bruteforce(net, 5.0)
+    assert (a.flow, a.cost, a.resolution_bound) == (b.flow, b.cost, b.resolution_bound)
+
+
+def test_a_lattice_with_fewer_than_two_flows_per_link_is_refused():
+    # 257**2 lattice points per round give 17 free links 2 flows each, 18 only 1
+    with pytest.raises(UnsupportedCostError, match="fewer than 2 flows"):
+        opt_bruteforce(build_parallel([Affine(1.0, 1.0)] * 19), 1.0)

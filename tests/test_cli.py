@@ -182,6 +182,15 @@ def test_extremes_needs_at_least_one_period(tmp_path, capsys):
     assert err == "solver error: periods_required must be at least 1, got 0\n"
 
 
+def test_brute_force_at_a_million_lattice_flows(capsys):
+    # once "division by zero ... the demand is below the range native floats resolve"
+    code, out, err = _run(["opt", "--network", "pigou", "--demand", "1", "--method", "brute",
+                           "--resolution", "1000000"], capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert abs(payload["cost"]["value"] - 0.75) <= payload["resolution_bound"] < 1e-9
+
+
 @pytest.mark.parametrize("resolution", ["1", "0", "-3"])
 def test_brute_force_needs_two_grid_points(resolution, capsys):
     # 0 and -3 once were ValueError tracebacks, and 1 blamed the demand
@@ -375,13 +384,32 @@ def _child_pythonpath():
     return os.pathsep.join(entries)
 
 
+_EVERY_FAMILY = (
+    "w = wardrop\n"
+    "families = [w.Affine(1.0, 2.0), w.Constant(3.0), w.Monomial(1.0, 2.0), w.Polynomial((1.0, 0.5, 2.0)),\n"
+    "            w.SaturatingLinear(), w.StepGeometric(2.0), w.PwlSquare(2.0), w.ExpOverX(),\n"
+    "            w.StepExp(w.AlphaSequence('factorial')), w.Shifted(w.StepGeometric(2.0), 1.0)]\n"
+    "for c in families:\n"
+    "    for x in (0.5, 3.0):\n"
+    "        c.eval(x), c.eval_right(x), c.eval_log(x), c.generalized_inverse(x), c.derivative_bounds(x)\n"
+    "        try:\n"
+    "            c.primitive(x)\n"
+    "        except w.UnsupportedCostError:  # ExpOverX: the exponential integral\n"
+    "            pass\n"
+    "assert 'numpy' not in sys.modules"
+)
+
+
 @pytest.mark.parametrize("call", [
     'assert wardrop.cli.main(["poa", "--network", "pigou", "--demand", "1"]) == 0\n'
     'assert "numpy" not in sys.modules',
-    'assert wardrop.StepGeometric(2.0).eval_many([1.0, 3.0]).tolist() == [1.0, 4.0]',
+    _EVERY_FAMILY,
+    'net = wardrop.build_parallel([wardrop.Affine(1.0, 1.0), wardrop.StepGeometric(2.0), wardrop.PwlSquare(3.0)])\n'
+    'assert wardrop.opt_bruteforce(net, 5.0).resolution_bound < 1e-6\n'
+    'assert "numpy" not in sys.modules',
     'curve = wardrop.poa_sweep(wardrop.named_instance("step:2"), 4.0, 8.0, samples_per_decade=8)\n'
     'assert curve.samples and not curve.failures',
-], ids=["cli-poa", "eval_many", "poa_sweep"])
+], ids=["cli-poa", "point-methods", "opt_bruteforce", "poa_sweep"])
 def test_numpy_is_loaded_only_where_arrays_are_used(call):
     # a fresh interpreter: the suite's own numpy would hide an import at load time
     script = f"import sys\nimport wardrop, wardrop.cli\nassert 'numpy' not in sys.modules\n{call}\n"

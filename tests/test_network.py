@@ -132,6 +132,13 @@ def test_flow_profile_rejects_nan_and_inf(flows, total):
         FlowProfile(flows, total)
 
 
+@pytest.mark.parametrize("flows, total", [((10**400,), 1.0), ((1.0,), 10**400)], ids=["flow", "total"])
+def test_flow_profile_int_past_the_float_range_is_not_finite(flows, total):
+    # float() of such an int once raised a bare OverflowError
+    with pytest.raises(DomainError, match="flows must be finite"):
+        FlowProfile(flows, total)
+
+
 @pytest.mark.parametrize("total", [math.inf, sys.float_info.max])
 def test_flow_profile_sum_past_the_float_range_is_a_domain_error(total):
     # fsum raises a bare OverflowError on the intermediate sum
