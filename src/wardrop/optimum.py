@@ -247,7 +247,9 @@ def opt_bruteforce(
     ``eval``.  A round gives links 2..n ``resolution`` lattice flows each,
     fewer past 257**2 lattice points (4 links: 40, 5 links: 16), and their
     knots; link 1 takes the rest.  ``resolution_bound`` is a Lipschitz-style
-    error estimate near the incumbent in the final round.  It answers M = 0
+    error estimate near the incumbent in the final round.  Where every
+    lattice flow's social cost overflows, it raises a RangeOverflowError, as
+    the exact solvers do.  It answers M = 0
     with the empty flow, so it checks its demand itself rather than carry
     the ``_typed_failures`` guard of the solvers.
     """
@@ -324,6 +326,9 @@ def _brute_grid(net, M, r, zoom_rounds) -> OptimumSolution:
             zooms, D, centers = zooms - 1, D * f, [c * f for c in centers]
         wins = [(max(0, c - f), min(D, c + f)) for c in centers]
     best_v, best, D, bound = found
+    if best_v == math.inf:
+        raise RangeOverflowError(f"float overflow at M={float(M)!r}: every lattice flow's social cost "
+                                 "is past the float range")
     flow = FlowProfile((_point(M, D, c1, best)[0],) + tuple(y for y, *_ in best), M)
     return OptimumSolution(
         flow, best_v, "brute-force", resolution_bound=bound + 1e-12 * abs(best_v)
@@ -377,13 +382,15 @@ def _bound(M: float, D: int, c1, axes, best: tuple, d: int, i: int) -> float:
     held: the largest adjacent slope over regular cells times the cell M / D,
     else the largest adjacent difference.  Slopes skip the hair-width pairs
     around a knot, which would report its jump, not an interpolation error;
-    pairs skip an infeasible end, as the face it borders lies on the lattice."""
+    pairs skip an infeasible end, as the face it borders lies on the lattice,
+    and a pair with an overflowing end differs by inf, never by NaN."""
     lattice, knots = axes[d]
     around = lattice[max(i - 4, 0):i + 5]
     line = sorted({*around, *(p for p in knots if around[0][0] <= p[0] <= around[-1][0]), best[d]})
     j, cell = line.index(best[d]), M / D
     near = [(p[0], _point(M, D, c1, best[:d] + (p,) + best[d + 1:])[1]) for p in line[max(j - 3, 0):j + 4]]
-    pairs = [(y1 - y0, abs(v1 - v0)) for (y0, v0), (y1, v1) in zip(near, near[1:]) if None not in (v0, v1)]
+    pairs = [(y1 - y0, abs(v1 - v0) if math.isfinite(v1 - v0) else math.inf)
+             for (y0, v0), (y1, v1) in zip(near, near[1:]) if None not in (v0, v1)]
     slope = max((df / dy for dy, df in pairs if dy > 0 and dy >= 0.5 * cell), default=0.0)
     return slope * cell if slope > 0 else max((df for _, df in pairs), default=0.0)
 

@@ -5,12 +5,14 @@ take the flows M k / D and their knots, link 1 the rest, and each round
 zooms around the incumbent.  Its answer is a feasible flow, its cost is
 that flow's social cost, no corner of the simplex and no knot of link 1
 costs less, smooth networks of up to five links agree with the
-marginal-cost optimum within its bound, and two calls on the same input
-answer alike.
+marginal-cost optimum within its bound, two calls on the same input
+answer alike, and at the top of the float range it answers a finite cost
+or raises a RangeOverflowError.
 """
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -27,9 +29,11 @@ from wardrop.costs import (
     StepExp,
     StepGeometric,
 )
-from wardrop.errors import UnsupportedCostError
+from wardrop.errors import RangeOverflowError, UnsupportedCostError
 from wardrop.network import FlowProfile, build_parallel, social_cost
 from wardrop.optimum import opt_bruteforce, opt_parallel_marginal
+
+from test_costs import ALL_FAMILIES, _with_marginals
 
 
 def _random_cost(rnd: random.Random):
@@ -128,6 +132,26 @@ def test_two_link_oracle_mirrors_the_first_links_knots(costs, M):
     at_knots = min(social_cost(net, FlowProfile((M - (M - b), M - b), M)) for b in knots)
     for zoom_rounds in (0, 2):
         assert opt_bruteforce(net, M, resolution=257, zoom_rounds=zoom_rounds).cost <= at_knots
+
+
+@pytest.mark.parametrize("M", [1e300, 1e308, sys.float_info.max])
+@pytest.mark.parametrize("shape", ["c c", "c 1 c"])
+@pytest.mark.parametrize(
+    "cost", _with_marginals(ALL_FAMILIES + [Monomial(1.0, 3.0), PwlSquare(1e10)]), ids=repr
+)
+def test_oracle_at_the_top_of_the_float_range_answers_or_refuses(cost, shape, M):
+    """A feasible flow at a finite cost with a bound that is not NaN, or a
+    RangeOverflowError: no infinite cost and no bare OverflowError.  The
+    constant middle link leaves the incumbent finite while its neighbours
+    on the lattice overflow."""
+    net = build_parallel([cost if c == "c" else Constant(1.0) for c in shape.split()])
+    try:
+        sol = opt_bruteforce(net, M)
+    except RangeOverflowError:
+        return
+    assert math.isfinite(sol.cost) and not math.isnan(sol.resolution_bound), sol
+    assert min(sol.flow.path_flows) >= 0.0 and abs(math.fsum(sol.flow.path_flows) - M) <= 1e-12 * M, sol
+    assert sol.cost == pytest.approx(social_cost(net, sol.flow), rel=1e-12, abs=0.0), sol
 
 
 def test_two_calls_answer_alike():
