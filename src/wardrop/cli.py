@@ -25,7 +25,7 @@ from .instances import classify, named_instance, step_breakpoints
 from .logdomain import LogValue
 from .network import Network, load_network
 from .equilibrium import _check_demand, wardrop_equilibrium
-from .optimum import social_optimum
+from .optimum import certificate, social_optimum
 from .rv import rv_suite
 
 USAGE_ERROR, INPUT_ERROR, NUMERIC_ERROR = 1, 2, 3
@@ -124,7 +124,7 @@ def _cmd_opt(args: argparse.Namespace) -> int:
         "flow": list(sol.flow.path_flows),
         "cost": _cost_value(sol.cost),
         "method": sol.method,
-        "certificate": [dict(row) for row in sol.certificate],
+        "certificate": certificate(net, args.demand, sol.method),
         "flag": sol.flag,
     }
     if sol.resolution_bound is not None:

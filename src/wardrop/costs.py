@@ -934,15 +934,10 @@ class AlphaSequence:
 
     def bracket_index(self, M: float) -> int:
         """k with 2 alpha_k < M <= 2 alpha_{k+1}: the exponential game's
-        demand bracket holding M."""
+        demand bracket holding M > 0, k = 0 at or below 2 alpha_1."""
         if self._max_index < 2:
             raise DemandBracketError(
                 "alpha sequence needs at least two terms to define the bracket lattice"
-            )
-        if M <= 2.0 * self.alpha(1):
-            raise DemandBracketError(
-                f"demand {M!r} at or below 2*alpha_1; the bracket lattice starts above it",
-                needed_index=0,
             )
         k = self._least_index(0.5 * M) - 1
         if k + 1 > self._max_index:

@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedCostError,
 )
 from .instances import classify
-from .logdomain import LogValue, log_add
+from .logdomain import LogValue, log_add, log_term
 from .network import FlowProfile, Network, edge_flows, social_cost
 
 RESIDUAL_RTOL = 1e-9
@@ -492,7 +492,7 @@ def wardrop_parallel_log(net: Network, M: float) -> EquilibriumSolution:
 
     Applies the explicit bracket split: for 2 a_k < M <= a_k + a_{k+1} the
     step link carries a_k; for a_k + a_{k+1} < M <= 2 a_{k+1} the smooth
-    link carries a_{k+1}.
+    link carries a_{k+1}.  Below 2 a_1 the bracket is k = 0, where a_0 = 0.
     """
     kind = classify(net)
     if kind.name != "exp":
@@ -516,5 +516,5 @@ def wardrop_parallel_log(net: Network, M: float) -> EquilibriumSolution:
         if f > USED_RTOL * M:
             gap = own[i] - min_entry
             residual = max(residual, math.expm1(gap) if gap > 0 else 0.0)
-    cost = log_add(math.log(x) + own[0], math.log(y) + own[1])  # x, y > 0
+    cost = log_add(log_term(x, own[0]), log_term(y, own[1]))  # y = a_0 = 0 for M <= a_1
     return EquilibriumSolution(flow, LogValue(max(own)), residual, LogValue(cost), "log-bisection")

@@ -27,6 +27,12 @@ def log_add(t: float, u: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
+def log_term(f: float, log_c: float) -> float:
+    """ln(f e^log_c): a link's term f c(f) of a social cost, in logs, and
+    -inf, the zero term of ``log_add``, where the link carries no flow."""
+    return math.log(f) + log_c if f > 0 else -math.inf
+
+
 @total_ordering
 @dataclass(frozen=True)
 class LogValue:

@@ -6,7 +6,9 @@ equilibrium solvers and their residual check.  The paper's three two-link
 counterexamples share one exact scan, ``_scan``: the least objective over
 the corners, the knots and each piece's projected stationary point, each
 scored once on the piece holding it (in log domain for the exponential
-game).  Every exact method can be checked against a zoomed lattice search
+game), from the piece holding M down until a lower bound on the objective
+cuts every piece below.  ``certificate`` gives the rows ``wardrop opt``
+prints.  Every exact method can be checked against a zoomed lattice search
 whose reported resolution bound is an honest Lipschitz-style error estimate.
 """
 
@@ -16,6 +18,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .costs import (
@@ -30,7 +33,7 @@ from .costs import (
 )
 from .errors import DomainError, RangeOverflowError, UnsupportedCostError
 from .instances import classify
-from .logdomain import LogValue, log_add
+from .logdomain import LogValue, log_add, log_term
 from .network import FlowProfile, Network, social_cost
 from .equilibrium import _general_flow, _parallel_flow, _Track, _typed_failures
 
@@ -42,7 +45,6 @@ class OptimumSolution:
     flow: FlowProfile
     cost: float | LogValue
     method: str
-    certificate: tuple = ()
     resolution_bound: float | None = None
     flag: str | None = None
 
@@ -86,29 +88,51 @@ def _marginal_optimum(net: Network, M: float, solve, method: str) -> OptimumSolu
 
 
 # ---------------------------------------------------------------------------
-# the exact two-link optima: one candidate scan
+# the exact two-link optima: one candidate scan, bounded by proof
 # ---------------------------------------------------------------------------
 
 
-def _scan(M: float, top: tuple[float, float], pieces, objective) -> tuple[float, dict]:
-    """The least objective over the exact optima's candidates.
+def _scan(M: float, pieces, objective, bound) -> tuple[float, dict]:
+    """The least objective over the exact optima's candidates, by branch and
+    bound (Land and Doig, 1960) from the piece holding M down.
 
-    ``pieces`` yields (j, lo, hi, y) for each piece (lo, hi] of c2, where y
-    is the caller's projected stationary point or None.  The candidates are
-    the corners 0 and M (label -1; M lies on ``top``), each y and each knot
-    hi <= M (label j); a y equal to lo lies on the piece below (label j - 1),
-    scored on the point piece (lo, lo) for c2(lo).  A y found twice keeps
-    its last label.  Each is scored once, as ``objective(y, lo, hi)``.
-    Returns the least y (first found among equal values), {y: (value, label)}.
+    ``pieces`` yields (j, lo, hi, y) for each piece (lo, hi] of c2, the one
+    holding M first, where y is the caller's projected stationary point or
+    None.  The candidates are the corners M (label -1, on the first piece)
+    and 0 (label -1), each y and each knot hi <= M (label j); a y equal to lo
+    lies on the piece below (label j - 1), scored on the point piece (lo, lo)
+    for c2(lo).  Each is scored once, as ``objective(y, lo, hi)``, with the
+    label of the highest piece that finds it.  ``bound(hi)`` is at most the
+    objective at every y <= hi and rises as hi falls, so the first piece
+    whose bound passes the least value found, by more than the rounding of
+    either, is cut with every piece below it and the corner 0: none of them
+    can win or tie.  A bound of +inf cuts too, as +inf is never an answer.
+    Returns the winner (among equal values 0, then M, then the least y) and
+    {y: (value, label)} over the candidates scored.
     """
-    found = {0.0: (-1, 0.0, 0.0), M: (-1, *top)}  # y -> (label, lo, hi) of the piece holding y
-    for j, lo, hi, y in pieces:
+    scores, best = {}, math.inf
+    for n, (j, lo, hi, y) in enumerate(itertools.chain(pieces, [(-1, 0.0, 0.0, None)])):
+        if n and ((low := bound(hi)) == math.inf or low > best + 1e-12 * abs(best)):
+            break
+        found = [(hi, j, lo, hi)] if hi <= M else []
+        if not n:
+            found.append((M, -1, lo, hi))
         if y is not None:
-            found[y] = (j, lo, hi) if y > lo else (j - 1, lo, lo)
-        if hi <= M:
-            found[hi] = (j, lo, hi)
-    scores = {y: (objective(y, lo, hi), label) for y, (label, lo, hi) in found.items()}
-    return min(scores, key=lambda y: scores[y][0]), scores
+            found.append((y, j, lo, hi) if y > lo else (y, j - 1, lo, lo))
+        for y, label, lo, hi in found:
+            if y not in scores:
+                scores[y] = (value := objective(y, lo, hi)), label
+                best = min(best, value)
+    return min(scores, key=lambda y: (scores[y][0], y != 0.0, y != M, y)), scores
+
+
+def _step_pieces(a: float, M: float, js):
+    """(j, a^j, a^{j+1}, y) for each j in ``js``, y = M - a^{j+1}/2, the
+    minimizer of y a^{j+1} + (M-y)^2, projected onto the piece."""
+    k0, table = _powers(a)
+    for j in js:
+        lo, hi = table[max(j - k0, 0)], table[max(j + 1 - k0, 0)]  # a^j rounds to 0 below k0
+        yield j, lo, hi, min(max(M - hi / 2.0, lo), hi)
 
 
 @_typed_failures
@@ -117,34 +141,56 @@ def opt_parallel_step(a: float, M: float) -> OptimumSolution:
 
     Decomposes min_y y c2(y) + (M-y)^2 over the intervals (a^j, a^{j+1}]
     where the step cost is constant; on each, the unconstrained minimizer
-    y_j = M - a^{j+1}/2 is projected onto the interval.  All feasible j
-    are scanned; the winner must land in {C_{k-1}, C_k}, which is flagged
-    if violated.  On the piece (lo, hi] holding y, c2(y) = hi.
+    y_j = M - a^{j+1}/2 is projected onto the interval.  On the piece (lo, hi]
+    holding y, c2(y) = hi.  ``_scan`` bounds each piece by max(M - hi, 0)^2,
+    the least (M-y)^2 on it.  The winner must land in {C_{k-1}, C_k}, the
+    values y a^{j+1} + (M-y)^2 at the projections, which is flagged if C_{k+1}
+    is less; no C_j below k-1 is less than C_{k-1}, as there y_j = a^{j+1} = h
+    and h^2 + (M-h)^2 falls as h rises to a^k < M/2.
     """
     StepGeometric(a)  # the family's check of a
-    k = _period_index(a, M)
-
-    # certificate: the closed-form subproblem values C_j, with c2 = a^{j+1}
-    # on the closed interval (the scan scores y = a^j at c2 = a^j); feasibility
-    # requires a^j < M, so j stops below the least knot at or above M
-    k0, table = _powers(a)
-    k_top, lo_top, c_top = _piece(a, M)
-    pieces = []
-    for j in range(k - 8, k_top):
-        aj, aj1 = table[max(j - k0, 0)], table[max(j + 1 - k0, 0)]  # a^j rounds to 0 below k0
-        pieces.append((j, aj, aj1, min(max(M - aj1 / 2.0, aj), aj1)))
-    certificate = [{"j": j, "y_free": M - hi / 2.0, "y": y, "value": hi * y + (M - y) ** 2}
-                   for j, _, hi, y in pieces]
-    y_star, scores = _scan(M, (lo_top, c_top), pieces, lambda y, lo, hi: y * hi + (M - y) ** 2)
-
+    k, (k0, _), k_top = _period_index(a, M), _powers(a), _piece(a, M)[0]
+    # the corner y = 0 scores M^2, an OverflowError past the floats as in a scan of every
+    # candidate; the optimum, at most M^2, is below the normal floats where M^2 is
+    if M**2 < sys.float_info.min:
+        raise ZeroDivisionError("the social cost is below the normal floats")
+    y_star, scores = _scan(M, _step_pieces(a, M, range(k_top - 1, k0 - 1, -1)),
+                           lambda y, lo, hi: y * hi + (M - y) ** 2, lambda hi: max(M - hi, 0.0) ** 2)
+    rows = {j: hi * y + (M - y) ** 2 for j, _, hi, y in _step_pieces(a, M, range(k - 1, k_top))}
     flag = None
-    cert_best = min(row["value"] for row in certificate)
-    paper_set = [row["value"] for row in certificate if row["j"] in (k - 1, k)]
-    if not paper_set or min(paper_set) > cert_best * (1.0 + 1e-12):
+    if min(rows[k - 1], rows[k]) > min(rows.values()) * (1.0 + 1e-12):
         flag = "optimal interval outside {k-1, k}"
+    return OptimumSolution(FlowProfile((M - y_star, y_star), M), scores[y_star][0], "step-interval", flag=flag)
 
-    flow = FlowProfile((M - y_star, y_star), M)
-    return OptimumSolution(flow, scores[y_star][0], "step-interval", tuple(certificate), flag=flag)
+
+def _pwl_pieces(a: float, M: float, ks):
+    """(k, a^{k-1}, a^k, y) for each k in ``ks``, y the stationary point of
+    (M-y)^3 + (p+q)y^2 - pqy inside the piece [p, q], or None."""
+    k0, table = _powers(a)
+    for k in ks:
+        p, q = table[max(k - 1 - k0, 0)], table[max(k - k0, 0)]  # a^k rounds to 0 below k0
+        # 3(M-y)^2 = 2(p+q)y - pq, the increasing branch root
+        b = 6.0 * M + 2.0 * (p + q)
+        disc = b * b - 12.0 * (3.0 * M * M + p * q)
+        root = (b - math.sqrt(disc)) / 6.0 if disc >= 0.0 else math.nan  # nan fails every test below
+        yield k, p, q, root if p < root < q and 0.0 < root <= M else None
+
+
+def _cube(x: float) -> float:
+    """x^3, or +inf where it overflows."""
+    try:
+        return x**3
+    except OverflowError:
+        return math.inf
+
+
+def _pwl_objective(M: float):
+    """(M-y)^3 + y c2(y), c2 the chord of the piece [p, q] holding y; +inf
+    where the cube overflows."""
+    def objective(y: float, p: float, q: float) -> float:
+        cube = _cube(M - y)
+        return cube if cube == math.inf else cube + y * _chord(p, q, y)
+    return objective
 
 
 @_typed_failures
@@ -154,48 +200,34 @@ def opt_parallel_pwl_square(a: float, M: float) -> OptimumSolution:
     Candidates are the knots y = a^k (where the optimality condition
     3x^2 in the knot subdifferential can hold) and the stationary point of
     each linear piece, scored with the chord of the piece [p, q] holding
-    them.  A candidate whose (M - y)^3 overflows scores +inf, so it loses
+    them.  ``_scan`` bounds each piece by max(M - q, 0)^3, the least (M-y)^3
+    on it.  A candidate whose (M - y)^3 overflows scores +inf, so it loses
     to any finite one; when every candidate overflows, RangeOverflowError.
     """
     PwlSquare(a)  # the family's check of a
-    # pieces above the anchor start at or above M
-    k_anchor, p_top, q_top = _piece(a, M)
-    k0, table = _powers(a)
-    pieces = []
-    for k in range(k_anchor - 3, k_anchor + 1):
-        p, q = table[max(k - 1 - k0, 0)], table[max(k - k0, 0)]  # a^k rounds to 0 below k0
-        # stationary point of (M-y)^3 + (p+q)y^2 - pqy on the piece interior:
-        # 3(M-y)^2 = 2(p+q)y - pq, the increasing branch root
-        b = 6.0 * M + 2.0 * (p + q)
-        disc = b * b - 12.0 * (3.0 * M * M + p * q)
-        root = (b - math.sqrt(disc)) / 6.0 if disc >= 0.0 else math.nan  # nan fails every test below
-        pieces.append((k, p, q, root if p < root < q and 0.0 < root <= M else None))
-
-    def objective(y: float, p: float, q: float) -> float:
-        try:
-            cube = (M - y) ** 3
-        except OverflowError:
-            return math.inf
-        return cube + y * _chord(p, q, y)
-
-    y_star, scores = _scan(M, (p_top, q_top), pieces, objective)
-    certificate = [{"k": k, "interior": y, "value": scores[y][0]}
-                   for k, _, _, y in pieces if y is not None]
-    certificate.extend({"y": y, "value": v} for y, (v, _) in sorted(scores.items()))
+    if _cube(M) < sys.float_info.min:  # the corner y = 0 scores M^3, at least the optimum
+        raise ZeroDivisionError("the social cost is below the normal floats")
+    k_anchor, k0 = _piece(a, M)[0], _powers(a)[0]
+    y_star, scores = _scan(M, _pwl_pieces(a, M, range(k_anchor, k0, -1)), _pwl_objective(M),
+                           lambda q: _cube(max(M - q, 0.0)))
     best = scores[y_star][0]
     if best == math.inf:
         raise RangeOverflowError(f"every pwl-square candidate overflows at M={float(M)!r}")
-    flow = FlowProfile((M - y_star, y_star), M)
-    return OptimumSolution(flow, best, "pwl-candidates", tuple(certificate))
+    return OptimumSolution(FlowProfile((M - y_star, y_star), M), best, "pwl-candidates")
 
 
 def _exp_log_objective(M: float, y: float, alpha: float) -> float:
     """ln(x c1(x) + y c2(y)) at x = M - y, where c2(y) = ExpOverX(alpha) is
     the step holding y; a term with no flow is left out."""
-    x = M - y
-    t = math.log(x) + _log_exp_over_x(x) if x > 0 else -math.inf
-    u = math.log(y) + _log_exp_over_x(alpha) if y > 0 else -math.inf
-    return log_add(t, u)
+    return log_add(log_term(M - y, _log_exp_over_x(M - y)), log_term(y, _log_exp_over_x(alpha)))
+
+
+def _exp_pieces(M: float, knots: tuple, js):
+    """(j, alpha_j, alpha_{j+1}, y) for each j in ``js``, y the stationary
+    point M - alpha_{j+1} + ln(alpha_{j+1}) projected onto the piece and [0, M]."""
+    for j in js:
+        lo, hi = knots[j], knots[j + 1]
+        yield j, lo, hi, min(max(M - hi + math.log(max(hi, 1.0)), lo), hi, M)
 
 
 @_typed_failures
@@ -204,29 +236,54 @@ def opt_parallel_exp_log(alphas: AlphaSequence, M: float) -> OptimumSolution:
 
     For each feasible piece (alpha_j, alpha_{j+1}] the unconstrained
     stationary point y_j = M - alpha_{j+1} + ln(alpha_{j+1}) is projected
-    onto the piece; the true objective is evaluated in log domain at every
-    projected candidate, every knot, and the corners, on float logs summed
-    by ``log_add``; only the winner becomes a ``LogValue``.  The winner is
-    flagged when it falls outside the asymptotic candidate set {k-1, k, k+1}.
+    onto the piece; the true objective is evaluated in log domain at the
+    projected candidates, the knots and the corners, on float logs summed by
+    ``log_add``; only the winner becomes a ``LogValue``.  ``_scan`` bounds
+    each piece by ln(x c1(x)) at x = M - alpha_{j+1}, the least x on it: on
+    factorial at M = 1e300 it scores 2 candidates of 167 pieces.  The winner is flagged when it falls outside the
+    asymptotic candidate set {k-1, k, k+1}.
     """
     k = alphas.bracket_index(M)
     alphas.cover_index(M)  # DemandBracketError when no step holds y = M
     knots = alphas.knots_through(M)
-
-    y_free = [M - aj1 + math.log(max(aj1, 1.0)) for aj1 in knots[1:]]
-    pieces = [(j, aj, aj1, min(max(y_free[j], aj), aj1, M))
-              for j, (aj, aj1) in enumerate(zip(knots, knots[1:]))]
     # c2(y) = ExpOverX(alpha) for the upper end alpha of the piece holding y
-    y_star, scores = _scan(M, knots[-2:], pieces, lambda y, lo, hi: _exp_log_objective(M, y, hi))
-    certificate = tuple({"j": j, "y_free": y_free[j], "y": y, "log_value": scores[y][0]}
-                        for j, _, _, y in pieces)
+    y_star, scores = _scan(M, _exp_pieces(M, knots, range(len(knots) - 2, -1, -1)),
+                           lambda y, lo, hi: _exp_log_objective(M, y, hi),
+                           lambda hi: log_term(M - hi, _log_exp_over_x(M - hi)))
     log_value, label = scores[y_star]
     flag = None
     if label not in (k - 1, k, k + 1):
         flag = f"optimal piece j={label} outside the candidate set around k={k}"
+    return OptimumSolution(FlowProfile((M - y_star, y_star), M), LogValue(log_value), "exp-candidates", flag=flag)
 
-    flow = FlowProfile((M - y_star, y_star), M)
-    return OptimumSolution(flow, LogValue(log_value), "exp-candidates", certificate, flag=flag)
+
+def certificate(net: Network, M: float, method: str) -> list[dict]:
+    """The rows ``wardrop opt`` prints for the exact optimum ``method``
+    found on ``net`` at M, over fixed display windows, not the pieces
+    ``_scan`` reached; [] for any other method.
+    - step-interval: pieces k-8 up to the one holding M, each with its free
+      point, projection y and value y a^{j+1} + (M-y)^2;
+    - pwl-candidates: the interior stationary points of the four pieces up
+      to the one holding M, then every candidate there with its value;
+    - exp-candidates: every piece from alpha_0, with its free point,
+      projection y and log objective at y."""
+    param = classify(net).param
+    if method == "step-interval":
+        js = range(_period_index(param, M) - 8, _piece(param, M)[0])
+        return [{"j": j, "y_free": M - hi / 2.0, "y": y, "value": hi * y + (M - y) ** 2}
+                for j, _, hi, y in _step_pieces(param, M, js)]
+    if method == "pwl-candidates":
+        k_anchor = _piece(param, M)[0]
+        pieces = list(_pwl_pieces(param, M, range(k_anchor, k_anchor - 4, -1)))
+        scores = _scan(M, pieces, _pwl_objective(M), lambda q: -math.inf)[1]
+        return ([{"k": k, "interior": y, "value": scores[y][0]} for k, _, _, y in reversed(pieces) if y is not None]
+                + [{"y": y, "value": v} for y, (v, _) in sorted(scores.items())])
+    if method == "exp-candidates":
+        knots = param.knots_through(M)
+        return [{"j": j, "y_free": M - hi + math.log(max(hi, 1.0)), "y": y,
+                 "log_value": _exp_log_objective(M, y, hi if y > lo else lo)}
+                for j, lo, hi, y in _exp_pieces(M, knots, range(len(knots) - 1))]
+    return []
 
 
 # ---------------------------------------------------------------------------

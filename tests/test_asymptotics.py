@@ -300,11 +300,12 @@ def test_decade_windows_without_period_base():
 
 
 def test_sweep_records_failures_and_continues():
-    # demands below the exponential bracket lattice cannot be solved
-    curve = poa_sweep(exp_game(), 1.0, 30.0, samples_per_decade=8)
+    # demands past 2 alpha_3 = 60 need a fourth term the sequence lacks
+    curve = poa_sweep(exp_game(AlphaSequence("explicit", values=(1.0, 3.0, 30.0))), 1.0, 100.0,
+                      samples_per_decade=8)
     assert curve.failures
     assert curve.samples  # the solvable demands still went through
-    assert all(s.M > 2.0 for s in curve.samples)
+    assert all(s.M <= 60.0 for s in curve.samples)
 
 
 def test_parallel_sweep_matches_serial():

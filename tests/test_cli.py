@@ -235,8 +235,8 @@ def test_missing_file_is_input_error(capsys):
 
 
 def test_solver_error_exit_code(capsys):
-    # demand below the exponential bracket lattice is a numeric-domain error
-    code, _, err = _run(["solve", "--network", "exp:factorial", "--demand", "1"], capsys)
+    # demand past the factorial bracket lattice, 2 * 170! = 1.5e307, is a numeric-domain error
+    code, _, err = _run(["solve", "--network", "exp:factorial", "--demand", "1e308"], capsys)
     assert code == 3
     assert "solver error" in err
 

@@ -669,7 +669,7 @@ def _scan_cover(seq, x):
 
 def _scan_bracket(seq, M):
     """bracket_index's contract by linear scan: 2 alpha_k < M <= 2 alpha_{k+1}."""
-    k = 1
+    k = 0
     while 2.0 * seq.alpha(k + 1) < M:
         k += 1
         if k + 1 > seq.max_index():
@@ -693,7 +693,7 @@ def test_alpha_lookups_agree_with_a_linear_scan(seq):
         else:
             assert seq.cover_index(x) == want, x
         assert seq.knots_through(x) == tuple([0.0] + knots)[: (want or len(knots)) + 1], x
-        if not 2.0 * seq.alpha(1) < x < math.inf:  # not in the bracket lattice's range
+        if not 0.0 < x < math.inf:  # not in the bracket lattice's range
             continue
         if seq.max_index() < 2:
             with pytest.raises(DemandBracketError):

@@ -894,8 +894,15 @@ def test_log_solver_degenerate_sequence():
 
 
 def test_log_solver_demand_below_lattice():
-    with pytest.raises(DemandBracketError):
-        wardrop_parallel_log(exp_game(AlphaSequence("factorial")), 1.5)
+    # at or below 2 alpha_1 the bracket is k = 0, alpha_0 = 0: the smooth link
+    # carries M up to alpha_1, the step link no flow, and on factorial both
+    # links cost e, so the price of anarchy is 1
+    net = exp_game(AlphaSequence("factorial"))
+    for M in (1e-300, 0.5, 1.0, 1.5, 2.0):
+        r = poa(net, M)
+        x, y = r.equilibrium.flow.path_flows
+        assert (x, y) == ((M, 0.0) if M <= 1.0 else (1.0, M - 1.0)), M
+        assert r.equilibrium.residual == 0.0 and abs(r.poa - 1.0) <= math.ulp(1.0), M
 
 
 def test_log_solver_requires_exp_instance():

@@ -25,6 +25,7 @@ from wardrop.network import Edge, FlowProfile, Network, build_parallel, social_c
 from wardrop.equilibrium import _typed_failures, wardrop_parallel, wardrop_parallel_log
 from wardrop.optimum import (
     OptimumSolution,
+    certificate,
     opt_bruteforce,
     opt_parallel_exp_log,
     opt_parallel_marginal,
@@ -104,10 +105,9 @@ def test_step_certificate_winner_in_paper_set():
                 M = float(rng.uniform(2.0 * a**k, 2.0 * a ** (k + 1)))
                 sol = opt_parallel_step(a, M)
                 assert sol.flag is None, (a, k, M)
-                cert_min = min(row["value"] for row in sol.certificate)
-                paper = min(
-                    row["value"] for row in sol.certificate if row["j"] in (k - 1, k)
-                )
+                rows = certificate(step_game(a), M, sol.method)
+                cert_min = min(row["value"] for row in rows)
+                paper = min(row["value"] for row in rows if row["j"] in (k - 1, k))
                 assert paper == pytest.approx(cert_min, rel=1e-12)
 
 
@@ -139,10 +139,10 @@ def test_step_rejects_bad_a():
         opt_parallel_step(1.5, 4.0)
 
 
-@_typed_failures
-def _eval_scored_step(a: float, M: float) -> OptimumSolution:
-    """opt_parallel_step as it was when it scored every candidate through
-    StepGeometric.eval: the reference for the piece-scored one."""
+def _eval_scored_step(a: float, M: float) -> tuple[OptimumSolution, tuple]:
+    """opt_parallel_step and its certificate rows as they were when it
+    scored every candidate of pieces k - 8 up through StepGeometric.eval:
+    the reference for the piece-scored one."""
     step = StepGeometric(a)
     k = _period_index(a, M)
 
@@ -161,13 +161,13 @@ def _eval_scored_step(a: float, M: float) -> OptimumSolution:
     cert_best = min(row["value"] for row in certificate)
     paper_set = [row["value"] for row in certificate if row["j"] in (k - 1, k)]
     flag = "optimal interval outside {k-1, k}" if not paper_set or min(paper_set) > cert_best * (1.0 + 1e-12) else None
-    return OptimumSolution(FlowProfile((M - y_star, y_star), M), objective(y_star), "step-interval",
-                           tuple(certificate), flag=flag)
+    return (OptimumSolution(FlowProfile((M - y_star, y_star), M), objective(y_star), "step-interval", flag=flag),
+            tuple(certificate))
 
 
-@_typed_failures
-def _eval_scored_pwl(a: float, M: float) -> OptimumSolution:
-    """opt_parallel_pwl_square as it was when it scored every candidate
+def _eval_scored_pwl(a: float, M: float) -> tuple[OptimumSolution, tuple]:
+    """opt_parallel_pwl_square and its certificate rows as they were when it
+    scored every candidate of the four pieces through the one holding M
     through PwlSquare.eval: the reference for the piece-scored one."""
     pwl = PwlSquare(a)
 
@@ -197,16 +197,16 @@ def _eval_scored_pwl(a: float, M: float) -> OptimumSolution:
     best = objective(y_star)
     if best == math.inf:
         raise RangeOverflowError(f"every pwl-square candidate overflows at M={float(M)!r}")
-    return OptimumSolution(FlowProfile((M - y_star, y_star), M), best, "pwl-candidates", tuple(certificate))
+    return OptimumSolution(FlowProfile((M - y_star, y_star), M), best, "pwl-candidates"), tuple(certificate)
 
 
 @pytest.mark.parametrize("a", [2.0, 3.0, 5.0, 1e10])
 def test_piece_scored_optima_match_the_eval_scored_ones(a):
     """The step and pwl optima score each candidate from the piece that made
-    it; every answer, certificate row, flag and error text is the one that
-    scoring through eval gives: 3000 log-uniform demands on [1e-300, 1e300],
-    every a^k and 2a^k in the float range with its float neighbours, and
-    demands near the top of the float range."""
+    it; every answer, flag and error text, and every row of ``certificate``,
+    is the one that scoring through eval gives: 3000 log-uniform demands on
+    [1e-300, 1e300], every a^k and 2a^k in the float range with its float
+    neighbours, and demands near the top of the float range."""
     rng = random.Random(43)
     knots = [v for q in _powers(a)[1][1:] for v in (q, 2.0 * q) if v < math.inf]
     demands = [*(10.0 ** rng.uniform(-300.0, 300.0) for _ in range(3000)),
@@ -214,15 +214,26 @@ def test_piece_scored_optima_match_the_eval_scored_ones(a):
                1e308, 1.5e308, math.nextafter(sys.float_info.max, 0.0), sys.float_info.max]
 
     def outcome(solve, M):
+        rows = []
+
+        def solution(a, M):  # the solvers' failure contract reads the solution alone
+            sol, certificate_rows = solve(a, M)
+            rows.extend(certificate_rows)
+            return sol
+
         try:
-            return repr(solve(a, M))
+            return repr(_typed_failures(solution)(a, M)) + repr(rows)
         except Exception as exc:  # noqa: BLE001 - a failure must match too
             return f"{type(exc).__name__}: {exc}"
 
-    for piece_scored, eval_scored in ((opt_parallel_step, _eval_scored_step),
-                                      (opt_parallel_pwl_square, _eval_scored_pwl)):
+    for piece_scored, net, eval_scored in ((opt_parallel_step, step_game(a), _eval_scored_step),
+                                           (opt_parallel_pwl_square, pwl_game(a), _eval_scored_pwl)):
+        def with_rows(a, M):
+            sol = piece_scored.__wrapped__(a, M)
+            return sol, tuple(certificate(net, M, sol.method))
+
         for M in demands:
-            assert outcome(piece_scored, M) == outcome(eval_scored, M), (piece_scored.__name__, M)
+            assert outcome(with_rows, M) == outcome(eval_scored, M), (piece_scored.__name__, M)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +265,8 @@ def test_pwl_corner_whose_cube_overflows_loses_to_finite_candidates():
     for M in (5.7e102, 7.356115539774607e102):
         sol = opt_parallel_pwl_square(3.0, M)
         assert math.isfinite(sol.cost) and sol.flow.path_flows[1] > 0.0
-        assert any(row["value"] == math.inf for row in sol.certificate if row.get("y") == 0.0)
+        rows = certificate(pwl_game(3.0), M, sol.method)
+        assert any(row["value"] == math.inf for row in rows if row.get("y") == 0.0)
     with pytest.raises(RangeOverflowError):
         opt_parallel_pwl_square(3.0, 1e103)
 
@@ -292,9 +304,8 @@ def test_pwl_close_to_smoothed_instance_within_chord_gap():
 def test_exp_log_unconstrained_candidate_position():
     alphas = AlphaSequence("factorial")
     M = 31.0
-    sol = opt_parallel_exp_log(alphas, M)
     # y_j = M - alpha_{j+1} + ln alpha_{j+1} for the piece holding the optimum
-    row = next(r for r in sol.certificate if r["j"] == 3)
+    row = next(r for r in certificate(exp_game(alphas), M, "exp-candidates") if r["j"] == 3)
     assert row["y_free"] == pytest.approx(M - 24.0 + math.log(24.0), rel=1e-12)
 
 
@@ -319,9 +330,16 @@ def test_exp_log_small_scale_matches_native_floats():
 
 
 def test_exp_log_validates_bracket():
+    # at or below 2 alpha_1 the bracket is k = 0 (alpha_0 = 0); on factorial
+    # both links cost e there, so the optimum is the equilibrium's cost
     alphas = AlphaSequence("factorial")
-    with pytest.raises(DemandBracketError):
-        opt_parallel_exp_log(alphas, 1.0)
+    for M in (1e-300, 0.3, 1.0, 1.5, 2.0):
+        opt = opt_parallel_exp_log(alphas, M)
+        weq = wardrop_parallel_log(exp_game(alphas), M)
+        assert opt.flag is None and weq.residual == 0.0, M
+        assert abs(math.exp(weq.cost.log_magnitude - opt.cost.log_magnitude) - 1.0) <= math.ulp(1.0), M
+    with pytest.raises(DemandBracketError):  # a one-term sequence has no bracket lattice
+        opt_parallel_exp_log(AlphaSequence("explicit", values=(5.0,)), 1.0)
 
 
 def test_exp_log_cost_matches_log_social_cost():
