@@ -89,7 +89,7 @@ def auto_breakpoints(net: Network, M_lo: float, M_hi: float) -> list[float]:
         k_hi = _period_index(a, M_hi) + 2
         return [b for b in step_breakpoints(a, k_lo, k_hi) if M_lo <= b <= M_hi]
     if kind.name == "exp":  # the bracket ends 2 a_k and the split points a_k + a_(k+1)
-        knots = kind.param.knots_through(M_hi)[1:]
+        knots = kind.param.knots_through(M_hi)
         points = (p for a, b in zip(knots, knots[1:]) for p in (2.0 * a, a + b))
         return sorted(p for p in points if M_lo <= p <= M_hi)
     return []

@@ -147,9 +147,6 @@ class CostFunction:
     def eval(self, x: float) -> float:
         raise NotImplementedError
 
-    def __call__(self, x: float) -> float:
-        return self.eval(x)
-
     def eval_right(self, x: float) -> float:
         """Right limit at x: the cost an entering infinitesimal player faces."""
         return self.eval(x)

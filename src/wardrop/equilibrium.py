@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .instances import classify
 from .logdomain import LogValue, log_add, log_term
-from .network import FlowProfile, Network, edge_flows, social_cost
+from .network import FlowProfile, Network, edge_flows
 
 RESIDUAL_RTOL = 1e-9
 USED_RTOL = 1e-9  # a path with more than this share of M is used
@@ -295,26 +296,28 @@ def wardrop_parallel(net: Network, M: float, _track: _Track | None = None) -> Eq
     Jumps are allowed; the allocation puts each link at the lower end of
     its inverse interval plus a proportional share of the remaining demand.
     """
-    flow, lam, residual = _parallel_flow(net, M, _track)
-    return EquilibriumSolution(flow, lam, residual, social_cost(net, flow), "bisection")
+    return EquilibriumSolution(*_parallel_flow(net, M, _track), "bisection")
 
 
-def _parallel_flow(net: Network, M: float, track: _Track | None = None) -> tuple[FlowProfile, float, float]:
-    """``wardrop_parallel``'s (flow, level, residual), without the social cost.
-    A sweep's ``track`` guesses the level and records the one found."""
+def _parallel_flow(net: Network, M: float, track: _Track | None = None) -> tuple[FlowProfile, float, float, float]:
+    """``wardrop_parallel``'s (flow, level, residual, social cost), path i
+    carrying its link ``net.paths[i]``'s flow; the residual and the cost are
+    ``verify_equilibrium``'s and ``social_cost``'s, from one ``eval_right``
+    and one ``eval`` per link.  A sweep's ``track`` guesses the level and
+    records the one found."""
     if not net.is_parallel():
         raise DomainError("wardrop_parallel requires a parallel network")
     lam, x = level_allocation(net.costs, M, None if track is None else track.guess(net.costs, M))
     if track is not None:
         track.record(net.costs, M, lam)
-    flow = FlowProfile(tuple(x), M)
-    report = verify_equilibrium(net, flow)
-    tol = RESIDUAL_RTOL * lam
-    if report.residual > tol:
-        raise ConvergenceError(
-            "parallel equilibrium residual above tolerance", residual=report.residual
-        )
-    return flow, lam, report.residual
+    flow = FlowProfile(tuple(x[e] for (e,) in net.paths), M)
+    x = [float(v) + 0.0 for v in x]  # a one-term fsum: -0.0 reads 0.0
+    entry, own = zip(*[(float(c.eval_right(v)) + 0.0, float(c.eval(v)) + 0.0) for c, v in zip(net.costs, x)])
+    min_entry = min(entry)
+    residual = max([0.0, *(cost - min_entry for cost, v in zip(own, x) if v > USED_RTOL * M)])  # a NaN gap never counts
+    if residual > RESIDUAL_RTOL * lam:
+        raise ConvergenceError("parallel equilibrium residual above tolerance", residual=residual)
+    return flow, lam, residual, math.fsum(map(operator.mul, x, own))
 
 
 def verify_equilibrium(net: Network, flow: FlowProfile) -> ResidualReport:
@@ -326,14 +329,8 @@ def verify_equilibrium(net: Network, flow: FlowProfile) -> ResidualReport:
     """
     x = edge_flows(net, flow)
     threshold = USED_RTOL * max(flow.total, 0.0)
-    used = [i for i, f in enumerate(flow.path_flows) if f > threshold]
-    if net._links_are_paths:  # a path's cost is its link's, as the one-term fsum gives it
-        costs = net.costs
-        min_entry = min([float(c.eval_right(v)) + 0.0 for c, v in zip(costs, x)])
-        gaps = [float(costs[i].eval(x[i])) + 0.0 - min_entry for i in used]
-    else:
-        min_entry = min(net.path_entry_cost(i, x) for i in range(net.n_paths))
-        gaps = [net.path_cost(i, x) - min_entry for i in used]
+    min_entry = min(net.path_entry_cost(i, x) for i in range(net.n_paths))
+    gaps = [net.path_cost(i, x) - min_entry for i, f in enumerate(flow.path_flows) if f > threshold]
     return ResidualReport(max([0.0, *gaps]), min_entry)  # a NaN gap never counts
 
 
@@ -361,14 +358,14 @@ def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
     Requires continuous costs.  The method keeps the label "frank-wolfe" of
     the conditional gradient it replaced: golden CLI output prints it.
     """
-    flow, lam, residual = _general_flow(net, M)
-    return EquilibriumSolution(flow, lam, residual, social_cost(net, flow), "frank-wolfe")
+    return EquilibriumSolution(*_general_flow(net, M), "frank-wolfe")
 
 
-def _general_flow(net: Network, M: float, start=None) -> tuple[FlowProfile, float, float]:
-    """``wardrop_general``'s (flow, level, residual), without the social cost.
-    The iteration starts from the path flows ``start`` (in ``net``'s path
-    order, summing to M) where given, else from all flow on one path."""
+def _general_flow(net: Network, M: float, start=None) -> tuple[FlowProfile, float, float, float]:
+    """``wardrop_general``'s (flow, level, residual, social cost), the cost
+    summed from the last iteration's edge flows and costs.  The iteration
+    starts from the path flows ``start`` (in ``net``'s path order, summing
+    to M) where given, else from all flow on one path."""
     if not all(c.is_continuous() for c in net.costs):
         raise UnsupportedCostError("projected Newton on a general network needs continuous costs")
 
@@ -408,7 +405,8 @@ def _general_flow(net: Network, M: float, start=None) -> tuple[FlowProfile, floa
         if residual <= RESIDUAL_RTOL * lam:
             rest = [i for i in used if i != cheapest]
             if not (polish and rest):
-                return FlowProfile(tuple(v for _, v in sorted(zip(order, x))), M), lam, residual
+                flow = FlowProfile(tuple(v for _, v in sorted(zip(order, x))), M)
+                return flow, lam, residual, math.fsum(map(operator.mul, xe, ec))
             # one exact split of the last pair, so that a two-path equilibrium
             # does not depend on where the Newton steps crossed the bound
             polish = False

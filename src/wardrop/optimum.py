@@ -75,8 +75,8 @@ def _marginal_optimum(net: Network, M: float, solve, method: str) -> OptimumSolu
     """An optimum is an equilibrium of the game whose edge costs are the
     marginals (x c(x))' (Beckmann, McGuire and Winsten), so ``solve``'s
     residual check, with [eval, eval_right] at a jump, is the KKT check.
-    ``solve`` returns the equilibrium flow first; the marginal game's own
-    social cost is never formed."""
+    ``solve`` returns the equilibrium flow first and the marginal game's
+    social cost last, which is dropped: the optimum is priced on ``net``."""
     try:
         mnet = net.marginal
     except UnsupportedCostError:
@@ -143,20 +143,19 @@ def opt_parallel_step(a: float, M: float) -> OptimumSolution:
     where the step cost is constant; on each, the unconstrained minimizer
     y_j = M - a^{j+1}/2 is projected onto the interval.  On the piece (lo, hi]
     holding y, c2(y) = hi.  ``_scan`` bounds each piece by max(M - hi, 0)^2,
-    the least (M-y)^2 on it.  The winner must land in {C_{k-1}, C_k}, the
-    values y a^{j+1} + (M-y)^2 at the projections, which is flagged if C_{k+1}
-    is less; no C_j below k-1 is less than C_{k-1}, as there y_j = a^{j+1} = h
-    and h^2 + (M-h)^2 falls as h rises to a^k < M/2.
+    the least (M-y)^2 on it; a square that overflows scores +inf.  The
+    winner must land in {C_{k-1}, C_k}, the values y a^{j+1} + (M-y)^2 at
+    the projections, which is flagged if C_{k+1} is less; no C_j below k-1
+    is less than C_{k-1}, as there y_j = a^{j+1} = h and h^2 + (M-h)^2
+    falls as h rises to a^k < M/2.
     """
     StepGeometric(a)  # the family's check of a
     k, (k0, _), k_top = _period_index(a, M), _powers(a), _piece(a, M)[0]
-    # the corner y = 0 scores M^2, an OverflowError past the floats as in a scan of every
-    # candidate; the optimum, at most M^2, is below the normal floats where M^2 is
-    if M**2 < sys.float_info.min:
+    if _power(M, 2) < sys.float_info.min:  # the corner y = 0 scores M^2, at least the optimum
         raise ZeroDivisionError("the social cost is below the normal floats")
     y_star, scores = _scan(M, _step_pieces(a, M, range(k_top - 1, k0 - 1, -1)),
-                           lambda y, lo, hi: y * hi + (M - y) ** 2, lambda hi: max(M - hi, 0.0) ** 2)
-    rows = {j: hi * y + (M - y) ** 2 for j, _, hi, y in _step_pieces(a, M, range(k - 1, k_top))}
+                           lambda y, lo, hi: y * hi + _power(M - y, 2), lambda hi: _power(max(M - hi, 0.0), 2))
+    rows = {j: y * hi + _power(M - y, 2) for j, _, hi, y in _step_pieces(a, M, range(k - 1, k_top))}
     flag = None
     if min(rows[k - 1], rows[k]) > min(rows.values()) * (1.0 + 1e-12):
         flag = "optimal interval outside {k-1, k}"
@@ -176,10 +175,10 @@ def _pwl_pieces(a: float, M: float, ks):
         yield k, p, q, root if p < root < q and 0.0 < root <= M else None
 
 
-def _cube(x: float) -> float:
-    """x^3, or +inf where it overflows."""
+def _power(x: float, n: int) -> float:
+    """x^n, or +inf where it overflows."""
     try:
-        return x**3
+        return x**n
     except OverflowError:
         return math.inf
 
@@ -188,7 +187,7 @@ def _pwl_objective(M: float):
     """(M-y)^3 + y c2(y), c2 the chord of the piece [p, q] holding y; +inf
     where the cube overflows."""
     def objective(y: float, p: float, q: float) -> float:
-        cube = _cube(M - y)
+        cube = _power(M - y, 3)
         return cube if cube == math.inf else cube + y * _chord(p, q, y)
     return objective
 
@@ -202,18 +201,16 @@ def opt_parallel_pwl_square(a: float, M: float) -> OptimumSolution:
     each linear piece, scored with the chord of the piece [p, q] holding
     them.  ``_scan`` bounds each piece by max(M - q, 0)^3, the least (M-y)^3
     on it.  A candidate whose (M - y)^3 overflows scores +inf, so it loses
-    to any finite one; when every candidate overflows, RangeOverflowError.
+    to any finite one; when every candidate overflows, the cost is +inf,
+    which the guard reports as float overflow (RangeOverflowError).
     """
     PwlSquare(a)  # the family's check of a
-    if _cube(M) < sys.float_info.min:  # the corner y = 0 scores M^3, at least the optimum
+    if _power(M, 3) < sys.float_info.min:  # the corner y = 0 scores M^3, at least the optimum
         raise ZeroDivisionError("the social cost is below the normal floats")
     k_anchor, k0 = _piece(a, M)[0], _powers(a)[0]
     y_star, scores = _scan(M, _pwl_pieces(a, M, range(k_anchor, k0, -1)), _pwl_objective(M),
-                           lambda q: _cube(max(M - q, 0.0)))
-    best = scores[y_star][0]
-    if best == math.inf:
-        raise RangeOverflowError(f"every pwl-square candidate overflows at M={float(M)!r}")
-    return OptimumSolution(FlowProfile((M - y_star, y_star), M), best, "pwl-candidates")
+                           lambda q: _power(max(M - q, 0.0), 3))
+    return OptimumSolution(FlowProfile((M - y_star, y_star), M), scores[y_star][0], "pwl-candidates")
 
 
 def _exp_log_objective(M: float, y: float, alpha: float) -> float:
@@ -270,7 +267,7 @@ def certificate(net: Network, M: float, method: str) -> list[dict]:
     param = classify(net).param
     if method == "step-interval":
         js = range(_period_index(param, M) - 8, _piece(param, M)[0])
-        return [{"j": j, "y_free": M - hi / 2.0, "y": y, "value": hi * y + (M - y) ** 2}
+        return [{"j": j, "y_free": M - hi / 2.0, "y": y, "value": y * hi + _power(M - y, 2)}
                 for j, _, hi, y in _step_pieces(param, M, js)]
     if method == "pwl-candidates":
         k_anchor = _piece(param, M)[0]

@@ -43,7 +43,7 @@ def _scan_inverse(se: StepExp, level: float) -> tuple[float, float]:
 def _loop_breakpoints(alphas: AlphaSequence, M_lo: float, M_hi: float) -> list[float]:
     """The exp branch of ``auto_breakpoints`` as an ``alpha(k)`` loop."""
     out = []
-    for k in range(1, alphas.max_index()):
+    for k in range(alphas.max_index()):
         points = (2.0 * alphas.alpha(k), alphas.alpha(k) + alphas.alpha(k + 1))
         out.extend(p for p in points if M_lo <= p <= M_hi)
         if alphas.alpha(k) > M_hi:
@@ -93,9 +93,9 @@ def test_breakpoint_hints_match_the_alpha_loop(seq):
     for _ in range(1000):
         lo, hi = sorted(10.0 ** rng.uniform(-3.0, 308.0) for _ in range(2))
         ranges.append((lo, hi))
-    knots = seq.knots_through(math.inf)[1:]
+    knots = seq.knots_through(math.inf)  # from alpha_0 = 0, whose split point is alpha_1
     edges = [2.0 * a for a in knots] + [a + b for a, b in zip(knots, knots[1:])]
-    for p in _knot_neighbours(e for e in edges if e < math.inf):
+    for p in _knot_neighbours(e for e in edges if 0.0 < e < math.inf):
         ranges += [(p, 1e308), (1e-3, p), (p, p)]
     for lo, hi in ranges:
         assert auto_breakpoints(net, lo, hi) == _loop_breakpoints(seq, lo, hi), (lo, hi)

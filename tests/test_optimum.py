@@ -141,13 +141,20 @@ def test_step_rejects_bad_a():
 
 def _eval_scored_step(a: float, M: float) -> tuple[OptimumSolution, tuple]:
     """opt_parallel_step and its certificate rows as they were when it
-    scored every candidate of pieces k - 8 up through StepGeometric.eval:
-    the reference for the piece-scored one."""
+    scored every candidate of pieces k - 8 up through StepGeometric.eval,
+    a square (M - y)^2 that overflows scoring +inf: the reference for the
+    piece-scored one."""
     step = StepGeometric(a)
     k = _period_index(a, M)
 
+    def square(y):
+        try:
+            return (M - y) ** 2
+        except OverflowError:
+            return math.inf
+
     def objective(y):
-        return y * step.eval(y) + (M - y) ** 2
+        return y * step.eval(y) + square(y)
 
     k0, table = _powers(a)
     certificate, candidates = [], {0.0, M}
@@ -155,7 +162,7 @@ def _eval_scored_step(a: float, M: float) -> tuple[OptimumSolution, tuple]:
         aj, aj1 = table[max(j - k0, 0)], table[max(j + 1 - k0, 0)]
         y_free = M - aj1 / 2.0
         y_proj = min(max(y_free, aj), aj1)
-        certificate.append({"j": j, "y_free": y_free, "y": y_proj, "value": aj1 * y_proj + (M - y_proj) ** 2})
+        certificate.append({"j": j, "y_free": y_free, "y": y_proj, "value": aj1 * y_proj + square(y_proj)})
         candidates.update((min(y_proj, M), aj))
     y_star = min(candidates, key=objective)
     cert_best = min(row["value"] for row in certificate)
