@@ -42,12 +42,24 @@ def _float17(x: float) -> str:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=True)
+    text = json.dumps(_finite(payload), sort_keys=True, indent=2, allow_nan=False)
     if out:
         with open(_resolve_out(out), "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
+
+
+def _finite(value):
+    """``value`` with every float outside the float range (inf, nan) as None,
+    so that the JSON written is strict: such a value prints as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
 
 
 def _resolve_out(path: str) -> str:

@@ -787,7 +787,15 @@ class ExpOverX(CostFunction):
             return (0.0, 0.0)
         if level == _E:
             return (0.0, 1.0)
-        x = _solve_x_minus_logx(math.log(level))
+        if level == math.inf:
+            return (math.inf, math.inf)
+
+        def excess(x: float) -> float:  # eval(x) - level, +inf where eval overflows
+            t = x - math.log(x)
+            return math.exp(t) - level if t <= _MAX_EXP else math.inf
+
+        hi = 2.0 * math.log(level)  # x - ln x >= x / 2 reaches ln(level) there
+        x = root(excess, 1.0, excess(1.0), hi, excess(hi))[1]
         return (x, x)
 
     def asymptotic_value(self) -> float:
@@ -818,23 +826,6 @@ def _pow_in_range(x: float, p: float, what: str) -> float:
 def _log_exp_over_x(x: float) -> float:
     """ln ExpOverX(x): x - ln x for x >= 1, and 1 below."""
     return x - math.log(x) if x >= 1.0 else 1.0
-
-
-def _solve_x_minus_logx(target: float) -> float:
-    """Solve x - ln x = target for x >= 1 (strictly increasing there)."""
-    if target < 1.0:
-        raise DomainError(f"x - ln x >= 1 on [1, inf); target {target!r} unreachable")
-    x = max(2.0, target + math.log(max(target, 1.0)))
-    for _ in range(80):
-        f = x - math.log(x) - target
-        step = f / (1.0 - 1.0 / x)
-        x_new = x - step
-        if x_new < 1.0:
-            x_new = 0.5 * (x + 1.0)
-        if abs(x_new - x) <= 1e-15 * x_new:
-            return x_new
-        x = x_new
-    return x
 
 
 # --- alpha sequences for the step-exponential family ---
@@ -969,7 +960,7 @@ class StepExp(CostFunction):
 
     The step partner of ExpOverX in the unbounded-price-of-anarchy instance.
     Values grow like e^alpha, so anything beyond toy scales must go through
-    eval_log; generalized_inverse scans the steps on the log of its level.
+    eval_log; generalized_inverse bisects the steps on the log of its level.
     """
 
     alphas: AlphaSequence = field(default_factory=AlphaSequence)
@@ -1030,14 +1021,13 @@ class StepExp(CostFunction):
         level = _check_nonneg(level, "level")
         if level == 0:
             return (0.0, 0.0)
-        target = math.log(level)
-        j = 1
-        while (t := self._level_log(self.alphas.alpha(j))) < target:
-            j += 1
-            if j > self.alphas.max_index():
-                return (math.inf, math.inf)
+        target, top = math.log(level), self.alphas.max_index()
+        step_log = lambda j: self._level_log(self.alphas.alpha(j))  # the log of the step up to alpha_j
+        j = 1 + bisect.bisect_left(range(1, top + 1), target, key=step_log)  # the least step reaching the level
+        if j > top:
+            return (math.inf, math.inf)
         x_minus = self.alphas.alpha(j - 1)
-        return (x_minus, self.alphas.alpha(j) if t <= target else x_minus)
+        return (x_minus, self.alphas.alpha(j) if step_log(j) <= target else x_minus)
 
     def asymptotic_value(self) -> float:
         return math.inf

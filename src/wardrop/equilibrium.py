@@ -301,16 +301,15 @@ def wardrop_parallel(net: Network, M: float, _track: _Track | None = None) -> Eq
 
 def _parallel_flow(net: Network, M: float, track: _Track | None = None) -> tuple[FlowProfile, float, float, float]:
     """``wardrop_parallel``'s (flow, level, residual, social cost), path i
-    carrying its link ``net.paths[i]``'s flow; the residual and the cost are
-    ``verify_equilibrium``'s and ``social_cost``'s, from one ``eval_right``
-    and one ``eval`` per link.  A sweep's ``track`` guesses the level and
-    records the one found."""
+    being link i; the residual and the cost are ``verify_equilibrium``'s and
+    ``social_cost``'s, from one ``eval_right`` and one ``eval`` per link.  A
+    sweep's ``track`` guesses the level and records the one found."""
     if not net.is_parallel():
         raise DomainError("wardrop_parallel requires a parallel network")
     lam, x = level_allocation(net.costs, M, None if track is None else track.guess(net.costs, M))
     if track is not None:
         track.record(net.costs, M, lam)
-    flow = FlowProfile(tuple(x[e] for (e,) in net.paths), M)
+    flow = FlowProfile(tuple(x), M)
     x = [float(v) + 0.0 for v in x]  # a one-term fsum: -0.0 reads 0.0
     entry, own = zip(*[(float(c.eval_right(v)) + 0.0, float(c.eval(v)) + 0.0) for c, v in zip(net.costs, x)])
     min_entry = min(entry)
@@ -350,9 +349,10 @@ def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
     cheapest, one such split ends the search, so a two-path equilibrium
     lands on the float grid wherever the Newton steps crossed that bound; it
     may still move by up to 2 ulps with which path of the pair ends the
-    cheaper (measured on Braess and the fork).  Paths are
-    taken in the order of their (tail, head, id) sequences (``Network.canonical``,
-    built once per network) and every sum is correctly rounded, so no
+    cheaper (measured on Braess and the fork).  Wherever order decides (the
+    cheapest path, the costliest used one, the Newton set), paths are taken
+    in the order of their (tail, head, id) sequences (``Network.canonical``,
+    built once per network), and every sum is correctly rounded, so no
     iterate depends on the order of the edges.
 
     Requires continuous costs.  The method keeps the label "frank-wolfe" of
@@ -364,14 +364,13 @@ def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
 def _general_flow(net: Network, M: float, start=None) -> tuple[FlowProfile, float, float, float]:
     """``wardrop_general``'s (flow, level, residual, social cost), the cost
     summed from the last iteration's edge flows and costs.  The iteration
-    starts from the path flows ``start`` (in ``net``'s path order, summing
-    to M) where given, else from all flow on one path."""
+    starts from the path flows ``start`` (summing to M) where given, else
+    from all flow on one path."""
     if not all(c.is_continuous() for c in net.costs):
         raise UnsupportedCostError("projected Newton on a general network needs continuous costs")
 
-    order, canon = net.canonical
-    paths = canon.paths
-    x = [0.0] * len(paths) if start is None else [start[i] for i in order]
+    order, paths = net.canonical, net.paths
+    x = [0.0] * len(paths) if start is None else list(start)
     floor, polish, residual = 1e-12 * M, False, math.inf
 
     def split(src: int, tgt: int) -> None:
@@ -379,7 +378,7 @@ def _general_flow(net: Network, M: float, start=None) -> tuple[FlowProfile, floa
         the edges only it uses cost at least those only the source uses, by
         ``_pair_share`` from the target's share: y does not depend on the split."""
         gain, loss = set(paths[tgt]), set(paths[src])
-        others = {e: math.fsum([x[i] for i in canon.through[e] if i not in (src, tgt)]) for e in gain ^ loss}
+        others = {e: math.fsum([x[i] for i in net.through[e] if i not in (src, tgt)]) for e in gain ^ loss}
         total = max(M - math.fsum([v for i, v in enumerate(x) if i not in (src, tgt)]), 0.0)
 
         def gap(y: float) -> float:
@@ -390,30 +389,29 @@ def _general_flow(net: Network, M: float, start=None) -> tuple[FlowProfile, floa
         x[src], x[tgt] = total - y, y
 
     for _ in range(GENERAL_MAX_ITER):
-        xe = canon.edge_sums(x)
+        xe = net.edge_sums(x)
         ec = [c.eval(v) for c, v in zip(net.costs, xe)]
         if not all(map(math.isfinite, ec)):
             raise OverflowError("an edge cost left the native float range")
         own = [math.fsum(map(ec.__getitem__, p)) for p in paths]
-        cheapest = own.index(lam := min(own))
+        lam = own[cheapest := min(order, key=own.__getitem__)]
         if not any(x):  # the start: all flow on the path that is cheapest empty
             x[cheapest] = M
             continue
-        used = [i for i, v in enumerate(x) if v > floor]
+        used = [i for i in order if x[i] > floor]
         worst = max(used, key=own.__getitem__)
         residual = max(own[worst] - lam, 0.0)
         if residual <= RESIDUAL_RTOL * lam:
             rest = [i for i in used if i != cheapest]
             if not (polish and rest):
-                flow = FlowProfile(tuple(v for _, v in sorted(zip(order, x))), M)
-                return flow, lam, residual, math.fsum(map(operator.mul, xe, ec))
+                return FlowProfile(tuple(x), M), lam, residual, math.fsum(map(operator.mul, xe, ec))
             # one exact split of the last pair, so that a two-path equilibrium
             # does not depend on where the Newton steps crossed the bound
             polish = False
             split(max(rest, key=own.__getitem__), cheapest)
             continue
         before, polish = list(x), True
-        S = [cheapest, *(i for i, v in enumerate(x) if i != cheapest and (v > floor or own[i] == lam))]
+        S = [cheapest, *(i for i in order if i != cheapest and (x[i] > floor or own[i] == lam))]
         slope = [c.derivative_bounds(v)[1] for c, v in zip(net.costs, xe)]
         step = _newton_step([paths[i] for i in S], slope, [own[i] for i in S])
         if step is None:

@@ -48,7 +48,7 @@ def classify(net: Network) -> InstanceKind:
     """The single place where instances are recognised (by isinstance, so
     subclasses of the cost families and of Network classify as their base).
     The kind is decided once per network and kept on it, as its
-    ``canonical`` order and ``marginal`` game are."""
+    ``canonical`` path order and ``marginal`` game are."""
     kind = vars(net).get("_kind")
     if kind is None:
         kind = vars(net)["_kind"] = _classify(net)

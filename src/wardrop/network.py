@@ -40,7 +40,7 @@ class Network:
     costs: tuple[CostFunction, ...]
     source: str
     sink: str
-    paths: tuple[tuple[int, ...], ...] = field(default=())
+    paths: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
         if len(self.edges) != len(self.costs):
@@ -50,8 +50,7 @@ class Network:
         for e in self.edges:
             if e.tail not in self.vertices or e.head not in self.vertices:
                 raise DomainError(f"edge {e.id} references unknown vertices")
-        if not self.paths:
-            object.__setattr__(self, "paths", _enumerate_paths(self))
+        object.__setattr__(self, "paths", _enumerate_paths(self))
         if not self.paths:
             raise GameError(f"no {self.source}->{self.sink} path exists")
 
@@ -81,22 +80,21 @@ class Network:
         return tuple(map(tuple, through))
 
     @cached_property
-    def canonical(self) -> tuple[tuple[int, ...], Network]:
-        """The order of the paths by their (tail, head, id) edge sequences,
-        and a copy of the network that lists its paths in that order: an
-        iteration over it does not depend on the order of the edges."""
+    def canonical(self) -> tuple[int, ...]:
+        """The path indices in the order of their (tail, head, id) edge
+        sequences: an iteration in that order does not depend on the order
+        of the edges."""
         edges = self.edges
-        order = tuple(sorted(range(self.n_paths),
-                             key=lambda i: [(edges[e].tail, edges[e].head, edges[e].id) for e in self.paths[i]]))
-        return order, Network(self.vertices, edges, self.costs, self.source, self.sink,
-                              paths=tuple(self.paths[i] for i in order))
+        return tuple(sorted(range(self.n_paths),
+                            key=lambda i: [(edges[e].tail, edges[e].head, edges[e].id) for e in self.paths[i]]))
 
     @cached_property
     def marginal(self) -> Network:
         """The network whose edge costs are the marginals (x c(x))', with the
-        same paths; UnsupportedCostError where a cost has no marginal."""
+        same edges and so the same paths; UnsupportedCostError where a cost
+        has no marginal."""
         return Network(self.vertices, self.edges, tuple(c.marginal_function() for c in self.costs),
-                       self.source, self.sink, paths=self.paths)
+                       self.source, self.sink)
 
     def edge_sums(self, path_values) -> list[float]:
         """For each edge, the sum of ``path_values`` over the paths through it."""

@@ -14,6 +14,8 @@ from wardrop.cli import main
 from wardrop.network import load_network, network_to_spec
 from wardrop.instances import pigou
 
+from test_golden_cli import _refuse_constant
+
 
 PIGOU_SPEC = {
     "vertices": ["s", "t"],
@@ -303,6 +305,16 @@ def test_overflowing_sweep_fails_like_scalar_poa(capsys):
         assert line.endswith(
             f"float overflow at M={M!r}: the demand is above the range native floats resolve"
         )
+
+
+def test_values_past_the_float_range_print_as_null(capsys):
+    # the step optimum's certificate squares y past the float range on some
+    # pieces: those values print as null, and the output is strict JSON
+    code, out, _ = _run(["opt", "--network", "step:2", "--demand", "1.6e154"], capsys)
+    assert code == 0
+    payload = json.loads(out, parse_constant=_refuse_constant)
+    assert [row["j"] for row in payload["certificate"] if row["value"] is None] == [*range(503, 509), 512]
+    assert math.isfinite(payload["cost"]["value"])
 
 
 def _run_child(argv, timeout=None):

@@ -90,6 +90,17 @@ def test_eval_overflow_routes_to_log():
     )
 
 
+def test_exp_over_x_inverse_is_where_eval_crosses_the_level():
+    # x is the least float with eval(x) >= level, to the ulp: the float
+    # below costs less than the level and the float above at least as much
+    c, rng = ExpOverX(), random.Random(0)
+    for level in (10.0 ** rng.uniform(1.0, 300.0) for _ in range(4000)):
+        lo, hi = c.generalized_inverse(level)
+        assert lo == hi
+        assert c.eval(math.nextafter(lo, 0.0)) < level <= c.eval(math.nextafter(lo, math.inf)), level
+    assert c.generalized_inverse(math.inf) == (math.inf, math.inf)
+
+
 @settings(max_examples=40)
 @given(
     st.sampled_from(ALL_FAMILIES),

@@ -72,7 +72,7 @@ def outcome(seed: int) -> tuple[str, str]:
     assert result.poa >= 1.0 - 1e-9
     if "marginal" in result.optimum.method:  # the optimum is the marginal game's equilibrium
         margs = tuple(c.marginal_function() for c in net.costs)
-        mnet = Network(net.vertices, net.edges, margs, net.source, net.sink, paths=net.paths)
+        mnet = Network(net.vertices, net.edges, margs, net.source, net.sink)
         report = verify_equilibrium(mnet, result.optimum.flow)
         assert report.residual <= RESIDUAL_RTOL * report.min_entry_cost
     return eq_outcome, "ok"

@@ -63,6 +63,19 @@ def test_cli_output_matches_golden(name):
     assert got["stdout"].splitlines(keepends=True) == expected["stdout"].splitlines(keepends=True)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("name", sorted(n for n, argv in CASES.items() if argv[0] != "sweep"))
+def test_json_golden_is_strict_json(name):
+    # every pinned JSON output parses without NaN or Infinity; an error
+    # writes nothing to stdout
+    stdout = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))["stdout"]
+    if stdout:
+        assert isinstance(json.loads(stdout, parse_constant=_refuse_constant), dict)
+
+
 if __name__ == "__main__":
     for name, argv in CASES.items():
         text = json.dumps(_capture(argv), indent=1, sort_keys=True)

@@ -304,21 +304,17 @@ def outcome(call):
 
 
 def test_links_are_paths_sums_match_the_incidence_sums():
-    """A parallel network as build_parallel lists it (path i is link i) and
-    with its paths listed in another order (a permuted ``paths=``): every
-    result or error is the incidence sums' own, -0.0 flows and costs,
-    subnormal flows and flows past the float range included."""
+    """On a parallel network (path i is link i) every result or error is
+    the incidence sums' own, -0.0 flows and costs, subnormal flows and flows
+    past the float range included."""
     for seed in range(400):
         rng = random.Random(seed)
         n = rng.randint(1, 4)
         costs = [FAMILY_DRAWS[seed % 10](rng), *(rng.choice(FAMILY_DRAWS)(rng) for _ in range(n - 1))]
         net = build_parallel(costs)
-        order = rng.sample(range(n), n)
-        permuted = Network(net.vertices, net.edges, net.costs, "s", "t", paths=tuple((e,) for e in order))
         flows = [rng.choice(FLOW_DRAWS) for _ in range(n)]
         for flow in (raw_flow(flows), raw_flow([*flows, 1.0])):  # the second has one entry too many
-            for candidate in (net, permuted):
-                assert library_outcomes(candidate, flow) == incidence_outcomes(candidate, flow), (seed, candidate, flow)
+            assert library_outcomes(net, flow) == incidence_outcomes(net, flow), (seed, net, flow)
 
 
 @pytest.mark.parametrize("cost", [Constant(-0.0), Affine(-0.0, -0.0), Shifted(Affine(0.0, 1.0), -0.0)], ids=repr)
@@ -330,11 +326,14 @@ def test_a_cost_of_minus_zero_reads_as_zero_on_the_links(cost):
     assert repr(edge_flows(net, FlowProfile((-0.0, 1.0), 1.0))) == "[0.0, 1.0]"
 
 
-def test_paths_in_another_order_are_summed_over_the_incidence_lists():
-    links = build_parallel([Affine(0.0, 1.0), Constant(1.0), Monomial(1.0, 2.0)])
-    permuted = Network(links.vertices, links.edges, links.costs, "s", "t", paths=((2,), (0,), (1,)))
-    eleven = build_parallel([Affine(float(i), 1.0) for i in range(11)])
-    canon = eleven.canonical[1]  # e1, e10, e11, e2, ...: edge i is not path i
-    for net in (links, permuted, eleven, canon):
-        flow = flow_of([1.0] * net.n_paths)
-        assert library_outcomes(net, flow) == incidence_outcomes(net, flow)
+def test_the_graph_fixes_the_paths():
+    # a network takes no path list: its paths are its graph's, and path i
+    # of a parallel network is link i
+    costs = [Affine(float(i), 1.0) for i in range(11)]
+    net = build_parallel(costs)
+    with pytest.raises(TypeError):
+        Network(net.vertices, net.edges, net.costs, "s", "t", paths=((0,),))
+    assert net.paths == tuple((i,) for i in range(len(costs)))
+    assert net.marginal.paths == net.paths
+    # the canonical order is of path indices, by edge id: e1, e10, e11, e2, ...
+    assert net.canonical == (0, 9, 10, *range(1, 9))
