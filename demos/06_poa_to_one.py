@@ -10,8 +10,6 @@ instance in its class).
 
 import math
 
-import numpy as np
-
 from wardrop import (
     Affine,
     TrendInstance,
@@ -23,7 +21,7 @@ from wardrop import (
     shift_experiment,
 )
 
-grid = tuple(np.geomspace(10.0, 1e6, 26))
+grid = tuple(10.0 ** (1.0 + 0.2 * i) for i in range(26))
 insts = designated_limit_instances()
 
 

@@ -11,9 +11,10 @@ stability figure, which is the strongest desk-scale statement available.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 
-from .costs import AlphaSequence, CostFunction, _period_index
+from .costs import AlphaSequence, CostFunction, _period_index, _powers
 from .errors import ConvergenceError, DomainError, GameError, RangeOverflowError
 from .instances import exp_game, pwl_game
 from .logdomain import LogValue
@@ -138,12 +139,12 @@ def poa_sweep(
     """
     if not 0 < M_lo < M_hi < math.inf:
         raise DomainError(f"need 0 < M_lo < M_hi < inf, got {M_lo!r}, {M_hi!r}")
-    import numpy as np
-
     _check_period_base(period_base)
-    decades = math.log10(M_hi) - math.log10(M_lo)  # M_hi / M_lo can overflow
-    n = max(2, int(math.ceil(decades * samples_per_decade)) + 1)
-    grid = [float(M) for M in np.geomspace(M_lo, M_hi, n)]
+    lo, hi = math.log10(M_lo), math.log10(M_hi)  # M_hi / M_lo can overflow
+    n = max(2, int(math.ceil((hi - lo) * samples_per_decade)) + 1)
+    step = (hi - lo) / (n - 1)
+    # evenly spaced exponents between exact ends; one reaches hi only on steps finer than its ulp
+    grid = [M_lo, *(10.0 ** y if y < hi else M_hi for y in (i * step + lo for i in range(1, n - 1))), M_hi]
     for b in breakpoint_hints:
         for off in (b * (1.0 - 1e-9), b * (1.0 + 1e-9)):
             if M_lo <= off <= M_hi:
@@ -172,34 +173,28 @@ def poa_sweep(
 
 
 def _period_extrema(samples, period_base, M_lo, M_hi) -> list[PeriodExtrema]:
-    """Extrema over full windows (2a^k, 2a^{k+1}] (or decades without a)."""
+    """Extrema over full windows (2a^k, 2a^{k+1}] (or decades [10^k, 10^{k+1})
+    without a), each end read from ``_powers``: the last window ends at the
+    last finite power."""
     _check_period_base(period_base)
     if not samples:
         return []
-    out = []
-    if period_base is not None:
-        a = period_base
-        k = _period_index(a, M_lo) + 1  # first window starting at/above M_lo
-        while 2.0 * a ** (k + 1) <= M_hi * (1.0 + 1e-12):
-            lo, hi = 2.0 * a**k, 2.0 * a ** (k + 1)
-            window = [s for s in samples if lo < s.M <= hi]
-            if window:
-                best = max(window, key=lambda s: s.poa)
-                out.append(
-                    PeriodExtrema(k, min(s.poa for s in window), best.poa, best.M)
-                )
-            k += 1
+    if period_base is None:
+        scale, (k0, table), k = 1.0, _powers(10.0), math.ceil(math.log10(M_lo) - 1e-12)
     else:
-        d = math.ceil(math.log10(M_lo) - 1e-12)
-        while 10.0 ** (d + 1) <= M_hi * (1.0 + 1e-12):
-            lo, hi = 10.0**d, 10.0 ** (d + 1)
+        scale, (k0, table), k = 2.0, _powers(period_base), _period_index(period_base, M_lo) + 1
+    out = []
+    for i in range(k - k0, len(table) - 1):
+        lo, hi = scale * table[i], scale * table[i + 1]
+        if hi > M_hi * (1.0 + 1e-12):
+            break
+        if period_base is None:
             window = [s for s in samples if lo <= s.M < hi]
-            if window:
-                best = max(window, key=lambda s: s.poa)
-                out.append(
-                    PeriodExtrema(d, min(s.poa for s in window), best.poa, best.M)
-                )
-            d += 1
+        else:
+            window = [s for s in samples if lo < s.M <= hi]
+        if window:
+            best = max(window, key=lambda s: s.poa)
+            out.append(PeriodExtrema(k0 + i, min(s.poa for s in window), best.poa, best.M))
     return out
 
 
@@ -313,6 +308,8 @@ def pwl_game_constants(a: float) -> PwlConstants:
     """
     if a < 2:
         raise DomainError(f"pwl-square family requires a >= 2, got {a!r}")
+    if not 2.0 * a * a * a < math.inf:  # both costs are about 1.55 a^3
+        raise RangeOverflowError(f"the costs at M_1 overflow native floats at a={a!r}")
     b = math.sqrt((2.0 * a * a + a) / 3.0)
     c = 0.5 * (math.sqrt((a + 1.0) ** 2 + 4.0 * a * a + 4.0 * (a + 1.0) * b) - (a + 1.0))
     d = a + b - c
@@ -409,18 +406,16 @@ def _tail_monotone(points) -> bool:
 
 
 def _decay_exponent(points) -> float | None:
-    """Least-squares slope of log(PoA-1) against log M (diagnostic only)."""
+    """Least-squares slope of log(PoA-1) against log M (diagnostic only),
+    None unless two distinct demands have PoA - 1 > 1e-14."""
     xs, ys = [], []
     for M, p in points:
         if p - 1.0 > 1e-14:
             xs.append(math.log(M))
             ys.append(math.log(p - 1.0))
-    if len(xs) < 2:
+    if len(set(xs)) < 2:
         return None
-    import numpy as np
-
-    slope = np.polyfit(xs, ys, 1)[0]
-    return -float(slope)
+    return -statistics.linear_regression(xs, ys).slope
 
 
 def bounded_path_experiment(

@@ -16,10 +16,11 @@ import csv
 import json
 import math
 import os
+import random
 import sys
 
 from . import asymptotics as asy
-from .costs import AlphaSequence, _period_index
+from .costs import AlphaSequence, _period_index, _pow_in_range
 from .errors import DomainError, GameError
 from .instances import classify, named_instance, step_breakpoints
 from .logdomain import LogValue
@@ -233,11 +234,9 @@ def _assertion(name: str, ok: bool, detail) -> dict:
 
 
 def _repro_step_game(a: float, samples_per_decade: int, jobs: int | None) -> dict:
-    import numpy as np
-
     expected = asy.step_jump_value(a)
     net = named_instance(f"step:{a}")
-    M_lo, M_hi = 2.0 * a, 2.0 * a**5
+    M_lo, M_hi = 2.0 * a, 2.0 * _pow_in_range(a, 5, "the sweep's top demand 2 a^5")
     hints = auto_breakpoints(net, M_lo, M_hi)
     curve = asy.poa_sweep(
         net, M_lo, M_hi, samples_per_decade=samples_per_decade,
@@ -270,14 +269,14 @@ def _repro_step_game(a: float, samples_per_decade: int, jobs: int | None) -> dic
             {"poa_minus": lo_r.poa, "poa_plus": hi_r.poa, "opt_rel_change": d_opt},
         )
     )
-    rng = np.random.default_rng(5)
-    Ms = np.exp(rng.uniform(math.log(2.0 * a), math.log(2.0 * a**3), 200))
+    rng = random.Random(5)
+    Ms = [math.exp(rng.uniform(math.log(2.0 * a), math.log(2.0 * a**3))) for _ in range(200)]
     worst = 0.0
     for M in Ms:
-        cf = asy.step_game_closed_form(a, float(M))
-        if _near_breakpoint(a, float(M)):
+        cf = asy.step_game_closed_form(a, M)
+        if _near_breakpoint(a, M):
             continue
-        solver = asy.poa(net, float(M))
+        solver = asy.poa(net, M)
         worst = max(worst, abs(cf.poa - solver.poa) / cf.poa)
     assertions.append(
         _assertion("closed form matches solver within 1e-6 (200 random demands)",

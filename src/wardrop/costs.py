@@ -4,7 +4,7 @@ Every family is weakly increasing and nonnegative on [0, inf) and supports
 evaluation, one-sided derivatives, the set-valued generalized inverse, the
 asymptotic value at infinity, and log-domain evaluation; all but ExpOverX
 (whose primitive is the exponential integral) give the exact primitive
-int_0^x c(s) ds.  Every method takes one point and none needs numpy: the
+int_0^x c(s) ds.  Every method takes one point: the
 solvers and the brute-force oracle alike call the scalar ``eval``.  Step families are left-continuous: the value on
 (a^{k-1}, a^k] is taken at the right end, so c(a^k) = a^k exactly for the
 geometric step and evaluation at a knot returns the lower step.

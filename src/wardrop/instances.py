@@ -19,6 +19,7 @@ from .costs import (
     Shifted,
     StepExp,
     StepGeometric,
+    _powers,
 )
 from .errors import DomainError
 from .network import Network, build_parallel
@@ -127,12 +128,16 @@ def designated_limit_instances() -> dict[str, Network]:
 
 def step_breakpoints(a: float, k_lo: int, k_hi: int) -> list[float]:
     """Region boundaries of the step game within periods k_lo..k_hi:
-    {a^k, 2a^k, alpha a^k, beta a^k, (1+a) a^k, gamma a^k}."""
+    {a^k, 2a^k, alpha a^k, beta a^k, (1+a) a^k, gamma a^k}, with a^k read
+    from ``_powers(a)`` and the periods past its last finite power left out."""
+    if not 2 <= a < math.inf:
+        raise DomainError(f"step game requires finite a >= 2, got {a!r}")
     alpha = 1.0 + a / 2.0
     beta = alpha + math.sqrt(a - 1.0)
     gamma = 1.5 * a
+    k0, table = _powers(a)
     out = []
-    for k in range(k_lo, k_hi + 1):
-        base = a**k
+    for k in range(k_lo, min(k_hi, k0 + len(table) - 1) + 1):
+        base = table[max(k - k0, 0)]
         out.extend([base, 2.0 * base, alpha * base, beta * base, (1.0 + a) * base, gamma * base])
     return sorted(set(out))

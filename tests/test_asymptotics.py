@@ -299,6 +299,13 @@ def test_decade_windows_without_period_base():
     assert maxima == sorted(maxima, reverse=True)
 
 
+def test_decade_windows_stop_at_the_last_finite_power():
+    # the window past 1e308 once raised a bare OverflowError at 10.0 ** 309
+    # after every sample was solved
+    curve = poa_sweep(pigou(), 1e306, 1.7e308, samples_per_decade=4)
+    assert [p.index for p in curve.periods] == [306, 307]
+
+
 def test_sweep_records_failures_and_continues():
     # demands past 2 alpha_3 = 60 need a fourth term the sequence lacks
     curve = poa_sweep(exp_game(AlphaSequence("explicit", values=(1.0, 3.0, 30.0))), 1.0, 100.0,
@@ -394,6 +401,14 @@ def test_pwl_game_constants_a2():
     assert 1.0055 <= c.poa_at_mk <= 1.0063  # reported value ~1.0059
 
 
+@pytest.mark.parametrize("a", [5.6e102, 1e103, 1e154, 1e200])
+def test_pwl_game_constants_past_the_float_range_are_a_range_overflow(a):
+    # these once gave a nan PoA, a bare OverflowError (1e103, 1e200) or a
+    # ConvergenceError on a nan knot position
+    with pytest.raises(RangeOverflowError, match="overflow native floats"):
+        pwl_game_constants(a)
+
+
 def test_pwl_game_poa_independent_of_k():
     values = [pwl_game_poa_at_special_demand(2.0, k).poa for k in range(1, 6)]
     assert max(values) - min(values) <= 1e-9 * values[0]
@@ -462,6 +477,12 @@ def test_bounded_path_pigou_rate():
     # proof-side bound: PoA <= M B / Opt at every sample
     for (M, p), bound in zip(rep.samples, rep.hypothesis["weq_over_opt_bound"]):
         assert p <= bound + 1e-12
+
+
+def test_decay_exponent_needs_two_distinct_demands():
+    # one repeated demand once fed a degenerate fit and reported about 1.09
+    rep = bounded_path_experiment(pigou(), (3.0, 3.0), eps=1.0)
+    assert rep.decay_exponent is None
 
 
 def test_bounded_path_constant_only():

@@ -128,7 +128,7 @@ def test_sweep_csv_and_extremes(tmp_path, capsys):
 
 
 # the README sweep's CSV as each demand's cold level searches wrote it
-README_SWEEP_SHA256 = "cec226321c61f3b554febe8d6c99ac19128dc678cddefc96e91f623dcce6072b"
+README_SWEEP_SHA256 = "4eb653883a7093e8da9c49194562e75efc0a355adf89ffc2b3767a8b28d823e0"
 
 
 @pytest.mark.parametrize("jobs", [["--jobs", "1"], [], ["--jobs", "2"]], ids=["jobs-1", "default-jobs", "jobs-2"])
@@ -307,6 +307,26 @@ def test_overflowing_sweep_fails_like_scalar_poa(capsys):
         )
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--network", "pigou", "--from", "1e306", "--to", "1.7e308", "--per-decade", "4"],
+    ["extremes", "--curve", "CURVE", "--period-base", "1e10", "--periods-required", "1"],
+    ["sweep", "--network", "step:2", "--from", "1e307", "--to", "1.7e308", "--per-decade", "4"],
+    ["sweep", "--network", "pwl:1e10", "--from", "1e290", "--to", "1e300", "--per-decade", "1"],
+    ["repro", "thm5", "--a", "1e100"],
+    ["repro", "thm6", "--a", "1e200"],
+], ids=["sweep-pigou-decades", "extremes-a1e10", "sweep-step2-hints", "sweep-pwl1e10-hints",
+        "repro-thm5", "repro-thm6"])
+def test_the_top_of_the_float_range_answers_or_refuses(argv, tmp_path, capsys):
+    # each once raised a bare OverflowError from a power past the float range:
+    # a period window, a breakpoint hint, 2 a^5 or the pwl constants
+    curve = tmp_path / "curve.csv"
+    curve.write_text("M,weq,opt,poa,method,flag\n1e290,1,1,1.0,bisection,\n"
+                     "1e300,1,1,1.0,bisection,\n1e308,1,1,1.0,bisection,\n")
+    code, _, err = _run([str(curve) if arg == "CURVE" else arg for arg in argv], capsys)
+    assert code in (0, 3) and "Traceback" not in err
+    assert code == 0 or err.startswith("solver error:")
+
+
 def test_values_past_the_float_range_print_as_null(capsys):
     # the step optimum's certificate squares y past the float range on some
     # pieces: those values print as null, and the output is strict JSON
@@ -425,6 +445,24 @@ _EVERY_FAMILY = (
 def test_numpy_is_loaded_only_where_arrays_are_used(call):
     # a fresh interpreter: the suite's own numpy would hide an import at load time
     script = f"import sys\nimport wardrop, wardrop.cli\nassert 'numpy' not in sys.modules\n{call}\n"
+    env = dict(os.environ, PYTHONPATH=_child_pythonpath())
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd="/",
+                         env=env)
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("call", [
+    'curve = wardrop.poa_sweep(wardrop.named_instance("step:2"), 4.0, 64.0, samples_per_decade=8, period_base=2.0)\n'
+    'assert [p.index for p in curve.periods] == [1, 2, 3, 4]',
+    'rep = wardrop.bounded_path_experiment(wardrop.pigou(), (10.0, 100.0, 1000.0))\n'
+    'assert rep.passed and rep.decay_exponent > 0',
+    'assert wardrop.cli.main(["sweep", "--network", "step:2", "--from", "4", "--to", "64", "--per-decade", "8"]) == 0',
+    'assert wardrop.cli.main(["repro", "thm5", "--per-decade", "32"]) == 0',
+], ids=["poa_sweep-period_base", "bounded_path_experiment", "cli-sweep", "cli-repro-thm5"])
+def test_the_package_runs_with_numpy_blocked(call):
+    # a fresh interpreter where `import numpy` fails: the library needs only
+    # the standard library, so any numpy import under src/ fails this test
+    script = f"import sys\nsys.modules['numpy'] = None\nimport wardrop, wardrop.cli\n{call}\n"
     env = dict(os.environ, PYTHONPATH=_child_pythonpath())
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd="/",
                          env=env)
