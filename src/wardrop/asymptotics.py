@@ -14,12 +14,12 @@ import math
 import statistics
 from dataclasses import dataclass, field
 
-from .costs import AlphaSequence, CostFunction, _period_index, _powers
+from .costs import AlphaSequence, CostFunction, _period_index, _power_index, _powers
 from .errors import ConvergenceError, DomainError, GameError, RangeOverflowError
 from .instances import exp_game, pwl_game
 from .logdomain import LogValue
 from .network import Network, build_parallel
-from .equilibrium import EquilibriumSolution, _check_demand, _range_error, _Track, wardrop_equilibrium
+from .equilibrium import EquilibriumSolution, _check_demand, _range_error, wardrop_equilibrium
 from .optimum import OptimumSolution, social_optimum
 
 POA_FLOOR_SLACK = 1e-9
@@ -71,7 +71,7 @@ class ExtremesReport:
     accepted: bool
 
 
-def poa(net: Network, M: float, _track: _Track | None = None) -> PoaResult:
+def poa(net: Network, M: float) -> PoaResult:
     """WEq/Opt with solver routing recorded in the result.
 
     Both solvers reject a demand that is not a finite M > 0 and turn float
@@ -82,11 +82,11 @@ def poa(net: Network, M: float, _track: _Track | None = None) -> PoaResult:
     grows, where ``social_optimum`` alone starts them from all flow on one
     path.  Both optima meet the same KKT bound; on the seeded test grids
     (3x3 to 6x6, M from 0.3 to 100) their costs agree to within 5 ulps.
-    A sweep's private ``_track`` guesses the level of each level search
-    from its earlier demands; the answer is bit for bit the same.
+    It keeps no state between calls: each sample of ``poa_sweep`` is this
+    call at its demand.
     """
-    weq = wardrop_equilibrium(net, M, _track)
-    opt = social_optimum(net, M, _start=weq.flow, _track=_track)
+    weq = wardrop_equilibrium(net, M)
+    opt = social_optimum(net, M, _start=weq.flow)
     ratio = float(weq.cost / opt.cost)
     return _checked(PoaResult(M, weq, opt, ratio, f"{weq.method}/{opt.method}", opt.flag))
 
@@ -106,13 +106,12 @@ def _checked(result: PoaResult) -> PoaResult:
 
 
 def _sweep_block(args) -> list[tuple[str, object]]:
-    """The outcome of ``poa`` at each demand of a block, in order, with one
-    track continuing each level search from the demands before it."""
+    """The outcome of ``poa`` at each demand of a block, in order."""
     net, block = args
-    track, outcomes = _Track(), []
+    outcomes = []
     for M in block:
         try:
-            r = poa(net, M, track)
+            r = poa(net, M)
             outcomes.append(("ok", PoaSample(M, r.equilibrium.cost, r.optimum.cost, r.poa, r.method, r.flag)))
         except GameError as exc:
             outcomes.append(("fail", (M, str(exc))))
@@ -133,9 +132,7 @@ def poa_sweep(
     Breakpoints are sampled at both 1e-9-relative offsets because the
     equilibrium cost is discontinuous there.  Failed samples are recorded
     and skipped; the sweep continues.  Each worker (one when serial) solves
-    a block of increasing demands, each level search starting next to the level
-    the demands before it predict (numerical continuation, Allgower and
-    Georg, 1990); no answer changes.
+    a block of increasing demands, each by a plain ``poa`` call.
     """
     if not 0 < M_lo < M_hi < math.inf:
         raise DomainError(f"need 0 < M_lo < M_hi < inf, got {M_lo!r}, {M_hi!r}")
@@ -175,14 +172,14 @@ def poa_sweep(
 def _period_extrema(samples, period_base, M_lo, M_hi) -> list[PeriodExtrema]:
     """Extrema over full windows (2a^k, 2a^{k+1}] (or decades [10^k, 10^{k+1})
     without a), each end read from ``_powers``: the last window ends at the
-    last finite power."""
+    last finite power, and there is none where M_lo is past its start."""
     _check_period_base(period_base)
     if not samples:
         return []
     if period_base is None:
         scale, (k0, table), k = 1.0, _powers(10.0), math.ceil(math.log10(M_lo) - 1e-12)
     else:
-        scale, (k0, table), k = 2.0, _powers(period_base), _period_index(period_base, M_lo) + 1
+        scale, (k0, table), k = 2.0, _powers(period_base), _power_index(period_base, M_lo / 2.0)
     out = []
     for i in range(k - k0, len(table) - 1):
         lo, hi = scale * table[i], scale * table[i + 1]

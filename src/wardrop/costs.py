@@ -794,8 +794,15 @@ class ExpOverX(CostFunction):
             t = x - math.log(x)
             return math.exp(t) - level if t <= _MAX_EXP else math.inf
 
-        hi = 2.0 * math.log(level)  # x - ln x >= x / 2 reaches ln(level) there
-        x = root(excess, 1.0, excess(1.0), hi, excess(hi))[1]
+        # x = L + ln x with L = ln(level) and x >= 1, so L <= x <= L + ln(2L);
+        # where rounding breaks an end's sign, 1 and 2L (x - ln x >= x / 2) hold
+        L = math.log(level)
+        lo, hi = L, L + math.log(2.0 * L)
+        if not (f_lo := excess(lo)) < 0:
+            lo, f_lo = 1.0, excess(1.0)
+        if (f_hi := excess(hi)) < 0:
+            hi, f_hi = 2.0 * L, excess(2.0 * L)
+        x = root(excess, lo, f_lo, hi, f_hi)[1]
         return (x, x)
 
     def asymptotic_value(self) -> float:

@@ -69,52 +69,31 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def level_allocation(funcs, M: float, _guess: float | None = None) -> tuple[float, list[float]]:
+def level_allocation(funcs, M: float) -> tuple[float, list[float]]:
     """Solve sum_i f_i(x_i) balanced at a common level with sum x_i = M.
 
     ``funcs`` are weakly increasing cost functions and M > 0.  Returns
     (level, allocation).  The level is the least float lam with
     sum_i x+_i(lam) >= M on the exact sum.  It lies in [min_i f_i(M/n),
     min_i f_i(M)]: some link carries at least M/n, and any link can carry M.
-
-    A private ``_guess`` g of the level (``poa_sweep`` predicts one from the
-    levels it found at smaller demands) narrows that bracket when it is in
-    (min_i f_i(M/n), min_i f_i(M)]: the sum is evaluated at g and at its
-    float below where it reaches M there, else at g (1 + 2^-7), and each
-    end that a probe implies by monotonicity is not evaluated.  Then the
-    jump levels J of the links inside the bracket, and the float below
+    The jump levels J of the links inside that bracket, and the float below
     each, narrow it by binary search: the sum's steps lie between those
     pairs, so ``root`` is left a tread (on the step games each link's
     inverse is called 5-6 times per search on average and at most 8, over
     6000 demands on [1e-150, 1e150]).  The sum is monotone in floats, so
-    ``root`` ends on the same pair from the narrowed bracket, and every
-    error is raised where the search without the guess raises it.
+    ``root`` ends on the same pair as bisection from the whole bracket.
     """
     def excess(lam: float) -> float:
         return math.fsum([*(f.generalized_inverse(lam)[1] for f in funcs), -M])
 
     lam_lo = min(f.eval(M / len(funcs)) for f in funcs)
-    lam_hi = neg = pos = None  # the nearest probes (level, excess) below and at or above the level
-    if _guess is not None:
-        try:
-            lam_hi = min(f.eval(M) for f in funcs)
-        except (OverflowError, GameError):  # raised again below, where the search needs lam_hi
-            pass
-        if lam_hi is not None and lam_lo < _guess <= lam_hi and _guess < math.inf:
-            probes = [(_guess, excess(_guess))]
-            p = _guess * (1.0 + 2.0**-7) if probes[0][1] < 0 else math.nextafter(_guess, 0.0)
-            if lam_lo < p <= lam_hi:
-                probes.append((p, excess(p)))
-            neg = max((q for q in probes if q[1] < 0), default=None)
-            pos = min((q for q in probes if not q[1] < 0), default=None)
-    lam_lo, f_lo = neg or (lam_lo, excess(lam_lo))
+    f_lo = excess(lam_lo)
     below = lam_star = lam_lo
     if f_lo < 0:
-        if lam_hi is None:
-            lam_hi = min(f.eval(M) for f in funcs)
+        lam_hi = min(f.eval(M) for f in funcs)
         if lam_hi < sys.float_info.min:  # the level, at most lam_hi, is subnormal or 0
             raise _level_underflow(M)
-        lam_hi, f_hi = pos or (lam_hi, excess(lam_hi))
+        f_hi = excess(lam_hi)
         doublings = 0
         while f_hi < 0:
             lam_lo, f_lo = lam_hi, f_hi
@@ -151,33 +130,6 @@ def level_allocation(funcs, M: float, _guess: float | None = None) -> tuple[floa
             "level bisection failed to bracket the demand", residual=math.fsum(los) - M
         )
     return lam_star, _allocate(funcs, lam_star, los, his, M)
-
-
-class _Track:
-    """The last two (M, level) of each level search in one sweep, from which
-    ``guess`` predicts the next level.  Entries are keyed by the identity of
-    the search's cost tuple, so the equilibrium (``net.costs``) and the
-    marginal-game optimum (``net.marginal.costs``, cached on the network)
-    keep apart in one track.  It lives as long as the sweep loop holding it."""
-
-    def __init__(self) -> None:
-        self._last: dict[int, tuple] = {}
-
-    def guess(self, funcs, M: float) -> float | None:
-        """lam_1 (lam_1/lam_0)^(ln(M/M_1)/ln(M_1/M_0)), the log-log secant
-        through the last two points (a predictor step of numerical
-        continuation), exact where the level is flat; lam_1 after one point."""
-        points = self._last.get(id(funcs), ())
-        if len(points) < 2:
-            return points[-1][1] if points else None
-        (M0, lam0), (M1, lam1) = points
-        try:
-            return lam1 * (lam1 / lam0) ** (math.log(M / M1) / math.log(M1 / M0))
-        except ArithmeticError:  # a level 0, or a prediction past the float range
-            return lam1
-
-    def record(self, funcs, M: float, lam: float) -> None:
-        self._last[id(funcs)] = (*self._last.get(id(funcs), ())[-1:], (M, lam))
 
 
 def _level_underflow(M: float) -> DomainError:
@@ -275,40 +227,36 @@ def _range_error(M: float, exc: ArithmeticError) -> GameError:
                        "the demand is below the range native floats resolve")
 
 
-def wardrop_equilibrium(net: Network, M: float, _track: _Track | None = None) -> EquilibriumSolution:
+def wardrop_equilibrium(net: Network, M: float) -> EquilibriumSolution:
     """Equilibrium by the solver that ``classify`` picks: the log-domain
     split for the exponential game, projected Newton steps on a general
     network, level bisection on every other parallel network.
-    Each of them carries the failure contract of ``_typed_failures``.
-    Only level bisection reads the private sweep ``_track``."""
+    Each of them carries the failure contract of ``_typed_failures``."""
     kind = classify(net).name
     if kind == "exp":
         return wardrop_parallel_log(net, M)
     if kind == "general":
         return wardrop_general(net, M)
-    return wardrop_parallel(net, M, _track)
+    return wardrop_parallel(net, M)
 
 
 @_typed_failures
-def wardrop_parallel(net: Network, M: float, _track: _Track | None = None) -> EquilibriumSolution:
+def wardrop_parallel(net: Network, M: float) -> EquilibriumSolution:
     """Equilibrium of a parallel network via level bisection.
 
     Jumps are allowed; the allocation puts each link at the lower end of
     its inverse interval plus a proportional share of the remaining demand.
     """
-    return EquilibriumSolution(*_parallel_flow(net, M, _track), "bisection")
+    return EquilibriumSolution(*_parallel_flow(net, M), "bisection")
 
 
-def _parallel_flow(net: Network, M: float, track: _Track | None = None) -> tuple[FlowProfile, float, float, float]:
+def _parallel_flow(net: Network, M: float) -> tuple[FlowProfile, float, float, float]:
     """``wardrop_parallel``'s (flow, level, residual, social cost), path i
     being link i; the residual and the cost are ``verify_equilibrium``'s and
-    ``social_cost``'s, from one ``eval_right`` and one ``eval`` per link.  A
-    sweep's ``track`` guesses the level and records the one found."""
+    ``social_cost``'s, from one ``eval_right`` and one ``eval`` per link."""
     if not net.is_parallel():
         raise DomainError("wardrop_parallel requires a parallel network")
-    lam, x = level_allocation(net.costs, M, None if track is None else track.guess(net.costs, M))
-    if track is not None:
-        track.record(net.costs, M, lam)
+    lam, x = level_allocation(net.costs, M)
     flow = FlowProfile(tuple(x), M)
     x = [float(v) + 0.0 for v in x]  # a one-term fsum: -0.0 reads 0.0
     entry, own = zip(*[(float(c.eval_right(v)) + 0.0, float(c.eval(v)) + 0.0) for c, v in zip(net.costs, x)])

@@ -19,6 +19,7 @@ from .costs import (
     Shifted,
     StepExp,
     StepGeometric,
+    _num,
     _powers,
 )
 from .errors import DomainError
@@ -98,14 +99,14 @@ def named_instance(name: str) -> Network:
     if head == "pigou" and len(parts) == 1:
         return pigou()
     if head == "step" and len(parts) == 2:
-        return step_game(float(parts[1]))
+        return step_game(_num(parts[1]))
     if head == "pwl" and len(parts) == 2:
-        return pwl_game(float(parts[1]))
+        return pwl_game(_num(parts[1]))
     if head == "exp":
         if len(parts) == 1 or parts[1] == "factorial":
             return exp_game(AlphaSequence("factorial"))
         if parts[1] == "supergeometric":
-            base = float(parts[2]) if len(parts) > 2 else 2.0
+            base = _num(parts[2]) if len(parts) > 2 else 2.0
             return exp_game(AlphaSequence("supergeometric", base=base))
     raise DomainError(f"unknown named instance {name!r}")
 

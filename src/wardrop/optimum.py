@@ -35,7 +35,7 @@ from .errors import DomainError, RangeOverflowError, UnsupportedCostError
 from .instances import classify
 from .logdomain import LogValue, log_add, log_term
 from .network import FlowProfile, Network, social_cost
-from .equilibrium import _general_flow, _parallel_flow, _Track, _typed_failures
+from .equilibrium import _general_flow, _parallel_flow, _typed_failures
 
 _LATTICE_POINTS = 257 * 257  # lattice points per brute-force round
 
@@ -55,10 +55,9 @@ class OptimumSolution:
 
 
 @_typed_failures
-def opt_parallel_marginal(net: Network, M: float, _track: _Track | None = None) -> OptimumSolution:
-    """Optimum of a parallel network by level bisection on the marginal
-    costs, its level guessed by the private sweep ``_track`` where given."""
-    return _marginal_optimum(net, M, functools.partial(_parallel_flow, track=_track), "marginal")
+def opt_parallel_marginal(net: Network, M: float) -> OptimumSolution:
+    """Optimum of a parallel network by level bisection on the marginal costs."""
+    return _marginal_optimum(net, M, _parallel_flow, "marginal")
 
 
 @_typed_failures
@@ -463,11 +462,10 @@ _EXACT = {  # classify(net).name -> (the instance's name, its exact optimum)
 
 @_typed_failures
 def social_optimum(net: Network, M: float, method: str = "auto", _start: FlowProfile | None = None,
-                   _track: _Track | None = None, **kwargs) -> OptimumSolution:
+                   **kwargs) -> OptimumSolution:
     """Dispatch to the exact method matching the instance, or brute force.
-    The private ``_start`` flow starts ``opt_general_marginal`` and the
-    private sweep ``_track`` guesses ``opt_parallel_marginal``'s level;
-    every other method ignores them.  Its guard covers the method, run unwrapped."""
+    The private ``_start`` flow starts ``opt_general_marginal``; every other
+    method ignores it.  Its guard covers the method, run unwrapped."""
     kind = classify(net)
     if method == "auto":
         if kind.name in _EXACT:
@@ -487,7 +485,7 @@ def social_optimum(net: Network, M: float, method: str = "auto", _start: FlowPro
         return solve.__wrapped__(kind.param, M)
     if method == "marginal":
         if net.is_parallel():
-            return opt_parallel_marginal.__wrapped__(net, M, _track)
+            return opt_parallel_marginal.__wrapped__(net, M)
         return opt_general_marginal.__wrapped__(net, M, _start)
     if method == "brute":
         return opt_bruteforce(net, M, **kwargs)

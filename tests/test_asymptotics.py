@@ -7,11 +7,11 @@ import pytest
 
 from wardrop.cli import auto_breakpoints
 from wardrop.costs import Affine, AlphaSequence, Constant, CostFunction, Monomial
-from wardrop.equilibrium import _Track
 from wardrop.errors import DomainError, GameError, RangeOverflowError
 from wardrop.instances import (
     designated_limit_instances,
     exp_game,
+    named_instance,
     pigou,
     pwl_game,
     step_breakpoints,
@@ -306,6 +306,14 @@ def test_decade_windows_stop_at_the_last_finite_power():
     assert [p.index for p in curve.periods] == [306, 307]
 
 
+def test_sweep_past_the_last_window_start_keeps_its_samples():
+    # the window index of M_lo = 1e305 in base 1e10 once raised a range
+    # error after every sample was solved
+    curve = poa_sweep(pigou(), 1e305, 1e306, samples_per_decade=64, period_base=1e10)
+    assert len(curve.samples) == 65 and not curve.failures
+    assert curve.periods == ()
+
+
 def test_sweep_records_failures_and_continues():
     # demands past 2 alpha_3 = 60 need a fourth term the sequence lacks
     curve = poa_sweep(exp_game(AlphaSequence("explicit", values=(1.0, 3.0, 30.0))), 1.0, 100.0,
@@ -316,8 +324,8 @@ def test_sweep_records_failures_and_continues():
 
 
 def test_parallel_sweep_matches_serial():
-    # each worker continues its level searches along its own block of demands;
-    # the smooth network's optimum is the marginal game's level search
+    # each worker solves its own block of demands; the smooth network's
+    # optimum is the marginal game's level search
     smooth = designated_limit_instances()["polynomial-over-common-rv"]
     cases = [(step_game(2.0), 4.0, 16.0, 32, step_breakpoints(2.0, 1, 2), 2.0),
              (smooth, 0.1, 1e3, 16, (), None)]
@@ -327,12 +335,26 @@ def test_parallel_sweep_matches_serial():
         assert serial.samples and not serial.failures
 
 
-@pytest.mark.parametrize("net", [pigou(), step_game(2.0)], ids=["pigou", "step:2"])
-def test_sweep_answers_as_cold_poa(net):
-    """The continued sweep gives each demand the samples and failure messages
-    of a cold ``poa``, across the underflow and overflow failures at the
-    ends of the range: a failed demand leaves nothing that moves the next."""
-    curve = poa_sweep(net, 1e-200, 1e200, samples_per_decade=8)
+_COLD_SWEEPS = {  # name: (M_lo, M_hi, samples per decade, breakpoint hints, demands)
+    "pigou": (1e-200, 1e200, 8, False, 3201),
+    "step:2": (1e-200, 1e200, 8, False, 3201),
+    "step:3": (6.0, 486.0, 16, True, 80),
+    "pwl:2": (4.0, 1024.0, 16, True, 72),
+    "exp:factorial": (1.0, 1e6, 16, False, 97),
+    "polynomial-over-common-rv": (1e-3, 1e9, 16, False, 193),
+    "affine-sandwich": (1e-3, 1e9, 16, False, 193),
+}
+
+
+@pytest.mark.parametrize("name", _COLD_SWEEPS)
+def test_sweep_answers_as_cold_poa(name):
+    """A sweep holds no state between demands: each sample is, field by
+    field, ``poa`` at its demand, and each failure message is the one
+    ``poa`` raises there.  On [1e-200, 1e200] this holds across the
+    underflow and overflow failures at the ends of the range."""
+    lo, hi, per_decade, hinted, demands = _COLD_SWEEPS[name]
+    net = designated_limit_instances().get(name) or named_instance(name)
+    curve = poa_sweep(net, lo, hi, per_decade, auto_breakpoints(net, lo, hi) if hinted else ())
     samples, failures = [], []
     for M in sorted([s.M for s in curve.samples] + [M for M, _ in curve.failures]):
         try:
@@ -340,8 +362,8 @@ def test_sweep_answers_as_cold_poa(net):
             samples.append(PoaSample(M, r.equilibrium.cost, r.optimum.cost, r.poa, r.method, r.flag))
         except GameError as exc:
             failures.append((M, str(exc)))
-    assert len(samples) + len(failures) == 3201
-    assert samples and failures
+    assert len(samples) + len(failures) == demands
+    assert samples and bool(failures) == (lo == 1e-200)
     assert repr((curve.samples, curve.failures)) == repr((tuple(samples), tuple(failures)))
 
 
@@ -364,29 +386,14 @@ def _count_inverses(monkeypatch) -> collections.Counter:
     return calls
 
 
-def test_readme_sweep_continues_its_level_searches(monkeypatch):
-    # each demand solved from a cold bracket made 31,959 step inverses
+def test_readme_sweep_bounds_its_step_inverses(monkeypatch):
+    # with the jump probes; root's secant steps alone made 31,959
     net = step_game(3.0)
     hints = auto_breakpoints(net, 6.0, 486.0)
     calls = _count_inverses(monkeypatch)
     curve = poa_sweep(net, 6.0, 486.0, 512, hints, jobs=None)
     assert len(curve.samples) == 1027
-    assert calls["StepGeometric"] <= 8000
-
-
-@pytest.mark.parametrize("name", sorted(designated_limit_instances()))
-def test_sweep_guesses_cost_no_more_level_sums_than_cold(name, monkeypatch):
-    """Inverses (n per evaluation of the level sum, and the same after each
-    search) of a sweep at 64 per decade, against the same sweep with every
-    guess withheld."""
-    net = designated_limit_instances()[name]
-    calls = _count_inverses(monkeypatch)
-    poa_sweep(net, 1e-3, 1e9, 64)
-    guessed = sum(calls.values())
-    calls.clear()
-    monkeypatch.setattr(_Track, "guess", lambda self, funcs, M: None)
-    poa_sweep(net, 1e-3, 1e9, 64)
-    assert guessed <= sum(calls.values())
+    assert calls["StepGeometric"] <= 6000
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +550,7 @@ def test_shift_experiment_solves_each_demand_once(monkeypatch):
 
     calls = []  # the demands of the equilibrium solves, not the optimum's
     solve = eq._parallel_flow
-    monkeypatch.setattr(eq, "_parallel_flow", lambda net, M, *track: calls.append(M) or solve(net, M, *track))
+    monkeypatch.setattr(eq, "_parallel_flow", lambda net, M: calls.append(M) or solve(net, M))
     base = build_parallel([Affine(0.0, 1.0), Affine(0.0, 2.0)])
     shift_experiment(base, (1.0, 3.0), (1.0, 10.0, 100.0))
     assert calls == [1.0, 1.0, 10.0, 10.0, 100.0, 100.0]  # the base and the shifted game

@@ -184,6 +184,15 @@ def test_extremes_needs_at_least_one_period(tmp_path, capsys):
     assert err == "solver error: periods_required must be at least 1, got 0\n"
 
 
+def test_extremes_past_the_last_window_start_covers_no_period(tmp_path, capsys):
+    # the window index of M_lo = 1e305 in base 1e10 was once a range error
+    curve = tmp_path / "curve.csv"
+    curve.write_text("M,weq,opt,poa,method,flag\n1e305,1,1,1.0,bisection,\n1e306,1,1,1.0,bisection,\n")
+    code, out, err = _run(["extremes", "--curve", str(curve), "--period-base", "1e10"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "solver error: curve covers 0 full periods; 3 required\n"
+
+
 def test_brute_force_at_a_million_lattice_flows(capsys):
     # once "division by zero ... the demand is below the range native floats resolve"
     code, out, err = _run(["opt", "--network", "pigou", "--demand", "1", "--method", "brute",
@@ -234,6 +243,14 @@ def test_malformed_json_reports_line_and_column(tmp_path, capsys):
 def test_missing_file_is_input_error(capsys):
     code, _, err = _run(["solve", "--network", "nope.json", "--demand", "1"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("name", ["step:abc", "pwl:x", "exp:supergeometric:zz"])
+def test_malformed_named_instance_is_input_error(name, capsys):
+    # a bare float() on the parameter once ended in a ValueError traceback
+    code, out, err = _run(["poa", "--network", name, "--demand", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"input error: no such network file or named instance: {name!r}\n"
 
 
 def test_solver_error_exit_code(capsys):

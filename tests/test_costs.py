@@ -101,6 +101,49 @@ def test_exp_over_x_inverse_is_where_eval_crosses_the_level():
     assert c.generalized_inverse(math.inf) == (math.inf, math.inf)
 
 
+def _ulps_around(x: float, n: int) -> list[float]:
+    out, up, down = [x], x, x
+    for _ in range(n):
+        up, down = min(math.nextafter(up, math.inf), sys.float_info.max), math.nextafter(down, 0.0)
+        out += [up, down]
+    return out
+
+
+def test_exp_over_x_inverse_bracket_keeps_every_answer():
+    # the bracket [ln L, ln L + ln(2 ln L)] ends where [1, 2 ln L] ended
+    def wide(level):
+        def excess(x):
+            t = x - math.log(x)
+            return math.exp(t) - level if t <= costs._MAX_EXP else math.inf
+
+        hi = 2.0 * math.log(level)
+        x = root(excess, 1.0, excess(1.0), hi, excess(hi))[1]
+        return (x, x)
+
+    rng = random.Random(17)
+    levels = [math.exp(rng.uniform(1.0, math.log(1e300))) for _ in range(3000)]
+    levels += [v for x in (E, 1e308, sys.float_info.max) for v in _ulps_around(x, 6) if v > E]
+    c = ExpOverX()
+    for level in levels:
+        assert repr(c.generalized_inverse(level)) == repr(wide(level)), level
+
+
+def test_exp_over_x_inverse_evaluations(monkeypatch):
+    # [1, 2 ln L] took 58-60 evaluations at levels 1e3-1e100
+    calls, solve = [0], costs.root
+
+    def counted_root(f, *bracket):
+        return solve(lambda x: calls.__setitem__(0, calls[0] + 1) or f(x), *bracket)
+
+    monkeypatch.setattr(costs, "root", counted_root)
+    rng, c, counts = random.Random(19), ExpOverX(), []
+    for _ in range(500):
+        calls[0] = 0
+        c.generalized_inverse(10.0 ** rng.uniform(3.0, 300.0))
+        counts.append(calls[0] + 2)  # root's evaluations and the two ends
+    assert max(counts) <= 18 and sum(counts) <= 15 * len(counts)
+
+
 @settings(max_examples=40)
 @given(
     st.sampled_from(ALL_FAMILIES),
