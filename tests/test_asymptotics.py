@@ -341,8 +341,7 @@ _COLD_SWEEPS = {  # name: (M_lo, M_hi, samples per decade, breakpoint hints, dem
     "step:3": (6.0, 486.0, 16, True, 80),
     "pwl:2": (4.0, 1024.0, 16, True, 72),
     "exp:factorial": (1.0, 1e6, 16, False, 97),
-    "polynomial-over-common-rv": (1e-3, 1e9, 16, False, 193),
-    "affine-sandwich": (1e-3, 1e9, 16, False, 193),
+    **{name: (1e-3, 1e9, 16, False, 193) for name in sorted(designated_limit_instances())},
 }
 
 

@@ -33,7 +33,7 @@ from wardrop.errors import (
     UnsupportedCostError,
 )
 from wardrop.asymptotics import poa, step_game_closed_form
-from wardrop.instances import exp_game, pigou, step_game
+from wardrop.instances import designated_limit_instances, exp_game, pigou, step_game
 from wardrop.network import Edge, FlowProfile, Network, build_parallel, load_network, social_cost
 from wardrop.optimum import opt_general_marginal, opt_parallel_marginal, social_optimum
 from wardrop.equilibrium import (
@@ -177,6 +177,45 @@ def test_level_search_ends_where_splits_alone_end(mix, monkeypatch):
     monkeypatch.setattr(equilibrium, "root", lambda f, lo, f_lo, hi, f_hi: _bisection(
         lambda x: not f(x) < 0.0, lo, hi))
     assert secant == outcomes()
+
+
+_WIDE_MIXES = {
+    **_LEVEL_MIXES,
+    "two-squares": (Monomial(1.0, 2.0), Monomial(1.0, 2.0)),
+    **{f"marginal:{name}": net.marginal.costs for name, net in designated_limit_instances().items()},
+}
+
+
+@pytest.mark.parametrize("mix", _WIDE_MIXES, ids=str)
+def test_level_search_ends_at_its_level(mix):
+    """The level routes M on the aggregate upper inverse, 2^-40 below it
+    does not, and each link's flow lies between its upper inverses at those
+    two levels, the flows summing to M; a search that fails raises a typed
+    error.  100 seeded demands per mix, one in five on [1e-300, 1e300],
+    where the searches underflow and overflow, and M = 1.5e154, where M^2
+    overflows but the two squares have their level at (M/2)^2 without it."""
+    funcs = _WIDE_MIXES[mix]
+    rng = random.Random(31)
+
+    def uppers(lam):
+        return [f.generalized_inverse(lam)[1] for f in funcs]
+
+    failed = 0
+    for i in range(101):
+        M = 1.5e154 if i == 100 else 10.0 ** (rng.uniform(-300.0, 300.0) if i % 5 == 0 else rng.uniform(-6.0, 9.0))
+        try:
+            lam, x = equilibrium.level_allocation(funcs, M)
+        except GameError:
+            failed += 1
+            continue
+        below = lam * (1.0 - 2.0**-40)
+        assert math.fsum([*uppers(lam), -M]) >= 0.0 > math.fsum([*uppers(below), -M]), M
+        for lo, xi, hi in zip(uppers(below), x, uppers(lam)):
+            assert lo * (1.0 - 1e-9) <= xi <= hi * (1.0 + 1e-9), M
+        assert min(x) >= 0.0 and math.fsum(x) == pytest.approx(M, rel=1e-9)
+        if mix == "two-squares" and M == 1.5e154:
+            assert lam == pytest.approx((M / 2.0) ** 2, rel=1e-12)
+    assert failed < 101
 
 
 _JUMP_MIXES = {
