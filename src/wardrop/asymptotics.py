@@ -24,6 +24,7 @@ from .optimum import OptimumSolution, social_optimum
 
 POA_FLOOR_SLACK = 1e-9
 DEFAULT_SAMPLES_PER_DECADE = 512
+MAX_SWEEP_SAMPLES = 10**6  # grid samples of one sweep, hints not counted
 TREND_EPS = 1e-2
 
 
@@ -132,13 +133,21 @@ def poa_sweep(
     Breakpoints are sampled at both 1e-9-relative offsets because the
     equilibrium cost is discontinuous there.  Failed samples are recorded
     and skipped; the sweep continues.  Each worker (one when serial) solves
-    a block of increasing demands, each by a plain ``poa`` call.
+    a block of increasing demands, each by a plain ``poa`` call.  Before any
+    is solved, ``samples_per_decade`` must be a finite number >= 1 and the
+    geometric grid at most MAX_SWEEP_SAMPLES samples.
     """
     if not 0 < M_lo < M_hi < math.inf:
         raise DomainError(f"need 0 < M_lo < M_hi < inf, got {M_lo!r}, {M_hi!r}")
     _check_period_base(period_base)
+    if not 1 <= samples_per_decade < math.inf:
+        raise DomainError(f"samples per decade must be a finite number >= 1, got {samples_per_decade!r}")
     lo, hi = math.log10(M_lo), math.log10(M_hi)  # M_hi / M_lo can overflow
-    n = max(2, int(math.ceil((hi - lo) * samples_per_decade)) + 1)
+    steps = (hi - lo) * samples_per_decade
+    if steps + 1 > MAX_SWEEP_SAMPLES:
+        raise DomainError(f"a sweep takes at most {MAX_SWEEP_SAMPLES} grid samples, got "
+                          f"{samples_per_decade!r} per decade over {hi - lo:.6g} decades")
+    n = max(2, int(math.ceil(steps)) + 1)
     step = (hi - lo) / (n - 1)
     # evenly spaced exponents between exact ends; one reaches hi only on steps finer than its ulp
     grid = [M_lo, *(10.0 ** y if y < hi else M_hi for y in (i * step + lo for i in range(1, n - 1))), M_hi]

@@ -30,6 +30,7 @@ _E = math.e
 _MAX_EXP = math.log(sys.float_info.max)  # ~709.78
 ROOT_SLACK = 3  # evaluations ``root`` may spend over bisection's bound
 _POLY_BRACKET_CAP = 2.0**996  # a polynomial inverse above it is out of range
+_UNIT_STEPS = 4  # floats a quadratic inverse steps from its closed-form root
 
 
 def _log(v: float) -> float:
@@ -363,9 +364,10 @@ class Polynomial(CostFunction):
         if not coefs or not all(0 <= c < math.inf for c in coefs):
             raise DomainError("polynomial needs finite nonnegative coefficients")
         object.__setattr__(self, "coefficients", coefs)
+        object.__setattr__(self, "_increasing", any(c > 0 for c in coefs[1:]))  # read by every inverse
 
     def is_strictly_increasing(self) -> bool:
-        return any(c > 0 for c in self.coefficients[1:])
+        return self._increasing
 
     def eval(self, x: float) -> float:
         x = _check_nonneg(x)
@@ -389,6 +391,13 @@ class Polynomial(CostFunction):
         return acc * x
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
+        """(x, x) for the midpoint x of the adjacent floats between which
+        Horner's c(x) - level turns non-negative; (0, 0) at or below c0.  At
+        degree 1 or 2 the pair is closed by at most _UNIT_STEPS unit steps
+        from the closed-form root (``_quadratic_pair``).  Where they do not
+        close it, and above degree 2, ``root`` closes it from the bracket
+        ``_quadratic_bracket`` or ``_power_bracket`` gives.  The pair is
+        unique, so each path gives the same floats."""
         level = _check_nonneg(level, "level")
         c0 = self.coefficients[0]
         if level < c0:
@@ -407,10 +416,12 @@ class Polynomial(CostFunction):
                 acc = acc * t + c
             return acc - level
 
-        bracket = _quadratic_bracket(self.coefficients, level, excess)
-        lo, f_lo, hi, f_hi = bracket or _power_bracket(self.coefficients, level, excess)
-        lo, hi = root(excess, lo, f_lo, hi, f_hi)
-        x = 0.5 * (lo + hi)
+        pair = _quadratic_pair(self.coefficients, level, excess)
+        if pair is None:
+            bracket = _quadratic_bracket(self.coefficients, level, excess)
+            lo, f_lo, hi, f_hi = bracket or _power_bracket(self.coefficients, level, excess)
+            pair = root(excess, lo, f_lo, hi, f_hi)
+        x = 0.5 * (pair[0] + pair[1])
         return (x, x)
 
     def asymptotic_value(self) -> float:
@@ -443,24 +454,62 @@ def _power_bracket(coefficients, level: float, excess):
     return lo, f_lo, hi, f_hi
 
 
-def _quadratic_bracket(coefficients, level: float, excess):
-    """(lo, excess(lo), hi, excess(hi)) around x+ of c0 + c1 x + c2 x^2 at
-    ``level`` > c0: x0 (1 -+ 2^-48) for the closed-form root x0 = 2r / (c1 +
-    sqrt(c1^2 + 4 c2 r)), r = level - c0, which has no cancellation and is
-    off by a few units in the last place.  None above degree 2, and where
-    the signs of ``excess`` show that the bracket misses x+ or it is beyond
-    the polynomial inverse's range; ``_power_bracket`` serves those.
-    ``root`` ends on the same floats from it as from any other bracket:
-    Horner's rule with nonnegative coefficients is monotone in floats."""
+def _quadratic_root(coefficients, level: float) -> float:
+    """The root x0 of c0 + c1 x + c2 x^2 = m for ``level`` > c0, where m is
+    the midpoint between level and the float below it: Horner's float sum
+    c0 + (c1 + c2 x) x rounds to level or above past m, so x0 lies within
+    a few units in the last place of where ``excess`` turns non-negative
+    unless a partial sum is subnormal.  x0 = 2r / (c1 + hypot(c1, 2 sqrt(c2)
+    sqrt(r))), r = m - c0, has no cancellation, and hypot keeps c1^2 + 4 c2 r
+    from overflowing or underflowing.  NaN above degree 2 and where the
+    denominator is 0; 0 where it overflows."""
     if len(coefficients) > 3:
-        return None
+        return math.nan
     c1 = coefficients[1]
     c2 = coefficients[2] if len(coefficients) == 3 else 0.0
-    r = level - coefficients[0]
-    d = c1 + math.sqrt(c1 * c1 + 4.0 * c2 * r)  # may overflow, or underflow to 0
-    if not d > 0.0:
+    r = level - coefficients[0] - 0.5 * (level - math.nextafter(level, 0.0))
+    d = c1 + math.hypot(c1, 2.0 * math.sqrt(c2) * math.sqrt(r))
+    return 2.0 * r / d if d > 0.0 else math.nan
+
+
+def _quadratic_pair(coefficients, level: float, excess):
+    """The adjacent floats (lo, hi) between which ``excess`` turns
+    non-negative, for a polynomial of degree 1 or 2 at ``level`` > c0: from
+    the closed-form root x0 (``_quadratic_root``), one float at a time, at
+    most _UNIT_STEPS steps, towards the sign change.  None where x0 is not
+    in [0, _POLY_BRACKET_CAP], where the steps do not close the pair, and
+    where its upper end passes that cap.  Horner's rule with nonnegative
+    coefficients is monotone in floats, so this is the only such pair, the
+    one ``root`` ends on from any bracket."""
+    x = _quadratic_root(coefficients, level)
+    if not 0.0 <= x <= _POLY_BRACKET_CAP:
         return None
-    x0 = 2.0 * r / d
+    if excess(x) < 0.0:
+        for _ in range(_UNIT_STEPS):
+            hi = math.nextafter(x, math.inf)
+            if not excess(hi) < 0.0:
+                return (x, hi) if hi <= _POLY_BRACKET_CAP else None
+            x = hi
+    else:
+        for _ in range(_UNIT_STEPS):
+            lo = math.nextafter(x, 0.0)
+            if excess(lo) < 0.0:
+                return (lo, x)
+            x = lo
+    return None
+
+
+def _quadratic_bracket(coefficients, level: float, excess):
+    """(lo, excess(lo), hi, excess(hi)) around x+ of c0 + c1 x + c2 x^2 at
+    ``level`` > c0: x0 (1 -+ 2^-48) for the closed-form root x0
+    (``_quadratic_root``).  The inverse takes it only where the unit steps
+    of ``_quadratic_pair`` do not close the pair, as where a subnormal level
+    or partial sum of Horner's rule moves the sign change many units in the
+    last place from x0.  None above degree 2, and where the signs of
+    ``excess`` show that the bracket misses x+ or it is beyond the
+    polynomial inverse's range; ``_power_bracket`` serves those.  ``root``
+    ends on the same floats from it as from any other bracket."""
+    x0 = _quadratic_root(coefficients, level)
     lo, hi = x0 * (1.0 - 2.0**-48), x0 * (1.0 + 2.0**-48)
     if not 0.0 < lo < hi <= _POLY_BRACKET_CAP:
         return None

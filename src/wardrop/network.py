@@ -47,6 +47,8 @@ class Network:
             raise DomainError("one cost function per edge is required")
         if self.source not in self.vertices or self.sink not in self.vertices:
             raise DomainError("source and sink must be listed vertices")
+        if self.source == self.sink:
+            raise DomainError(f"source and sink must differ, both are {self.source!r}")
         for e in self.edges:
             if e.tail not in self.vertices or e.head not in self.vertices:
                 raise DomainError(f"edge {e.id} references unknown vertices")

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from wardrop import asymptotics
 from wardrop.cli import auto_breakpoints
 from wardrop.costs import Affine, AlphaSequence, Constant, CostFunction, Monomial
 from wardrop.errors import DomainError, GameError, RangeOverflowError
@@ -283,6 +284,29 @@ def test_sweep_needs_a_period_base_above_one(a):
     # above -2); a = 1 divided by log(1)
     with pytest.raises(DomainError, match="period base must be a finite a > 1"):
         poa_sweep(step_game(2.0), 6.0, 96.0, samples_per_decade=8, period_base=a)
+
+
+def _no_poa(net, M):
+    raise AssertionError(f"a sample was solved at M={M!r}")
+
+
+@pytest.mark.parametrize("v", [0, -3, 0.5, math.nan, math.inf])
+def test_sweep_needs_at_least_one_sample_per_decade(v, monkeypatch):
+    # 0, -3 and 0.5 once gave a curve of the two ends; nan raised a bare
+    # ValueError and inf a bare OverflowError
+    monkeypatch.setattr(asymptotics, "poa", _no_poa)
+    with pytest.raises(DomainError, match="samples per decade must be a finite number >= 1"):
+        poa_sweep(pigou(), 1.0, 10.0, samples_per_decade=v)
+
+
+def test_sweep_refuses_a_grid_above_its_bound(monkeypatch):
+    # with the bound patched down, no large grid is built on either side of it
+    monkeypatch.setattr(asymptotics, "MAX_SWEEP_SAMPLES", 100)
+    monkeypatch.setattr(asymptotics, "poa", _no_poa)
+    with pytest.raises(DomainError, match="at most 100 grid samples"):
+        poa_sweep(pigou(), 1.0, 10.0, samples_per_decade=100)  # 101 samples
+    with pytest.raises(AssertionError, match="solved at M=1.0"):
+        poa_sweep(pigou(), 1.0, 10.0, samples_per_decade=99)  # 100 samples pass the check
 
 
 def test_constant_pair_poa_identically_one():

@@ -253,6 +253,28 @@ def test_malformed_named_instance_is_input_error(name, capsys):
     assert err == f"input error: no such network file or named instance: {name!r}\n"
 
 
+@pytest.mark.parametrize("spec", [
+    {"vertices": ["s"], "edges": [], "source": "s", "sink": "s"},
+    {"vertices": ["s", "t"], "edges": [{"id": "e1", "tail": "s", "head": "t", "cost": {"family": "affine", "a": 0, "b": 1}}],
+     "source": "s", "sink": "s"},
+], ids=["no-edges", "one-edge"])
+def test_source_equal_to_sink_is_an_input_error(spec, tmp_path, capsys):
+    # once a ValueError traceback from the level search (no edges) or a 0/0
+    # social cost at solve time (one edge): its only path is the empty one
+    path = tmp_path / "st.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = _run(["poa", "--network", str(path), "--demand", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "input error: source and sink must differ, both are 's'\n"
+
+
+def test_sweep_with_no_samples_per_decade_is_refused(capsys):
+    # it once exited 0 with the two ends as its whole curve
+    code, out, err = _run(["sweep", "--network", "pigou", "--from", "1", "--to", "10", "--per-decade", "0"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "solver error: samples per decade must be a finite number >= 1, got 0\n"
+
+
 def test_solver_error_exit_code(capsys):
     # demand past the factorial bracket lattice, 2 * 170! = 1.5e307, is a numeric-domain error
     code, _, err = _run(["solve", "--network", "exp:factorial", "--demand", "1e308"], capsys)

@@ -2,6 +2,7 @@ import bisect
 import json
 import math
 import random
+import struct
 import sys
 
 import mpmath
@@ -1004,6 +1005,93 @@ def test_seeded_quadratic_inverse_matches_the_unseeded_one():
                 Polynomial(tuple(coefs)).generalized_inverse(level)
             continue
         assert Polynomial(tuple(coefs)).generalized_inverse(level) == expected, (coefs, level)
+
+
+def _float_rank(x: float) -> int:
+    """The position of a float x >= 0 among the floats: adjacent ones differ by 1."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _count_excess_evaluations(monkeypatch) -> list:
+    """Record every point at which a polynomial inverse evaluates its
+    excess: in the unit steps, in both brackets and in ``root`` alike."""
+    evaluations = []
+
+    def counting(fn, at):
+        def wrapped(*args):
+            f = args[at]
+            return fn(*args[:at], lambda x: evaluations.append(x) or f(x), *args[at + 1:])
+        return wrapped
+
+    for name, at in (("_quadratic_pair", 2), ("_quadratic_bracket", 2), ("_power_bracket", 2), ("root", 0)):
+        monkeypatch.setattr(costs, name, counting(getattr(costs, name), at))
+    return evaluations
+
+
+def test_designated_quadratic_inverse_closes_without_root(monkeypatch):
+    """3x^2 + x (the designated instance's link) and its marginal 9x^2 + 2x
+    close every pair from the closed form: ``root`` is never called, and an
+    inverse evaluates the polynomial at most 5 times (x0, then 4 unit
+    steps), the most measured on the benchmark's levels."""
+    evaluations = _count_excess_evaluations(monkeypatch)
+
+    def no_root(*args):
+        raise AssertionError("root called")
+
+    monkeypatch.setattr(costs, "root", no_root)
+    rng = random.Random(36)
+    link = Polynomial((0.0, 1.0, 3.0))
+    assert link.marginal_function() == Polynomial((0.0, 2.0, 9.0))
+    for p in (link, link.marginal_function()):
+        for _ in range(2000):
+            level = 10.0 ** rng.uniform(-6.0, 18.0)
+            evaluations.clear()
+            assert p.generalized_inverse(level) == _unseeded_polynomial_inverse(p.coefficients, level)
+            assert len(evaluations) <= 5, (p, level)
+
+
+def test_seeded_quadratic_draws_take_few_evaluations(monkeypatch):
+    """Over the 20000 draws of the test above, every evaluation counted
+    (unit steps, brackets and ``root``), an inverse takes at most 16: 5 for
+    the steps, 2 for the x0 (1 -+ 2^-48) ends and 9 for ``root`` from them.
+    The most measured is 4."""
+    evaluations = _count_excess_evaluations(monkeypatch)
+    inverse = Polynomial.generalized_inverse
+    counts = []
+
+    def counted(self, level):
+        evaluations.clear()
+        try:
+            return inverse(self, level)
+        finally:
+            counts.append(len(evaluations))
+
+    monkeypatch.setattr(Polynomial, "generalized_inverse", counted)
+    test_seeded_quadratic_inverse_matches_the_unseeded_one()
+    assert len(counts) > 10000 and max(counts) <= 16
+
+
+@pytest.mark.parametrize("coefs, level, tried", [
+    # subnormal level: c1 x rounds on a grid of 5e-324, far coarser than x's ulps
+    ((0.0, 1.2790338675859795e-291), 7.55900124438624e-310, ["_quadratic_bracket"]),
+    ((0.0, 7.295946977632685e-110), 4.17945437430763e-310, ["_quadratic_bracket", "_power_bracket"]),
+    # subnormal partial sum c1 x below a normal c0
+    ((1.714149734365914e-299, 3.905246272679885e-252), 1.7141497343659147e-299,
+     ["_quadratic_bracket", "_power_bracket"]),
+], ids=["subnormal-level-quadratic-bracket", "subnormal-level-power-bracket", "subnormal-partial-sum"])
+def test_quadratic_inverse_falls_back_where_the_closed_form_is_far(monkeypatch, coefs, level, tried):
+    """Draws of a seeded search over the float range whose closed form lies
+    more than 4 ulps from the answer: the unit steps give up, ``root``
+    closes the pair from the last bracket tried, and the answer is the
+    unseeded one."""
+    brackets = []
+    for name in ("_quadratic_bracket", "_power_bracket"):
+        real = getattr(costs, name)
+        monkeypatch.setattr(costs, name, lambda *a, real=real, name=name: brackets.append(name) or real(*a))
+    expected = _unseeded_polynomial_inverse(coefs, level)
+    assert abs(_float_rank(costs._quadratic_root(coefs, level)) - _float_rank(expected[0])) > 4
+    assert Polynomial(coefs).generalized_inverse(level) == expected
+    assert brackets == tried
 
 
 def test_root_counts_nan_as_non_negative():

@@ -106,6 +106,13 @@ def test_edge_flows_are_correctly_rounded():
     assert net.through == ((0,), (1,), (2,), (0, 1, 2))
 
 
+@pytest.mark.parametrize("edges", [(), (Edge("e1", "s", "t"),)], ids=["no-edges", "one-edge"])
+def test_network_refuses_source_equal_to_sink(edges):
+    # its one path would be the empty one, which carries the demand at no cost
+    with pytest.raises(DomainError, match="source and sink must differ"):
+        Network(("s", "t"), edges, tuple(Affine(0.0, 1.0) for _ in edges), "s", "s")
+
+
 def test_edge_flows_dimension_mismatch():
     net = build_parallel([Affine(0.0, 1.0), Constant(1.0)])
     with pytest.raises(DomainError):
