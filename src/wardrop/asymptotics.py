@@ -11,6 +11,7 @@ stability figure, which is the strongest desk-scale statement available.
 from __future__ import annotations
 
 import math
+import os
 import statistics
 from dataclasses import dataclass, field
 
@@ -133,15 +134,19 @@ def poa_sweep(
     Breakpoints are sampled at both 1e-9-relative offsets because the
     equilibrium cost is discontinuous there.  Failed samples are recorded
     and skipped; the sweep continues.  Each worker (one when serial) solves
-    a block of increasing demands, each by a plain ``poa`` call.  Before any
-    is solved, ``samples_per_decade`` must be a finite number >= 1 and the
-    geometric grid at most MAX_SWEEP_SAMPLES samples.
+    a block of increasing demands, each by a plain ``poa`` call; ``jobs``
+    asks for at most min(jobs, samples, CPUs) workers.  Before any is
+    solved, ``samples_per_decade`` must be a finite number >= 1, the
+    geometric grid at most MAX_SWEEP_SAMPLES samples and ``jobs`` None or
+    an int >= 1.
     """
     if not 0 < M_lo < M_hi < math.inf:
         raise DomainError(f"need 0 < M_lo < M_hi < inf, got {M_lo!r}, {M_hi!r}")
     _check_period_base(period_base)
     if not 1 <= samples_per_decade < math.inf:
         raise DomainError(f"samples per decade must be a finite number >= 1, got {samples_per_decade!r}")
+    if not (jobs is None or isinstance(jobs, int) and jobs >= 1):
+        raise DomainError(f"jobs must be None or an int >= 1, got {jobs!r}")
     lo, hi = math.log10(M_lo), math.log10(M_hi)  # M_hi / M_lo can overflow
     steps = (hi - lo) * samples_per_decade
     if steps + 1 > MAX_SWEEP_SAMPLES:
@@ -157,12 +162,14 @@ def poa_sweep(
                 grid.append(off)
     grid = sorted(set(grid))
 
-    if jobs is not None and jobs > 1:
+    # the pool starts every worker at once: never more than there are CPUs or samples
+    workers = min(jobs or 1, len(grid), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: it adds about 1.6 MB of memory and 20 ms to `import wardrop`
         from concurrent.futures import ProcessPoolExecutor
 
-        blocks = [(net, grid[len(grid) * i // jobs:len(grid) * (i + 1) // jobs]) for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        blocks = [(net, grid[len(grid) * i // workers:len(grid) * (i + 1) // workers]) for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = [o for block in pool.map(_sweep_block, blocks) for o in block]
     else:
         outcomes = _sweep_block((net, grid))

@@ -31,6 +31,7 @@ _MAX_EXP = math.log(sys.float_info.max)  # ~709.78
 ROOT_SLACK = 3  # evaluations ``root`` may spend over bisection's bound
 _POLY_BRACKET_CAP = 2.0**996  # a polynomial inverse above it is out of range
 _UNIT_STEPS = 4  # floats a quadratic inverse steps from its closed-form root
+_NEWTON_STEPS = 8  # most Newton steps a seeded inverse takes towards its root
 
 
 def _log(v: float) -> float:
@@ -396,8 +397,9 @@ class Polynomial(CostFunction):
         degree 1 or 2 the pair is closed by at most _UNIT_STEPS unit steps
         from the closed-form root (``_quadratic_pair``).  Where they do not
         close it, and above degree 2, ``root`` closes it from the bracket
-        ``_quadratic_bracket`` or ``_power_bracket`` gives.  The pair is
-        unique, so each path gives the same floats."""
+        ``_seeded_bracket`` gives around ``_polynomial_seed``, or else from
+        ``_power_bracket``.  The pair is unique, so each path gives the same
+        floats."""
         level = _check_nonneg(level, "level")
         c0 = self.coefficients[0]
         if level < c0:
@@ -418,7 +420,7 @@ class Polynomial(CostFunction):
 
         pair = _quadratic_pair(self.coefficients, level, excess)
         if pair is None:
-            bracket = _quadratic_bracket(self.coefficients, level, excess)
+            bracket = _seeded_bracket(_polynomial_seed(self.coefficients, level), excess, _POLY_BRACKET_CAP)
             lo, f_lo, hi, f_hi = bracket or _power_bracket(self.coefficients, level, excess)
             pair = root(excess, lo, f_lo, hi, f_hi)
         x = 0.5 * (pair[0] + pair[1])
@@ -434,17 +436,24 @@ class Polynomial(CostFunction):
         return {"family": "polynomial", "coefficients": list(self.coefficients)}
 
 
-def _power_bracket(coefficients, level: float, excess):
-    """(lo, excess(lo), hi, excess(hi)) around x+ of a polynomial at
-    ``level`` > c0 from c(x) >= c0 + c_j x^j for every j, so x+ <= (level -
-    c0)^(1/j) / c_j^(1/j), taken root by root so that the quotient cannot
-    underflow; widened where rounding breaks the bound."""
+def _power_bound(coefficients, level: float) -> float:
+    """An upper bound on x+ of a polynomial at ``level`` > c0, up to
+    rounding: c(x) >= c0 + c_j x^j for every j, so x+ <= (level - c0)^(1/j)
+    / c_j^(1/j), taken root by root so that the quotient cannot underflow;
+    at most _POLY_BRACKET_CAP."""
     c0 = coefficients[0]
-    lo, hi = 0.0, min(
+    return min(
         _POLY_BRACKET_CAP,
         *((level - c0) ** (1.0 / j) / c ** (1.0 / j) for j, c in enumerate(coefficients) if j and c),
     )
-    f_lo, f_hi, step = c0 - level, excess(hi), 2.0**-48
+
+
+def _power_bracket(coefficients, level: float, excess):
+    """(lo, excess(lo), hi, excess(hi)) around x+ of a polynomial at
+    ``level`` > c0: [0, ``_power_bound``], widened where rounding breaks the
+    bound."""
+    lo, hi = 0.0, _power_bound(coefficients, level)
+    f_lo, f_hi, step = coefficients[0] - level, excess(hi), 2.0**-48
     while f_hi < 0.0:  # the bound holds up to rounding, and may round to 0
         if hi >= _POLY_BRACKET_CAP:
             raise RangeOverflowError("polynomial inverse bracket overflow")
@@ -470,6 +479,46 @@ def _quadratic_root(coefficients, level: float) -> float:
     r = level - coefficients[0] - 0.5 * (level - math.nextafter(level, 0.0))
     d = c1 + math.hypot(c1, 2.0 * math.sqrt(c2) * math.sqrt(r))
     return 2.0 * r / d if d > 0.0 else math.nan
+
+
+def _polynomial_seed(coefficients, level: float) -> float:
+    """Where a polynomial's ``excess`` at ``level`` > c0 turns non-negative,
+    to within about 2^-50 relative: ``_quadratic_root`` at degree 1 or 2,
+    else ``_newton`` on the exact tail T(x) = x (c1 + c2 x + ...) against
+    r = m - c0, as in ``_quadratic_root``, from ``_power_bound``: however
+    close level is to c0, Horner's c0 + T(x) rounds to level or above about
+    where T(x) passes r.  T is convex and increasing on x >= 0 with T(0) =
+    0 < r, so the steps fall monotonically to its root.  NaN where a step
+    is undefined: the bound underflows to 0 with c1 = 0, or T overflows
+    near _POLY_BRACKET_CAP."""
+    if len(coefficients) <= 3:
+        return _quadratic_root(coefficients, level)
+    tail = coefficients[:0:-1]
+    r = level - coefficients[0] - 0.5 * (level - math.nextafter(level, 0.0))
+
+    def step(t: float) -> float:
+        p = dp = 0.0  # c1 + c2 t + ... and its derivative, by Horner's rule
+        for c in tail:
+            dp = dp * t + p
+            p = p * t + c
+        slope = p + t * dp
+        return (r - t * p) / slope if slope > 0.0 else math.nan
+
+    return _newton(_power_bound(coefficients, level), step)
+
+
+def _newton(x: float, step) -> float:
+    """x after Newton steps x += step(x), at most _NEWTON_STEPS of them,
+    stopping after the first one below 2^-26 of x: on the smooth convex or
+    concave functions the inverses seed, the error then left is of the
+    order of the square of that step, far inside ``_seeded_bracket``'s
+    2^-48.  NaN after a NaN step."""
+    for _ in range(_NEWTON_STEPS):
+        d = step(x)
+        x += d
+        if not abs(d) > x * 2.0**-26:
+            break
+    return x
 
 
 def _quadratic_pair(coefficients, level: float, excess):
@@ -499,19 +548,16 @@ def _quadratic_pair(coefficients, level: float, excess):
     return None
 
 
-def _quadratic_bracket(coefficients, level: float, excess):
-    """(lo, excess(lo), hi, excess(hi)) around x+ of c0 + c1 x + c2 x^2 at
-    ``level`` > c0: x0 (1 -+ 2^-48) for the closed-form root x0
-    (``_quadratic_root``).  The inverse takes it only where the unit steps
-    of ``_quadratic_pair`` do not close the pair, as where a subnormal level
-    or partial sum of Horner's rule moves the sign change many units in the
-    last place from x0.  None above degree 2, and where the signs of
-    ``excess`` show that the bracket misses x+ or it is beyond the
-    polynomial inverse's range; ``_power_bracket`` serves those.  ``root``
-    ends on the same floats from it as from any other bracket."""
-    x0 = _quadratic_root(coefficients, level)
+def _seeded_bracket(x0: float, excess, cap: float = math.inf):
+    """(lo, excess(lo), hi, excess(hi)) for [lo, hi] = x0 (1 -+ 2^-48), a
+    seed x0 of where the weakly increasing ``excess`` turns non-negative.  None where
+    the bracket is empty (x0 is NaN, 0 or subnormal, so that both ends
+    round onto x0), where hi passes ``cap``, and where the signs of
+    ``excess`` at the ends show that it misses the sign change; the caller
+    then takes its own wider bracket.  From it ``root`` ends on the pair it
+    ends on from any bracket wherever ``excess`` is monotone in floats."""
     lo, hi = x0 * (1.0 - 2.0**-48), x0 * (1.0 + 2.0**-48)
-    if not 0.0 < lo < hi <= _POLY_BRACKET_CAP:
+    if not 0.0 < lo < hi <= cap:
         return None
     f_lo, f_hi = excess(lo), excess(hi)
     return (lo, f_lo, hi, f_hi) if f_lo < 0.0 <= f_hi else None
@@ -1203,23 +1249,56 @@ class _SaturatingLinearMarginal(CostFunction):
         return (d, d)
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
+        """(x, x) for the midpoint x of the adjacent floats between which
+        eval(x) - level turns non-negative; (0, 0) at level 0.  The marginal
+        is concave and increasing, and below level at t0 = max((level -
+        1)/2, 0) as eval(x) < 2x + 1, so Newton steps rise from t0 to the
+        root: the first in closed form, the only one above level 645, then
+        ``_newton``'s.  ``root`` closes the ``_seeded_bracket`` around the
+        last iterate.  Only subnormal levels below about 2.8e-309 were seen
+        to miss that bracket, as x0 (1 -+ 2^-48) rounds onto x0 there; they
+        take the wide bracket [(level - 1)/2, level/2].  eval is not
+        monotone in floats, so next to one of its dips the two brackets can
+        end on different pairs where eval crosses level, a few units in the
+        last place apart: 19 of 100,000 log-uniform levels on [1e-12,
+        1e12], all in [0.05, 0.9]."""
         level = _check_nonneg(level, "level")
         if level == 0:
             return (0.0, 0.0)
 
+        # eval(t) - level, with eval's arithmetic inlined, operation for operation
         def excess(t: float) -> float:
-            return self.eval(t) - level
+            try:
+                return 2.0 * t + (t * t + 2.0 * t) / (1.0 + t) ** 2 - level
+            except OverflowError:  # as in eval
+                return 2.0 * t - level
 
-        # 2x <= eval(x) < 2x + 1 brackets x+ by (level - 1)/2 and level/2; the
-        # lower end gives way by 2^-50 relative, as eval rounds up to level
-        lo, hi = max(0.5 * (level - 1.0) * (1.0 - 2.0**-50), 0.0), 0.5 * level
-        f_lo = excess(lo)
-        if not f_lo < 0.0:
-            lo, f_lo = 0.0, -level
-        f_hi = excess(hi)
-        if f_hi < 0.0:  # level/2 rounded down: a subnormal level
-            hi, f_hi = level, excess(level)
-        lo, hi = root(excess, lo, f_lo, hi, f_hi)
+        def step(t: float) -> float:
+            try:
+                slope = 2.0 + 2.0 / (1.0 + t) ** 3
+            except OverflowError:  # as in derivative_bounds
+                slope = 2.0
+            return -excess(t) / slope
+
+        # the first step in closed form: eval(x) = 2x + 1 - 1/(1+x)^2, so
+        # excess(t0) is -1/(1+t0)^2 from level 1 up and -level below it
+        t0 = max(0.5 * (level - 1.0), 0.0)
+        q = 1.0 + t0
+        d = q / (2.0 * q * q * q + 2.0) if level >= 1.0 else 0.25 * level
+        x0 = t0 + d
+        bracket = _seeded_bracket(_newton(x0, step) if d > x0 * 2.0**-26 else x0, excess)
+        if bracket is None:
+            # 2x <= eval(x) < 2x + 1 brackets x+ by (level - 1)/2 and level/2; the
+            # lower end gives way by 2^-50 relative, as eval rounds up to level
+            lo, hi = max(0.5 * (level - 1.0) * (1.0 - 2.0**-50), 0.0), 0.5 * level
+            f_lo = excess(lo)
+            if not f_lo < 0.0:
+                lo, f_lo = 0.0, -level
+            f_hi = excess(hi)
+            if f_hi < 0.0:  # level/2 rounded down: a subnormal level
+                hi, f_hi = level, excess(level)
+            bracket = lo, f_lo, hi, f_hi
+        lo, hi = root(excess, *bracket)
         x = 0.5 * (lo + hi)
         return (x, x)
 

@@ -359,6 +359,47 @@ def test_parallel_sweep_matches_serial():
         assert serial.samples and not serial.failures
 
 
+def test_sweep_pool_is_bounded_by_the_cpus(monkeypatch):
+    """A pool starts every worker at its first task, so ``jobs`` = 10^6 must
+    ask for no more workers than there are CPUs.  The pool is a fake that
+    maps the blocks in this process: a real one is never started here."""
+    import concurrent.futures
+    import os
+
+    asked, blocks = [], []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            blocks.extend(items)
+            return map(fn, blocks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    net, args = step_game(2.0), (4.0, 16.0, 8, step_breakpoints(2.0, 1, 2), 2.0)
+    serial = poa_sweep(net, *args, jobs=None)
+    assert repr(poa_sweep(net, *args, jobs=10**6)) == repr(serial)
+    assert asked == [3] and len(blocks) == 3
+    assert [M for _, block in blocks for M in block] == sorted(s.M for s in serial.samples)
+
+
+@pytest.mark.parametrize("jobs", [0, -5, 2.0, "2"])
+def test_sweep_refuses_jobs_that_is_not_a_positive_int(jobs, monkeypatch):
+    solved = []
+    monkeypatch.setattr(asymptotics, "_sweep_block", lambda item: solved.append(item) or [])
+    with pytest.raises(DomainError, match="jobs"):
+        poa_sweep(pigou(), 1.0, 2.0, 4, jobs=jobs)
+    assert not solved
+
+
 _COLD_SWEEPS = {  # name: (M_lo, M_hi, samples per decade, breakpoint hints, demands)
     "pigou": (1e-200, 1e200, 8, False, 3201),
     "step:2": (1e-200, 1e200, 8, False, 3201),

@@ -151,6 +151,14 @@ def test_sweep_runs_serially_unless_given_jobs(jobs, expected, monkeypatch, caps
     assert code == 0 and seen == [expected]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_sweep_refuses_jobs_below_one(jobs, capsys):
+    # both once exited 0 after a serial sweep
+    code, out, err = _run(["sweep", "--network", "pigou", "--from", "1", "--to", "2", "--per-decade", "4",
+                           "--jobs", jobs], capsys)
+    assert code == 3 and not out and "jobs must be None or an int >= 1" in err
+
+
 @pytest.mark.parametrize("M", ["-1", "0", "nan", "inf", "-inf"])
 def test_extremes_rejects_a_curve_demand_outside_the_domain(tmp_path, capsys, M):
     # a negative M once reached log() in the period index as a traceback,

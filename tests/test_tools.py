@@ -1,5 +1,6 @@
 """Smoke test of the scripts under tools/."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -22,3 +23,16 @@ def test_outcome_digest_prints_one_stable_hex_line():
         assert run.stderr.startswith("7 outcomes from ")
         outs.append(run.stdout)
     assert outs[0] == outs[1]
+
+
+def test_outcome_digest_lines_are_what_the_digest_hashes():
+    def run(*extra):
+        done = subprocess.run([sys.executable, str(TOOLS / "outcome_digest.py"), "--ops", "general-net:71", *extra],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    lines = run("--lines")
+    assert len(lines.splitlines()) == 7
+    assert all(re.fullmatch(r"general-net:71/\S+\t\S.*", line) for line in lines.splitlines())
+    assert hashlib.sha256(lines.encode()).hexdigest() + "\n" == run()

@@ -1,6 +1,6 @@
 """Print one sha256 over every ``poa`` and ``poa_sweep`` outcome on the benchmark's ops.
 
-    python tools/outcome_digest.py [--root CHECKOUT] [--ops WORKLOAD:SEED ...]
+    python tools/outcome_digest.py [--root CHECKOUT] [--ops WORKLOAD:SEED ...] [--lines]
 
 It imports ``wardrop`` from ``CHECKOUT/src`` and the op lists and networks
 from ``CHECKOUT/perfbench/workloads.py``, which it only reads; CHECKOUT is
@@ -35,12 +35,11 @@ def _outcome(call) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def digest(ops: list[str]) -> tuple[str, int]:
-    """The sha256 over the outcomes of every op of each WORKLOAD:SEED, and their count."""
+def outcome_lines(ops: list[str]):
+    """One line per op of each WORKLOAD:SEED, its id and its outcome, in op order."""
     import workloads
     from wardrop import poa, poa_sweep
 
-    h, count = hashlib.sha256(), 0
     for spec in ops:
         workload, seed = spec.rsplit(":", 1)
         instances = workloads.build_instances(workloads.PLAIN_KIT, workload, int(seed))
@@ -51,8 +50,15 @@ def digest(ops: list[str]) -> tuple[str, int]:
                                                      breakpoint_hints=op.hints, period_base=op.period_base))
             else:
                 outcome = _outcome(lambda: poa(net, op.M))
-            h.update(f"{spec}/{op.id}\t{outcome}\n".encode())
-            count += 1
+            yield f"{spec}/{op.id}\t{outcome}\n"
+
+
+def digest(ops: list[str]) -> tuple[str, int]:
+    """The sha256 over the outcomes of every op of each WORKLOAD:SEED, and their count."""
+    h, count = hashlib.sha256(), 0
+    for line in outcome_lines(ops):
+        h.update(line.encode())
+        count += 1
     return h.hexdigest(), count
 
 
@@ -61,10 +67,17 @@ def main(argv=None) -> int:
     p.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                    help="the checkout whose src/ and perfbench/ to import")
     p.add_argument("--ops", nargs="+", default=list(DEFAULT_OPS), metavar="WORKLOAD:SEED")
+    p.add_argument("--lines", action="store_true", help="print the lines the digest hashes instead of the digest")
     args = p.parse_args(argv)
     sys.path[:0] = [str(args.root / "src"), str(args.root / "perfbench")]
-    value, count = digest(args.ops)
-    print(value)
+    if args.lines:
+        count = 0
+        for line in outcome_lines(args.ops):
+            sys.stdout.write(line)
+            count += 1
+    else:
+        value, count = digest(args.ops)
+        print(value)
     print(f"{count} outcomes from {Path(sys.modules['wardrop'].__file__).parent}", file=sys.stderr)
     return 0
 
