@@ -21,7 +21,6 @@ from .errors import (
     DemandBracketError,
     DomainError,
     GameError,
-    KinkError,
     RangeOverflowError,
     UnsupportedCostError,
 )

@@ -556,7 +556,8 @@ def _verify_hypothesis(instance: TrendInstance) -> dict:
         if kind == "ratio-to-identity":
             measured.append(c.eval(x_probe) / x_probe)
         elif kind == "derivative":
-            measured.append(c.derivative(x_probe))
+            left, right = c.derivative_bounds(x_probe)
+            measured.append(left if left == right else math.nan)  # a kink meets no limit
         elif kind == "ratio-to-rv":
             measured.append(c.eval(x_probe) / instance.reference.eval(x_probe))
         else:

@@ -1,13 +1,17 @@
 """Closed families of monotone edge cost functions.
 
-Every family is weakly increasing and nonnegative on [0, inf) and supports
-evaluation, one-sided derivatives, the set-valued generalized inverse, the
-asymptotic value at infinity, and log-domain evaluation; all but ExpOverX
-(whose primitive is the exponential integral) give the exact primitive
-int_0^x c(s) ds.  Every method takes one point: the
-solvers and the brute-force oracle alike call the scalar ``eval``.  Step families are left-continuous: the value on
-(a^{k-1}, a^k] is taken at the right end, so c(a^k) = a^k exactly for the
-geometric step and evaluation at a knot returns the lower step.
+Every family is weakly increasing and nonnegative on [0, inf) and carries
+what the solvers read: evaluation and its right limit, one-sided
+derivatives (the general solver's slopes), the set-valued generalized
+inverse, the asymptotic value at infinity, and log-domain evaluation.
+``Affine``, ``Constant``, ``Monomial`` and ``Polynomial`` also give the
+exact primitive int_0^x c(s) ds, which the regular-variation checks read.
+Every method takes one point: the solvers and the brute-force oracle alike
+call the scalar ``eval``.  ``StepGeometric``, ``PwlSquare`` and the
+marginal of ``PwlSquare`` are affine on every piece (a^{k-1}, a^k] and
+share one base, ``_Geometric``.  Step families are left-continuous: the
+value on (a^{k-1}, a^k] is taken at the right end, so c(a^k) = a^k exactly
+for the geometric step and evaluation at a knot returns the lower step.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from functools import cached_property, lru_cache
 from .errors import (
     DemandBracketError,
     DomainError,
-    KinkError,
     RangeOverflowError,
     UnsupportedCostError,
 )
@@ -47,9 +50,10 @@ def _check_nonneg(x: float, what: str = "x") -> float:
 
 
 def _num(value) -> float:
-    """Parse a finite numeric JSON parameter; decimal strings are accepted."""
+    """Parse a finite numeric JSON parameter; decimal strings are accepted,
+    JSON's true and false are not."""
     try:
-        x = float(value) if isinstance(value, (str, int, float)) else math.nan
+        x = float(value) if isinstance(value, (str, int, float)) and not isinstance(value, bool) else math.nan
     except ValueError:
         x = math.nan
     if not math.isfinite(x):
@@ -164,14 +168,6 @@ class CostFunction:
     def derivative_bounds(self, x: float) -> tuple[float, float]:
         """(left, right) one-sided derivatives at x > 0."""
         raise UnsupportedCostError(f"{type(self).__name__} has no one-sided derivatives")
-
-    def derivative(self, x: float) -> float:
-        if float(x) <= 0:
-            raise DomainError(f"derivative requires x > 0, got {x!r}")
-        lo, hi = self.derivative_bounds(x)
-        if lo != hi:
-            raise KinkError(x, lo, hi)
-        return lo
 
     def primitive(self, x: float) -> float:
         raise UnsupportedCostError(f"{type(self).__name__} has no closed-form primitive")
@@ -585,10 +581,6 @@ class SaturatingLinear(CostFunction):
             d = 1.0
         return (d, d)
 
-    def primitive(self, x: float) -> float:
-        x = _check_nonneg(x)
-        return 0.5 * x * x + x - math.log1p(x)
-
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")
         # x + x/(1+x) = L  <=>  x^2 + (2-L)x - L = 0; below L = 2 the
@@ -643,8 +635,12 @@ def _piece(a: float, x: float) -> tuple[int, float, float]:
     k0, table = _powers(a)
     i = bisect.bisect_left(table, x)
     if i == len(table):
-        raise RangeOverflowError(f"no power of {a!r} in the float range reaches {x!r}")
+        raise _beyond(a, x)
     return k0 + i, table[i - 1], table[i]
+
+
+def _beyond(a: float, x: float) -> RangeOverflowError:
+    return RangeOverflowError(f"no power of {a!r} in the float range reaches {x!r}")
 
 
 def _power_index(a: float, x: float) -> int:
@@ -664,17 +660,92 @@ def _period_index(a: float, M: float) -> int:
     return _piece(a, M / 2.0)[0] - 1
 
 
+@lru_cache(maxsize=64)
+def _lattice(family: type, a: float):
+    """(table, slopes, intercepts, levels, jumps) of a ``_Geometric`` family
+    at base a, indexed like the table of ``_powers(a)``: (slopes[i],
+    intercepts[i]) = ``family._line(p, q)`` on the piece that ends at q =
+    table[i] = a^k, and (jumps[i], levels[i]) = ``family._knot(a, k)``, each
+    top at most ``family._ceiling(a)``.  levels stops before the first k
+    whose ``_knot`` raises OverflowError, and jumps is inf from there."""
+    k0, table = _powers(a)
+    slopes, intercepts = zip((0.0, 0.0), *map(family._line, table, table[1:]))  # the first piece is (0, a^(k0+1)]
+    levels, jumps, ceiling = [], [math.inf] * len(table), family._ceiling(a)
+    for i in range(len(table)):
+        try:
+            jumps[i], top = family._knot(a, k0 + i)
+        except OverflowError:
+            break
+        levels.append(min(top, ceiling))  # a level above the ceiling passes every top
+    return table, slopes, intercepts, tuple(levels), tuple(jumps)
+
+
 @dataclass(frozen=True)
 class _Geometric(CostFunction):
-    """A family whose pieces change at the knots a^k, k in Z, a >= 2; every
-    piece, knot and period is read from ``_powers(a)``."""
+    """A cost that is 0 at 0 and affine on each piece (p, q] = (a^(k-1),
+    a^k] of ``_powers(a)``, a >= 2.  Each family supplies its line rule
+    ``_line(p, q)``: (0, q) for ``StepGeometric``, (p + q, -pq) for
+    ``PwlSquare``, (2(p + q), -pq) for its marginal; and its knot rule
+    ``_knot(a, k)``: the bottom (inf if none) and top of the levels its
+    inverse maps to the knot a^k or to the piece below it.  The inverse
+    returns the knot from the bottom up, else solves the piece's affine
+    equation: a flat piece gives all of itself at its value, and its left
+    end, the knot whose jump holds the level, below it."""
 
     a: float
-    _label = ""  # the family's name in the range error
+    _label = ""  # the family's name in the range error of a
+    _what = ""  # what the overflow error of ``eval`` names
+    _ceiling = staticmethod(lambda a: sys.float_info.max)  # the highest level the inverse answers
 
     def __post_init__(self):
         if not 2 <= self.a < math.inf:
             raise DomainError(f"{self._label} family requires finite a >= 2, got {self.a!r}")
+        object.__setattr__(self, "_knots", None)  # the tables are read in on first use
+
+    def _tables(self) -> tuple[float, ...]:
+        """Read ``_lattice``'s tables into plain instance attributes and
+        return the knots; a descriptor or ``__getattr__`` for them would
+        slow every later read."""
+        for key, value in zip(("_knots", "_slopes", "_intercepts", "_levels", "_jumps"), _lattice(type(self), self.a)):
+            object.__setattr__(self, key, value)
+        return self._knots
+
+    def eval(self, y: float) -> float:
+        y = _check_nonneg(y)
+        if y == 0:
+            return 0.0
+        knots = self._knots or self._tables()
+        i = bisect.bisect_left(knots, y)
+        if i == len(knots):
+            raise _beyond(self.a, y)
+        v = self._slopes[i] * y + self._intercepts[i]
+        if v != v:  # p q overflows, and s y with it: inf - inf
+            raise RangeOverflowError(f"{self._what} at {y!r} overflows native floats")
+        return v
+
+    def generalized_inverse(self, level: float) -> tuple[float, float]:
+        level = _check_nonneg(level, "level")
+        if level == 0:
+            return (0.0, 0.0)
+        knots = self._knots or self._tables()
+        i = bisect.bisect_left(self._levels, level)
+        if i == len(self._levels):
+            self._past(level)
+        p, q = knots[i - 1], knots[i]
+        if level >= self._jumps[i]:  # inside the jump at q
+            return (q, q)
+        s, t = self._slopes[i], self._intercepts[i]
+        if not s:  # flat at t >= level: the whole piece, or its left end below the step
+            return (p, q if level == t else p)
+        return self._within((level - t) / s, level, p, q)
+
+    def _past(self, level: float) -> None:
+        """Called for a level above every top: raise, or return to take the piece past them."""
+        raise _beyond(self.a, level)
+
+    def _within(self, y: float, level: float, p: float, q: float) -> tuple[float, float]:
+        """The inverse for the solution y of the affine equation on [p, q]."""
+        return (y, y)
 
     def asymptotic_value(self) -> float:
         return math.inf
@@ -682,8 +753,8 @@ class _Geometric(CostFunction):
     def breakpoints_within(self, lo: float, hi: float) -> list[float]:
         if hi <= 0 or hi < lo:
             return []
-        lo, table = max(lo, hi * 1e-18, 1e-300), _powers(self.a)[1]
-        return list(table[bisect.bisect_left(table, lo) : bisect.bisect_right(table, hi)])
+        lo, knots = max(lo, hi * 1e-18, 1e-300), self._knots or self._tables()
+        return list(knots[bisect.bisect_left(knots, lo) : bisect.bisect_right(knots, hi)])
 
     def to_spec(self) -> dict:
         return {"family": self.family, "a": self.a}
@@ -698,18 +769,14 @@ class StepGeometric(_Geometric):
 
     family = "step_geometric"
     _label = "step"
+    _line = staticmethod(lambda p, q: (0.0, q))
+    _knot = staticmethod(lambda a, k: (math.inf, a**k))
 
     def is_continuous(self) -> bool:
         return False
 
     def is_strictly_increasing(self) -> bool:
         return False
-
-    def eval(self, x: float) -> float:
-        x = _check_nonneg(x)
-        if x == 0:
-            return 0.0
-        return _piece(self.a, x)[2]
 
     def eval_log(self, x: float) -> float:
         """k ln a for the k of ``eval``, and for k = K + 1 past the last
@@ -731,23 +798,6 @@ class StepGeometric(_Geometric):
             return (0.0, math.inf)  # upward jump at the knot
         return (0.0, 0.0)
 
-    def primitive(self, x: float) -> float:
-        x = _check_nonneg(x)
-        if x == 0:
-            return 0.0
-        a = self.a
-        k, p, q = _piece(a, x)
-        # full pieces (.., a^{k-1}] sum to a^{2(k-1)} * a/(a+1) (geometric in a^2)
-        full = _pow_in_range(a, 2 * (k - 1), "step primitive") * a / (a + 1.0)
-        return full + q * (x - p)
-
-    def generalized_inverse(self, level: float) -> tuple[float, float]:
-        level = _check_nonneg(level, "level")
-        if level == 0:
-            return (0.0, 0.0)
-        _, p, q = _piece(self.a, level)  # q: the smallest step value >= level
-        return (p, q if q <= level else p)
-
     def jump_levels(self, lo: float, hi: float) -> list[float]:
         return self.breakpoints_within(lo, hi)  # x+ jumps at c(a^k) = a^k
 
@@ -758,17 +808,26 @@ class PwlSquare(_Geometric):
     On [a^{k-1}, a^k] the value is (a^{k-1}+a^k) y - a^{k-1} a^k, which is
     x^2 exactly at every knot and lies above x^2 on piece interiors (chord
     above a convex function); convex and strictly increasing on [0, inf).
+    Its inverse finds the piece in the table of (a^2)^k.
     """
 
     family = "pwl_square"
     _label = "pwl-square"
+    _what = "pwl-square value"
+    _line = staticmethod(lambda p, q: (p + q, -(p * q)))
+    _knot = staticmethod(lambda a, k: (math.inf, (a * a) ** k))
 
-    def eval(self, y: float) -> float:
-        y = _check_nonneg(y)
-        if y == 0:
-            return 0.0
-        _, p, q = _piece(self.a, y)
-        return _chord(p, q, y)
+    def _past(self, level: float) -> None:  # past the last a^{2K}: the piece K + 1, still floats
+        if level == math.inf:
+            raise RangeOverflowError(f"no power of {self.a * self.a!r} reaches inf")
+
+    def _within(self, y: float, level: float, p: float, q: float) -> tuple[float, float]:
+        if y == math.inf:  # p q or level + p q overflows, y itself does not
+            y = (level / q + p) / (1.0 + p / q)
+        # a^{2k} and the knot value eval(a^k) can differ in the last place:
+        # staying in the piece keeps the inverse monotone across them
+        y = p if y < p else q if y > q else y
+        return (y, y)
 
     def eval_log(self, y: float) -> float:
         """ln eval(y) where eval is finite; past that, ln((p+q)y - pq) as
@@ -794,38 +853,6 @@ class PwlSquare(_Geometric):
         if y == q:  # knot between pieces k and k+1
             return (p + q, q + q * self.a)
         return (p + q, p + q)
-
-    def primitive(self, y: float) -> float:
-        y = _check_nonneg(y)
-        if y == 0:
-            return 0.0
-        a = self.a
-        k, p, q = _piece(a, y)
-        # full pieces below a^{k-1}: geometric sum with ratio a^3
-        full = (_pow_in_range(a, 3 * (k - 1), "pwl-square primitive")
-                * (a - 1.0) * (a * a + 1.0) / (2.0 * (a**3 - 1.0)))
-        partial = 0.5 * (p + q) * (y * y - p * p) - p * q * (y - p)
-        v = full + partial
-        if math.isnan(v):  # the terms overflow to opposite infinities
-            raise RangeOverflowError(f"pwl-square primitive at {y!r} overflows native floats")
-        return v
-
-    def generalized_inverse(self, level: float) -> tuple[float, float]:
-        level = _check_nonneg(level, "level")
-        if level == 0:
-            return (0.0, 0.0)
-        # piece k covers values [a^{2(k-1)}, a^{2k}], and past the last finite
-        # a^{2K} k = K + 1, whose ends are still floats
-        k0, table = _powers(self.a)
-        i = _power_index(self.a * self.a, level) - k0
-        p, q = table[i - 1], table[i]
-        y = (level + p * q) / (p + q)
-        if y == math.inf:  # p q or level + p q overflows, y itself does not
-            y = (level / q + p) / (1.0 + p / q)
-        # a^{2k} and the knot value eval(a^k) can differ in the last place:
-        # staying in the piece keeps the inverse monotone across them
-        y = p if y < p else q if y > q else y
-        return (y, y)
 
     def marginal_function(self):
         return _PwlSquareMarginal(self.a)
@@ -867,14 +894,7 @@ class ExpOverX(CostFunction):
         if x < 1.0:
             return (0.0, 0.0)
         d = math.exp(x - 2.0 * math.log(x)) * (x - 1.0) if x - 2 * math.log(x) <= _MAX_EXP else math.inf
-        if x == 1.0:
-            return (0.0, d)  # d == 0 here; reported as a kink per contract
-        return (d, d)
-
-    def derivative(self, x: float) -> float:
-        if float(x) == 1.0:
-            raise KinkError(1.0, 0.0, 0.0)
-        return super().derivative(x)
+        return (d, d)  # both 0 at 1, where the flat part meets e^x/x
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")
@@ -1105,20 +1125,6 @@ class StepExp(CostFunction):
             return (0.0, math.inf)
         return (0.0, 0.0)
 
-    def primitive(self, y: float) -> float:
-        y = _check_nonneg(y)
-        if y == 0:
-            return 0.0
-        self.alphas.cover_index(y)  # DemandBracketError past the table
-        knots = self.alphas.knots_through(y)
-        total = 0.0
-        for lo, hi in zip(knots, knots[1:]):  # only the last step reaches y
-            level = _exp_in_range(self._level_log(hi), "step-exp primitive")
-            total += level * (min(hi, y) - lo)
-        if math.isinf(total):
-            raise RangeOverflowError("step-exp primitive overflows")
-        return total
-
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")
         if level == 0:
@@ -1172,12 +1178,6 @@ class Shifted(CostFunction):
 
     def derivative_bounds(self, x):
         return self.base_cost.derivative_bounds(x)
-
-    def derivative(self, x: float) -> float:
-        return self.base_cost.derivative(x)
-
-    def primitive(self, x: float) -> float:
-        return self.shift * _check_nonneg(x) + self.base_cost.primitive(x)
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")
@@ -1303,58 +1303,45 @@ class _SaturatingLinearMarginal(CostFunction):
         return (x, x)
 
 
-@dataclass(frozen=True)
-class _PwlSquareMarginal(CostFunction):
+class _PwlSquareMarginal(_Geometric):
     """d/dy [y * PwlSquare(y)]: piecewise linear with upward jumps at the
     knots a^k, where ``eval`` and ``eval_right`` are the ends of the knot
-    subdifferential [a^{2(k-1)}(2a^2+a), a^{2k}(2+a)]."""
+    subdifferential [a^{2(k-1)}(2a^2+a), a^{2k}(2+a)], as ``_knot`` computes
+    them; the inverse maps that interval to the knot."""
 
-    a: float
+    _what = "pwl-square marginal"
+    _line = staticmethod(lambda p, q: (2.0 * (p + q), -(p * q)))
+    _knot = staticmethod(lambda a, k: (a ** (2 * (k - 1)) * (2 * a * a + a), a ** (2 * k) * (2.0 + a)))
+    breakpoints_within = CostFunction.breakpoints_within  # no caller reads the marginal's knots
+
+    @staticmethod
+    def _ceiling(a: float) -> float:
+        """The largest level whose level / (2 + a) some power of a * a
+        reaches; ``_past`` refuses every level above it, naming that power."""
+        top = _powers(a * a)[1][-1]
+        x = min(top * (2.0 + a), sys.float_info.max)
+        while x / (2.0 + a) > top:
+            x = math.nextafter(x, 0.0)
+        while (up := math.nextafter(x, math.inf)) / (2.0 + a) <= top:
+            x = up
+        return x
+
+    def _past(self, level: float) -> None:
+        _piece(self.a * self.a, level / (2.0 + self.a))
+        raise RangeOverflowError(f"{self._what} overflows native floats")
 
     def is_continuous(self) -> bool:
         return False
-
-    def _knot_interval(self, k: int) -> tuple[float, float]:
-        a, what = self.a, "pwl-square marginal"
-        return (_pow_in_range(a, 2 * (k - 1), what) * (2 * a * a + a),
-                _pow_in_range(a, 2 * k, what) * (2.0 + a))
-
-    def eval(self, y: float) -> float:
-        y = _check_nonneg(y)
-        if y == 0:
-            return 0.0
-        _, p, q = _piece(self.a, y)
-        v = 2.0 * (p + q) * y - p * q
-        if math.isnan(v):  # p q overflows, and 2 (p + q) y with it: inf - inf
-            raise RangeOverflowError(f"pwl-square marginal at {y!r} overflows native floats")
-        return v
 
     def eval_right(self, y: float) -> float:
         if y > 0:
             k, _, q = _piece(self.a, y)
             if y == q:  # at a knot: the next piece is about to start
-                return self._knot_interval(k)[1]
+                try:
+                    return self._knot(self.a, k)[1]
+                except OverflowError:
+                    raise RangeOverflowError(f"{self._what} overflows native floats") from None
         return self.eval(y)
-
-    def generalized_inverse(self, level: float) -> tuple[float, float]:
-        level = _check_nonneg(level, "level")
-        if level == 0:
-            return (0.0, 0.0)
-        a = self.a
-        # find the smallest knot k whose subdifferential reaches level
-        k = _piece(a * a, level / (2.0 + a))[0]
-        while self._knot_interval(k)[1] < level:
-            k += 1
-        while k > -1075 and self._knot_interval(k - 1)[1] >= level:
-            k -= 1
-        # a^{2k} is finite and positive, so a^{k-1} and a^k are in the table
-        k0, table = _powers(a)
-        p, q = table[k - 1 - k0], table[k - k0]
-        if level >= self._knot_interval(k)[0]:  # inside the knot's subdifferential
-            return (q, q)
-        # otherwise level is an interior slope of piece (a^{k-1}, a^k)
-        y = (level + p * q) / (2.0 * (p + q))
-        return (y, y)
 
 
 # ---------------------------------------------------------------------------

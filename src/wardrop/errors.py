@@ -15,23 +15,6 @@ class RangeOverflowError(GameError, OverflowError):
     """A value is too large for native floats; use the log-domain evaluator."""
 
 
-class KinkError(GameError, ValueError):
-    """Derivative requested at a non-smooth point.
-
-    Carries the one-sided derivatives so callers can fall back to
-    subdifferential reasoning.
-    """
-
-    def __init__(self, x: float, left: float, right: float):
-        super().__init__(
-            f"not differentiable at x={x!r}: one-sided derivatives "
-            f"({left!r}, {right!r})"
-        )
-        self.x = x
-        self.left = left
-        self.right = right
-
-
 class UnsupportedCostError(GameError, TypeError):
     """The cost family does not support the requested operation."""
 

@@ -1,7 +1,7 @@
 """The exponential game's knots come from one table, ``AlphaSequence``.
 
-``StepExp``'s inverse and ``primitive`` and the CLI's breakpoint hints
-read the knots through ``knots_through``.  Each is checked
+``StepExp``'s inverse and the CLI's breakpoint hints read the knots
+through ``knots_through``.  Each is checked
 here against the hand-built ``alpha(j)`` loop it replaced, kept below as a
 reference, on seeded random levels, demands and ranges.
 """
@@ -51,18 +51,6 @@ def _loop_breakpoints(alphas: AlphaSequence, M_lo: float, M_hi: float) -> list[f
     return sorted(out)
 
 
-def _loop_primitive(se: StepExp, y: float) -> float:
-    """``StepExp.primitive`` as an ``alpha(i)`` loop."""
-    if y == 0:
-        return 0.0
-    j = se.alphas.cover_index(y)
-    total = 0.0
-    for i in range(1, j):
-        width = se.alphas.alpha(i) - se.alphas.alpha(i - 1)
-        total += math.exp(se._level_log(se.alphas.alpha(i))) * width
-    return total + math.exp(se._level_log(se.alphas.alpha(j))) * (y - se.alphas.alpha(j - 1))
-
-
 def _finite_knots(seq: AlphaSequence) -> list[float]:
     """alpha_1, alpha_2, ... while the step's value e^alpha / alpha is a float."""
     return [a for a in seq.knots_through(math.inf)[1:] if StepExp._level_log(a) < 709.0]
@@ -101,23 +89,10 @@ def test_breakpoint_hints_match_the_alpha_loop(seq):
         assert auto_breakpoints(net, lo, hi) == _loop_breakpoints(seq, lo, hi), (lo, hi)
 
 
-def test_eval_and_primitive_refuse_past_the_floats_or_the_table():
+def test_eval_refuses_past_the_floats_or_the_table():
     se = StepExp(AlphaSequence("factorial"))
     with pytest.raises(RangeOverflowError):
         se.eval(121.0)  # the step up to 6! = 720 is beyond floats
     short = StepExp(AlphaSequence("explicit", values=(1.0, 3.0, 30.0)))
     with pytest.raises(DemandBracketError):
         short.eval(31.0)
-    with pytest.raises(DemandBracketError):
-        short.primitive(31.0)
-
-
-@pytest.mark.parametrize("seq", SEQUENCES, ids=repr)
-def test_primitive_matches_the_alpha_loop(seq):
-    se = StepExp(seq)
-    knots = _finite_knots(seq)
-    rng = random.Random(18)
-    ys = [0.0, 1e-300] + _knot_neighbours(knots)[:-1]
-    ys += [rng.uniform(0.0, knots[-1]) for _ in range(500)]
-    for y in (y for y in ys if y <= knots[-1]):
-        assert se.primitive(y) == _loop_primitive(se, y), y

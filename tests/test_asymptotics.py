@@ -7,7 +7,7 @@ import pytest
 
 from wardrop import asymptotics
 from wardrop.cli import auto_breakpoints
-from wardrop.costs import Affine, AlphaSequence, Constant, CostFunction, Monomial
+from wardrop.costs import Affine, AlphaSequence, Constant, CostFunction, Monomial, PwlSquare
 from wardrop.errors import DomainError, GameError, RangeOverflowError
 from wardrop.instances import (
     designated_limit_instances,
@@ -669,3 +669,16 @@ def test_rv_poa_experiment_rejects_wrong_hypothesis(kind, match):
     )
     with pytest.raises(DomainError, match=match):
         rv_poa_experiment(bad, (10.0, 100.0))
+
+
+def test_derivative_hypothesis_fails_on_a_kink_at_the_probe():
+    # PwlSquare(10) kinks at its knot 10^9, where the probe reads the two
+    # one-sided slopes: the hypothesis fails there, it does not raise
+    assert PwlSquare(10.0).derivative_bounds(1e9) == (1.1e9, 1.1e10)
+    kinked = TrendInstance("kinked", build_parallel([Affine(0.0, 1.0), PwlSquare(10.0)]), "derivative",
+                           expected=(1.0, math.inf))
+    report = asymptotics._verify_hypothesis(kinked)
+    assert report["ok"] is False
+    assert report["measured"][0] == 1.0 and math.isnan(report["measured"][1])
+    with pytest.raises(DomainError, match="fails its hypothesis"):
+        rv_poa_experiment(kinked, (10.0, 100.0))

@@ -44,6 +44,37 @@ def test_solve_pigou_from_file(tmp_path, capsys):
     assert payload["lambda"]["value"] == 1.0
 
 
+def _pigou_with(cost: dict) -> dict:
+    """PIGOU_SPEC with ``cost`` on its first link."""
+    spec = json.loads(json.dumps(PIGOU_SPEC))
+    spec["edges"][0]["cost"] = cost
+    return spec
+
+
+@pytest.mark.parametrize("cost", [
+    {"family": "affine", "a": True, "b": False},
+    {"family": "polynomial", "coefficients": [False, True]},
+    {"family": "step_exp", "alpha": {"values": [True, 3, 30]}},
+], ids=["affine", "polynomial", "alpha"])
+def test_json_booleans_are_not_numbers(cost, tmp_path, capsys):
+    net_file = tmp_path / "net.json"
+    net_file.write_text(json.dumps(_pigou_with(cost)))
+    code, out, err = _run(["poa", "--network", str(net_file), "--demand", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert "got True" in err or "got False" in err
+
+
+@pytest.mark.parametrize("token, shown", [("abc", "'abc'"), ("1e309", "'1e309'"), (True, "True"), ([], "[]")])
+def test_a_bad_number_is_named_on_stderr(token, shown, tmp_path, capsys):
+    # every constructor refuses a non-finite parameter too, but only the
+    # parser sees the token the file holds
+    net_file = tmp_path / "net.json"
+    net_file.write_text(json.dumps(_pigou_with({"family": "affine", "a": token, "b": 1})))
+    code, out, err = _run(["poa", "--network", str(net_file), "--demand", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert f"got {shown}" in err and "Traceback" not in err
+
+
 def test_solve_named_instance(capsys):
     code, out, _ = _run(["solve", "--network", "step:2", "--demand", "5"], capsys)
     assert code == 0

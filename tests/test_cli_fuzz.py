@@ -1,12 +1,15 @@
-"""Random network files through ``wardrop poa``: whatever the file holds,
-the command exits 0, 2 or 3, never with a traceback, and on 0 it prints
-strict JSON.  The specs mix good and bad values for every field: self
-loops, unknown vertices, missing and extra fields, and every cost family
-with parameters drawn from good values and a pool of bad atoms."""
+"""Random network files through ``wardrop poa``, and random argv through
+every subcommand: whatever the input, the command exits 0, 1 (usage), 2
+(input) or 3 (numeric), never with a traceback, and on 0 it prints strict
+JSON, or the sweep's CSV.  The specs mix good and bad values for every
+field: self loops, unknown vertices, missing and extra fields, and every
+cost family with parameters drawn from good values and a pool of bad atoms."""
 
 import contextlib
+import csv
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -101,3 +104,90 @@ def test_poa_on_any_network_file_exits_cleanly(spec_file, spec, demand):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_strict)
+
+
+# ---------------------------------------------------------------------------
+# the argv of every subcommand
+# ---------------------------------------------------------------------------
+
+# Each option draws from a pool of good tokens, or one time in sixteen from
+# one of bad ones.  Sweeps stay small (at most 8 per decade over at most
+# four decades) and --jobs is never above 1, as more starts worker processes.
+NETWORKS_ARG = (["pigou", "step:2", "step:3", "pwl:2", "pwl:1e10", "exp:factorial", "exp:supergeometric:2",
+                 "braess", "{file}"], ["step:1", "step:abc", "pwl:inf", "no_such_instance", "{bad_json}", "{missing}"])
+DEMANDS_ARG = (["1", "3.5", "1e-3", "1e300"], ["0", "-1", "nan", "inf", "abc", ""])
+SUBCOMMANDS = {
+    "solve": {"--network": NETWORKS_ARG, "--demand": DEMANDS_ARG},
+    "opt": {"--network": NETWORKS_ARG, "--demand": DEMANDS_ARG,
+            "--method": (["auto", "marginal", "step", "pwl", "exp", "brute"], ["nope"]),
+            "--resolution": (["2", "17", "65"], ["1", "0", "-5", "abc"])},
+    "poa": {"--network": NETWORKS_ARG, "--demand": DEMANDS_ARG},
+    "sweep": {"--network": NETWORKS_ARG, "--from": (["0.5", "1", "3"], ["0", "-2", "nan", "inf", "abc"]),
+              "--to": (["10", "1000"], ["0.1", "nan", "inf", "abc"]),
+              "--per-decade": (["1", "4", "8"], ["0", "-3", "2.5", "abc"]), "--jobs": (["1"], ["0", "-1", "abc"])},
+    "extremes": {"--curve": (["{curve}"], ["{bad_curve}", "{empty_curve}", "{missing}"]),
+                 "--period-base": (["2", "3", "1e10"], ["1", "0", "nan", "inf", "abc"]),
+                 "--periods-required": (["1", "3"], ["0", "-1", "2.5", "abc"])},
+    "repro": {"target": (["thm5", "thm6", "thm7", "rv"], ["thm9"]), "--a": (["2", "3", "1e10"], ["1.5", "nan", "abc"]),
+              "--alpha": (["factorial", "supergeometric"], ["nope"]), "--k": (["1", "3", "30"], ["0", "-1", "abc"]),
+              "--per-decade": (["1", "4", "8"], ["0", "abc"]), "--jobs": (["1"], ["0", "abc"])},
+}
+REQUIRED = {"--network", "--demand", "--from", "--to", "--curve", "--period-base", "target"}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with each optional option left out or drawn, and each
+    required one left out one time in sixteen."""
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [name]
+    for option, (good, bad) in SUBCOMMANDS[name].items():
+        if draw(st.integers(0, 15)) == 15 if option in REQUIRED else draw(st.booleans()):
+            continue
+        token = draw(_mostly(st.sampled_from(good), st.sampled_from(bad)))
+        argv += [token] if option == "target" else [option, token]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """The files a drawn token names: a network, malformed JSON, curve CSVs."""
+    root = tmp_path_factory.mktemp("argv")
+    files = {"file": root / "net.json", "bad_json": root / "bad.json", "missing": root / "missing.json",
+             "curve": root / "curve.csv", "bad_curve": root / "bad.csv", "empty_curve": root / "empty.csv"}
+    files["file"].write_text(json.dumps({
+        "vertices": ["s", "t"], "source": "s", "sink": "t",
+        "edges": [{"id": "e1", "tail": "s", "head": "t", "cost": {"family": "affine", "a": 0, "b": 1}},
+                  {"id": "e2", "tail": "s", "head": "t", "cost": {"family": "step_geometric", "a": 2}}]}))
+    files["bad_json"].write_text('{"vertices": ["s", "t"],')
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["sweep", "--network", "step:2", "--from", "2", "--to", "2000", "--per-decade", "8",
+              "--out", str(files["curve"])])
+    files["bad_curve"].write_text("M,weq,opt,poa,method,flag\n-1,1,1,1,x,\nnan,abc,1,1,x,\n5\n")
+    files["empty_curve"].write_text("")
+    return {f"{{{key}}}": str(path) for key, path in files.items()}
+
+
+def _is_sweep_csv(text: str) -> bool:
+    rows = list(csv.reader(io.StringIO(text)))
+    return bool(rows) and rows[0][0] == "M" and all(
+        len(row) == len(rows[0]) and all(math.isfinite(float(v)) for v in row[:4]) for row in rows[1:])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_argv())
+def test_every_subcommand_on_any_argv_exits_cleanly(argv_files, argv):
+    argv = [argv_files.get(token, token) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's refusals, with the usage code 1
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0:
+        if argv[0] == "sweep":
+            assert _is_sweep_csv(out.getvalue()), argv
+        else:
+            json.loads(out.getvalue(), parse_constant=_strict)

@@ -1,6 +1,7 @@
 """Print one sha256 over every ``poa`` and ``poa_sweep`` outcome on the benchmark's ops.
 
     python tools/outcome_digest.py [--root CHECKOUT] [--ops WORKLOAD:SEED ...] [--lines]
+    python tools/outcome_digest.py --families [--root CHECKOUT] [--lines]
 
 It imports ``wardrop`` from ``CHECKOUT/src`` and the op lists and networks
 from ``CHECKOUT/perfbench/workloads.py``, which it only reads; CHECKOUT is
@@ -16,16 +17,32 @@ The default ops are point-queries at seeds 71, 72 and 73, paper-sweeps at 71
 and general-net at 71: 6314 outcomes.  Only the digest goes to standard
 output, as one line of 64 hex digits; the outcome count goes to standard
 error.
+
+With ``--families`` the digest is taken over the cost families instead: one
+line per call of ``eval``, ``eval_right``, ``eval_log``, ``derivative_bounds``
+and ``generalized_inverse`` at a point, and of ``jump_levels`` and
+``breakpoints_within`` on an interval, for every public family and each
+one's ``marginal_function()``.  The points and the interval ends are seeded
+log-uniform floats and a few fixed ones; for ``StepGeometric``, ``PwlSquare``
+and the marginal of ``PwlSquare`` at a in {2, 3, 5, 1e10} they add every knot
+a^k up to the last finite one, each knot's ``eval`` and ``eval_right``, and
+the float neighbours of each of those.  Only the public API is called, so a
+checkout whose families answer every call alike prints the same digest.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
+import random
 import sys
 from pathlib import Path
 
 DEFAULT_OPS = ("point-queries:71", "point-queries:72", "point-queries:73", "paper-sweeps:71", "general-net:71")
+LATTICE_BASES = (2.0, 3.0, 5.0, 1e10)
+POINT_METHODS = ("eval", "eval_right", "eval_log", "derivative_bounds", "generalized_inverse")
+INTERVAL_METHODS = ("jump_levels", "breakpoints_within")
 
 
 def _outcome(call) -> str:
@@ -53,10 +70,76 @@ def outcome_lines(ops: list[str]):
             yield f"{spec}/{op.id}\t{outcome}\n"
 
 
-def digest(ops: list[str]) -> tuple[str, int]:
-    """The sha256 over the outcomes of every op of each WORKLOAD:SEED, and their count."""
+def _public_families():
+    """(name, cost, a) for one or more instances of every public family,
+    each followed by its marginal where it has one; a is the lattice base of
+    ``StepGeometric``, ``PwlSquare`` and the marginal of ``PwlSquare``, else None."""
+    import wardrop as w
+
+    costs = [
+        w.Affine(1.0, 2.0), w.Affine(0.0, 1.0), w.Constant(3.0), w.Monomial(2.0, 3.0), w.Monomial(1.0, 0.5),
+        w.Polynomial((1.0, 0.5, 2.0)), w.Polynomial((1.0, 0.0, 0.0, 0.0, 0.15)), w.SaturatingLinear(),
+        w.ExpOverX(), w.StepExp(w.AlphaSequence("factorial")),
+        w.StepExp(w.AlphaSequence("supergeometric", 2.0)), w.Shifted(w.Monomial(1.0, 2.0), 1.5),
+        w.Shifted(w.StepGeometric(2.0), 1.0),
+        *(family(a) for a in LATTICE_BASES for family in (w.StepGeometric, w.PwlSquare)),
+    ]
+    for cost in costs:
+        a = cost.a if isinstance(cost, (w.StepGeometric, w.PwlSquare)) else None
+        yield repr(cost), cost, a
+        try:
+            yield f"{cost!r}.marginal", cost.marginal_function(), a
+        except w.UnsupportedCostError:
+            pass
+
+
+def _lattice_points(cost, a: float) -> list[float]:
+    """Every knot a^k that is a positive float, each knot's ``eval`` and
+    ``eval_right``, and the float neighbours of each of those."""
+    knots, k = [], 0
+    while (v := a**k) > 0.0:  # a**k for k < 0 down to the last that does not round to 0
+        knots.append(v)
+        k -= 1
+    k = 1
+    while True:
+        try:
+            knots.append(a**k)
+        except OverflowError:
+            break
+        k += 1
+    values = []
+    for q in knots:
+        for method in (cost.eval, cost.eval_right):
+            try:
+                values.append(method(q))
+            except Exception:  # past the float range: no value to probe
+                pass
+    return sorted({y for x in (*knots, *values) for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))})
+
+
+def family_lines():
+    """One line per call, naming the family, the method and its arguments, and the outcome."""
+    rng = random.Random(38)
+    seeded = [0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, math.e, 3.0, 10.0, 1e300, sys.float_info.max, math.inf,
+              *(2.0 ** rng.uniform(-1074.0, 1024.0) for _ in range(2000))]
+    intervals = [(0.0, math.inf), (0.0, sys.float_info.max), (1.0, 64.0), (3.0, 8.9),
+                 *(tuple(sorted((2.0 ** rng.uniform(-1074.0, 1024.0), 2.0 ** rng.uniform(-1074.0, 1024.0))))
+                   for _ in range(200)),
+                 *((10.0**e, 10.0 ** (e + 10)) for e in range(-320, 300, 10))]
+    for name, cost, a in _public_families():
+        points = seeded + (_lattice_points(cost, a) if a is not None else [])
+        for method in POINT_METHODS:
+            for x in points:
+                yield f"{name}.{method}({x!r})\t{_outcome(lambda: getattr(cost, method)(x))}\n"
+        for method in INTERVAL_METHODS:
+            for lo, hi in intervals:
+                yield f"{name}.{method}({lo!r}, {hi!r})\t{_outcome(lambda: getattr(cost, method)(lo, hi))}\n"
+
+
+def digest(lines) -> tuple[str, int]:
+    """The sha256 over ``lines``, and their count."""
     h, count = hashlib.sha256(), 0
-    for line in outcome_lines(ops):
+    for line in lines:
         h.update(line.encode())
         count += 1
     return h.hexdigest(), count
@@ -67,16 +150,19 @@ def main(argv=None) -> int:
     p.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                    help="the checkout whose src/ and perfbench/ to import")
     p.add_argument("--ops", nargs="+", default=list(DEFAULT_OPS), metavar="WORKLOAD:SEED")
+    p.add_argument("--families", action="store_true",
+                   help="digest the cost families' answers instead of the ops' outcomes")
     p.add_argument("--lines", action="store_true", help="print the lines the digest hashes instead of the digest")
     args = p.parse_args(argv)
     sys.path[:0] = [str(args.root / "src"), str(args.root / "perfbench")]
+    lines = family_lines() if args.families else outcome_lines(args.ops)
     if args.lines:
         count = 0
-        for line in outcome_lines(args.ops):
+        for line in lines:
             sys.stdout.write(line)
             count += 1
     else:
-        value, count = digest(args.ops)
+        value, count = digest(lines)
         print(value)
     print(f"{count} outcomes from {Path(sys.modules['wardrop'].__file__).parent}", file=sys.stderr)
     return 0
