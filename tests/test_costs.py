@@ -352,6 +352,20 @@ def test_point_methods_at_the_top_of_the_float_range_are_a_number_or_a_refusal(c
     assert not np.isnan(v).any(), v
 
 
+@pytest.mark.parametrize("level", [1e300, 1e308, sys.float_info.max])
+@pytest.mark.parametrize(
+    "cost", _with_marginals(ALL_FAMILIES + [Monomial(1.0, 3.0), PwlSquare(1e10)]), ids=repr
+)
+def test_inverse_at_the_top_of_the_float_range_is_an_ordered_pair_or_a_refusal(cost, level):
+    """The generalized inverse of every family and marginal at a level near
+    the largest float is a pair 0 <= lo <= hi with no NaN, or a GameError."""
+    try:
+        lo, hi = cost.generalized_inverse(level)
+    except GameError:
+        return
+    assert 0.0 <= lo <= hi, (lo, hi)
+
+
 @pytest.mark.parametrize(
     "cost",
     _with_marginals(ALL_FAMILIES + [Monomial(1.0, 3.0), PwlSquare(1e10), Constant(1e308), Constant(sys.float_info.max)]),
