@@ -1330,6 +1330,13 @@ class _PwlSquareMarginal(_Geometric):
         _piece(self.a * self.a, level / (2.0 + self.a))
         raise RangeOverflowError(f"{self._what} overflows native floats")
 
+    def _within(self, y: float, level: float, p: float, q: float) -> tuple[float, float]:
+        if y == math.inf:  # p q or level + p q overflows, y itself does not
+            y = (level / q + p) / (2.0 * (1.0 + p / q))
+        # a subnormal p q rounds y past the piece: stay in it, as PwlSquare does
+        y = p if y < p else q if y > q else y
+        return (y, y)
+
     def is_continuous(self) -> bool:
         return False
 

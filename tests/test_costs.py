@@ -464,6 +464,37 @@ def test_slopes_at_kinks_are_the_two_one_sided_slopes():
     assert ExpOverX().derivative_bounds(1.0) == (0.0, 0.0)  # flat, then e^x/x with slope 0 at 1
 
 
+def _pow_or_inf(x: float, n: int) -> float:
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
+
+
+@pytest.mark.parametrize("a", [2.0, 3.0, 5.0, 1e10])
+def test_pwl_marginal_inverse_stays_on_its_piece_at_the_ends_of_the_float_range(a):
+    """At subnormal levels p q is subnormal, and at the largest float level + p q
+    overflows.  The answer is still a finite float on the piece (p, q] or the
+    knot q that the knot rule maps the level to: the knot from the jump bottom
+    a^(2(k-1)) (2a^2 + a) up to the top a^(2k) (2 + a), the piece below it.
+    Or the level is refused."""
+    m, (k0, table) = PwlSquare(a).marginal_function(), costs._powers(a)
+    for level in (5e-324, 9e-323, 1e-315, 2.2e-308, sys.float_info.max):
+        try:
+            y, y_hi = m.generalized_inverse(level)
+        except RangeOverflowError:
+            continue
+        k = k0 + 1
+        while _pow_or_inf(a, 2 * k) * (2.0 + a) < level:
+            k += 1
+        p, q = table[k - k0 - 1], table[k - k0]
+        assert y == y_hi and math.isfinite(y), level
+        if level >= _pow_or_inf(a, 2 * (k - 1)) * (2.0 * a * a + a):
+            assert y == q, level
+        else:
+            assert p <= y <= q, level
+
+
 def test_pwl_marginal_has_no_slopes():
     # it jumps at every knot, so no solver reads its slopes: the general
     # solver takes continuous links only
