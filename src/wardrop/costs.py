@@ -33,8 +33,9 @@ _E = math.e
 _MAX_EXP = math.log(sys.float_info.max)  # ~709.78
 ROOT_SLACK = 3  # evaluations ``root`` may spend over bisection's bound
 _POLY_BRACKET_CAP = 2.0**996  # a polynomial inverse above it is out of range
-_UNIT_STEPS = 4  # floats a quadratic inverse steps from its closed-form root
+_UNIT_STEPS = 4  # floats an inverse steps from its closed-form root
 _NEWTON_STEPS = 8  # most Newton steps a seeded inverse takes towards its root
+_SMALL_LEVEL = 2.0**-13  # below it the saturating marginal's inverse takes its series seed
 
 
 def _log(v: float) -> float:
@@ -362,6 +363,9 @@ class Polynomial(CostFunction):
             raise DomainError("polynomial needs finite nonnegative coefficients")
         object.__setattr__(self, "coefficients", coefs)
         object.__setattr__(self, "_increasing", any(c > 0 for c in coefs[1:]))  # read by every inverse
+        # c0, c1, c2 and sqrt(c2) of the closed-form inverse at degree 1 or 2, else None
+        c2 = coefs[2] if len(coefs) == 3 else 0.0
+        object.__setattr__(self, "_quadratic", (*coefs[:2], c2, math.sqrt(c2)) if 2 <= len(coefs) <= 3 else None)
 
     def is_strictly_increasing(self) -> bool:
         return self._increasing
@@ -390,37 +394,62 @@ class Polynomial(CostFunction):
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         """(x, x) for the midpoint x of the adjacent floats between which
         Horner's c(x) - level turns non-negative; (0, 0) at or below c0.  At
-        degree 1 or 2 the pair is closed by at most _UNIT_STEPS unit steps
-        from the closed-form root (``_quadratic_pair``).  Where they do not
-        close it, and above degree 2, ``root`` closes it from the bracket
-        ``_seeded_bracket`` gives around ``_polynomial_seed``, or else from
-        ``_power_bracket``.  The pair is unique, so each path gives the same
-        floats."""
+        degree 1 or 2 ``_unit_pair`` closes the pair from the closed-form
+        root x0 = 2r / (c1 + hypot(c1, 2 sqrt(c2) sqrt(r))), with r = m - c0
+        and m the midpoint between level and the float below it: Horner's
+        float sum c0 + (c1 + c2 x) x rounds to level or above past m, so x0
+        lies within a few units in the last place of the pair unless a
+        partial sum is subnormal, and the form has no cancellation while
+        hypot keeps c1^2 + 4 c2 r in range.  Where the steps do not close
+        it, and above degree 2, ``root`` closes it from the bracket
+        ``_seeded_bracket`` gives around x0 or ``_polynomial_seed``, or else
+        from ``_power_bracket``.  Horner's rule with nonnegative
+        coefficients is monotone in floats, so the pair is unique and each
+        path gives the same floats."""
         level = _check_nonneg(level, "level")
         c0 = self.coefficients[0]
         if level < c0:
             return (0.0, 0.0)
-        if not self.is_strictly_increasing():
+        if not self._increasing:
             return Constant(c0).generalized_inverse(level)
         if level == c0:
             return (0.0, 0.0)
-        coefs = self.coefficients[::-1]
+        if self._quadratic:
+            _, c1, _, s2 = self._quadratic
+            r = level - c0 - 0.5 * (level - math.nextafter(level, 0.0))
+            d = c1 + math.hypot(c1, 2.0 * s2 * math.sqrt(r))
+            seed = 2.0 * r / d if d > 0.0 else math.nan
+            value = self._quadratic_value
+            if 0.0 <= seed <= _POLY_BRACKET_CAP and (pair := _unit_pair(seed, value, level, _POLY_BRACKET_CAP)):
+                x = 0.5 * (pair[0] + pair[1])
+                return (x, x)
 
-        # eval(t) - level, with eval's Horner loop inlined: the call and
-        # domain check per step cost a quarter of poa on polynomial links
-        def excess(t: float) -> float:
-            acc = 0.0
-            for c in coefs:
-                acc = acc * t + c
-            return acc - level
+            def excess(t: float) -> float:
+                return value(t) - level
 
-        pair = _quadratic_pair(self.coefficients, level, excess)
-        if pair is None:
-            bracket = _seeded_bracket(_polynomial_seed(self.coefficients, level), excess, _POLY_BRACKET_CAP)
-            lo, f_lo, hi, f_hi = bracket or _power_bracket(self.coefficients, level, excess)
-            pair = root(excess, lo, f_lo, hi, f_hi)
-        x = 0.5 * (pair[0] + pair[1])
+        else:
+            coefs = self.coefficients[::-1]
+
+            # eval(t) - level, with eval's Horner loop inlined: the call and
+            # domain check per step cost a quarter of poa on polynomial links
+            def excess(t: float) -> float:
+                acc = 0.0
+                for c in coefs:
+                    acc = acc * t + c
+                return acc - level
+
+            seed = _polynomial_seed(self.coefficients, level)
+        bracket = _seeded_bracket(seed, excess, _POLY_BRACKET_CAP)
+        lo, f_lo, hi, f_hi = bracket or _power_bracket(self.coefficients, level, excess)
+        lo, hi = root(excess, lo, f_lo, hi, f_hi)
+        x = 0.5 * (lo + hi)
         return (x, x)
+
+    def _quadratic_value(self, t: float) -> float:
+        """``eval`` at degree 1 or 2, without its domain check: Horner's
+        rule written out, as its first step 0.0 t + c2 is c2."""
+        c0, c1, c2, _ = self._quadratic
+        return (c2 * t + c1) * t + c0
 
     def asymptotic_value(self) -> float:
         return math.inf if self.is_strictly_increasing() else self.coefficients[0]
@@ -459,36 +488,16 @@ def _power_bracket(coefficients, level: float, excess):
     return lo, f_lo, hi, f_hi
 
 
-def _quadratic_root(coefficients, level: float) -> float:
-    """The root x0 of c0 + c1 x + c2 x^2 = m for ``level`` > c0, where m is
-    the midpoint between level and the float below it: Horner's float sum
-    c0 + (c1 + c2 x) x rounds to level or above past m, so x0 lies within
-    a few units in the last place of where ``excess`` turns non-negative
-    unless a partial sum is subnormal.  x0 = 2r / (c1 + hypot(c1, 2 sqrt(c2)
-    sqrt(r))), r = m - c0, has no cancellation, and hypot keeps c1^2 + 4 c2 r
-    from overflowing or underflowing.  NaN above degree 2 and where the
-    denominator is 0; 0 where it overflows."""
-    if len(coefficients) > 3:
-        return math.nan
-    c1 = coefficients[1]
-    c2 = coefficients[2] if len(coefficients) == 3 else 0.0
-    r = level - coefficients[0] - 0.5 * (level - math.nextafter(level, 0.0))
-    d = c1 + math.hypot(c1, 2.0 * math.sqrt(c2) * math.sqrt(r))
-    return 2.0 * r / d if d > 0.0 else math.nan
-
-
 def _polynomial_seed(coefficients, level: float) -> float:
     """Where a polynomial's ``excess`` at ``level`` > c0 turns non-negative,
-    to within about 2^-50 relative: ``_quadratic_root`` at degree 1 or 2,
-    else ``_newton`` on the exact tail T(x) = x (c1 + c2 x + ...) against
-    r = m - c0, as in ``_quadratic_root``, from ``_power_bound``: however
+    above degree 2, to within about 2^-50 relative: ``_newton`` on the exact
+    tail T(x) = x (c1 + c2 x + ...) against r = m - c0, with m the midpoint
+    between level and the float below it, from ``_power_bound``: however
     close level is to c0, Horner's c0 + T(x) rounds to level or above about
     where T(x) passes r.  T is convex and increasing on x >= 0 with T(0) =
     0 < r, so the steps fall monotonically to its root.  NaN where a step
     is undefined: the bound underflows to 0 with c1 = 0, or T overflows
     near _POLY_BRACKET_CAP."""
-    if len(coefficients) <= 3:
-        return _quadratic_root(coefficients, level)
     tail = coefficients[:0:-1]
     r = level - coefficients[0] - 0.5 * (level - math.nextafter(level, 0.0))
 
@@ -517,31 +526,27 @@ def _newton(x: float, step) -> float:
     return x
 
 
-def _quadratic_pair(coefficients, level: float, excess):
-    """The adjacent floats (lo, hi) between which ``excess`` turns
-    non-negative, for a polynomial of degree 1 or 2 at ``level`` > c0: from
-    the closed-form root x0 (``_quadratic_root``), one float at a time, at
-    most _UNIT_STEPS steps, towards the sign change.  None where x0 is not
-    in [0, _POLY_BRACKET_CAP], where the steps do not close the pair, and
-    where its upper end passes that cap.  Horner's rule with nonnegative
-    coefficients is monotone in floats, so this is the only such pair, the
-    one ``root`` ends on from any bracket."""
-    x = _quadratic_root(coefficients, level)
-    if not 0.0 <= x <= _POLY_BRACKET_CAP:
-        return None
-    if excess(x) < 0.0:
-        for _ in range(_UNIT_STEPS):
-            hi = math.nextafter(x, math.inf)
-            if not excess(hi) < 0.0:
-                return (x, hi) if hi <= _POLY_BRACKET_CAP else None
-            x = hi
-    else:
-        for _ in range(_UNIT_STEPS):
-            lo = math.nextafter(x, 0.0)
-            if excess(lo) < 0.0:
-                return (lo, x)
-            x = lo
-    return None
+def _unit_pair(x: float, value, level: float, cap: float = math.inf):
+    """The adjacent floats (lo, hi) between which the weakly increasing
+    ``value`` turns >= ``level``, found from a close seed x >= 0 one float
+    at a time, at most _UNIT_STEPS steps, towards the crossing.  None where
+    the steps do not close the pair and where its upper end passes ``cap``.
+    value(t) < level exactly where value(t) - level < 0, so wherever
+    ``value`` is monotone in floats this is the pair ``root`` ends on from
+    any bracket of that excess."""
+    if value(x) < level:
+        hi, steps = math.nextafter(x, math.inf), 1
+        while value(hi) < level:
+            if steps == _UNIT_STEPS:
+                return None
+            x, hi, steps = hi, math.nextafter(hi, math.inf), steps + 1
+        return (x, hi) if hi <= cap else None
+    lo, steps = math.nextafter(x, 0.0), 1
+    while not value(lo) < level:
+        if steps == _UNIT_STEPS:
+            return None
+        x, lo, steps = lo, math.nextafter(lo, 0.0), steps + 1
+    return (lo, x)
 
 
 def _seeded_bracket(x0: float, excess, cap: float = math.inf):
@@ -1234,12 +1239,16 @@ class _ExpOverXMarginal(CostFunction):
 class _SaturatingLinearMarginal(CostFunction):
     """d/dx [x * SaturatingLinear(x)] = 2x + (x^2+2x)/(1+x)^2."""
 
-    def eval(self, x: float) -> float:
-        x = _check_nonneg(x)
+    @staticmethod
+    def _value(x: float) -> float:
+        """``eval`` without its domain check."""
         try:
             return 2.0 * x + (x * x + 2.0 * x) / (1.0 + x) ** 2
         except OverflowError:  # (1 + x)^2 is past floats, and the term below 1 under half an ulp of 2x
             return 2.0 * x
+
+    def eval(self, x: float) -> float:
+        return self._value(_check_nonneg(x))
 
     def derivative_bounds(self, x):
         try:
@@ -1250,56 +1259,62 @@ class _SaturatingLinearMarginal(CostFunction):
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         """(x, x) for the midpoint x of the adjacent floats between which
-        eval(x) - level turns non-negative; (0, 0) at level 0.  The marginal
-        is concave and increasing, and below level at t0 = max((level -
-        1)/2, 0) as eval(x) < 2x + 1, so Newton steps rise from t0 to the
-        root: the first in closed form, the only one above level 645, then
-        ``_newton``'s.  ``root`` closes the ``_seeded_bracket`` around the
-        last iterate.  Only subnormal levels below about 2.8e-309 were seen
-        to miss that bracket, as x0 (1 -+ 2^-48) rounds onto x0 there; they
-        take the wide bracket [(level - 1)/2, level/2].  eval is not
-        monotone in floats, so next to one of its dips the two brackets can
-        end on different pairs where eval crosses level, a few units in the
-        last place apart: 19 of 100,000 log-uniform levels on [1e-12,
-        1e12], all in [0.05, 0.9]."""
+        eval(x) - level turns non-negative; (0, 0) at level 0.  eval(x) =
+        2x + 1 - 1/(1+x)^2 = level is the cubic 2u^3 - (1 + level) u^2 - 1
+        = 0 in u = 1 + x, whose one positive root is, by Cardano's formula,
+        u = (1 + level)/2 (1 + c + 1/c)/3 with c = cbrt(1 + (t + sqrt(t (8
+        + t)))/4) and t = (6/(1 + level))^3 in [0, 216]: nothing in it
+        overflows, and only u - 1 cancels, at small levels.  Below
+        _SMALL_LEVEL the seed is the series x = level/4 + 3 level^2/64 +
+        O(level^3) instead.  ``_newton`` polishes the seed, in one step at
+        every level measured, and ``_unit_pair`` closes the pair from it.
+        Where the steps do not close it, ``root`` does, from the
+        ``_seeded_bracket`` around the seed, or else from the wide bracket
+        [(level - 1)/2, level/2]; no level of the float range was seen to
+        need them.  eval is not monotone in floats, so next to one of its
+        dips two paths can end on different pairs where eval crosses level,
+        a few units in the last place apart: the steps and ``root`` from
+        the wide bracket do at 17 of 100,000 log-uniform levels on [1e-12,
+        1e12], all in [0.05, 1.5]."""
         level = _check_nonneg(level, "level")
         if level == 0:
             return (0.0, 0.0)
-
-        # eval(t) - level, with eval's arithmetic inlined, operation for operation
-        def excess(t: float) -> float:
-            try:
-                return 2.0 * t + (t * t + 2.0 * t) / (1.0 + t) ** 2 - level
-            except OverflowError:  # as in eval
-                return 2.0 * t - level
+        value = self._value
 
         def step(t: float) -> float:
             try:
                 slope = 2.0 + 2.0 / (1.0 + t) ** 3
             except OverflowError:  # as in derivative_bounds
                 slope = 2.0
-            return -excess(t) / slope
+            return (level - value(t)) / slope
 
-        # the first step in closed form: eval(x) = 2x + 1 - 1/(1+x)^2, so
-        # excess(t0) is -1/(1+t0)^2 from level 1 up and -level below it
-        t0 = max(0.5 * (level - 1.0), 0.0)
-        q = 1.0 + t0
-        d = q / (2.0 * q * q * q + 2.0) if level >= 1.0 else 0.25 * level
-        x0 = t0 + d
-        bracket = _seeded_bracket(_newton(x0, step) if d > x0 * 2.0**-26 else x0, excess)
-        if bracket is None:
-            # 2x <= eval(x) < 2x + 1 brackets x+ by (level - 1)/2 and level/2; the
-            # lower end gives way by 2^-50 relative, as eval rounds up to level
-            lo, hi = max(0.5 * (level - 1.0) * (1.0 - 2.0**-50), 0.0), 0.5 * level
-            f_lo = excess(lo)
-            if not f_lo < 0.0:
-                lo, f_lo = 0.0, -level
-            f_hi = excess(hi)
-            if f_hi < 0.0:  # level/2 rounded down: a subnormal level
-                hi, f_hi = level, excess(level)
-            bracket = lo, f_lo, hi, f_hi
-        lo, hi = root(excess, *bracket)
-        x = 0.5 * (lo + hi)
+        if level >= _SMALL_LEVEL:
+            t = 6.0 / (1.0 + level)
+            t = t * t * t
+            c = (1.0 + 0.25 * (t + math.sqrt(t * (8.0 + t)))) ** (1.0 / 3.0)  # math.cbrt needs Python 3.11
+            x0 = _newton(0.5 * (1.0 + level) * ((1.0 + c + 1.0 / c) / 3.0) - 1.0, step)
+        else:
+            x0 = _newton(0.25 * level + 0.046875 * level * level, step)
+        pair = _unit_pair(x0, value, level)
+        if pair is None:
+
+            def excess(t: float) -> float:
+                return value(t) - level
+
+            bracket = _seeded_bracket(x0, excess)
+            if bracket is None:
+                # 2x <= eval(x) < 2x + 1 brackets x+ by (level - 1)/2 and level/2; the
+                # lower end gives way by 2^-50 relative, as eval rounds up to level
+                lo, hi = max(0.5 * (level - 1.0) * (1.0 - 2.0**-50), 0.0), 0.5 * level
+                f_lo = excess(lo)
+                if not f_lo < 0.0:
+                    lo, f_lo = 0.0, -level
+                f_hi = excess(hi)
+                if f_hi < 0.0:  # level/2 rounded down: a subnormal level
+                    hi, f_hi = level, excess(level)
+                bracket = lo, f_lo, hi, f_hi
+            pair = root(excess, *bracket)
+        x = 0.5 * (pair[0] + pair[1])
         return (x, x)
 
 

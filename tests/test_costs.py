@@ -1047,9 +1047,9 @@ def _float_rank(x: float) -> int:
 
 
 def _count_excess_evaluations(monkeypatch) -> list:
-    """Record every point at which an inverse evaluates its excess: in the
-    unit steps, the Newton steps, the brackets and ``root`` alike (not in
-    the saturating marginal's wide bracket, which calls it directly)."""
+    """Record every point at which an inverse evaluates its cost or excess:
+    in the unit steps, the Newton steps, the brackets and ``root`` alike
+    (not in the saturating marginal's wide bracket, which calls it directly)."""
     evaluations = []
 
     def counting(fn, at):
@@ -1058,23 +1058,41 @@ def _count_excess_evaluations(monkeypatch) -> list:
             return fn(*args[:at], lambda x: evaluations.append(x) or f(x), *args[at + 1:])
         return wrapped
 
-    for name, at in (("_quadratic_pair", 2), ("_newton", 1), ("_seeded_bracket", 1), ("_power_bracket", 2),
+    for name, at in (("_unit_pair", 1), ("_newton", 1), ("_seeded_bracket", 1), ("_power_bracket", 2),
                      ("root", 0)):
         monkeypatch.setattr(costs, name, counting(getattr(costs, name), at))
     return evaluations
+
+
+def _no_root(*args):
+    raise AssertionError("root called")
+
+
+def _horner(coefs, t: float) -> float:
+    acc = 0.0
+    for c in reversed(coefs):
+        acc = acc * t + c
+    return acc
+
+
+def _crossing_pair(value, level: float, x: float):
+    """The adjacent floats (lo, hi) with value(lo) < level <= value(hi) whose
+    midpoint rounds to an inverse's answer x, read back from x (the midpoint
+    rounds onto lo or hi); None where no such pair gives x."""
+    lo = x if value(x) < level else math.nextafter(x, 0.0)
+    hi = math.nextafter(lo, math.inf)
+    return (lo, hi) if value(lo) < level <= value(hi) and 0.5 * (lo + hi) == x else None
 
 
 def test_designated_quadratic_inverse_closes_without_root(monkeypatch):
     """3x^2 + x (the designated instance's link) and its marginal 9x^2 + 2x
     close every pair from the closed form: ``root`` is never called, and an
     inverse evaluates the polynomial at most 5 times (x0, then 4 unit
-    steps), the most measured on the benchmark's levels."""
+    steps), the most measured on the benchmark's levels.  The same holds at
+    20000 levels log-uniform on [1e-12, 1e12], each answer the midpoint of
+    the pair where Horner's rule turns >= level."""
     evaluations = _count_excess_evaluations(monkeypatch)
-
-    def no_root(*args):
-        raise AssertionError("root called")
-
-    monkeypatch.setattr(costs, "root", no_root)
+    monkeypatch.setattr(costs, "root", _no_root)
     rng = random.Random(36)
     link = Polynomial((0.0, 1.0, 3.0))
     assert link.marginal_function() == Polynomial((0.0, 2.0, 9.0))
@@ -1084,6 +1102,50 @@ def test_designated_quadratic_inverse_closes_without_root(monkeypatch):
             evaluations.clear()
             assert p.generalized_inverse(level) == _unseeded_polynomial_inverse(p.coefficients, level)
             assert len(evaluations) <= 5, (p, level)
+        for _ in range(20000):
+            level = 10.0 ** rng.uniform(-12.0, 12.0)
+            evaluations.clear()
+            x, x_hi = p.generalized_inverse(level)
+            assert x == x_hi and _crossing_pair(lambda t: _horner(p.coefficients, t), level, x), (p, level)
+            assert len(evaluations) <= 5, (p, level)
+
+
+def _coefficient(rng) -> float:
+    return rng.choice([0.0, -0.0, 10.0 ** rng.uniform(-300.0, -100.0), 10.0 ** rng.uniform(-8.0, 8.0),
+                       10.0 ** rng.uniform(100.0, 300.0)])
+
+
+def test_quadratic_inverse_answers_the_midpoint_of_horners_crossing():
+    """The referee for degree 1 and 2: over coefficients drawn from 0.0,
+    -0.0, tiny, moderate and huge ones (so c1 = 0, c2 = 0 and c0 > 0 all
+    occur) and levels from subnormal to the largest float, the answer is
+    the midpoint of the adjacent floats where Horner's loop, which starts
+    0.0 t + c2, turns >= level: (0, 0) at or below c0, and a
+    RangeOverflowError only where that pair lies past _POLY_BRACKET_CAP."""
+    rng = random.Random(39)
+    cap = costs._POLY_BRACKET_CAP
+    checked = 0
+    while checked < 20000:
+        coefs = tuple(_coefficient(rng) for _ in range(rng.randint(2, 3)))
+        if not max(coefs[1:]) > 0.0:
+            continue
+        value = lambda t: _horner(coefs, t)  # noqa: E731
+        level = rng.choice([
+            2.0 ** rng.uniform(-1074.0, 1024.0),
+            coefs[0] * (1.0 + 2.0 ** -rng.randint(1, 60)),
+            coefs[0] + 2.0 ** rng.uniform(-1074.0, 1024.0),
+            sys.float_info.max,
+        ])
+        if level <= coefs[0]:
+            assert Polynomial(coefs).generalized_inverse(level) == (0.0, 0.0)
+            continue
+        checked += 1
+        if value(cap) < level:
+            with pytest.raises(RangeOverflowError):
+                Polynomial(coefs).generalized_inverse(level)
+            continue
+        x, x_hi = Polynomial(coefs).generalized_inverse(level)
+        assert x == x_hi and _crossing_pair(value, level, x), (coefs, level)
 
 
 def test_seeded_quadratic_draws_take_few_evaluations(monkeypatch):
@@ -1120,14 +1182,14 @@ def test_quadratic_inverse_falls_back_where_the_closed_form_is_far(monkeypatch, 
     more than 4 ulps from the answer: the unit steps give up, ``root``
     closes the pair from the last bracket tried, and the answer is the
     unseeded one."""
-    brackets = []
-    for name in ("_seeded_bracket", "_power_bracket"):
+    calls = []
+    for name in ("_unit_pair", "_seeded_bracket", "_power_bracket"):
         real = getattr(costs, name)
-        monkeypatch.setattr(costs, name, lambda *a, real=real, name=name: brackets.append(name) or real(*a))
+        monkeypatch.setattr(costs, name, lambda *a, real=real, name=name: calls.append((name, real(*a))) or calls[-1][1])
     expected = _unseeded_polynomial_inverse(coefs, level)
-    assert abs(_float_rank(costs._quadratic_root(coefs, level)) - _float_rank(expected[0])) > 4
     assert Polynomial(coefs).generalized_inverse(level) == expected
-    assert brackets == tried
+    assert calls[0] == ("_unit_pair", None)
+    assert [name for name, _ in calls[1:]] == tried
 
 
 def test_root_counts_nan_as_non_negative():
@@ -1196,37 +1258,67 @@ def _wide_saturating_marginal_pair(level):
     return root(excess, lo, f_lo, hi, f_hi)
 
 
-def test_seeded_saturating_marginal_inverse_matches_the_wide_search(monkeypatch):
-    """The Newton seed changes the bracket, and the answer only where eval,
-    which is not monotone in floats, crosses the level more than once: then
-    both pairs are crossings, at most 4 units in the last place apart.  At
-    this seed 19 of the 100,004 levels move, all in [0.056, 0.86]."""
-    pairs = []
-    real_root = costs.root
-    monkeypatch.setattr(costs, "root", lambda *a: pairs.append(real_root(*a)) or pairs[-1])
+def test_seeded_saturating_marginal_inverse_matches_the_wide_search():
+    """Every answer is the midpoint of adjacent floats where eval crosses
+    the level.  The closed-form seed changes the path, and the answer only
+    where eval, which is not monotone in floats, crosses the level more than
+    once: then both pairs are crossings, at most 4 units in the last place
+    apart.  At this seed 17 of the 100,004 levels move, all in [0.056, 1.45]."""
     rng = random.Random(37)
     levels = [10.0 ** rng.uniform(-12.0, 12.0) for _ in range(100000)] + [5e-324, 1e-300, 1e300, 1.7e308]
     moved = []
     for level in levels:
         expected = _wide_saturating_marginal_pair(level)
-        x = _SATURATING_MARGINAL.generalized_inverse(level)
-        assert x == (0.5 * (pairs[-1][0] + pairs[-1][1]),) * 2
-        if pairs[-1] != expected:
+        x, x_hi = _SATURATING_MARGINAL.generalized_inverse(level)
+        pair = _crossing_pair(_SATURATING_MARGINAL.eval, level, x)
+        assert x == x_hi and pair is not None, level
+        if pair != expected:
             moved.append(level)
-            for lo, hi in (pairs[-1], expected):
-                assert hi == math.nextafter(lo, math.inf), level
-                assert _SATURATING_MARGINAL.eval(lo) < level <= _SATURATING_MARGINAL.eval(hi), level
-            assert abs(_float_rank(pairs[-1][0]) - _float_rank(expected[0])) <= 4, level
+            lo, hi = expected
+            assert hi == math.nextafter(lo, math.inf), level
+            assert _SATURATING_MARGINAL.eval(lo) < level <= _SATURATING_MARGINAL.eval(hi), level
+            assert abs(_float_rank(pair[0]) - _float_rank(lo)) <= 4, level
     assert len(moved) <= 1e-3 * len(levels)
     assert 0.05 <= min(moved, default=1.0) and max(moved, default=1.0) <= 1.5
 
 
+def _saturating_marginal_root(level: float) -> float:
+    """The exact x+ of the saturating marginal at ``level`` > 0, to 50 digits
+    at least: bisection of [level/4, level/2] (4x >= eval(x) >= 2x) on the
+    cubic 2x^3 + (5 - L) x^2 + (4 - 2L) x - L, which is (eval(x) - L)(1 + x)^2
+    and so changes sign at the root, in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        L = mpmath.mpf(level)
+        lo, hi = L / 4, L / 2
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if ((2 * mid + 5 - L) * mid + 4 - 2 * L) * mid - L < 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(hi)
+
+
+def test_saturating_marginal_inverse_is_within_4_ulps_of_the_exact_root():
+    """The referee: at 300 levels log-uniform over the float range and at
+    its ends, each answer lies within 4 units in the last place of the
+    50-digit root of eval(x) = level."""
+    rng = random.Random(39)
+    levels = [2.0 ** rng.uniform(-1074.0, 1024.0) for _ in range(300)]
+    levels += [5e-324, 2e-309, 1e-300, 2.0**-13, math.nextafter(2.0**-13, 0.0), 1.0, 1e300, sys.float_info.max]
+    for level in levels:
+        x, _ = _SATURATING_MARGINAL.generalized_inverse(level)
+        assert abs(_float_rank(x) - _float_rank(_saturating_marginal_root(level))) <= 4, level
+
+
 def test_seeded_saturating_marginal_inverse_takes_few_evaluations(monkeypatch):
-    """Counting every evaluation of the marginal (Newton steps, the seeded
-    bracket's ends and ``root``), an inverse at 20000 levels log-uniform on
-    [1e-12, 1e12] took 5.24 on average and at most 12.  From the wide
-    bracket it took 7.25 and 67."""
+    """Counting every evaluation of the marginal (the Newton step and the
+    unit steps), an inverse at 20000 levels log-uniform on [1e-12, 1e12]
+    took 3.11 on average and at most 6, and never called ``root``.  From
+    the Newton-seeded bracket of 2beaebb it took 5.24 and 12, from the wide
+    bracket 7.25 and 67."""
     evaluations = _count_excess_evaluations(monkeypatch)
+    monkeypatch.setattr(costs, "root", _no_root)
     rng = random.Random(37)
     counts = []
     for _ in range(20000):
@@ -1234,19 +1326,22 @@ def test_seeded_saturating_marginal_inverse_takes_few_evaluations(monkeypatch):
         evaluations.clear()
         _SATURATING_MARGINAL.generalized_inverse(level)
         counts.append(len(evaluations))
-    assert sum(counts) / len(counts) < 5.5 and max(counts) <= 12
+    assert sum(counts) / len(counts) < 3.2 and max(counts) <= 6
 
 
 @pytest.mark.parametrize("level", [5e-324, 2e-309])
 def test_saturating_marginal_inverse_falls_back_at_subnormal_levels(monkeypatch, level):
-    # the seed is about level/4, too near 0 for x0 (1 -+ 2^-48) to leave it
-    brackets = []
-    real = costs._seeded_bracket
-    monkeypatch.setattr(costs, "_seeded_bracket", lambda *a: brackets.append(real(*a)) or brackets[-1])
+    """The unit steps close the pair at subnormal levels too; where they
+    give up, the seed is about level/4, too near 0 for x0 (1 -+ 2^-48) to
+    leave it, so the wide bracket answers."""
     lo, hi = _wide_saturating_marginal_pair(level)
     assert _SATURATING_MARGINAL.generalized_inverse(level) == (0.5 * (lo + hi),) * 2
+    brackets = []
+    real = costs._seeded_bracket
+    monkeypatch.setattr(costs, "_unit_pair", lambda *a: None)
+    monkeypatch.setattr(costs, "_seeded_bracket", lambda *a: brackets.append(real(*a)) or brackets[-1])
+    assert _SATURATING_MARGINAL.generalized_inverse(level) == (0.5 * (lo + hi),) * 2
     assert brackets == [None]
-
 
 
 @pytest.mark.parametrize("x", [0.0, 0.25, 0.999, 1.5, 3.0, 40.0])

@@ -78,7 +78,11 @@ def _public_families():
 
     costs = [
         w.Affine(1.0, 2.0), w.Affine(0.0, 1.0), w.Constant(3.0), w.Monomial(2.0, 3.0), w.Monomial(1.0, 0.5),
-        w.Polynomial((1.0, 0.5, 2.0)), w.Polynomial((1.0, 0.0, 0.0, 0.0, 0.15)), w.SaturatingLinear(),
+        w.Polynomial((1.0, 0.5, 2.0)), w.Polynomial((1.0, 0.0, 0.0, 0.0, 0.15)),
+        # degree 1 and 2: the designated link, c1 = 0, an affine one, a signed zero, huge and tiny terms
+        *(w.Polynomial(c) for c in ((0.0, 1.0, 3.0), (0.0, 0.0, 3.0), (2.0, 5.0), (0.0, -0.0, 1e-300),
+                                    (1e300, 1.0, 1e-300))),
+        w.SaturatingLinear(),
         w.ExpOverX(), w.StepExp(w.AlphaSequence("factorial")),
         w.StepExp(w.AlphaSequence("supergeometric", 2.0)), w.Shifted(w.Monomial(1.0, 2.0), 1.5),
         w.Shifted(w.StepGeometric(2.0), 1.0),
