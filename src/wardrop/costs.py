@@ -337,7 +337,7 @@ class Monomial(CostFunction):
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")
-        x = (level / self.coef) ** (1.0 / self.degree)
+        x = _pow_in_range(level / self.coef, 1.0 / self.degree, "monomial inverse")
         return (x, x)
 
     def asymptotic_value(self) -> float:
@@ -1337,7 +1337,7 @@ class _PwlSquareMarginal(_Geometric):
         x = min(top * (2.0 + a), sys.float_info.max)
         while x / (2.0 + a) > top:
             x = math.nextafter(x, 0.0)
-        while (up := math.nextafter(x, math.inf)) / (2.0 + a) <= top:
+        while x < sys.float_info.max and (up := math.nextafter(x, math.inf)) / (2.0 + a) <= top:
             x = up
         return x
 

@@ -3,7 +3,9 @@ every subcommand: whatever the input, the command exits 0, 1 (usage), 2
 (input) or 3 (numeric), never with a traceback, and on 0 it prints strict
 JSON, or the sweep's CSV.  The specs mix good and bad values for every
 field: self loops, unknown vertices, missing and extra fields, and every
-cost family with parameters drawn from good values and a pool of bad atoms."""
+cost family with parameters drawn from good values and a pool of bad atoms.
+Random cost specs alone load or are input errors, and each loaded cost
+answers at points across the float range."""
 
 import contextlib
 import csv
@@ -16,8 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wardrop.cli import main
+from wardrop.errors import DomainError, GameError
+from wardrop.network import network_from_spec
 
-ATOMS = st.sampled_from([0, -0.0, 5e-324, 1, 1e300, -1, "nan", "inf", "1e309", True, None, [], {}])
+ATOMS = st.sampled_from([0, -0.0, 5e-324, 1e-300, 1, 1e300, 1.7e308, -1, "-1", "2.5", "abc", "nan", "inf", "1e309",
+                         True, False, None, [], [2, 3], {}])
 PARAMETERS = {"affine": ("a", "b"), "monomial": ("coef", "degree"), "polynomial": ("coefficients",),
               "constant": ("value",), "step_geometric": ("a",), "pwl_square": ("a",), "exp_over_x": (),
               "step_exp": ("alpha",), "saturating_linear": (), "shifted": ("base", "shift")}
@@ -191,3 +196,66 @@ def test_every_subcommand_on_any_argv_exits_cleanly(argv_files, argv):
             assert _is_sweep_csv(out.getvalue()), argv
         else:
             json.loads(out.getvalue(), parse_constant=_strict)
+
+
+# ---------------------------------------------------------------------------
+# cost specs
+# ---------------------------------------------------------------------------
+
+# Each field of a cost spec is good or, one time in four, a bad atom; the
+# good numbers span the float range, so that families meet its ends.
+COST_NUMBERS = st.sampled_from([0, 0.5, 1, 2, 3, "2.5", 1e10, 1e-300, 1e300])
+COST_FIELDS = {
+    "coefficients": st.lists(COST_NUMBERS, min_size=1, max_size=5),
+    "alpha": st.one_of(
+        st.sampled_from([{"preset": "factorial"}, {"preset": "supergeometric"}]),
+        st.fixed_dictionaries({"preset": st.just("supergeometric"), "base": COST_NUMBERS}),
+        st.fixed_dictionaries({"values": st.lists(COST_NUMBERS, min_size=1, max_size=4)}),
+    ),
+}
+COST_POINTS = [0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, math.e, 3.0, 10.0, 1e10, 1e300, 1.7976931348623157e308]
+
+
+@st.composite
+def _cost_specs(draw, depth: int = 0):
+    """A cost spec of a family, now and then an unknown one, each field good
+    or a bad atom, now and then less a field or with an extra one; a shifted
+    spec nests another up to two levels deep."""
+    family = draw(_mostly(st.sampled_from([*PARAMETERS, "no_such_family"])))
+    spec = {"family": family}
+    for name in PARAMETERS.get(family, ()) if isinstance(family, str) else ():
+        good = _cost_specs(depth + 1) if name == "base" and depth < 2 else COST_FIELDS.get(name, COST_NUMBERS)
+        spec[name] = draw(st.integers(0, 3).flatmap(lambda i: ATOMS if i == 3 else good))
+    return draw(_tampered(spec))
+
+
+def _answers(call, x) -> None:
+    """``call(x)`` returns a value or a pair with no NaN, or raises a GameError."""
+    try:
+        out = call(x)
+    except GameError:
+        return
+    assert not any(math.isnan(v) for v in (out if isinstance(out, tuple) else (out,))), (call, x, out)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_cost_specs())
+def test_any_cost_spec_loads_or_is_an_input_error_and_answers_every_point(spec):
+    """A cost spec, read as the one link of a network file, loads or is a
+    DomainError (exit 2); a loaded cost answers ``eval``, ``eval_right`` and
+    ``generalized_inverse`` at every point of a pool spanning the float
+    range with a number that is not NaN, or a GameError; its marginal, where
+    it has one, likewise."""
+    try:
+        cost = network_from_spec({"vertices": ["s", "t"], "source": "s", "sink": "t",
+                                  "edges": [{"id": "e", "tail": "s", "head": "t", "cost": spec}]}).costs[0]
+    except DomainError:
+        return
+    try:
+        costs = [cost, cost.marginal_function()]
+    except GameError:  # no marginal, or its parameters leave the float range
+        costs = [cost]
+    for c in costs:
+        for call in (c.eval, c.eval_right, c.generalized_inverse):
+            for x in COST_POINTS:
+                _answers(call, x)

@@ -495,6 +495,23 @@ def test_pwl_marginal_inverse_stays_on_its_piece_at_the_ends_of_the_float_range(
             assert p <= y <= q, level
 
 
+def test_pwl_marginal_answers_where_a_squared_overflows():
+    # a * a = inf: the last power of a * a is inf, so every level has a
+    # knot, and the ceiling's upward search stops at the largest float
+    m = PwlSquare(1e300).marginal_function()
+    assert type(m)._ceiling(1e300) == sys.float_info.max
+    assert (m.eval(1.0), m.eval_right(1.0)) == (2.0, 1e300)
+    assert m.generalized_inverse(1.0) == (0.5, 0.5)
+    assert m.generalized_inverse(1e300) == (1.0, 1.0)
+
+
+def test_monomial_inverse_past_the_float_range_is_a_range_error():
+    # below degree 1, (level / coef)^(1 / degree) leaves the float range first
+    with pytest.raises(RangeOverflowError):
+        Monomial(0.5, 0.5).generalized_inverse(1e300)
+    assert Monomial(0.5, 0.5).generalized_inverse(1e100) == (4e200, 4e200)
+
+
 def test_pwl_marginal_has_no_slopes():
     # it jumps at every knot, so no solver reads its slopes: the general
     # solver takes continuous links only
