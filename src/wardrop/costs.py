@@ -1274,8 +1274,8 @@ class _SaturatingLinearMarginal(CostFunction):
         need them.  eval is not monotone in floats, so next to one of its
         dips two paths can end on different pairs where eval crosses level,
         a few units in the last place apart: the steps and ``root`` from
-        the wide bracket do at 17 of 100,000 log-uniform levels on [1e-12,
-        1e12], all in [0.05, 1.5]."""
+        the wide bracket do at 18 of 100,000 log-uniform levels on [1e-12,
+        1e12], all in [0.1, 1.5]."""
         level = _check_nonneg(level, "level")
         if level == 0:
             return (0.0, 0.0)
