@@ -363,6 +363,7 @@ class Polynomial(CostFunction):
             raise DomainError("polynomial needs finite nonnegative coefficients")
         object.__setattr__(self, "coefficients", coefs)
         object.__setattr__(self, "_increasing", any(c > 0 for c in coefs[1:]))  # read by every inverse
+        object.__setattr__(self, "_slopes", tuple(j * coefs[j] for j in range(len(coefs) - 1, 0, -1)))  # j c_j, top first
         # c0, c1, c2 and sqrt(c2) of the closed-form inverse at degree 1 or 2, else None
         c2 = coefs[2] if len(coefs) == 3 else 0.0
         object.__setattr__(self, "_quadratic", (*coefs[:2], c2, math.sqrt(c2)) if 2 <= len(coefs) <= 3 else None)
@@ -380,8 +381,8 @@ class Polynomial(CostFunction):
     def derivative_bounds(self, x):
         x = float(x)
         acc = 0.0
-        for j in range(len(self.coefficients) - 1, 0, -1):
-            acc = acc * x + j * self.coefficients[j]
+        for d in self._slopes:
+            acc = acc * x + d
         return (acc, acc)
 
     def primitive(self, x: float) -> float:

@@ -317,7 +317,7 @@ def _general_flow(net: Network, M: float, start=None) -> tuple[FlowProfile, floa
     if not all(c.is_continuous() for c in net.costs):
         raise UnsupportedCostError("projected Newton on a general network needs continuous costs")
 
-    order, paths = net.canonical, net.paths
+    order, paths, sets = net.canonical, net.paths, net.path_sets
     x = [0.0] * len(paths) if start is None else list(start)
     floor, polish, residual = 1e-12 * M, False, math.inf
 
@@ -325,13 +325,15 @@ def _general_flow(net: Network, M: float, start=None) -> tuple[FlowProfile, floa
         """Give the target the least float share y of the pair's flow at which
         the edges only it uses cost at least those only the source uses, by
         ``_pair_share`` from the target's share: y does not depend on the split."""
-        gain, loss = set(paths[tgt]), set(paths[src])
-        others = {e: math.fsum([x[i] for i in net.through[e] if i not in (src, tgt)]) for e in gain ^ loss}
+        gain, loss = sets[tgt], sets[src]
         total = max(M - math.fsum([v for i, v in enumerate(x) if i not in (src, tgt)]), 0.0)
+        # (cost, flow of the other paths) on the edges only the target uses, and only the source
+        gained, lost = ([(net.costs[e], math.fsum([x[i] for i in net.through[e] if i not in (src, tgt)]))
+                         for e in only] for only in (gain - loss, loss - gain))
 
         def gap(y: float) -> float:
-            return math.fsum([*(net.costs[e].eval(others[e] + y) for e in gain - loss),
-                              *(-net.costs[e].eval(others[e] + (total - y)) for e in loss - gain)])
+            rest = total - y
+            return math.fsum([*(c.eval(o + y) for c, o in gained), *(-c.eval(o + rest) for c, o in lost)])
 
         y = _pair_share(gap, total, x[tgt])
         x[src], x[tgt] = total - y, y
@@ -360,8 +362,10 @@ def _general_flow(net: Network, M: float, start=None) -> tuple[FlowProfile, floa
             continue
         before, polish = list(x), True
         S = [cheapest, *(i for i in order if i != cheapest and (x[i] > floor or own[i] == lam))]
-        slope = [c.derivative_bounds(v)[1] for c, v in zip(net.costs, xe)]
-        step = _newton_step([paths[i] for i in S], slope, [own[i] for i in S])
+        newton = [sets[i] for i in S]
+        differ = frozenset().union(*newton) - frozenset.intersection(*newton)  # the edges the step moves flow on
+        slope = {e: net.costs[e].derivative_bounds(xe[e])[1] for e in differ}
+        step = _newton_step(newton, slope, [own[i] for i in S])
         if step is None:
             split(worst, cheapest)
         else:
@@ -393,28 +397,32 @@ def _pair_share(gap, total: float, seed: float) -> float:
 
 
 def _newton_step(paths, slope, cost) -> list[float] | None:
-    """Flow changes d, sum(d) = 0, on ``paths`` (the cheapest first) that level
-    the linear model of their costs under the edge slopes: [H -1; 1' 0][d; mu]
-    = [cost[0] - cost; 0] with H = A diag(slope) A', solved for d_1 .. d_m with
-    d_0 = -(d_1 + ... + d_m); its matrix sums the slopes of the edges where
-    paths i and j differ from path 0 alike.  It can be singular: complete
-    pivoting leaves an unknown at 0 once its pivot falls below PIVOT_RTOL of
-    the largest.  None if one of those slopes is infinite, or if the equations
-    left miss by more than PIVOT_RTOL of the largest cost (no curvature)."""
-    base = set(paths[0])
-    diff = [(set(p) - base, base.difference(p)) for p in paths[1:]]  # (gained, lost) edges
-    if not all(slope[e] < math.inf for gain, loss in diff for e in gain | loss):
+    """Flow changes d, sum(d) = 0, on ``paths`` (edge sets, the cheapest
+    first) that level the linear model of their costs under the edge slopes:
+    [H -1; 1' 0][d; mu] = [cost[0] - cost; 0] with H = A diag(slope) A',
+    solved for d_1 .. d_m with d_0 = -(d_1 + ... + d_m).  With D_i the edges
+    where path i and path 0 differ, H_ij sums the slopes over D_i & D_j (an
+    edge cannot be gained by one path and lost by another) and H_ii over
+    D_i; ``slope`` maps every edge of some D_i to its slope.  H can be
+    singular: complete pivoting leaves an unknown at 0 once its pivot falls
+    below PIVOT_RTOL of the largest.  None if a slope is infinite, or if the
+    equations left miss by more than PIVOT_RTOL of the largest cost (no
+    curvature)."""
+    if not all(s < math.inf for s in slope.values()):
         return None
+    diff = [p ^ paths[0] for p in paths[1:]]
     a = [[0.0] * len(diff) for _ in diff]
-    for i, (gi, li) in enumerate(diff):
-        for j, (gj, lj) in enumerate(diff[i:], i):
-            a[i][j] = a[j][i] = math.fsum([slope[e] for e in (gi & gj) | (li & lj)])
+    for i, di in enumerate(diff):
+        a[i][i] = math.fsum(map(slope.__getitem__, di))
+        for j in range(i + 1, len(diff)):
+            a[i][j] = a[j][i] = math.fsum(map(slope.__getitem__, di & diff[j]))
     b = [cost[0] - c for c in cost[1:]]
+    diag = [row[i] for i, row in enumerate(a)]
     free, pivots = list(range(len(b))), []
-    largest = max([a[i][i] for i in free], default=0.0)
+    largest = max(diag, default=0.0)
     while free:
-        k = max(free, key=lambda i: a[i][i])
-        if not a[k][k] > PIVOT_RTOL * largest:
+        k = max(free, key=diag.__getitem__)
+        if not diag[k] > PIVOT_RTOL * largest:
             break
         free.remove(k)
         pivots.append(k)
@@ -422,6 +430,7 @@ def _newton_step(paths, slope, cost) -> list[float] | None:
             f = a[i][k] / a[k][k]
             a[i] = [u - f * v for u, v in zip(a[i], a[k])]
             b[i] -= f * b[k]
+            diag[i] = a[i][i]
     if any(abs(b[i]) > PIVOT_RTOL * max(cost) for i in free):
         return None
     z = [0.0] * len(b)

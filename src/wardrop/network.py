@@ -82,6 +82,11 @@ class Network:
         return tuple(map(tuple, through))
 
     @cached_property
+    def path_sets(self) -> tuple[frozenset[int], ...]:
+        """Each path's edges as a set, for the general solver's set algebra."""
+        return tuple(map(frozenset, self.paths))
+
+    @cached_property
     def canonical(self) -> tuple[int, ...]:
         """The path indices in the order of their (tail, head, id) edge
         sequences: an iteration in that order does not depend on the order

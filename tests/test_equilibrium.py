@@ -686,6 +686,90 @@ def test_an_infinite_slope_moves_by_root(monkeypatch):
     assert sol.flow.path_flows == pytest.approx((2.5, 0.0, 2.5), rel=1e-9)
 
 
+def _newton_sets(net: Network, monkeypatch) -> list:
+    """The Newton sets (edge sets, the cheapest first) of every step
+    ``wardrop_general`` takes on ``net`` at GRID_DEMANDS."""
+    sets = []
+    real = equilibrium._newton_step
+    monkeypatch.setattr(equilibrium, "_newton_step", lambda *a: sets.append(a[0]) or real(*a))
+    for M in GRID_DEMANDS:
+        wardrop_general(net, M)
+    monkeypatch.undo()
+    return sets
+
+
+def test_newton_step_levels_affine_path_costs(monkeypatch):
+    # with affine edge costs the linear model is exact: one step from any
+    # flow levels the costs of the Newton set's paths, summed here as
+    # a_e + b_e x_e over each path's edges
+    nets = [braess(Affine(0.0, 1.0)), *(grid(n, affine, seed) for n in (3, 4) for seed in range(3))]
+    stepped = 0
+    for k, net in enumerate(nets):
+        rng = random.Random(k)
+        a, b = zip(*[(c.value, 0.0) if isinstance(c, Constant) else (c.a, c.b) for c in net.costs])
+        for newton in _newton_sets(net, monkeypatch):
+            x = [rng.uniform(0.0, 10.0) for _ in net.paths]
+
+            def path_costs():
+                xe = net.edge_sums(x)
+                return [math.fsum(a[e] + b[e] * xe[e] for e in p) for p in newton]
+
+            slope = {e: b[e] for p in newton for e in p ^ newton[0]}
+            step = equilibrium._newton_step(newton, slope, path_costs())
+            if step is None:  # a direction with no curvature: Braess's constant edges
+                continue
+            for p, d in zip(newton, step):
+                x[net.path_sets.index(p)] += d
+            costs = path_costs()
+            assert max(costs) - min(costs) <= 1e-12 * max(costs), (k, newton)
+            stepped += 1
+    assert stepped > 50
+
+
+def test_newton_step_refuses_an_infinite_slope_where_the_paths_differ():
+    paths = [frozenset({0, 1}), frozenset({0, 2})]  # edge 0 shared, so it has no slope here
+    assert equilibrium._newton_step(paths, {1: 1.0, 2: 1.0}, [1.0, 2.0]) == [0.5, -0.5]
+    assert equilibrium._newton_step(paths, {1: math.inf, 2: 1.0}, [1.0, 2.0]) is None
+    assert equilibrium._newton_step(paths, {1: 1.0, 2: math.inf}, [1.0, 2.0]) is None
+
+
+class Sloped(CostFunction):
+    """An edge cost that logs the edges its slope is read at."""
+
+    def __init__(self, cost, edge: int, log: list):
+        self.cost, self.edge, self.log = cost, edge, log
+
+    def eval(self, x):
+        return self.cost.eval(x)
+
+    def derivative_bounds(self, x):
+        self.log.append(self.edge)
+        return self.cost.derivative_bounds(x)
+
+
+@pytest.mark.parametrize("name", ["fork", "grid3", "grid4"])
+def test_newton_step_prices_slopes_only_where_the_paths_differ(monkeypatch, name):
+    # each step reads each slope once, on the edges where its paths differ
+    # (those some path of the Newton set uses and another does not); the
+    # fork's first edge, shared by every path, is never priced
+    net = {"fork": load_network(FORK), "grid3": grid(3, bpr), "grid4": grid(4, bpr, 1)}[name]
+    log, steps = [], []
+    net = Network(net.vertices, net.edges, tuple(Sloped(c, e, log) for e, c in enumerate(net.costs)),
+                  net.source, net.sink)
+    real = equilibrium._newton_step
+
+    def recorded(paths, slope, cost):
+        steps.append((sorted(log), sorted(frozenset().union(*(p ^ paths[0] for p in paths)))))
+        log.clear()
+        return real(paths, slope, cost)
+
+    monkeypatch.setattr(equilibrium, "_newton_step", recorded)
+    for M in GRID_DEMANDS:
+        wardrop_general(net, M)
+    assert steps and all(priced == differ for priced, differ in steps)
+    assert any(len(differ) < net.n_edges for _, differ in steps)
+
+
 def test_braess_with_interpolated_square_edges():
     # PwlSquare is continuous, so a general network may use it; its slope
     # at 0, where the empty paths' edges start, is 0

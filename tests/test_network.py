@@ -104,6 +104,8 @@ def test_edge_flows_are_correctly_rounded():
     )
     assert edge_flows(net, flow_of([1e16, 1.0, 1.0])) == [1e16, 1.0, 1.0, 1e16 + 2.0]
     assert net.through == ((0,), (1,), (2,), (0, 1, 2))
+    assert net.path_sets == (frozenset({0, 3}), frozenset({1, 3}), frozenset({2, 3}))
+    assert net.path_sets is net.path_sets  # built once, like the incidence
 
 
 @pytest.mark.parametrize("edges", [(), (Edge("e1", "s", "t"),)], ids=["no-edges", "one-edge"])
