@@ -2,6 +2,7 @@
 
     python tools/outcome_digest.py [--root CHECKOUT] [--ops WORKLOAD:SEED ...] [--lines]
     python tools/outcome_digest.py --families [--root CHECKOUT] [--lines]
+    python tools/outcome_digest.py --general [--root CHECKOUT] [--lines]
 
 It imports ``wardrop`` from ``CHECKOUT/src`` and the op lists and networks
 from ``CHECKOUT/perfbench/workloads.py``, which it only reads; CHECKOUT is
@@ -28,6 +29,13 @@ and the marginal of ``PwlSquare`` at a in {2, 3, 5, 1e10} they add every knot
 a^k up to the last finite one, each knot's ``eval`` and ``eval_right``, and
 the float neighbours of each of those.  Only the public API is called, so a
 checkout whose families answer every call alike prints the same digest.
+
+With ``--general`` the digest is taken over the general solver instead: one
+line per call of ``poa``, ``wardrop_general`` and ``social_optimum`` on the
+n x n grids of ``tests/test_equilibrium.py`` (n = 3..6, affine and BPR
+costs, seeds 0-2, built by ``grid``) and on the braess, fork and smooth3
+networks of ``CHECKOUT/tests/golden``, each at ``GENERAL_DEMANDS``: 729
+outcomes, about 7 s.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ DEFAULT_OPS = ("point-queries:71", "point-queries:72", "point-queries:73", "pape
 LATTICE_BASES = (2.0, 3.0, 5.0, 1e10)
 POINT_METHODS = ("eval", "eval_right", "eval_log", "derivative_bounds", "generalized_inverse")
 INTERVAL_METHODS = ("jump_levels", "breakpoints_within")
+GENERAL_DEMANDS = (0.3, 1.0, 3.0, 10.0, 100.0, 0.9, 1e-3, 1e3, 1e6)  # the tests' GRID_DEMANDS, then four more
+GENERAL_GOLDENS = ("braess", "fork", "smooth3")
 
 
 def _outcome(call) -> str:
@@ -140,6 +150,41 @@ def family_lines():
                 yield f"{name}.{method}({lo!r}, {hi!r})\t{_outcome(lambda: getattr(cost, method)(lo, hi))}\n"
 
 
+def grid(n: int, cost: str, seed: int):
+    """The n x n grid of ``tests/test_equilibrium.py::grid``: edges rightward
+    and downward, corner to corner, cost parameters drawn within 10% of 1
+    (``cost`` "affine" a + b x, or "bpr" t0 (1 + 0.15 x^4)), edge order shuffled."""
+    from wardrop import Affine, Network, Polynomial
+    from wardrop.network import Edge
+
+    cells = [(n * i + j, n * i + j + d) for i in range(n) for j in range(n)
+             for d, inside in ((1, j + 1 < n), (n, i + 1 < n)) if inside]
+    draw = random.Random(seed)
+    params = [(draw.uniform(0.9, 1.1), draw.uniform(0.9, 1.1)) for _ in cells]
+    order = list(range(len(cells)))
+    draw.shuffle(order)
+    names = tuple(f"v{k}" for k in range(n * n))
+    edges = tuple(Edge(f"e{e}", names[cells[e][0]], names[cells[e][1]]) for e in order)
+    costs = tuple(Affine(*params[e]) if cost == "affine" else Polynomial((params[e][0], 0.0, 0.0, 0.0, 0.15 * params[e][0]))
+                  for e in order)
+    return Network(names, edges, costs, names[0], names[-1])
+
+
+def general_lines(root: Path):
+    """One line per general-solver call, naming the network, the demand and
+    the solver, and the outcome."""
+    from wardrop import poa, social_optimum, wardrop_general
+    from wardrop.network import load_network
+
+    nets = [(f"grid{n}-{cost}-{seed}", grid(n, cost, seed))
+            for n in (3, 4, 5, 6) for cost in ("affine", "bpr") for seed in (0, 1, 2)]
+    nets += [(name, load_network(str(root / "tests" / "golden" / f"{name}.json"))) for name in GENERAL_GOLDENS]
+    for name, net in nets:
+        for M in GENERAL_DEMANDS:
+            for solve in (poa, wardrop_general, social_optimum):
+                yield f"{name}@{M!r}/{solve.__name__}\t{_outcome(lambda: solve(net, M))}\n"
+
+
 def digest(lines) -> tuple[str, int]:
     """The sha256 over ``lines``, and their count."""
     h, count = hashlib.sha256(), 0
@@ -154,12 +199,15 @@ def main(argv=None) -> int:
     p.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                    help="the checkout whose src/ and perfbench/ to import")
     p.add_argument("--ops", nargs="+", default=list(DEFAULT_OPS), metavar="WORKLOAD:SEED")
-    p.add_argument("--families", action="store_true",
-                   help="digest the cost families' answers instead of the ops' outcomes")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--families", action="store_true",
+                       help="digest the cost families' answers instead of the ops' outcomes")
+    which.add_argument("--general", action="store_true",
+                       help="digest the general solver's answers on grids and goldens instead")
     p.add_argument("--lines", action="store_true", help="print the lines the digest hashes instead of the digest")
     args = p.parse_args(argv)
     sys.path[:0] = [str(args.root / "src"), str(args.root / "perfbench")]
-    lines = family_lines() if args.families else outcome_lines(args.ops)
+    lines = family_lines() if args.families else general_lines(args.root) if args.general else outcome_lines(args.ops)
     if args.lines:
         count = 0
         for line in lines:
