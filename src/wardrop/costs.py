@@ -25,6 +25,7 @@ from functools import cached_property, lru_cache
 from .errors import (
     DemandBracketError,
     DomainError,
+    GameError,
     RangeOverflowError,
     UnsupportedCostError,
 )
@@ -1385,9 +1386,23 @@ _FAMILIES = {
 
 
 def cost_from_spec(spec: dict) -> CostFunction:
+    """The cost a JSON spec describes; a malformed spec is a DomainError."""
+    try:
+        return _cost_from_spec(spec)
+    except KeyError as exc:
+        raise DomainError(f"cost spec missing field {exc}") from None
+    except GameError:
+        raise
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise DomainError(f"malformed cost spec: {exc}") from None
+
+
+def _cost_from_spec(spec: dict) -> CostFunction:
+    """``cost_from_spec`` with a malformed spec's bare errors left to the
+    caller, which names the spec it read (``network_from_spec``)."""
     family = spec.get("family")
     if family == "shifted":
-        return Shifted(cost_from_spec(spec["base"]), _num(spec["shift"]))
+        return Shifted(_cost_from_spec(spec["base"]), _num(spec["shift"]))
     try:
         builder = _FAMILIES[family]
     except KeyError:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .costs import CostFunction, cost_from_spec, cost_to_spec
+from .costs import CostFunction, _cost_from_spec, cost_to_spec
 from .errors import DomainError, GameError
 
 PATH_CAP = 100_000
@@ -207,7 +207,7 @@ def network_from_spec(spec: dict) -> Network:
         costs = []
         for e in spec["edges"]:
             edges.append(Edge(str(e["id"]), str(e["tail"]), str(e["head"])))
-            costs.append(cost_from_spec(e["cost"]))
+            costs.append(_cost_from_spec(e["cost"]))
         return Network(
             vertices, tuple(edges), tuple(costs), str(spec["source"]), str(spec["sink"])
         )

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wardrop.cli import main
+from wardrop.costs import cost_from_spec
 from wardrop.errors import DomainError, GameError
 from wardrop.network import network_from_spec
 
@@ -241,16 +242,23 @@ def _answers(call, x) -> None:
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_cost_specs())
 def test_any_cost_spec_loads_or_is_an_input_error_and_answers_every_point(spec):
-    """A cost spec, read as the one link of a network file, loads or is a
-    DomainError (exit 2); a loaded cost answers ``eval``, ``eval_right`` and
+    """A cost spec, read by ``cost_from_spec`` and as the one link of a
+    network file, loads as the same cost both ways or is a DomainError both
+    ways (exit 2); a loaded cost answers ``eval``, ``eval_right`` and
     ``generalized_inverse`` at every point of a pool spanning the float
     range with a number that is not NaN, or a GameError; its marginal, where
     it has one, likewise."""
     try:
+        direct = cost_from_spec(spec)
+    except DomainError:
+        direct = None
+    try:
         cost = network_from_spec({"vertices": ["s", "t"], "source": "s", "sink": "t",
                                   "edges": [{"id": "e", "tail": "s", "head": "t", "cost": spec}]}).costs[0]
     except DomainError:
+        assert direct is None, spec
         return
+    assert cost == direct, spec
     try:
         costs = [cost, cost.marginal_function()]
     except GameError:  # no marginal, or its parameters leave the float range

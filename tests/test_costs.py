@@ -2,6 +2,7 @@ import bisect
 import json
 import math
 import random
+import re
 import struct
 import sys
 
@@ -829,6 +830,24 @@ def test_json_decimal_strings_parse_exactly():
 def test_json_unknown_family():
     with pytest.raises(DomainError):
         cost_from_spec({"family": "bpr"})
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"family": "affine"}, "cost spec missing field 'a'"),
+        ({"family": "polynomial", "coefficients": 5}, "malformed cost spec: 'int' object is not iterable"),
+        ({"family": "shifted", "base": 5, "shift": 1}, "malformed cost spec: 'int' object has no attribute"),
+        ({"family": "step_exp", "alpha": []}, "malformed cost spec: 'list' object has no attribute"),
+        ("affine", "malformed cost spec: 'str' object has no attribute"),
+    ],
+    ids=["affine-without-a", "coefficients-not-a-list", "shifted-base-not-an-object", "alpha-not-an-object",
+         "spec-not-an-object"],
+)
+def test_malformed_cost_spec_is_a_domain_error(spec, message):
+    # the bare KeyError, TypeError or AttributeError of reading the spec
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        cost_from_spec(spec)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", math.nan, math.inf, "abc"])
