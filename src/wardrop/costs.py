@@ -230,7 +230,8 @@ class Affine(CostFunction):
         return self.b > 0
 
     def eval(self, x: float) -> float:
-        return self.a + self.b * _check_nonneg(x)
+        x = _check_nonneg(x)
+        return self.a + self.b * x if x < math.inf else self.asymptotic_value()  # 0.0 * inf is NaN
 
     def derivative_bounds(self, x):
         return (self.b, self.b)
@@ -338,7 +339,13 @@ class Monomial(CostFunction):
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")
-        x = _pow_in_range(level / self.coef, 1.0 / self.degree, "monomial inverse")
+        p, q = 1.0 / self.degree, level / self.coef
+        if q == math.inf > level and p < 1.0:  # the quotient overflows, its root may not
+            x = level**p / self.coef**p
+        else:
+            x = _pow_in_range(q, p, "monomial inverse")
+        if x == math.inf > level:
+            raise RangeOverflowError("monomial inverse overflows native floats")
         return (x, x)
 
     def asymptotic_value(self) -> float:
@@ -374,6 +381,8 @@ class Polynomial(CostFunction):
 
     def eval(self, x: float) -> float:
         x = _check_nonneg(x)
+        if x == math.inf:  # where Horner's first step 0.0 * x is NaN
+            return self.asymptotic_value()
         acc = 0.0
         for c in reversed(self.coefficients):
             acc = acc * x + c
@@ -381,6 +390,9 @@ class Polynomial(CostFunction):
 
     def derivative_bounds(self, x):
         x = float(x)
+        if x == math.inf:  # as in eval: the limit of the derivative's own polynomial
+            d = Polynomial(self._slopes[::-1] or (0.0,)).asymptotic_value()
+            return (d, d)
         acc = 0.0
         for d in self._slopes:
             acc = acc * x + d
@@ -579,7 +591,7 @@ class SaturatingLinear(CostFunction):
 
     def eval(self, x: float) -> float:
         x = _check_nonneg(x)
-        return x + x / (1.0 + x)
+        return x + x / (1.0 + x) if x < math.inf else x  # inf / inf is NaN
 
     def derivative_bounds(self, x):
         try:
@@ -891,7 +903,7 @@ class ExpOverX(CostFunction):
         x = _check_nonneg(x)
         if x < 1.0:
             return _E
-        return _exp_in_range(x - math.log(x), "exp(x)/x")
+        return _exp_in_range(_log_exp_over_x(x), "exp(x)/x")
 
     def eval_log(self, x: float) -> float:
         return _log_exp_over_x(_check_nonneg(x))
@@ -953,8 +965,10 @@ def _pow_in_range(x: float, p: float, what: str) -> float:
 
 
 def _log_exp_over_x(x: float) -> float:
-    """ln ExpOverX(x): x - ln x for x >= 1, and 1 below."""
-    return x - math.log(x) if x >= 1.0 else 1.0
+    """ln ExpOverX(x): x - ln x for x >= 1 (inf at inf, where it is NaN), and 1 below."""
+    if x < 1.0:
+        return 1.0
+    return x - math.log(x) if x < math.inf else x
 
 
 # --- alpha sequences for the step-exponential family ---
@@ -1250,7 +1264,8 @@ class _SaturatingLinearMarginal(CostFunction):
             return 2.0 * x
 
     def eval(self, x: float) -> float:
-        return self._value(_check_nonneg(x))
+        x = _check_nonneg(x)
+        return self._value(x) if x < math.inf else x  # inf / inf is NaN
 
     def derivative_bounds(self, x):
         try:
@@ -1279,8 +1294,8 @@ class _SaturatingLinearMarginal(CostFunction):
         the wide bracket do at 18 of 100,000 log-uniform levels on [1e-12,
         1e12], all in [0.1, 1.5]."""
         level = _check_nonneg(level, "level")
-        if level == 0:
-            return (0.0, 0.0)
+        if level == 0 or level == math.inf:
+            return (level, level)
         value = self._value
 
         def step(t: float) -> float:

@@ -214,7 +214,7 @@ COST_FIELDS = {
         st.fixed_dictionaries({"values": st.lists(COST_NUMBERS, min_size=1, max_size=4)}),
     ),
 }
-COST_POINTS = [0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, math.e, 3.0, 10.0, 1e10, 1e300, 1.7976931348623157e308]
+COST_POINTS = [0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, math.e, 3.0, 10.0, 1e10, 1e300, 1.7976931348623157e308, math.inf]
 
 
 @st.composite

@@ -367,6 +367,34 @@ def test_inverse_at_the_top_of_the_float_range_is_an_ordered_pair_or_a_refusal(c
     assert 0.0 <= lo <= hi, (lo, hi)
 
 
+@pytest.mark.parametrize("method", ["eval", "eval_right", "eval_log", "derivative_bounds", "generalized_inverse"])
+@pytest.mark.parametrize(
+    "cost", _with_marginals(ALL_FAMILIES + [Monomial(1.0, 3.0), PwlSquare(1e10), Polynomial((0.0, 1.0, 3.0)),
+                                            Polynomial((2.0, 0.0)), SaturatingLinear()]), ids=repr
+)
+def test_point_methods_at_the_infinite_point_are_a_number_or_a_refusal(cost, method):
+    """At x = inf (a level of inf for the inverse) every family and marginal
+    answers with no NaN, or raises a GameError: Horner's 0.0 * inf and
+    inf / inf are not answers."""
+    try:
+        v = getattr(cost, method)(math.inf)
+    except GameError:
+        return
+    assert not np.isnan(v).any(), v
+
+
+def test_the_infinite_point_answers_the_limit():
+    for cost in (Polynomial((0.0, 1.0, 3.0)), SaturatingLinear(), SaturatingLinear().marginal_function()):
+        assert cost.eval(math.inf) == cost.eval_log(math.inf) == math.inf
+    assert Polynomial((2.0, 0.0)).eval(math.inf) == Affine(2.0, 0.0).eval(math.inf) == 2.0
+    assert Polynomial((2.0, 5.0)).derivative_bounds(math.inf) == (5.0, 5.0)
+    assert Polynomial((2.0, 5.0, 1e-300)).derivative_bounds(math.inf) == (math.inf, math.inf)
+    assert ExpOverX().eval_log(math.inf) == math.inf
+    with pytest.raises(RangeOverflowError):  # as at the largest float
+        ExpOverX().eval(math.inf)
+    assert SaturatingLinear().marginal_function().generalized_inverse(math.inf) == (math.inf, math.inf)
+
+
 @pytest.mark.parametrize(
     "cost",
     _with_marginals(ALL_FAMILIES + [Monomial(1.0, 3.0), PwlSquare(1e10), Constant(1e308), Constant(sys.float_info.max)]),
@@ -511,6 +539,25 @@ def test_monomial_inverse_past_the_float_range_is_a_range_error():
     with pytest.raises(RangeOverflowError):
         Monomial(0.5, 0.5).generalized_inverse(1e300)
     assert Monomial(0.5, 0.5).generalized_inverse(1e100) == (4e200, 4e200)
+    # where level / coef itself overflows, as at the largest float
+    for coef, degree in ((0.5, 0.5), (0.5, 1.0), (5e-324, 1.5)):
+        with pytest.raises(RangeOverflowError):
+            Monomial(coef, degree).generalized_inverse(1.7e308)
+    assert Monomial(0.5, 0.5).generalized_inverse(math.inf) == (math.inf, math.inf)
+
+
+@pytest.mark.parametrize("coef, degree", [(0.5, 2.0), (1e-300, 3.0), (1e-300, 1.5), (0.9, 1.01)])
+def test_monomial_inverse_where_level_over_coef_overflows(coef, degree):
+    # the quotient overflows but its root is a float: level^p / coef^p
+    for level in (1e300, 1.7e308, sys.float_info.max):
+        with mpmath.workdps(40):
+            exact = (mpmath.mpf(level) / mpmath.mpf(coef)) ** (1 / mpmath.mpf(degree))
+        try:
+            x, hi = Monomial(coef, degree).generalized_inverse(level)
+        except RangeOverflowError:
+            assert exact > sys.float_info.max, (level, exact)
+            continue
+        assert x == hi and abs(x - exact) <= 1e-12 * exact, (level, x, exact)
 
 
 def test_pwl_marginal_has_no_slopes():
