@@ -339,13 +339,15 @@ class Monomial(CostFunction):
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")
-        p, q = 1.0 / self.degree, level / self.coef
-        if q == math.inf > level and p < 1.0:  # the quotient overflows, its root may not
-            x = level**p / self.coef**p
-        else:
-            x = _pow_in_range(q, p, "monomial inverse")
-        if x == math.inf > level:
-            raise RangeOverflowError("monomial inverse overflows native floats")
+        p = 1.0 / self.degree
+        try:
+            x = (level / self.coef) ** p
+        except OverflowError:
+            x = math.inf
+        if x == math.inf > level:  # past the float range, or level / coef is, where its root may not be
+            x = level**p / self.coef**p if p < 1.0 else x
+            if x == math.inf:
+                raise RangeOverflowError("monomial inverse overflows native floats")
         return (x, x)
 
     def asymptotic_value(self) -> float:

@@ -288,9 +288,11 @@ def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
     problems with simple constraints", SIAM J. Control Optim. 20(2), 1982).
 
     The iteration starts from all flow on the cheapest path.  Each iteration
-    moves the flows of the used and the cheapest paths at once to where the
-    linear model of their costs is level (``_newton_step``), clips them at 0
-    and rescales them to sum to M.  Where a slope is infinite (sqrt x at 0),
+    moves the flows of the used and the cheapest paths (the Newton set) at
+    once to where the linear model of their costs is level
+    (``_newton_step``, on the paths' edge sets ``Network.path_sets`` and the
+    slopes of the edges where they differ, the only slopes it prices),
+    clips them at 0 and rescales them to sum to M.  Where a slope is infinite (sqrt x at 0),
     or a direction without curvature lowers the cost, the costliest used path
     and the cheapest split their flow exactly instead (``_pair_share``).
     Once no used path costs more than RESIDUAL_RTOL * lam above the
@@ -325,11 +327,10 @@ def _general_flow(net: Network, M: float, start=None) -> tuple[FlowProfile, floa
         """Give the target the least float share y of the pair's flow at which
         the edges only it uses cost at least those only the source uses, by
         ``_pair_share`` from the target's share: y does not depend on the split."""
-        gain, loss = sets[tgt], sets[src]
         total = max(M - math.fsum([v for i, v in enumerate(x) if i not in (src, tgt)]), 0.0)
-        # (cost, flow of the other paths) on the edges only the target uses, and only the source
+        # (cost, the other paths' flow) on the edges only the target uses, and only the source
         gained, lost = ([(net.costs[e], math.fsum([x[i] for i in net.through[e] if i not in (src, tgt)]))
-                         for e in only] for only in (gain - loss, loss - gain))
+                         for e in only] for only in (sets[tgt] - sets[src], sets[src] - sets[tgt]))
 
         def gap(y: float) -> float:
             rest = total - y
@@ -362,9 +363,9 @@ def _general_flow(net: Network, M: float, start=None) -> tuple[FlowProfile, floa
             continue
         before, polish = list(x), True
         S = [cheapest, *(i for i in order if i != cheapest and (x[i] > floor or own[i] == lam))]
-        newton = [sets[i] for i in S]
-        differ = frozenset().union(*newton) - frozenset.intersection(*newton)  # the edges the step moves flow on
-        slope = {e: net.costs[e].derivative_bounds(xe[e])[1] for e in differ}
+        newton = [sets[i] for i in S]  # slopes only where these paths differ
+        slope = {e: net.costs[e].derivative_bounds(xe[e])[1]
+                 for e in frozenset().union(*newton) - frozenset.intersection(*newton)}
         step = _newton_step(newton, slope, [own[i] for i in S])
         if step is None:
             split(worst, cheapest)
@@ -400,14 +401,12 @@ def _newton_step(paths, slope, cost) -> list[float] | None:
     """Flow changes d, sum(d) = 0, on ``paths`` (edge sets, the cheapest
     first) that level the linear model of their costs under the edge slopes:
     [H -1; 1' 0][d; mu] = [cost[0] - cost; 0] with H = A diag(slope) A',
-    solved for d_1 .. d_m with d_0 = -(d_1 + ... + d_m).  With D_i the edges
-    where path i and path 0 differ, H_ij sums the slopes over D_i & D_j (an
-    edge cannot be gained by one path and lost by another) and H_ii over
-    D_i; ``slope`` maps every edge of some D_i to its slope.  H can be
-    singular: complete pivoting leaves an unknown at 0 once its pivot falls
-    below PIVOT_RTOL of the largest.  None if a slope is infinite, or if the
-    equations left miss by more than PIVOT_RTOL of the largest cost (no
-    curvature)."""
+    solved for d_1 .. d_m with d_0 = -(d_1 + ... + d_m); with D_i = paths[i]
+    ^ paths[0], H_ij sums ``slope`` (given on the union of the D_i) over D_i
+    & D_j.  It can be singular: complete pivoting leaves an unknown at 0 once
+    its pivot falls below PIVOT_RTOL of the largest.  None if a slope is
+    infinite, or if the equations left miss by more than PIVOT_RTOL of the
+    largest cost (no curvature)."""
     if not all(s < math.inf for s in slope.values()):
         return None
     diff = [p ^ paths[0] for p in paths[1:]]
