@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -1402,16 +1403,24 @@ _FAMILIES = {
 }
 
 
-def cost_from_spec(spec: dict) -> CostFunction:
-    """The cost a JSON spec describes; a malformed spec is a DomainError."""
+@contextmanager
+def _spec_errors(what: str):
+    """Turn the bare errors of reading a malformed JSON spec into a
+    DomainError naming ``what`` spec; a GameError passes as it is."""
     try:
-        return _cost_from_spec(spec)
-    except KeyError as exc:
-        raise DomainError(f"cost spec missing field {exc}") from None
+        yield
     except GameError:
         raise
+    except KeyError as exc:
+        raise DomainError(f"{what} spec missing field {exc}") from None
     except (TypeError, ValueError, AttributeError) as exc:
-        raise DomainError(f"malformed cost spec: {exc}") from None
+        raise DomainError(f"malformed {what} spec: {exc}") from None
+
+
+def cost_from_spec(spec: dict) -> CostFunction:
+    """The cost a JSON spec describes; a malformed spec is a DomainError."""
+    with _spec_errors("cost"):
+        return _cost_from_spec(spec)
 
 
 def _cost_from_spec(spec: dict) -> CostFunction:

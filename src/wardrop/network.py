@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .costs import CostFunction, _cost_from_spec, cost_to_spec
+from .costs import CostFunction, _cost_from_spec, _spec_errors, cost_to_spec
 from .errors import DomainError, GameError
 
 PATH_CAP = 100_000
@@ -201,7 +201,7 @@ def social_cost(net: Network, flow: FlowProfile) -> float:
 
 
 def network_from_spec(spec: dict) -> Network:
-    try:
+    with _spec_errors("network"):
         vertices = tuple(str(v) for v in spec["vertices"])
         edges = []
         costs = []
@@ -211,12 +211,6 @@ def network_from_spec(spec: dict) -> Network:
         return Network(
             vertices, tuple(edges), tuple(costs), str(spec["source"]), str(spec["sink"])
         )
-    except KeyError as exc:
-        raise DomainError(f"network spec missing field {exc}") from None
-    except GameError:
-        raise
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise DomainError(f"malformed network spec: {exc}") from None
 
 
 def network_to_spec(net: Network) -> dict:

@@ -731,6 +731,7 @@ def test_newton_step_refuses_an_infinite_slope_where_the_paths_differ():
     assert equilibrium._newton_step(paths, {1: 1.0, 2: 1.0}, [1.0, 2.0]) == [0.5, -0.5]
     assert equilibrium._newton_step(paths, {1: math.inf, 2: 1.0}, [1.0, 2.0]) is None
     assert equilibrium._newton_step(paths, {1: 1.0, 2: math.inf}, [1.0, 2.0]) is None
+    assert equilibrium._newton_step(paths, {1: math.inf, 2: 1.0}, [1.0, 1.0]) is None  # even with nothing to level
 
 
 class Sloped(CostFunction):
