@@ -288,13 +288,13 @@ def wardrop_general(net: Network, M: float) -> EquilibriumSolution:
     problems with simple constraints", SIAM J. Control Optim. 20(2), 1982).
 
     The iteration starts from all flow on the cheapest path.  Each iteration
-    moves the flows of the used and the cheapest paths (the Newton set) at
-    once to where the linear model of their costs is level
-    (``_newton_step``, on the paths' edge sets ``Network.path_sets`` and the
-    slopes of the edges where they differ, the only slopes it prices),
-    clips them at 0 and rescales them to sum to M.  Where a slope is infinite (sqrt x at 0),
-    or a direction without curvature lowers the cost, the costliest used path
-    and the cheapest split their flow exactly instead (``_pair_share``).
+    moves the flows of the used and the cheapest paths at once to where the
+    linear model of their costs is level (``_newton_step``, on their edge
+    sets ``Network.path_sets`` and the slopes where they differ, the only
+    slopes priced), clips them at 0 and rescales them to sum to M.  Where a
+    slope is infinite (sqrt x at 0), or a direction without curvature lowers
+    the cost, the costliest used path and the cheapest split their flow
+    exactly instead (``_pair_share``).
     Once no used path costs more than RESIDUAL_RTOL * lam above the
     cheapest, one such split ends the search, so a two-path equilibrium
     lands on the float grid wherever the Newton steps crossed that bound; it
