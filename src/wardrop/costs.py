@@ -410,17 +410,16 @@ class Polynomial(CostFunction):
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         """(x, x) for the midpoint x of the adjacent floats between which
-        Horner's c(x) - level turns non-negative; (0, 0) at or below c0.  At
-        degree 1 or 2 ``_unit_pair`` closes the pair from the closed-form
-        root x0 = 2r / (c1 + hypot(c1, 2 sqrt(c2) sqrt(r))), with r = m - c0
-        and m the midpoint between level and the float below it: Horner's
-        float sum c0 + (c1 + c2 x) x rounds to level or above past m, so x0
-        lies within a few units in the last place of the pair unless a
-        partial sum is subnormal, and the form has no cancellation while
-        hypot keeps c1^2 + 4 c2 r in range.  Where the steps do not close
-        it, and above degree 2, ``root`` closes it from the bracket
-        ``_seeded_bracket`` gives around x0 or ``_polynomial_seed``, or else
-        from ``_power_bracket``.  Horner's rule with nonnegative
+        Horner's c(x) - level turns non-negative; (0, 0) at or below c0.
+        ``_unit_pair`` closes the pair from a seed: above degree 2
+        ``_polynomial_seed``, and at degree 1 or 2 the closed-form root x0 =
+        2r / (c1 + hypot(c1, 2 sqrt(c2) sqrt(r))), with r = m - c0 and m the
+        midpoint between level and the float below it: Horner's float sum c0
+        + (c1 + c2 x) x rounds to level or above past m, so x0 lies within a
+        few units in the last place of the pair unless a partial sum is
+        subnormal, and the form has no cancellation while hypot keeps c1^2 +
+        4 c2 r in range.  Where the steps do not close it, ``root`` closes
+        it from ``_power_bracket``.  Horner's rule with nonnegative
         coefficients is monotone in floats, so the pair is unique and each
         path gives the same floats."""
         level = _check_nonneg(level, "level")
@@ -437,29 +436,26 @@ class Polynomial(CostFunction):
             d = c1 + math.hypot(c1, 2.0 * s2 * math.sqrt(r))
             seed = 2.0 * r / d if d > 0.0 else math.nan
             value = self._quadratic_value
-            if 0.0 <= seed <= _POLY_BRACKET_CAP and (pair := _unit_pair(seed, value, level, _POLY_BRACKET_CAP)):
-                x = 0.5 * (pair[0] + pair[1])
-                return (x, x)
+        else:
+            coefs = self.coefficients[::-1]
+
+            # eval's Horner loop inlined: the call and domain check per step
+            # cost a quarter of poa on polynomial links
+            def value(t: float) -> float:
+                acc = 0.0
+                for c in coefs:
+                    acc = acc * t + c
+                return acc
+
+            seed = _polynomial_seed(self.coefficients, level)
+        pair = _unit_pair(seed, value, level, _POLY_BRACKET_CAP) if 0.0 <= seed <= _POLY_BRACKET_CAP else None
+        if pair is None:
 
             def excess(t: float) -> float:
                 return value(t) - level
 
-        else:
-            coefs = self.coefficients[::-1]
-
-            # eval(t) - level, with eval's Horner loop inlined: the call and
-            # domain check per step cost a quarter of poa on polynomial links
-            def excess(t: float) -> float:
-                acc = 0.0
-                for c in coefs:
-                    acc = acc * t + c
-                return acc - level
-
-            seed = _polynomial_seed(self.coefficients, level)
-        bracket = _seeded_bracket(seed, excess, _POLY_BRACKET_CAP)
-        lo, f_lo, hi, f_hi = bracket or _power_bracket(self.coefficients, level, excess)
-        lo, hi = root(excess, lo, f_lo, hi, f_hi)
-        x = 0.5 * (lo + hi)
+            pair = root(excess, *_power_bracket(self.coefficients, level, excess))
+        x = 0.5 * (pair[0] + pair[1])
         return (x, x)
 
     def _quadratic_value(self, t: float) -> float:
@@ -533,8 +529,8 @@ def _newton(x: float, step) -> float:
     """x after Newton steps x += step(x), at most _NEWTON_STEPS of them,
     stopping after the first one below 2^-26 of x: on the smooth convex or
     concave functions the inverses seed, the error then left is of the
-    order of the square of that step, far inside ``_seeded_bracket``'s
-    2^-48.  NaN after a NaN step."""
+    order of the square of that step, a few units in the last place, which
+    ``_unit_pair`` steps across.  NaN after a NaN step."""
     for _ in range(_NEWTON_STEPS):
         d = step(x)
         x += d
@@ -564,21 +560,6 @@ def _unit_pair(x: float, value, level: float, cap: float = math.inf):
             return None
         x, lo, steps = lo, math.nextafter(lo, 0.0), steps + 1
     return (lo, x)
-
-
-def _seeded_bracket(x0: float, excess, cap: float = math.inf):
-    """(lo, excess(lo), hi, excess(hi)) for [lo, hi] = x0 (1 -+ 2^-48), a
-    seed x0 of where the weakly increasing ``excess`` turns non-negative.  None where
-    the bracket is empty (x0 is NaN, 0 or subnormal, so that both ends
-    round onto x0), where hi passes ``cap``, and where the signs of
-    ``excess`` at the ends show that it misses the sign change; the caller
-    then takes its own wider bracket.  From it ``root`` ends on the pair it
-    ends on from any bracket wherever ``excess`` is monotone in floats."""
-    lo, hi = x0 * (1.0 - 2.0**-48), x0 * (1.0 + 2.0**-48)
-    if not 0.0 < lo < hi <= cap:
-        return None
-    f_lo, f_hi = excess(lo), excess(hi)
-    return (lo, f_lo, hi, f_hi) if f_lo < 0.0 <= f_hi else None
 
 
 @dataclass(frozen=True)
@@ -1288,10 +1269,9 @@ class _SaturatingLinearMarginal(CostFunction):
         _SMALL_LEVEL the seed is the series x = level/4 + 3 level^2/64 +
         O(level^3) instead.  ``_newton`` polishes the seed, in one step at
         every level measured, and ``_unit_pair`` closes the pair from it.
-        Where the steps do not close it, ``root`` does, from the
-        ``_seeded_bracket`` around the seed, or else from the wide bracket
-        [(level - 1)/2, level/2]; no level of the float range was seen to
-        need them.  eval is not monotone in floats, so next to one of its
+        Where the steps do not close it, ``root`` does, from the wide
+        bracket [(level - 1)/2, level/2]; no level of the float range was
+        seen to need it.  eval is not monotone in floats, so next to one of its
         dips two paths can end on different pairs where eval crosses level,
         a few units in the last place apart: the steps and ``root`` from
         the wide bracket do at 18 of 100,000 log-uniform levels on [1e-12,
@@ -1321,19 +1301,16 @@ class _SaturatingLinearMarginal(CostFunction):
             def excess(t: float) -> float:
                 return value(t) - level
 
-            bracket = _seeded_bracket(x0, excess)
-            if bracket is None:
-                # 2x <= eval(x) < 2x + 1 brackets x+ by (level - 1)/2 and level/2; the
-                # lower end gives way by 2^-50 relative, as eval rounds up to level
-                lo, hi = max(0.5 * (level - 1.0) * (1.0 - 2.0**-50), 0.0), 0.5 * level
-                f_lo = excess(lo)
-                if not f_lo < 0.0:
-                    lo, f_lo = 0.0, -level
-                f_hi = excess(hi)
-                if f_hi < 0.0:  # level/2 rounded down: a subnormal level
-                    hi, f_hi = level, excess(level)
-                bracket = lo, f_lo, hi, f_hi
-            pair = root(excess, *bracket)
+            # 2x <= eval(x) < 2x + 1 brackets x+ by (level - 1)/2 and level/2; the
+            # lower end gives way by 2^-50 relative, as eval rounds up to level
+            lo, hi = max(0.5 * (level - 1.0) * (1.0 - 2.0**-50), 0.0), 0.5 * level
+            f_lo = excess(lo)
+            if not f_lo < 0.0:
+                lo, f_lo = 0.0, -level
+            f_hi = excess(hi)
+            if f_hi < 0.0:  # level/2 rounded down: a subnormal level
+                hi, f_hi = level, excess(level)
+            pair = root(excess, lo, f_lo, hi, f_hi)
         x = 0.5 * (pair[0] + pair[1])
         return (x, x)
 

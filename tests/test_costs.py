@@ -1131,8 +1131,9 @@ def _float_rank(x: float) -> int:
 
 def _count_excess_evaluations(monkeypatch) -> list:
     """Record every point at which an inverse evaluates its cost or excess:
-    in the unit steps, the Newton steps, the brackets and ``root`` alike
-    (not in the saturating marginal's wide bracket, which calls it directly)."""
+    in the unit steps, the Newton steps, the power bracket and ``root``
+    alike (not in the saturating marginal's wide bracket, which calls it
+    directly)."""
     evaluations = []
 
     def counting(fn, at):
@@ -1141,8 +1142,7 @@ def _count_excess_evaluations(monkeypatch) -> list:
             return fn(*args[:at], lambda x: evaluations.append(x) or f(x), *args[at + 1:])
         return wrapped
 
-    for name, at in (("_unit_pair", 1), ("_newton", 1), ("_seeded_bracket", 1), ("_power_bracket", 2),
-                     ("root", 0)):
+    for name, at in (("_unit_pair", 1), ("_newton", 1), ("_power_bracket", 2), ("root", 0)):
         monkeypatch.setattr(costs, name, counting(getattr(costs, name), at))
     return evaluations
 
@@ -1233,9 +1233,9 @@ def test_quadratic_inverse_answers_the_midpoint_of_horners_crossing():
 
 def test_seeded_quadratic_draws_take_few_evaluations(monkeypatch):
     """Over the 20000 draws of the test above, every evaluation counted
-    (unit steps, brackets and ``root``), an inverse takes at most 16: 5 for
-    the steps, 2 for the x0 (1 -+ 2^-48) ends and 9 for ``root`` from them.
-    The most measured is 4."""
+    (unit steps, power bracket and ``root``), an inverse takes at most 5,
+    the seed and 4 unit steps: no draw falls back to ``root``, which from
+    the power bracket may take 67.  The most measured is 4."""
     evaluations = _count_excess_evaluations(monkeypatch)
     inverse = Polynomial.generalized_inverse
     counts = []
@@ -1249,30 +1249,29 @@ def test_seeded_quadratic_draws_take_few_evaluations(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "generalized_inverse", counted)
     test_seeded_quadratic_inverse_matches_the_unseeded_one()
-    assert len(counts) > 10000 and max(counts) <= 16
+    assert len(counts) > 10000 and max(counts) <= 5
 
 
-@pytest.mark.parametrize("coefs, level, tried", [
+@pytest.mark.parametrize("coefs, level", [
     # subnormal level: c1 x rounds on a grid of 5e-324, far coarser than x's ulps
-    ((0.0, 1.2790338675859795e-291), 7.55900124438624e-310, ["_seeded_bracket"]),
-    ((0.0, 7.295946977632685e-110), 4.17945437430763e-310, ["_seeded_bracket", "_power_bracket"]),
+    ((0.0, 1.2790338675859795e-291), 7.55900124438624e-310),
+    ((0.0, 7.295946977632685e-110), 4.17945437430763e-310),
     # subnormal partial sum c1 x below a normal c0
-    ((1.714149734365914e-299, 3.905246272679885e-252), 1.7141497343659147e-299,
-     ["_seeded_bracket", "_power_bracket"]),
-], ids=["subnormal-level-quadratic-bracket", "subnormal-level-power-bracket", "subnormal-partial-sum"])
-def test_quadratic_inverse_falls_back_where_the_closed_form_is_far(monkeypatch, coefs, level, tried):
+    ((1.714149734365914e-299, 3.905246272679885e-252), 1.7141497343659147e-299),
+], ids=["subnormal-level-quadratic", "subnormal-level-linear", "subnormal-partial-sum"])
+def test_quadratic_inverse_falls_back_where_the_closed_form_is_far(monkeypatch, coefs, level):
     """Draws of a seeded search over the float range whose closed form lies
     more than 4 ulps from the answer: the unit steps give up, ``root``
-    closes the pair from the last bracket tried, and the answer is the
-    unseeded one."""
+    closes the pair from ``_power_bracket``, and the answer is the unseeded
+    one."""
     calls = []
-    for name in ("_unit_pair", "_seeded_bracket", "_power_bracket"):
+    for name in ("_unit_pair", "_power_bracket"):
         real = getattr(costs, name)
         monkeypatch.setattr(costs, name, lambda *a, real=real, name=name: calls.append((name, real(*a))) or calls[-1][1])
     expected = _unseeded_polynomial_inverse(coefs, level)
     assert Polynomial(coefs).generalized_inverse(level) == expected
     assert calls[0] == ("_unit_pair", None)
-    assert [name for name, _ in calls[1:]] == tried
+    assert [name for name, _ in calls[1:]] == ["_power_bracket"]
 
 
 def test_root_counts_nan_as_non_negative():
@@ -1298,16 +1297,18 @@ def test_polynomial_inverse_where_the_bracket_bound_underflows():
 
 
 @pytest.mark.parametrize("coefs, mean, most", [
-    ((1.0, 0.0, 0.0, 0.0, 0.15), 6.5, 12),
-    ((1.0, 2.0, 0.0, 0.5), 8.5, 13),
+    ((1.0, 0.0, 0.0, 0.0, 0.15), 3.1, 4),
+    ((1.0, 2.0, 0.0, 0.5), 5.0, 9),
 ], ids=["bpr", "cubic"])
 def test_newton_seeded_polynomial_inverse_takes_few_evaluations(monkeypatch, coefs, mean, most):
-    """Above degree 2 the inverse seeds its bracket with Newton steps from
-    the power bound: at 2000 levels 1 + 10^U(-3, 9) it ends where plain
-    bisection ends, and counting every Horner evaluation (Newton steps,
-    bracket ends and ``root`` alike) it took 5.96 on average and at most 12
-    on the BPR link, 8.21 and 13 on the cubic.  From ``_power_bracket``
-    alone it took 9.16 and 10.02, at most 67 on each."""
+    """Above degree 2 the inverse seeds its unit steps with Newton steps
+    from the power bound: at 2000 levels 1 + 10^U(-3, 9) it ends where
+    plain bisection ends, and counting every Horner evaluation (Newton
+    steps and unit steps alike) it took 3.01 on average and at most 4 on
+    the BPR link, 4.94 and 9 on the cubic.  With ``root`` from the bracket
+    x0 (1 -+ 2^-48) after the Newton steps it took 5.96 and 12, and 8.21
+    and 13; from ``_power_bracket`` alone 9.16 and 10.02, at most 67 on
+    each."""
     evaluations = _count_excess_evaluations(monkeypatch)
     p = Polynomial(coefs)
     rng = random.Random(37)
@@ -1319,6 +1320,22 @@ def test_newton_seeded_polynomial_inverse_takes_few_evaluations(monkeypatch, coe
         assert p.generalized_inverse(level) == (0.5 * (lo + hi),) * 2, level
         counts.append(len(evaluations))
     assert sum(counts) / len(counts) < mean and max(counts) <= most
+
+
+def test_newton_seeded_inverse_falls_back_to_the_power_bracket(monkeypatch):
+    """Where the unit steps from the Newton seed do not close the pair,
+    ``root`` closes it from ``_power_bracket``: on 2x^5 + x^3 + x at 20000
+    levels 10^U(-12, 12) that happens at 3 of them, and every answer is the
+    unseeded one."""
+    brackets = []
+    real = costs._power_bracket
+    monkeypatch.setattr(costs, "_power_bracket", lambda *a: brackets.append(real(*a)) or brackets[-1])
+    coefs = (0.0, 1.0, 0.0, 1.0, 0.0, 2.0)
+    rng = random.Random(37)
+    for _ in range(20000):
+        level = 10.0 ** rng.uniform(-12.0, 12.0)
+        assert Polynomial(coefs).generalized_inverse(level) == _unseeded_polynomial_inverse(coefs, level), level
+    assert len(brackets) == 3
 
 
 _SATURATING_MARGINAL = SaturatingLinear().marginal_function()
@@ -1415,16 +1432,15 @@ def test_seeded_saturating_marginal_inverse_takes_few_evaluations(monkeypatch):
 @pytest.mark.parametrize("level", [5e-324, 2e-309])
 def test_saturating_marginal_inverse_falls_back_at_subnormal_levels(monkeypatch, level):
     """The unit steps close the pair at subnormal levels too; where they
-    give up, the seed is about level/4, too near 0 for x0 (1 -+ 2^-48) to
-    leave it, so the wide bracket answers."""
+    give up, ``root`` answers from the wide bracket."""
     lo, hi = _wide_saturating_marginal_pair(level)
     assert _SATURATING_MARGINAL.generalized_inverse(level) == (0.5 * (lo + hi),) * 2
-    brackets = []
-    real = costs._seeded_bracket
+    pairs = []
+    real = costs.root
     monkeypatch.setattr(costs, "_unit_pair", lambda *a: None)
-    monkeypatch.setattr(costs, "_seeded_bracket", lambda *a: brackets.append(real(*a)) or brackets[-1])
+    monkeypatch.setattr(costs, "root", lambda *a: pairs.append(real(*a)) or pairs[-1])
     assert _SATURATING_MARGINAL.generalized_inverse(level) == (0.5 * (lo + hi),) * 2
-    assert brackets == [None]
+    assert pairs == [(lo, hi)]
 
 
 @pytest.mark.parametrize("x", [0.0, 0.25, 0.999, 1.5, 3.0, 40.0])
