@@ -430,6 +430,8 @@ class Polynomial(CostFunction):
             return Constant(c0).generalized_inverse(level)
         if level == c0:
             return (0.0, 0.0)
+        if level == math.inf:  # no finite x reaches it, as for Monomial: where Horner overflows is no root
+            return (level, level)
         if self._quadratic:
             _, c1, _, s2 = self._quadratic
             r = level - c0 - 0.5 * (level - math.nextafter(level, 0.0))

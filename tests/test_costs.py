@@ -393,6 +393,8 @@ def test_the_infinite_point_answers_the_limit():
     with pytest.raises(RangeOverflowError):  # as at the largest float
         ExpOverX().eval(math.inf)
     assert SaturatingLinear().marginal_function().generalized_inverse(math.inf) == (math.inf, math.inf)
+    for coefs in ((2.0, 5.0), (1.0, 0.5, 2.0), (1.0, 0.0, 0.0, 0.0, 0.15)):  # not where Horner overflows
+        assert Polynomial(coefs).generalized_inverse(math.inf) == (math.inf, math.inf)
 
 
 @pytest.mark.parametrize(
