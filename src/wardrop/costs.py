@@ -52,6 +52,11 @@ def _check_nonneg(x: float, what: str = "x") -> float:
     return x
 
 
+def _primitive_at_inf(cost) -> float:
+    """int_0^inf c for a weakly increasing c >= 0: inf unless c is 0 throughout."""
+    return math.inf if cost.asymptotic_value() > 0 else 0.0
+
+
 def _num(value) -> float:
     """Parse a finite numeric JSON parameter; decimal strings are accepted,
     JSON's true and false are not."""
@@ -239,7 +244,7 @@ class Affine(CostFunction):
 
     def primitive(self, x: float) -> float:
         x = _check_nonneg(x)
-        return self.a * x + 0.5 * self.b * x * x
+        return self.a * x + 0.5 * self.b * x * x if x < math.inf else _primitive_at_inf(self)
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")
@@ -284,7 +289,8 @@ class Constant(CostFunction):
         return (0.0, 0.0)
 
     def primitive(self, x: float) -> float:
-        return self.value * _check_nonneg(x)
+        x = _check_nonneg(x)
+        return self.value * x if x < math.inf else _primitive_at_inf(self)
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")
@@ -403,6 +409,8 @@ class Polynomial(CostFunction):
 
     def primitive(self, x: float) -> float:
         x = _check_nonneg(x)
+        if x == math.inf:  # as in eval
+            return _primitive_at_inf(self)
         acc = 0.0
         for j in range(len(self.coefficients) - 1, -1, -1):
             acc = acc * x + self.coefficients[j] / (j + 1.0)

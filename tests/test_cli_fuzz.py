@@ -244,10 +244,10 @@ def _answers(call, x) -> None:
 def test_any_cost_spec_loads_or_is_an_input_error_and_answers_every_point(spec):
     """A cost spec, read by ``cost_from_spec`` and as the one link of a
     network file, loads as the same cost both ways or is a DomainError both
-    ways (exit 2); a loaded cost answers ``eval``, ``eval_right`` and
-    ``generalized_inverse`` at every point of a pool spanning the float
-    range with a number that is not NaN, or a GameError; its marginal, where
-    it has one, likewise."""
+    ways (exit 2); a loaded cost answers ``eval``, ``eval_right``,
+    ``primitive`` and ``generalized_inverse`` at every point of a pool
+    spanning the float range with a number that is not NaN, or a GameError;
+    its marginal, where it has one, likewise."""
     try:
         direct = cost_from_spec(spec)
     except DomainError:
@@ -264,6 +264,6 @@ def test_any_cost_spec_loads_or_is_an_input_error_and_answers_every_point(spec):
     except GameError:  # no marginal, or its parameters leave the float range
         costs = [cost]
     for c in costs:
-        for call in (c.eval, c.eval_right, c.generalized_inverse):
+        for call in (c.eval, c.eval_right, c.primitive, c.generalized_inverse):
             for x in COST_POINTS:
                 _answers(call, x)

@@ -367,10 +367,12 @@ def test_inverse_at_the_top_of_the_float_range_is_an_ordered_pair_or_a_refusal(c
     assert 0.0 <= lo <= hi, (lo, hi)
 
 
-@pytest.mark.parametrize("method", ["eval", "eval_right", "eval_log", "derivative_bounds", "generalized_inverse"])
+@pytest.mark.parametrize("method", ["eval", "eval_right", "eval_log", "derivative_bounds", "generalized_inverse",
+                                    "primitive"])
 @pytest.mark.parametrize(
     "cost", _with_marginals(ALL_FAMILIES + [Monomial(1.0, 3.0), PwlSquare(1e10), Polynomial((0.0, 1.0, 3.0)),
-                                            Polynomial((2.0, 0.0)), SaturatingLinear()]), ids=repr
+                                            Polynomial((2.0, 0.0)), SaturatingLinear(), Affine(0.0, 1.0),
+                                            Constant(0.0)]), ids=repr
 )
 def test_point_methods_at_the_infinite_point_are_a_number_or_a_refusal(cost, method):
     """At x = inf (a level of inf for the inverse) every family and marginal
@@ -395,6 +397,11 @@ def test_the_infinite_point_answers_the_limit():
     assert SaturatingLinear().marginal_function().generalized_inverse(math.inf) == (math.inf, math.inf)
     for coefs in ((2.0, 5.0), (1.0, 0.5, 2.0), (1.0, 0.0, 0.0, 0.0, 0.15)):  # not where Horner overflows
         assert Polynomial(coefs).generalized_inverse(math.inf) == (math.inf, math.inf)
+    # int_0^inf c is inf unless c is 0 throughout: no 0.0 * inf
+    for cost in (Affine(0.0, 1.0), Affine(1.0, 0.0), Constant(2.0), Polynomial((1.0, 0.5, 2.0)), Monomial(1.0, 2.0)):
+        assert cost.primitive(math.inf) == math.inf
+    for cost in (Affine(0.0, 0.0), Constant(0.0), Polynomial((0.0, 0.0))):
+        assert cost.primitive(math.inf) == 0.0
 
 
 @pytest.mark.parametrize(
