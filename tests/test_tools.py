@@ -63,9 +63,10 @@ def test_family_digest_prints_one_hex_line_over_every_family_call():
 def test_family_lines_name_the_call_and_its_outcome():
     outcome_digest = _import_digest()
     lines = list(itertools.islice(outcome_digest.family_lines(), 20000))
-    assert all(re.fullmatch(r"\S.*\.(eval|eval_right|eval_log|derivative_bounds|generalized_inverse|jump_levels"
-                            r"|breakpoints_within)\(.*\)\t\S.*\n", line) for line in lines)
+    assert all(re.fullmatch(r"\S.*\.(eval|eval_right|eval_log|derivative_bounds|generalized_inverse|primitive"
+                            r"|jump_levels|breakpoints_within)\(.*\)\t\S.*\n", line) for line in lines)
     assert "Affine(a=1.0, b=2.0).generalized_inverse(3.0)\t(1.0, 1.0)\n" in lines
+    assert "Affine(a=1.0, b=2.0).primitive(2.0)\t6.0\n" in lines
 
 
 def test_general_digest_builds_the_tests_grids():

@@ -20,8 +20,8 @@ output, as one line of 64 hex digits; the outcome count goes to standard
 error.
 
 With ``--families`` the digest is taken over the cost families instead: one
-line per call of ``eval``, ``eval_right``, ``eval_log``, ``derivative_bounds``
-and ``generalized_inverse`` at a point, and of ``jump_levels`` and
+line per call of ``eval``, ``eval_right``, ``eval_log``, ``derivative_bounds``,
+``generalized_inverse`` and ``primitive`` at a point, and of ``jump_levels`` and
 ``breakpoints_within`` on an interval, for every public family and each
 one's ``marginal_function()``.  The points and the interval ends are seeded
 log-uniform floats and a few fixed ones; for ``StepGeometric``, ``PwlSquare``
@@ -49,7 +49,7 @@ from pathlib import Path
 
 DEFAULT_OPS = ("point-queries:71", "point-queries:72", "point-queries:73", "paper-sweeps:71", "general-net:71")
 LATTICE_BASES = (2.0, 3.0, 5.0, 1e10)
-POINT_METHODS = ("eval", "eval_right", "eval_log", "derivative_bounds", "generalized_inverse")
+POINT_METHODS = ("eval", "eval_right", "eval_log", "derivative_bounds", "generalized_inverse", "primitive")
 INTERVAL_METHODS = ("jump_levels", "breakpoints_within")
 GENERAL_DEMANDS = (0.3, 1.0, 3.0, 10.0, 100.0, 0.9, 1e-3, 1e3, 1e6)  # the tests' GRID_DEMANDS, then four more
 GENERAL_GOLDENS = ("braess", "fork", "smooth3")
