@@ -409,7 +409,7 @@ class Polynomial(CostFunction):
 
     def primitive(self, x: float) -> float:
         x = _check_nonneg(x)
-        if x == math.inf:  # as in eval
+        if x == math.inf:  # where Horner's first step 0.0 * x is NaN
             return _primitive_at_inf(self)
         acc = 0.0
         for j in range(len(self.coefficients) - 1, -1, -1):

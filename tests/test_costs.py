@@ -1267,7 +1267,7 @@ def test_seeded_quadratic_draws_take_few_evaluations(monkeypatch):
     ((0.0, 7.295946977632685e-110), 4.17945437430763e-310),
     # subnormal partial sum c1 x below a normal c0
     ((1.714149734365914e-299, 3.905246272679885e-252), 1.7141497343659147e-299),
-], ids=["subnormal-level-quadratic", "subnormal-level-linear", "subnormal-partial-sum"])
+], ids=["subnormal-level-large-root", "subnormal-level-small-root", "subnormal-partial-sum"])
 def test_quadratic_inverse_falls_back_where_the_closed_form_is_far(monkeypatch, coefs, level):
     """Draws of a seeded search over the float range whose closed form lies
     more than 4 ulps from the answer: the unit steps give up, ``root``
