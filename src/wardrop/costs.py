@@ -9,7 +9,9 @@ exact primitive int_0^x c(s) ds, which the regular-variation checks read.
 Every method takes one point: the solvers and the brute-force oracle alike
 call the scalar ``eval``.  ``StepGeometric``, ``PwlSquare`` and the
 marginal of ``PwlSquare`` are affine on every piece (a^{k-1}, a^k] and
-share one base, ``_Geometric``.  Step families are left-continuous: the
+share one base, ``_Geometric``, which takes from each only its line on a
+piece: ``eval``, ``eval_right`` and the inverse all read those lines at the
+knots, so the inverse is the generalized inverse of ``eval``.  Step families are left-continuous: the
 value on (a^{k-1}, a^k] is taken at the right end, so c(a^k) = a^k exactly
 for the geometric step and evaluation at a knot returns the lower step.
 """
@@ -675,40 +677,39 @@ def _period_index(a: float, M: float) -> int:
 
 @lru_cache(maxsize=64)
 def _lattice(family: type, a: float):
-    """(table, slopes, intercepts, levels, jumps) of a ``_Geometric`` family
-    at base a, indexed like the table of ``_powers(a)``: (slopes[i],
-    intercepts[i]) = ``family._line(p, q)`` on the piece that ends at q =
-    table[i] = a^k, and (jumps[i], levels[i]) = ``family._knot(a, k)``, each
-    top at most ``family._ceiling(a)``.  levels stops before the first k
-    whose ``_knot`` raises OverflowError, and jumps is inf from there."""
+    """(table, slopes, intercepts, values, rights) of a ``_Geometric``
+    family at base a, indexed like the table of ``_powers(a)``: (slopes[i],
+    intercepts[i]) = ``family._line(p, q)`` on the piece (p, q] that ends at
+    table[i]; values[i] is that line at the knot table[i] (``eval`` there)
+    and rights[i] the next piece's line there (``eval_right``; the piece
+    past the last finite power ends at inf).  values store a NaN, inf -
+    inf, as inf, so that they stay sorted; rights keep it, as
+    ``eval_right`` raises on it.  A family whose ``eval_right`` is its
+    ``eval`` has no jumps, and its rights are its values: the next line
+    can overflow where the knot's value does not."""
     k0, table = _powers(a)
-    slopes, intercepts = zip((0.0, 0.0), *map(family._line, table, table[1:]))  # the first piece is (0, a^(k0+1)]
-    levels, jumps, ceiling = [], [math.inf] * len(table), family._ceiling(a)
-    for i in range(len(table)):
-        try:
-            jumps[i], top = family._knot(a, k0 + i)
-        except OverflowError:
-            break
-        levels.append(min(top, ceiling))  # a level above the ceiling passes every top
-    return table, slopes, intercepts, tuple(levels), tuple(jumps)
+    lines = [(0.0, 0.0), *map(family._line, table, (*table[1:], math.inf))]  # the first piece is (0, a^(k0+1)]
+    values = tuple(v if v == v else math.inf for v in (s * q + t for (s, t), q in zip(lines, table)))
+    rights = values if family.eval_right is family.eval else tuple(s * q + t for (s, t), q in zip(lines[1:], table))
+    slopes, intercepts = zip(*lines[:-1])
+    return table, slopes, intercepts, values, rights
 
 
 @dataclass(frozen=True)
 class _Geometric(CostFunction):
     """A cost that is 0 at 0 and affine on each piece (p, q] = (a^(k-1),
-    a^k] of ``_powers(a)``, a >= 2.  Each family supplies its line rule
-    ``_line(p, q)``: (0, q) for ``StepGeometric``, (p + q, -pq) for
-    ``PwlSquare``, (2(p + q), -pq) for its marginal; and its knot rule
-    ``_knot(a, k)``: the bottom (inf if none) and top of the levels its
-    inverse maps to the knot a^k or to the piece below it.  The inverse
-    returns the knot from the bottom up, else solves the piece's affine
-    equation: a flat piece gives all of itself at its value, and its left
-    end, the knot whose jump holds the level, below it."""
+    a^k] of ``_powers(a)``, a >= 2.  Each family supplies only its line
+    rule ``_line(p, q)``: (0, q) for ``StepGeometric``, (p + q, -pq) for
+    ``PwlSquare``, (2(p + q), -pq) for its marginal.  ``eval`` reads the
+    line of the piece holding y, ``eval_right`` at a knot the next one,
+    and the inverse both at the knots: it is the generalized inverse
+    inf{y : eval(y) >= level} of ``eval``, with the whole flat piece at
+    its value.  It refuses the level inf and a level above every knot
+    value, which only the step has (its values end at the last power)."""
 
     a: float
     _label = ""  # the family's name in the range error of a
     _what = ""  # what the overflow error of ``eval`` names
-    _ceiling = staticmethod(lambda a: sys.float_info.max)  # the highest level the inverse answers
 
     def __post_init__(self):
         if not 2 <= self.a < math.inf:
@@ -719,7 +720,7 @@ class _Geometric(CostFunction):
         """Read ``_lattice``'s tables into plain instance attributes and
         return the knots; a descriptor or ``__getattr__`` for them would
         slow every later read."""
-        for key, value in zip(("_knots", "_slopes", "_intercepts", "_levels", "_jumps"), _lattice(type(self), self.a)):
+        for key, value in zip(("_knots", "_slopes", "_intercepts", "_values", "_rights"), _lattice(type(self), self.a)):
             object.__setattr__(self, key, value)
         return self._knots
 
@@ -736,28 +737,38 @@ class _Geometric(CostFunction):
             raise RangeOverflowError(f"{self._what} at {y!r} overflows native floats")
         return v
 
+    def eval_right(self, y: float) -> float:
+        v = self.eval(y)
+        if y > 0:
+            i = bisect.bisect_left(self._knots, y)
+            if self._knots[i] == y:  # at a knot: the next piece's line
+                v = self._rights[i]
+                if v != v:
+                    raise RangeOverflowError(f"{self._what} at {y!r} overflows native floats")
+        return v
+
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")
         if level == 0:
             return (0.0, 0.0)
         knots = self._knots or self._tables()
-        i = bisect.bisect_left(self._levels, level)
-        if i == len(self._levels):
-            self._past(level)
+        values = self._values
+        i = bisect.bisect_left(values, level)
+        if i == len(values) or level == math.inf:
+            raise _beyond(self.a, level)
         p, q = knots[i - 1], knots[i]
-        if level >= self._jumps[i]:  # inside the jump at q
-            return (q, q)
         s, t = self._slopes[i], self._intercepts[i]
         if not s:  # flat at t >= level: the whole piece, or its left end below the step
             return (p, q if level == t else p)
-        return self._within((level - t) / s, level, p, q)
-
-    def _past(self, level: float) -> None:
-        """Called for a level above every top: raise, or return to take the piece past them."""
-        raise _beyond(self.a, level)
-
-    def _within(self, y: float, level: float, p: float, q: float) -> tuple[float, float]:
-        """The inverse for the solution y of the affine equation on [p, q]."""
+        if not level > self._rights[i - 1]:  # in the jump at p, or past the floats there
+            return (p, p)
+        if level == values[i]:
+            return (q, q)
+        y = (level - t) / s
+        if y == math.inf:  # p q or level + p q overflows, y itself does not
+            y = (level / q + p) / (s / q)
+        # a subnormal p q, or rounding, puts y past the piece: stay in it
+        y = p if y < p else q if y > q else y
         return (y, y)
 
     def asymptotic_value(self) -> float:
@@ -783,7 +794,6 @@ class StepGeometric(_Geometric):
     family = "step_geometric"
     _label = "step"
     _line = staticmethod(lambda p, q: (0.0, q))
-    _knot = staticmethod(lambda a, k: (math.inf, a**k))
 
     def is_continuous(self) -> bool:
         return False
@@ -798,12 +808,6 @@ class StepGeometric(_Geometric):
         if x == 0:
             return -math.inf
         return _power_index(self.a, x) * math.log(self.a)
-
-    def eval_right(self, x: float) -> float:
-        v = self.eval(x)
-        if v == x:  # exactly at a knot: the next step is about to start
-            return v * self.a
-        return v
 
     def derivative_bounds(self, x):
         x = float(x)
@@ -821,26 +825,13 @@ class PwlSquare(_Geometric):
     On [a^{k-1}, a^k] the value is (a^{k-1}+a^k) y - a^{k-1} a^k, which is
     x^2 exactly at every knot and lies above x^2 on piece interiors (chord
     above a convex function); convex and strictly increasing on [0, inf).
-    Its inverse finds the piece in the table of (a^2)^k.
     """
 
     family = "pwl_square"
     _label = "pwl-square"
     _what = "pwl-square value"
     _line = staticmethod(lambda p, q: (p + q, -(p * q)))
-    _knot = staticmethod(lambda a, k: (math.inf, (a * a) ** k))
-
-    def _past(self, level: float) -> None:  # past the last a^{2K}: the piece K + 1, still floats
-        if level == math.inf:
-            raise RangeOverflowError(f"no power of {self.a * self.a!r} reaches inf")
-
-    def _within(self, y: float, level: float, p: float, q: float) -> tuple[float, float]:
-        if y == math.inf:  # p q or level + p q overflows, y itself does not
-            y = (level / q + p) / (1.0 + p / q)
-        # a^{2k} and the knot value eval(a^k) can differ in the last place:
-        # staying in the piece keeps the inverse monotone across them
-        y = p if y < p else q if y > q else y
-        return (y, y)
+    eval_right = _Geometric.eval  # continuous: no jump at a knot
 
     def eval_log(self, y: float) -> float:
         """ln eval(y) where eval is finite; past that, ln((p+q)y - pq) as
@@ -1021,8 +1012,7 @@ class AlphaSequence:
             if self.kind == "explicit":
                 raise DemandBracketError(
                     f"explicit alpha sequence has {len(self.values)} terms; "
-                    f"index {k} required",
-                    needed_index=k,
+                    f"index {k} required"
                 )
             raise RangeOverflowError(f"{self.kind} alpha_{k} exceeds float range")
         if self.kind == "supergeometric":
@@ -1051,10 +1041,7 @@ class AlphaSequence:
         """Smallest j >= 1 with alpha_j >= x."""
         j = self._least_index(x)
         if j > self._max_index:
-            raise DemandBracketError(
-                f"alpha sequence cannot cover {x!r}; index {j} needed",
-                needed_index=j,
-            )
+            raise DemandBracketError(f"alpha sequence cannot cover {x!r}; index {j} needed")
         return j
 
     def bracket_index(self, M: float) -> int:
@@ -1066,10 +1053,7 @@ class AlphaSequence:
             )
         k = self._least_index(0.5 * M) - 1
         if k + 1 > self._max_index:
-            raise DemandBracketError(
-                f"demand {M!r} beyond the generated alpha sequence",
-                needed_index=k + 1,
-            )
+            raise DemandBracketError(f"demand {M!r} beyond the generated alpha sequence")
         return k
 
     def to_spec(self) -> dict:
@@ -1328,49 +1312,15 @@ class _SaturatingLinearMarginal(CostFunction):
 class _PwlSquareMarginal(_Geometric):
     """d/dy [y * PwlSquare(y)]: piecewise linear with upward jumps at the
     knots a^k, where ``eval`` and ``eval_right`` are the ends of the knot
-    subdifferential [a^{2(k-1)}(2a^2+a), a^{2k}(2+a)], as ``_knot`` computes
-    them; the inverse maps that interval to the knot."""
+    subdifferential, about [a^{2(k-1)}(2a^2+a), a^{2k}(2+a)]; the inverse
+    maps that interval to the knot."""
 
     _what = "pwl-square marginal"
     _line = staticmethod(lambda p, q: (2.0 * (p + q), -(p * q)))
-    _knot = staticmethod(lambda a, k: (a ** (2 * (k - 1)) * (2 * a * a + a), a ** (2 * k) * (2.0 + a)))
     breakpoints_within = CostFunction.breakpoints_within  # no caller reads the marginal's knots
-
-    @staticmethod
-    def _ceiling(a: float) -> float:
-        """The largest level whose level / (2 + a) some power of a * a
-        reaches; ``_past`` refuses every level above it, naming that power."""
-        top = _powers(a * a)[1][-1]
-        x = min(top * (2.0 + a), sys.float_info.max)
-        while x / (2.0 + a) > top:
-            x = math.nextafter(x, 0.0)
-        while x < sys.float_info.max and (up := math.nextafter(x, math.inf)) / (2.0 + a) <= top:
-            x = up
-        return x
-
-    def _past(self, level: float) -> None:
-        _piece(self.a * self.a, level / (2.0 + self.a))
-        raise RangeOverflowError(f"{self._what} overflows native floats")
-
-    def _within(self, y: float, level: float, p: float, q: float) -> tuple[float, float]:
-        if y == math.inf:  # p q or level + p q overflows, y itself does not
-            y = (level / q + p) / (2.0 * (1.0 + p / q))
-        # a subnormal p q rounds y past the piece: stay in it, as PwlSquare does
-        y = p if y < p else q if y > q else y
-        return (y, y)
 
     def is_continuous(self) -> bool:
         return False
-
-    def eval_right(self, y: float) -> float:
-        if y > 0:
-            k, _, q = _piece(self.a, y)
-            if y == q:  # at a knot: the next piece is about to start
-                try:
-                    return self._knot(self.a, k)[1]
-                except OverflowError:
-                    raise RangeOverflowError(f"{self._what} overflows native floats") from None
-        return self.eval(y)
 
 
 # ---------------------------------------------------------------------------

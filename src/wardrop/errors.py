@@ -30,12 +30,4 @@ class ConvergenceError(GameError, RuntimeError):
 
 
 class DemandBracketError(GameError, ValueError):
-    """Total demand falls outside the bracket lattice a solver can handle.
-
-    ``needed_index`` names the sequence index that would have to exist (or
-    be generated) to cover the requested demand.
-    """
-
-    def __init__(self, message: str, needed_index: int | None = None):
-        super().__init__(message)
-        self.needed_index = needed_index
+    """Total demand falls outside the bracket lattice a solver can handle."""

@@ -502,45 +502,64 @@ def test_slopes_at_kinks_are_the_two_one_sided_slopes():
     assert ExpOverX().derivative_bounds(1.0) == (0.0, 0.0)  # flat, then e^x/x with slope 0 at 1
 
 
-def _pow_or_inf(x: float, n: int) -> float:
+def _or_inf(method, y: float) -> float:
+    """method(y), or inf where it passes the float range."""
     try:
-        return x**n
-    except OverflowError:
+        return method(y)
+    except RangeOverflowError:
         return math.inf
 
 
 @pytest.mark.parametrize("a", [2.0, 3.0, 5.0, 1e10])
 def test_pwl_marginal_inverse_stays_on_its_piece_at_the_ends_of_the_float_range(a):
-    """At subnormal levels p q is subnormal, and at the largest float level + p q
-    overflows.  The answer is still a finite float on the piece (p, q] or the
-    knot q that the knot rule maps the level to: the knot from the jump bottom
-    a^(2(k-1)) (2a^2 + a) up to the top a^(2k) (2 + a), the piece below it.
-    Or the level is refused."""
-    m, (k0, table) = PwlSquare(a).marginal_function(), costs._powers(a)
-    for level in (5e-324, 9e-323, 1e-315, 2.2e-308, sys.float_info.max):
-        try:
-            y, y_hi = m.generalized_inverse(level)
-        except RangeOverflowError:
-            continue
-        k = k0 + 1
-        while _pow_or_inf(a, 2 * k) * (2.0 + a) < level:
-            k += 1
-        p, q = table[k - k0 - 1], table[k - k0]
-        assert y == y_hi and math.isfinite(y), level
-        if level >= _pow_or_inf(a, 2 * (k - 1)) * (2.0 * a * a + a):
-            assert y == q, level
-        else:
-            assert p <= y <= q, level
+    """At subnormal levels p q is subnormal, and the answer is a point y with
+    eval(y) <= level <= eval_right(y): on a piece where eval meets the level,
+    or at a knot whose jump holds it.  At the largest float level + p q
+    overflows; the answer is still a finite float on the piece (p, q] whose
+    knot values eval(p) < level <= eval(q) hold the level."""
+    m, knots = PwlSquare(a).marginal_function(), costs._powers(a)[1]
+    for level in (5e-324, 9e-323, 1e-315, 2.2e-308):
+        y, y_hi = m.generalized_inverse(level)
+        assert y == y_hi and m.eval(y) <= level <= _or_inf(m.eval_right, y), level
+    level = sys.float_info.max
+    y, y_hi = m.generalized_inverse(level)
+    i = next(i for i, q in enumerate(knots) if level <= _or_inf(m.eval, q))
+    assert y == y_hi and knots[i - 1] <= y <= knots[i] and math.isfinite(y)
 
 
 def test_pwl_marginal_answers_where_a_squared_overflows():
-    # a * a = inf: the last power of a * a is inf, so every level has a
-    # knot, and the ceiling's upward search stops at the largest float
+    # a * a = inf: the next knot's values overflow, so every level up to
+    # the largest float is in the jump at the knot 1 or below it
     m = PwlSquare(1e300).marginal_function()
-    assert type(m)._ceiling(1e300) == sys.float_info.max
     assert (m.eval(1.0), m.eval_right(1.0)) == (2.0, 1e300)
     assert m.generalized_inverse(1.0) == (0.5, 0.5)
     assert m.generalized_inverse(1e300) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("a", [2.0, 3.0, 5.0, 1e10])
+def test_lattice_inverses_hold_every_knot_at_both_of_its_values(a):
+    """The inverse is the generalized inverse of ``eval``: at every knot q
+    whose values are normal floats, the levels eval(q) and eval_right(q)
+    both invert to a set that holds q.  And the step's right value at a
+    knot is ``eval`` just right of it, the next power of the table."""
+    knots = costs._powers(a)[1]
+    for cost in (StepGeometric(a), PwlSquare(a), PwlSquare(a).marginal_function()):
+        for q in knots[1:]:
+            level, right = _or_inf(cost.eval, q), _or_inf(cost.eval_right, q)
+            if sys.float_info.min <= level and right < math.inf:
+                for v in (level, right):
+                    lo, hi = cost.generalized_inverse(v)
+                    assert lo <= q <= hi, (cost, q, v)
+    step = StepGeometric(a)
+    for q in knots[1:-1]:
+        assert step.eval_right(q) == step.eval(math.nextafter(q, math.inf)), q
+
+
+def test_pwl_marginal_inverts_a_level_in_the_jump_near_the_top():
+    # a knot's right value a^(2k) (2 + a) holds the level, though level / (2 + a)
+    # passes every power of a * a in the float range
+    m = PwlSquare(16.429689253466627).marginal_function()
+    assert m.generalized_inverse(4.018963468075558e307) == (1.476719544983653e153, 1.476719544983653e153)
 
 
 def test_monomial_inverse_past_the_float_range_is_a_range_error():

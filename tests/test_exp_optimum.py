@@ -90,7 +90,7 @@ def _outcome(alphas: AlphaSequence, M: float, solve) -> tuple:
     try:
         sol, certificate_rows = solve(alphas, M)
     except DemandBracketError as exc:
-        return ("error", str(exc), exc.needed_index)
+        return ("error", str(exc))
     rows = tuple(
         (r["j"], r["y_free"].hex(), r["y"].hex(), r["log_value"].hex()) for r in certificate_rows
     )
