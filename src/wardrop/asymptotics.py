@@ -15,7 +15,7 @@ import os
 import statistics
 from dataclasses import dataclass, field
 
-from .costs import AlphaSequence, CostFunction, _period_index, _power_index, _powers
+from .costs import AlphaSequence, CostFunction, _check_base, _index, _period_index, _power_index, _powers
 from .errors import ConvergenceError, DomainError, GameError, RangeOverflowError
 from .instances import exp_game, pwl_game
 from .logdomain import LogValue
@@ -266,8 +266,7 @@ def step_game_closed_form(a: float, M: float) -> StepClosedForm:
     (1+(z-1)^2)/(a(z-a/4)) up to z = 1+a, jumps to (4+4a)/(4+3a), then
     decays as z/(z-a/4) and a z/(a^2+(z-a)^2) back to 1 at z = 2a.
     """
-    if a < 2:
-        raise DomainError(f"step family requires a >= 2, got {a!r}")
+    _check_base(a, "step")
     _check_demand(M)
     k = _period_index(a, M)
     try:
@@ -294,6 +293,7 @@ def step_game_closed_form(a: float, M: float) -> StepClosedForm:
 
 def step_jump_value(a: float) -> float:
     """PoA immediately after the equilibrium jump at M = a^k + a^{k+1}."""
+    _check_base(a, "step")
     return (4.0 + 4.0 * a) / (4.0 + 3.0 * a)
 
 
@@ -319,8 +319,7 @@ def pwl_game_constants(a: float) -> PwlConstants:
     link exactly on a knot while the equilibrium sits strictly inside the
     piece (1 < d < a); the PoA there is independent of k.
     """
-    if a < 2:
-        raise DomainError(f"pwl-square family requires a >= 2, got {a!r}")
+    _check_base(a, "pwl-square")
     if not 2.0 * a * a * a < math.inf:  # both costs are about 1.55 a^3
         raise RangeOverflowError(f"the costs at M_1 overflow native floats at a={a!r}")
     b = math.sqrt((2.0 * a * a + a) / 3.0)
@@ -337,7 +336,7 @@ def pwl_game_poa_at_special_demand(a: float, k: int) -> PoaResult:
     """Solver-side PoA of the interpolated-square game at M_k."""
     consts = pwl_game_constants(a)
     try:
-        M_k = a ** (k - 1) * (a + consts.b)
+        M_k = a ** (_index(k, "special demand index") - 1) * (a + consts.b)
     except OverflowError:  # a^(k-1) overflows; or the product does, to inf
         M_k = math.inf
     if M_k == math.inf:
@@ -366,7 +365,7 @@ def exp_game_poa_near_breakpoint(alphas: AlphaSequence, k: int) -> ExpBreakpoint
     cross-checked against the log-domain numeric pipeline at
     M = (alpha_k + alpha_{k+1})(1 + 1e-6).
     """
-    if k < 1 or k + 1 > alphas.max_index():
+    if _index(k, "breakpoint index") < 1 or k + 1 > alphas.max_index():
         raise DomainError(f"alpha sequence too short for breakpoint index {k}")
     a_k, a_k1 = alphas.alpha(k), alphas.alpha(k + 1)
     M = (a_k + a_k1) * (1.0 + 1e-6)

@@ -621,6 +621,12 @@ class SaturatingLinear(CostFunction):
 # ---------------------------------------------------------------------------
 
 
+def _check_base(a: float, label: str) -> None:
+    """DomainError naming the ``label`` family where a is not a lattice base, a finite a >= 2."""
+    if not 2 <= a < math.inf:
+        raise DomainError(f"{label} family requires finite a >= 2, got {a!r}")
+
+
 @lru_cache(maxsize=64)
 def _powers(a: float) -> tuple[int, tuple[float, ...]]:
     """(k0, table) with table[i] = a ** (k0 + i) in Python's float pow, for a > 1: from the last power that rounds to 0
@@ -712,8 +718,7 @@ class _Geometric(CostFunction):
     _what = ""  # what the overflow error of ``eval`` names
 
     def __post_init__(self):
-        if not 2 <= self.a < math.inf:
-            raise DomainError(f"{self._label} family requires finite a >= 2, got {self.a!r}")
+        _check_base(self.a, self._label)
         object.__setattr__(self, "_knots", None)  # the tables are read in on first use
 
     def _tables(self) -> tuple[float, ...]:
@@ -958,6 +963,15 @@ def _log_exp_over_x(x: float) -> float:
 
 # --- alpha sequences for the step-exponential family ---
 
+MAX_ALPHA_TERMS = 2**16  # the most finite terms an alpha sequence's table may hold
+
+
+def _index(k, what: str) -> int:
+    """k, or DomainError where it is not an int."""
+    if not isinstance(k, int):
+        raise DomainError(f"{what} must be an int, got {k!r}")
+    return k
+
 
 @dataclass(frozen=True)
 class AlphaSequence:
@@ -965,7 +979,9 @@ class AlphaSequence:
 
     Presets: ``factorial`` (alpha_k = k!) and ``supergeometric``
     (alpha_k = base**(k^2)); both satisfy alpha_{k+1}/alpha_k -> inf.
-    Explicit lists are accepted as-is.
+    Explicit lists are accepted as-is.  Every kind is read from one table
+    of its finite terms, built at construction; a supergeometric base so
+    close to 1 that it has more than ``MAX_ALPHA_TERMS`` of them is refused.
     """
 
     kind: str = "factorial"
@@ -984,75 +1000,56 @@ class AlphaSequence:
             object.__setattr__(self, "values", vals)
         if self.kind == "supergeometric" and not 1 < self.base < math.inf:
             raise DomainError("supergeometric alpha sequence needs finite base > 1")
+        object.__setattr__(self, "_knots", self._table())
 
-    @cached_property
-    def _knots(self) -> tuple[float, ...]:
-        """alpha_0 = 0 and every alpha_k that is a finite float (factorial
-        and explicit sequences; supergeometric ones compute alpha_k directly)."""
+    def _table(self) -> tuple[float, ...]:
+        """alpha_0 = 0 and every alpha_k that is a finite float, up to the
+        first k! or base**(k^2) that raises OverflowError."""
         if self.kind == "explicit":
             return (0.0, *self.values)
-        return (0.0, *(float(math.factorial(k)) for k in range(1, 171)))  # 171! > float max
-
-    @cached_property
-    def _max_index(self) -> int:
-        if self.kind != "supergeometric":
-            return len(self._knots) - 1
-        k = math.isqrt(int(_MAX_EXP / math.log(self.base))) + 1  # one past it, or more
-        while True:
-            try:
-                self.base ** (k * k)
-                return k
-            except OverflowError:
-                k -= 1
+        knots = [0.0]
+        try:
+            while (k := len(knots)) <= MAX_ALPHA_TERMS + 1:
+                knots.append(float(math.factorial(k)) if self.kind == "factorial" else self.base ** (k * k))
+        except OverflowError:
+            return tuple(knots)
+        raise DomainError(f"supergeometric alpha sequence at base {self.base!r} has more than "
+                          f"{MAX_ALPHA_TERMS} finite terms")
 
     def alpha(self, k: int) -> float:
-        if k < 0:
+        if _index(k, "alpha index") < 0:
             raise DomainError(f"alpha index must be >= 0, got {k}")
-        if k > self._max_index:
-            if self.kind == "explicit":
-                raise DemandBracketError(
-                    f"explicit alpha sequence has {len(self.values)} terms; "
-                    f"index {k} required"
-                )
-            raise RangeOverflowError(f"{self.kind} alpha_{k} exceeds float range")
-        if self.kind == "supergeometric":
-            return self.base ** (k * k) if k else 0.0
-        return self._knots[k]
+        if k < len(self._knots):
+            return self._knots[k]
+        if self.kind == "explicit":
+            raise DemandBracketError(f"explicit alpha sequence has {len(self.values)} terms; index {k} required")
+        raise RangeOverflowError(f"{self.kind} alpha_{k} exceeds float range")
 
     def max_index(self) -> int:
         """The last k whose alpha_k is a finite float."""
-        return self._max_index
+        return len(self._knots) - 1
 
     def knots_through(self, x: float) -> tuple[float, ...]:
         """alpha_0, ..., alpha_n for the least n >= 1 with alpha_n >= x, or
         through max_index() when no alpha_n reaches x."""
-        n = min(self._least_index(x), self._max_index)
-        if self.kind == "supergeometric":
-            return tuple(self.alpha(j) for j in range(n + 1))
-        return self._knots[: n + 1]
-
-    def _least_index(self, x: float) -> int:
-        """Smallest j >= 1 with alpha_j >= x; max_index() + 1 if there is none."""
-        if self.kind == "supergeometric":
-            return 1 + bisect.bisect_left(range(1, self._max_index + 1), x, key=self.alpha)
-        return bisect.bisect_left(self._knots, x, 1)
+        return self._knots[: bisect.bisect_left(self._knots, x, 1, self.max_index()) + 1]
 
     def cover_index(self, x: float) -> int:
         """Smallest j >= 1 with alpha_j >= x."""
-        j = self._least_index(x)
-        if j > self._max_index:
+        j = bisect.bisect_left(self._knots, x, 1)
+        if j > self.max_index():
             raise DemandBracketError(f"alpha sequence cannot cover {x!r}; index {j} needed")
         return j
 
     def bracket_index(self, M: float) -> int:
         """k with 2 alpha_k < M <= 2 alpha_{k+1}: the exponential game's
         demand bracket holding M > 0, k = 0 at or below 2 alpha_1."""
-        if self._max_index < 2:
+        if self.max_index() < 2:
             raise DemandBracketError(
                 "alpha sequence needs at least two terms to define the bracket lattice"
             )
-        k = self._least_index(0.5 * M) - 1
-        if k + 1 > self._max_index:
+        k = bisect.bisect_left(self._knots, 0.5 * M, 1) - 1
+        if k + 1 > self.max_index():
             raise DemandBracketError(f"demand {M!r} beyond the generated alpha sequence")
         return k
 
@@ -1081,7 +1078,8 @@ class StepExp(CostFunction):
 
     The step partner of ExpOverX in the unbounded-price-of-anarchy instance.
     Values grow like e^alpha, so anything beyond toy scales must go through
-    eval_log; generalized_inverse bisects the steps on the log of its level.
+    eval_log.  Every method reads the knots of ``alphas`` and, beside them,
+    the log of each step, ``_logs``; the inverse bisects the latter.
     """
 
     alphas: AlphaSequence = field(default_factory=AlphaSequence)
@@ -1093,48 +1091,39 @@ class StepExp(CostFunction):
     def is_strictly_increasing(self) -> bool:
         return False
 
-    def _piece(self, y: float) -> int:
-        y = _check_nonneg(y)
-        if y == 0:
-            return 1
-        return self.alphas.cover_index(y)
+    @cached_property
+    def _logs(self) -> tuple[float, ...]:
+        """ln ExpOverX(alpha_j) for each knot: the step over (alpha_{j-1}, alpha_j]."""
+        return tuple(map(_log_exp_over_x, self.alphas._knots))
 
-    # the step over (alpha_{j-1}, alpha_j] is ExpOverX(alpha_j)
-    _level_log = staticmethod(_log_exp_over_x)
-
-    def eval_log(self, y: float) -> float:
-        return self._level_log(self.alphas.alpha(self._piece(y)))
+    def eval_log(self, y: float) -> float:  # the step (alpha_{j-1}, alpha_j] holding y, j = 1 at y = 0
+        return self._logs[self.alphas.cover_index(_check_nonneg(y))]
 
     def eval(self, y: float) -> float:
         return _exp_in_range(self.eval_log(y), "step-exp value")
 
     def eval_right_log(self, y: float) -> float:
-        j = self._piece(y)
-        if y == self.alphas.alpha(j):  # at a knot: the next step starts
-            j += 1
-        return self._level_log(self.alphas.alpha(j))
+        j = self.alphas.cover_index(_check_nonneg(y))
+        if y == self.alphas._knots[j]:  # at a knot: the next step starts
+            return _log_exp_over_x(self.alphas.alpha(j + 1))
+        return self._logs[j]
 
     def eval_right(self, y: float) -> float:
         return _exp_in_range(self.eval_right_log(y), "step-exp value")
 
     def derivative_bounds(self, y):
-        y = float(y)
-        j = self._piece(y)
-        if y == self.alphas.alpha(j):
-            return (0.0, math.inf)
-        return (0.0, 0.0)
+        y = _check_nonneg(y)
+        return (0.0, math.inf if y == self.alphas._knots[self.alphas.cover_index(y)] else 0.0)
 
     def generalized_inverse(self, level: float) -> tuple[float, float]:
         level = _check_nonneg(level, "level")
         if level == 0:
             return (0.0, 0.0)
-        target, top = math.log(level), self.alphas.max_index()
-        step_log = lambda j: self._level_log(self.alphas.alpha(j))  # the log of the step up to alpha_j
-        j = 1 + bisect.bisect_left(range(1, top + 1), target, key=step_log)  # the least step reaching the level
-        if j > top:
+        target, knots, logs = math.log(level), self.alphas._knots, self._logs
+        j = bisect.bisect_left(logs, target, 1)  # the least step reaching the level
+        if j == len(logs):
             return (math.inf, math.inf)
-        x_minus = self.alphas.alpha(j - 1)
-        return (x_minus, self.alphas.alpha(j) if step_log(j) <= target else x_minus)
+        return (knots[j - 1], knots[j] if logs[j] <= target else knots[j - 1])
 
     def asymptotic_value(self) -> float:
         return math.inf

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 from .costs import (
     AlphaSequence,
-    PwlSquare,
-    StepGeometric,
+    _check_base,
     _chord,
     _log_exp_over_x,
     _period_index,
@@ -148,7 +147,7 @@ def opt_parallel_step(a: float, M: float) -> OptimumSolution:
     is less than C_{k-1}, as there y_j = a^{j+1} = h and h^2 + (M-h)^2
     falls as h rises to a^k < M/2.
     """
-    StepGeometric(a)  # the family's check of a
+    _check_base(a, "step")
     k, (k0, _), k_top = _period_index(a, M), _powers(a), _piece(a, M)[0]
     if _power(M, 2) < sys.float_info.min:  # the corner y = 0 scores M^2, at least the optimum
         raise ZeroDivisionError("the social cost is below the normal floats")
@@ -203,7 +202,7 @@ def opt_parallel_pwl_square(a: float, M: float) -> OptimumSolution:
     to any finite one; when every candidate overflows, the cost is +inf,
     which the guard reports as float overflow (RangeOverflowError).
     """
-    PwlSquare(a)  # the family's check of a
+    _check_base(a, "pwl-square")
     if _power(M, 3) < sys.float_info.min:  # the corner y = 0 scores M^3, at least the optimum
         raise ZeroDivisionError("the social cost is below the normal floats")
     k_anchor, k0 = _piece(a, M)[0], _powers(a)[0]

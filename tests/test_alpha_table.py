@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from wardrop.cli import auto_breakpoints
-from wardrop.costs import AlphaSequence, StepExp
+from wardrop.costs import AlphaSequence, StepExp, _log_exp_over_x
 from wardrop.errors import DemandBracketError, RangeOverflowError
 from wardrop.instances import exp_game
 
@@ -31,12 +31,12 @@ def _scan_inverse(se: StepExp, level: float) -> tuple[float, float]:
         return (0.0, 0.0)
     target = math.log(level)
     j = 1
-    while se._level_log(se.alphas.alpha(j)) < target:
+    while _log_exp_over_x(se.alphas.alpha(j)) < target:
         j += 1
         if j > se.alphas.max_index():
             return (math.inf, math.inf)
     x_minus = se.alphas.alpha(j - 1)
-    x_plus = se.alphas.alpha(j) if se._level_log(se.alphas.alpha(j)) <= target else x_minus
+    x_plus = se.alphas.alpha(j) if _log_exp_over_x(se.alphas.alpha(j)) <= target else x_minus
     return (x_minus, x_plus)
 
 
@@ -53,7 +53,7 @@ def _loop_breakpoints(alphas: AlphaSequence, M_lo: float, M_hi: float) -> list[f
 
 def _finite_knots(seq: AlphaSequence) -> list[float]:
     """alpha_1, alpha_2, ... while the step's value e^alpha / alpha is a float."""
-    return [a for a in seq.knots_through(math.inf)[1:] if StepExp._level_log(a) < 709.0]
+    return [a for a in seq.knots_through(math.inf)[1:] if _log_exp_over_x(a) < 709.0]
 
 
 def _knot_neighbours(knots) -> list[float]:
@@ -67,7 +67,7 @@ def test_inverse_matches_the_logvalue_scan(seq):
     levels = [0.0, 5e-324, 1e-300, 1.0, math.e, 3.0, sys.float_info.max, math.inf]
     levels += [10.0 ** rng.uniform(-300.0, 308.0) for _ in range(2000)]
     levels += [math.exp(rng.uniform(0.0, 709.0)) for _ in range(1000)]
-    step_levels = [math.exp(se._level_log(a)) for a in _finite_knots(seq)]
+    step_levels = [math.exp(_log_exp_over_x(a)) for a in _finite_knots(seq)]
     levels += _knot_neighbours(step_levels)
     for level in levels:
         assert se.generalized_inverse(level) == _scan_inverse(se, level), level

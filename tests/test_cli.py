@@ -447,6 +447,13 @@ def test_malformed_network_spec_is_an_input_error(spec, tmp_path):
     assert "Traceback" not in run.stderr
 
 
+def test_a_supergeometric_base_past_the_term_cap_is_an_input_error():
+    # its table would hold about 1.8e9 terms; the sequence refuses the base
+    run = _run_child(["poa", "--network", "exp:supergeometric:1.0000000000000002", "--demand", "1e300"], timeout=60)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("input error:") and "Traceback" not in run.stderr
+
+
 def test_rv_subcommand_is_gone():
     # the suite lives on as `wardrop repro rv`
     with pytest.raises(SystemExit) as exc:

@@ -13,13 +13,13 @@ import sys
 import pytest
 
 import wardrop
-from wardrop.asymptotics import (exp_game_poa_near_breakpoint, poa, poa_sweep,
-                                 pwl_game_poa_at_special_demand, step_game_closed_form)
+from wardrop.asymptotics import (exp_game_poa_near_breakpoint, poa, poa_sweep, pwl_game_constants,
+                                 pwl_game_poa_at_special_demand, step_game_closed_form, step_jump_value)
 from wardrop.cli import main
-from wardrop.costs import Affine, AlphaSequence, Constant, Monomial
+from wardrop.costs import Affine, AlphaSequence, Constant, Monomial, PwlSquare, StepGeometric
 from wardrop.errors import DomainError, GameError, RangeOverflowError
 from wardrop import equilibrium
-from wardrop.instances import exp_game, pigou, pwl_game, step_game
+from wardrop.instances import exp_game, pigou, pwl_game, step_breakpoints, step_game
 from wardrop.logdomain import LogValue
 from wardrop.network import Edge, Network, build_parallel, network_to_spec
 from wardrop.optimum import opt_bruteforce, opt_parallel_pwl_square, opt_parallel_step, social_optimum
@@ -128,12 +128,26 @@ def test_cli_solve_names_a_cost_free_flow(tmp_path, capsys):
     assert FREE_LINK_MESSAGE in capsys.readouterr().err
 
 
+NON_INT_INDICES = (2.5, math.nan)
 CLOSED_FORMS = [
     *(("step_game_closed_form", 2.0, M) for M in [*DEMANDS, 1e-308, 1.8353258673459495e154]),
-    *(("pwl_game_poa_at_special_demand", 2.0, k) for k in (-3000, -1000, 1, 1000, 1024, 1030)),
-    *(("exp_game_poa_near_breakpoint", AlphaSequence("factorial"), k) for k in (0, 1, 169, 170)),
+    *(("pwl_game_poa_at_special_demand", 2.0, k) for k in (-3000, -1000, 1, 1000, 1024, 1030, *NON_INT_INDICES)),
+    *(("exp_game_poa_near_breakpoint", AlphaSequence("factorial"), k) for k in (0, 1, 169, 170, *NON_INT_INDICES)),
     ("exp_game_poa_near_breakpoint", AlphaSequence("explicit", values=(1.0, 1e308, 1.7e308)), 2),
 ]
+
+
+def _assert_finite(result):
+    """Every number a closed form answers is finite: a float, each float of
+    a list, or the PoA-like fields of a result."""
+    if isinstance(result, float):
+        result = [result]
+    if isinstance(result, list):
+        assert all(math.isfinite(v) for v in result), result
+        return
+    for value in ("poa", "closed_form", "numeric_poa", "poa_at_mk"):
+        if hasattr(result, value):
+            assert math.isfinite(getattr(result, value)), result
 
 
 @pytest.mark.parametrize("name, first, arg", CLOSED_FORMS,
@@ -145,9 +159,51 @@ def test_any_input_gives_a_closed_form_a_finite_value_or_a_typed_error(name, fir
         result = getattr(wardrop, name)(first, arg)
     except GameError:
         return
-    for value in ("poa", "closed_form", "numeric_poa"):
-        if hasattr(result, value):
-            assert math.isfinite(getattr(result, value)), result
+    _assert_finite(result)
+
+
+BAD_BASES = (math.nan, math.inf, 1.5, -4 / 3)
+BASE_PROBES = [  # (name, arguments after the base a)
+    ("step_game_closed_form", (10.0,)), ("pwl_game_poa_at_special_demand", (1,)), ("step_jump_value", ()),
+    ("pwl_game_constants", ()), ("step_breakpoints", (1, 3)), ("opt_parallel_step", (10.0,)),
+    ("opt_parallel_pwl_square", (10.0,)),
+]
+
+
+@pytest.mark.parametrize("a", (2.0, 3.0, 1e10, *BAD_BASES), ids=repr)
+@pytest.mark.parametrize("name, rest", BASE_PROBES, ids=[name for name, _ in BASE_PROBES])
+def test_any_base_gives_a_closed_form_a_finite_value_or_a_typed_error(name, rest, a):
+    try:
+        result = getattr(wardrop, name)(a, *rest)
+    except GameError:
+        return
+    _assert_finite(result.cost if name.startswith("opt_") else result)
+
+
+@pytest.mark.parametrize("a", BAD_BASES, ids=repr)
+@pytest.mark.parametrize("call", [StepGeometric, PwlSquare, step_jump_value, pwl_game_constants,
+                                  lambda a: step_game_closed_form(a, 10.0),
+                                  lambda a: pwl_game_poa_at_special_demand(a, 1),
+                                  lambda a: step_breakpoints(a, 1, 3), lambda a: opt_parallel_step(a, 10.0),
+                                  lambda a: opt_parallel_pwl_square(a, 10.0)],
+                         ids=["StepGeometric", "PwlSquare", "step_jump_value", "pwl_game_constants",
+                              "step_game_closed_form", "pwl_game_poa_at_special_demand", "step_breakpoints",
+                              "opt_parallel_step", "opt_parallel_pwl_square"])
+def test_a_base_outside_the_lattice_range_is_one_domain_error(call, a):
+    with pytest.raises(DomainError, match=re.escape(f"requires finite a >= 2, got {a!r}")):
+        call(a)
+
+
+@pytest.mark.parametrize("k", NON_INT_INDICES, ids=repr)
+@pytest.mark.parametrize("call", [lambda k: AlphaSequence().alpha(k),
+                                  lambda k: exp_game_poa_near_breakpoint(AlphaSequence(), k),
+                                  lambda k: pwl_game_poa_at_special_demand(2.0, k),
+                                  lambda k: step_breakpoints(2.0, k, 3), lambda k: step_breakpoints(2.0, 1, k)],
+                         ids=["alpha", "exp_game_poa_near_breakpoint", "pwl_game_poa_at_special_demand",
+                              "step_breakpoints-k_lo", "step_breakpoints-k_hi"])
+def test_a_non_int_index_is_a_domain_error(call, k):
+    with pytest.raises(DomainError, match=re.escape(f"must be an int, got {k!r}")):
+        call(k)
 
 
 @pytest.mark.parametrize("M, error", [(1e308, RangeOverflowError),  # a^(2k) overflows

@@ -5,6 +5,7 @@ import random
 import re
 import struct
 import sys
+import time
 
 import mpmath
 import numpy as np
@@ -13,8 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from wardrop import costs
+from wardrop import costs, exp_game, poa
 from wardrop.costs import (
+    MAX_ALPHA_TERMS,
     Affine,
     AlphaSequence,
     Constant,
@@ -837,6 +839,23 @@ def test_supergeometric_max_index_is_the_last_finite_alpha(base):
         seq.alpha(k + 1)
     with pytest.raises(OverflowError):  # float pow overflows past max_index
         base ** ((k + 1) * (k + 1))
+
+
+def test_a_supergeometric_base_past_the_term_cap_is_refused_at_once():
+    # 1 + 2^-52 would need about 1.8e9 terms; the table stops one past the cap
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=f"more than {MAX_ALPHA_TERMS} finite terms"):
+        AlphaSequence("supergeometric", base=1 + 2**-52)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_supergeometric_base_just_inside_the_term_cap_answers_poa():
+    # the least float base whose table holds at most MAX_ALPHA_TERMS terms
+    seq = AlphaSequence("supergeometric", base=1.0000001652541364)
+    assert seq.max_index() == MAX_ALPHA_TERMS
+    with pytest.raises(DomainError, match="more than"):
+        AlphaSequence("supergeometric", base=math.nextafter(seq.base, 0.0))
+    assert 1.0 <= poa(exp_game(seq), 1e300).poa < math.inf
 
 
 def _scan_cover(seq, x):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -67,6 +68,19 @@ def test_family_lines_name_the_call_and_its_outcome():
                             r"|jump_levels|breakpoints_within)\(.*\)\t\S.*\n", line) for line in lines)
     assert "Affine(a=1.0, b=2.0).generalized_inverse(3.0)\t(1.0, 1.0)\n" in lines
     assert "Affine(a=1.0, b=2.0).primitive(2.0)\t6.0\n" in lines
+
+
+def test_family_points_take_every_step_exp_knot_and_step_value():
+    from wardrop import StepExp
+
+    outcome_digest = _import_digest()
+    step_exps = [(cost, knots) for _, cost, knots in outcome_digest._public_families() if isinstance(cost, StepExp)]
+    assert [cost.alphas.kind for cost, _ in step_exps] == ["factorial", "supergeometric", "supergeometric", "explicit"]
+    for cost, knots in step_exps:
+        assert tuple(knots) == cost.alphas.knots_through(math.inf)[1:]
+        points = set(outcome_digest._knot_points(cost, knots))
+        for x in (*knots, cost.eval(knots[0]), cost.eval(knots[2])):  # knots, and two step values
+            assert {math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)} <= points, (cost, x)
 
 
 def test_general_digest_builds_the_tests_grids():

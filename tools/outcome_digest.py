@@ -26,8 +26,11 @@ line per call of ``eval``, ``eval_right``, ``eval_log``, ``derivative_bounds``,
 one's ``marginal_function()``.  The points and the interval ends are seeded
 log-uniform floats and a few fixed ones; for ``StepGeometric``, ``PwlSquare``
 and the marginal of ``PwlSquare`` at a in {2, 3, 5, 1e10} they add every knot
-a^k up to the last finite one, each knot's ``eval`` and ``eval_right``, and
-the float neighbours of each of those.  Only the public API is called, so a
+a^k up to the last finite one, and for ``StepExp`` (factorial,
+supergeometric at bases 2 and 1.01, and one explicit sequence) every knot
+alpha_k up to the last finite one; then each knot's ``eval`` and
+``eval_right`` (for ``StepExp`` the finite step values), and the float
+neighbours of each of those.  Only the public API is called, so a
 checkout whose families answer every call alike prints the same digest.
 
 With ``--general`` the digest is taken over the general solver instead: one
@@ -81,9 +84,10 @@ def outcome_lines(ops: list[str]):
 
 
 def _public_families():
-    """(name, cost, a) for one or more instances of every public family,
-    each followed by its marginal where it has one; a is the lattice base of
-    ``StepGeometric``, ``PwlSquare`` and the marginal of ``PwlSquare``, else None."""
+    """(name, cost, knots) for one or more instances of every public family,
+    each followed by its marginal where it has one; knots are the a^k of
+    ``StepGeometric``, ``PwlSquare`` and the marginal of ``PwlSquare`` and
+    the alpha_k (k >= 1) of ``StepExp``, else empty."""
     import wardrop as w
 
     costs = [
@@ -94,22 +98,23 @@ def _public_families():
                                     (1e300, 1.0, 1e-300))),
         w.SaturatingLinear(),
         w.ExpOverX(), w.StepExp(w.AlphaSequence("factorial")),
-        w.StepExp(w.AlphaSequence("supergeometric", 2.0)), w.Shifted(w.Monomial(1.0, 2.0), 1.5),
-        w.Shifted(w.StepGeometric(2.0), 1.0),
+        w.StepExp(w.AlphaSequence("supergeometric", 2.0)), w.StepExp(w.AlphaSequence("supergeometric", 1.01)),
+        w.StepExp(w.AlphaSequence("explicit", values=(0.5, 2.0, 2.5, 1e9, 1e300))),
+        w.Shifted(w.Monomial(1.0, 2.0), 1.5), w.Shifted(w.StepGeometric(2.0), 1.0),
         *(family(a) for a in LATTICE_BASES for family in (w.StepGeometric, w.PwlSquare)),
     ]
     for cost in costs:
-        a = cost.a if isinstance(cost, (w.StepGeometric, w.PwlSquare)) else None
-        yield repr(cost), cost, a
+        knots = (_powers(cost.a) if isinstance(cost, (w.StepGeometric, w.PwlSquare))
+                 else cost.alphas.knots_through(math.inf)[1:] if isinstance(cost, w.StepExp) else ())
+        yield repr(cost), cost, knots
         try:
-            yield f"{cost!r}.marginal", cost.marginal_function(), a
+            yield f"{cost!r}.marginal", cost.marginal_function(), knots
         except w.UnsupportedCostError:
             pass
 
 
-def _lattice_points(cost, a: float) -> list[float]:
-    """Every knot a^k that is a positive float, each knot's ``eval`` and
-    ``eval_right``, and the float neighbours of each of those."""
+def _powers(a: float) -> list[float]:
+    """Every power a^k that is a positive float."""
     knots, k = [], 0
     while (v := a**k) > 0.0:  # a**k for k < 0 down to the last that does not round to 0
         knots.append(v)
@@ -121,6 +126,12 @@ def _lattice_points(cost, a: float) -> list[float]:
         except OverflowError:
             break
         k += 1
+    return knots
+
+
+def _knot_points(cost, knots) -> list[float]:
+    """The knots, each knot's ``eval`` and ``eval_right``, and the float
+    neighbours of each of those."""
     values = []
     for q in knots:
         for method in (cost.eval, cost.eval_right):
@@ -140,8 +151,8 @@ def family_lines():
                  *(tuple(sorted((2.0 ** rng.uniform(-1074.0, 1024.0), 2.0 ** rng.uniform(-1074.0, 1024.0))))
                    for _ in range(200)),
                  *((10.0**e, 10.0 ** (e + 10)) for e in range(-320, 300, 10))]
-    for name, cost, a in _public_families():
-        points = seeded + (_lattice_points(cost, a) if a is not None else [])
+    for name, cost, knots in _public_families():
+        points = seeded + _knot_points(cost, knots)
         for method in POINT_METHODS:
             for x in points:
                 yield f"{name}.{method}({x!r})\t{_outcome(lambda: getattr(cost, method)(x))}\n"
